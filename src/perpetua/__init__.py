@@ -51,7 +51,6 @@ from .jumps import ConstantJump, ExponentialJump, TwoSidedExponentialJump, Unifo
 from .measures import (
     CompoundPoisson,
     NoJumps,
-    SpectrallyNegativeStable,
     StableLike,
     TemperedStable,
 )
@@ -61,7 +60,6 @@ from .passage import (
     RestartedPathSource,
     first_passage,
     overshoot_ensemble,
-    shifted_restart,
     stationary_overshoot,
 )
 from .runner import run_experiment, simulate_paths
@@ -94,7 +92,6 @@ __all__ = [
     # core representation
     "LevyTriplet", "ClassificationFlags", "ExtendedReal", "triplet_from_json",
     "NoJumps", "CompoundPoisson", "StableLike", "TemperedStable",
-    "SpectrallyNegativeStable",
     "ConstantJump", "ExponentialJump", "TwoSidedExponentialJump", "UniformJump",
     # integrands
     "TestFunction", "ExpDecay", "PowerTail", "LogPower", "Indicator",
@@ -110,7 +107,6 @@ __all__ = [
     "local_time_field",
     "FirstPassageSample", "EmpiricalDistribution", "first_passage",
     "overshoot_ensemble", "stationary_overshoot", "RestartedPathSource",
-    "shifted_restart",
     # statistics and harness
     "ks_two_sample", "ks_one_sample", "ks_critical",
     "CheckReport", "FinitenessEstimate", "finiteness_probability",

@@ -2,8 +2,22 @@
 
     perpetua verdict  --config FILE [--format json|csv]
     perpetua classify --config FILE [--format json|csv]
-    perpetua simulate --config FILE --out DIR [--seed U64] [--threads N]
+    perpetua simulate --config FILE --out DIR [--seed U64]
     perpetua verify   --config FILE [--out DIR] [--seed U64] [--threads N]
+
+verify runs the checks the config lists under "checks", always in the order
+below.  check_params.<check> sets a check's parameters; defaults in brackets,
+where dt and t0 without a prefix are the config's own:
+
+    zero_one    none (threshold: thresholds.delta_01)
+    occupation  n_paths [50], bandwidth [0.05]
+    overshoot   z1 [max(20 sigma_eff/mu, 1)], z2 [2 z1], n [400], dt [dt]
+                (threshold: thresholds.ks_alpha)
+    invariance  x_list [[1, 2, 5]], n [200], bandwidth [0.05], dt [dt],
+                threshold [max(0.05, KS critical value at n)], ks_alpha [0.01],
+                n_rho [1000], start_from_rho [true]
+    lln         t0 [max(50 sigma_eff^2/mu^2, 10 t0)], n [200], dt [dt],
+                horizon [4 t0 of lln]
 
 Exit codes: 0 pass, 1 check failure (or an analysis error), 2 bad config.
 """
@@ -31,21 +45,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool = False) -> None:
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment JSON file")
-        p.add_argument("--out", required=out_required, default=None,
+        return p
+
+    for name, help_text in (("verdict", "analytic finiteness verdict for (triplet, f)"),
+                            ("classify", "structural classification of the triplet")):
+        command(name, help_text).add_argument(
+            "--format", choices=("json", "csv"), default="json", help="stdout format")
+    simulate = command("simulate", "sample paths and dump CSVs")
+    verify = command("verify", "run the statistical check suite")
+    for p in (simulate, verify):
+        p.add_argument("--out", required=p is simulate, default=None,
                        help="output directory for reports and CSV artifacts")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed from the config")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (results are identical for any value)")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="stdout format for analysis commands")
-
-    common(sub.add_parser("verdict", help="analytic finiteness verdict for (triplet, f)"))
-    common(sub.add_parser("classify", help="structural classification of the triplet"))
-    common(sub.add_parser("simulate", help="sample paths and dump CSVs"), out_required=True)
-    common(sub.add_parser("verify", help="run the statistical check suite"))
+    verify.add_argument("--threads", type=int, default=1,
+                        help="worker threads (results are identical for any value)")
     return parser
 
 
@@ -78,7 +95,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
 
     try:
@@ -98,7 +115,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "simulate":
-            written = simulate_paths(config, args.out, threads=args.threads)
+            written = simulate_paths(config, args.out)
             print(f"wrote {len(written)} files to {args.out}")
             return 0
 

@@ -7,18 +7,23 @@ reports all its mistakes at once instead of one per run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .checks import CHECKS, Check, resolve
 from .errors import ConfigError, NonFiniteParameter
 from .testfunctions import TestFunction, test_function_from_dict, test_function_to_dict
 from .triplet import LevyTriplet
 
 __all__ = ["ExperimentConfig", "load_config"]
 
-KNOWN_CHECKS = ("zero_one", "occupation", "overshoot", "invariance", "lln")
+_DEFAULT_THRESHOLDS = {"delta_01": 0.05, "ks_alpha": 0.01}
 
-_DEFAULT_THRESHOLDS = {"delta_01": 0.05, "growth_ratio": 0.5, "ks_alpha": 0.01}
+# STEP_BUDGET: no path of any check may take more steps than this.  Paths
+# are held in memory whole, so a tiny dt is refused here rather than by a
+# MemoryError halfway through a run.  A precondition, not a setting.
+MAX_STEPS_PER_PATH = 2**24
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,7 @@ class ExperimentConfig:
     doublings: int  # checkpoints are t0 * 2^k for k = 0..doublings
     master_seed: int
     thresholds: dict = field(default_factory=lambda: dict(_DEFAULT_THRESHOLDS))
-    checks: tuple[str, ...] = KNOWN_CHECKS
+    checks: tuple[str, ...] = tuple(CHECKS)
     check_params: dict = field(default_factory=dict)
     expected_fail: tuple[str, ...] = ()
 
@@ -98,6 +103,9 @@ class ExperimentConfig:
                 problems.append(f"horizon.doublings: must be >= 3, got {doublings}")
         if t0 is not None and dt is not None and dt > t0 / 10.0:
             problems.append(f"dt: must be <= t0/10 = {t0 / 10.0:g}, got {dt}")
+        elif None not in (t0, dt, doublings) and dt > 0.0:
+            # 2^64 steps are over budget already; the cap keeps 2.0**k finite
+            _step_budget("horizon", t0 / dt * 2.0 ** min(doublings, 64), problems)
 
         master_seed = _as_int(d, "master_seed", problems)
         if master_seed is not None and not 0 <= master_seed < 2**64:
@@ -122,37 +130,21 @@ class ExperimentConfig:
                 else:
                     thresholds[key] = val
 
-        checks = d.get("checks", list(KNOWN_CHECKS))
-        if not isinstance(checks, list) or not all(isinstance(x, str) for x in checks):
-            problems.append("checks: must be a list of check names")
-            checks = list(KNOWN_CHECKS)
-        else:
-            for name in checks:
-                if name not in KNOWN_CHECKS:
-                    problems.append(f"checks: unknown check {name!r} "
-                                    f"(known: {', '.join(KNOWN_CHECKS)})")
+        known = f"(known: {', '.join(CHECKS)})"
+        checks = _check_names(d, "checks", list(CHECKS), known, problems)
+        expected_fail = _check_names(d, "expected_fail", [], known, problems)
 
         check_params = d.get("check_params", {})
         if not isinstance(check_params, dict):
             problems.append("check_params: must be an object")
             check_params = {}
-        else:
-            for name in check_params:
-                if name not in KNOWN_CHECKS:
-                    problems.append(f"check_params.{name}: unknown check "
-                                    f"(known: {', '.join(KNOWN_CHECKS)})")
-
-        expected_fail = d.get("expected_fail", [])
-        if not isinstance(expected_fail, list) or not all(
-            isinstance(x, str) for x in expected_fail
-        ):
-            problems.append("expected_fail: must be a list of check names")
-            expected_fail = []
-        else:
-            for name in expected_fail:
-                if name not in KNOWN_CHECKS:
-                    problems.append(f"expected_fail: unknown check {name!r} "
-                                    f"(known: {', '.join(KNOWN_CHECKS)})")
+        for name, raw in check_params.items():
+            if name not in CHECKS:
+                problems.append(f"check_params.{name}: unknown check {known}")
+            elif not isinstance(raw, dict):
+                problems.append(f"check_params.{name}: must be an object, got {raw!r}")
+            else:
+                _check_params(CHECKS[name], raw, problems)
 
         unknown = set(d) - {
             "triplet", "f", "n_paths", "dt", "horizon", "master_seed",
@@ -163,7 +155,7 @@ class ExperimentConfig:
 
         if problems:
             raise ConfigError(problems)
-        return cls(
+        config = cls(
             triplet=triplet,
             f=f,
             n_paths=n_paths,
@@ -176,6 +168,59 @@ class ExperimentConfig:
             check_params=check_params,
             expected_fail=tuple(expected_fail),
         )
+        for name in config.checks:
+            check = CHECKS[name]
+            if check.steps is not None:
+                _step_budget(f"check_params.{name}", check.steps(resolve(check, config)), problems)
+        if problems:
+            raise ConfigError(problems)
+        return config
+
+
+def _step_budget(key: str, steps: float, problems: list[str]) -> None:
+    if not steps <= MAX_STEPS_PER_PATH:
+        problems.append(f"{key}: {steps:.3g} steps per path exceed STEP_BUDGET "
+                        f"{MAX_STEPS_PER_PATH} (horizon/dt)")
+
+
+def _check_names(d: dict, key: str, default: list, known: str, problems: list[str]) -> list:
+    names = d.get(key, default)
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        problems.append(f"{key}: must be a list of check names")
+        return default
+    for name in names:
+        if name not in CHECKS:
+            problems.append(f"{key}: unknown check {name!r} {known}")
+    return names
+
+
+def _check_params(check: Check, raw: dict, problems: list[str]) -> None:
+    """Validate check_params.<check> against the check's row of the table."""
+    prefix = f"check_params.{check.key}."
+    schema = {p.name: p for p in check.params}
+    for name in raw:
+        p = schema.get(name)
+        if p is None:
+            problems.append(f"{prefix}{name}: unknown parameter "
+                            f"(known: {', '.join(schema) or 'none'})")
+            continue
+        if p.kind is bool:
+            if not isinstance(raw[name], bool):
+                problems.append(f"{prefix}{name}: must be true or false, got {raw[name]!r}")
+            continue
+        if p.kind is list:
+            values = raw[name] if isinstance(raw[name], list) else []
+            items = {f"{name}[{i}]": v for i, v in enumerate(values)}
+            parsed = [_as_float(items, key, problems, prefix) for key in items]
+            if not values:
+                problems.append(f"{prefix}{name}: must be a non-empty list of numbers, "
+                                f"got {raw[name]!r}")
+        else:
+            parsed = [(_as_int if p.kind is int else _as_float)(raw, name, problems, prefix)]
+        for val in parsed:
+            if val is not None and not p.low < val < p.high:
+                bound = f"> {p.low:g}" if p.high == math.inf else f"in ({p.low:g}, {p.high:g})"
+                problems.append(f"{prefix}{name}: must be {bound}, got {val!r}")
 
 
 def _as_int(d: dict, key: str, problems: list[str], prefix: str = "") -> int | None:
@@ -193,11 +238,15 @@ def _as_float(d: dict, key: str, problems: list[str], prefix: str = "") -> float
     if key not in d:
         problems.append(f"{prefix}{key}: missing")
         return None
+    val = d[key]
     try:
-        return float(d[key])
+        out = float(val)
     except (TypeError, ValueError):
-        problems.append(f"{prefix}{key}: must be a number, got {d[key]!r}")
+        out = math.nan
+    if isinstance(val, bool) or not math.isfinite(out):
+        problems.append(f"{prefix}{key}: must be a finite number, got {val!r}")
         return None
+    return out
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

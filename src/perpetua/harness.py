@@ -33,6 +33,7 @@ __all__ = [
     "FINITE_LIKE",
     "INFINITE_LIKE",
     "INCONCLUSIVE",
+    "finiteness_path",
     "finiteness_probability",
     "zero_one_check",
     "occupation_identity_check",
@@ -97,6 +98,18 @@ def _parallel_map(fn, count: int, threads: int) -> list:
     return out
 
 
+def finiteness_path(config, i: int):
+    """Path i of the finiteness ensemble and its partial integrals at the checkpoints."""
+    checkpoints = np.asarray(config.checkpoints, dtype=float)
+    path = sample_path(
+        config.triplet,
+        float(checkpoints[-1]),
+        config.dt,
+        seed=derive_seed(config.master_seed, "finiteness", i),
+    )
+    return path, perpetual_estimate(path, config.f, checkpoints)
+
+
 def finiteness_probability(config, threads: int = 1) -> FinitenessEstimate:
     """Per-path stabilization-vs-growth classification over doubling horizons.
 
@@ -107,18 +120,9 @@ def finiteness_probability(config, threads: int = 1) -> FinitenessEstimate:
     paths; the inconclusive remainder is reported and flagged above 10%.
     """
     checkpoints = np.asarray(config.checkpoints, dtype=float)
-    horizon = float(checkpoints[-1])
-
-    def one_path(i: int) -> np.ndarray:
-        path = sample_path(
-            config.triplet,
-            horizon,
-            config.dt,
-            seed=derive_seed(config.master_seed, "finiteness", i),
-        )
-        return perpetual_estimate(path, config.f, checkpoints)
-
-    partials = np.asarray(_parallel_map(one_path, config.n_paths, threads))
+    partials = np.asarray(_parallel_map(
+        lambda i: finiteness_path(config, i)[1], config.n_paths, threads
+    ))
     incr = np.diff(partials, axis=1)
     tol = TOL_ABS + TOL_REL * partials[:, -1]
     finite = (incr[:, -1] < tol) & (incr[:, -2] < tol)

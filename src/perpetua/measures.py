@@ -36,7 +36,6 @@ __all__ = [
     "CompoundPoisson",
     "StableLike",
     "TemperedStable",
-    "SpectrallyNegativeStable",
     "measure_from_dict",
     "upper_gamma",
 ]
@@ -406,85 +405,28 @@ class TemperedStable:
                 "tempering": self.tempering, "skew": self.skew}
 
 
-@dataclass(frozen=True)
-class SpectrallyNegativeStable:
-    """One-sided stable measure on the negative axis, alpha in (1, 2).
-
-    Equivalent to StableLike with skew = -1; kept as its own family because
-    upward first passage of such processes creeps (zero overshoot), which the
-    Monte Carlo layer exploits.
-    """
-
-    alpha: float
-    scale: float
-
-    kind = "spectrally_negative_stable"
-    is_finite_activity = False
-    finite_variation = False
-
-    def validate(self):
-        issues = _alpha_issues(self.alpha, lo=1.0, hi=2.0)
-        issues += require_finite(self.scale, "scale", "SCALE_POSITIVE")
-        if math.isfinite(self.scale) and self.scale <= 0:
-            issues.append(Issue("SCALE_POSITIVE", "scale", "scale must be > 0"))
-        return issues
-
-    def _inner(self) -> StableLike:
-        return StableLike(self.alpha, self.scale, -1.0)
-
-    def char_integral(self, lam):
-        return self._inner().char_integral(lam)
-
-    def tail_mass(self) -> float:
-        return self._inner().tail_mass()
-
-    def tail_mean(self) -> ExtendedReal:
-        return self._inner().tail_mean()
-
-    def small_jump_variance(self, eps: float) -> float:
-        return self._inner().small_jump_variance(eps)
-
-    def inner_mean(self, lo: float, hi: float) -> float:
-        return self._inner().inner_mean(lo, hi)
-
-    def rate_above(self, eps: float) -> float:
-        return self._inner().rate_above(eps)
-
-    def sample_jumps_above(self, rng, eps: float, n: int):
-        return self._inner().sample_jumps_above(rng, eps, n)
-
-    def default_cutoff(self, dt: float) -> float:
-        return self._inner().default_cutoff(dt)
-
-    def has_positive_jumps(self) -> bool:
-        return False
-
-    def has_negative_jumps(self) -> bool:
-        return True
-
-    def params(self):
-        return {"alpha": self.alpha, "scale": self.scale}
-
-
-LevyMeasureSpec = (NoJumps | CompoundPoisson | StableLike
-                   | TemperedStable | SpectrallyNegativeStable)
+LevyMeasureSpec = NoJumps | CompoundPoisson | StableLike | TemperedStable
 
 _FAMILIES = {cls.kind: cls for cls in
-             (NoJumps, CompoundPoisson, StableLike, TemperedStable,
-              SpectrallyNegativeStable)}
+             (NoJumps, CompoundPoisson, StableLike, TemperedStable)}
 
 
 def measure_from_dict(d: dict) -> LevyMeasureSpec:
     from .errors import NonFiniteParameter
     family = d.get("family")
-    if family not in _FAMILIES:
+    params = dict(d.get("params", {}))
+    if family == "spectrally_negative_stable":
+        # an alias: {alpha, scale} with alpha in (1, 2) is StableLike at skew -1
+        spec = StableLike(**params, skew=-1.0)
+        issues = spec.validate() or _alpha_issues(spec.alpha, lo=1.0, hi=2.0)
+    elif family in _FAMILIES:
+        if family == "compound_poisson":
+            params["jump_law"] = jump_law_from_dict(params["jump_law"])
+        spec = _FAMILIES[family](**params)
+        issues = spec.validate()
+    else:
         raise NonFiniteParameter([Issue("FAMILY_UNKNOWN", "family",
                                         f"unknown Levy measure family {family!r}")])
-    params = dict(d.get("params", {}))
-    if family == "compound_poisson":
-        params["jump_law"] = jump_law_from_dict(params["jump_law"])
-    spec = _FAMILIES[family](**params)
-    issues = spec.validate()
     if issues:
         raise NonFiniteParameter(issues)
     return spec

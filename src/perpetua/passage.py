@@ -27,7 +27,6 @@ __all__ = [
     "overshoot_ensemble",
     "stationary_overshoot",
     "RestartedPathSource",
-    "shifted_restart",
 ]
 
 
@@ -253,13 +252,3 @@ class RestartedPathSource:
             self.triplet, horizon, dt, x0=fp.overshoot, seed=derive_seed(base, "continuation")
         )
 
-
-def shifted_restart(
-    triplet: LevyTriplet,
-    rho: EmpiricalDistribution,
-    level: float,
-    seed: int = 0,
-    dt: float = 1e-2,
-) -> RestartedPathSource:
-    """Path source for the recentered post-passage process started from rho."""
-    return RestartedPathSource(triplet, rho, level, seed=seed, dt=dt)

@@ -10,42 +10,18 @@ for configuration errors (raised as ConfigError before any work starts).
 from __future__ import annotations
 
 import json
-import math
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .config import KNOWN_CHECKS, ExperimentConfig
+from . import harness
+from .checks import CHECKS, Check, _write_finiteness_csv, resolve
+from .config import ExperimentConfig
 from .errors import PerpetuaError, PreconditionViolation
-from .harness import (
-    CheckReport,
-    FinitenessEstimate,
-    finiteness_probability,
-    lln_envelope_check,
-    local_time_law_invariance_check,
-    occupation_identity_check,
-    overshoot_stationarity_check,
-    zero_one_check,
-)
-from .rng import derive_seed
 
 __all__ = ["run_experiment", "write_report", "simulate_paths"]
-
-
-def _auto_level(config: ExperimentConfig) -> float:
-    mu = config.triplet.mean().as_float()
-    sigma_eff = math.sqrt(config.triplet.effective_volatility_sq())
-    return max(20.0 * sigma_eff / mu, 1.0)
-
-
-def _write_finiteness_csv(path: Path, est: FinitenessEstimate) -> None:
-    lines = ["path_id,checkpoint,partial_integral"]
-    for i in range(est.partials.shape[0]):
-        for j, t in enumerate(est.checkpoints):
-            lines.append(f"{i},{float(t)!r},{float(est.partials[i, j])!r}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 def run_experiment(
@@ -56,7 +32,7 @@ def run_experiment(
 ) -> tuple[dict, int]:
     """Run the selected checks and return (report, exit_code)."""
     selected = list(checks) if checks is not None else list(config.checks)
-    unknown = [c for c in selected if c not in KNOWN_CHECKS]
+    unknown = [c for c in selected if c not in CHECKS]
     if unknown:
         raise PreconditionViolation("UNKNOWN_CHECK", ", ".join(unknown))
     out = Path(out_dir) if out_dir is not None else None
@@ -67,97 +43,12 @@ def run_experiment(
     created_at = datetime.now(timezone.utc).isoformat()
 
     report: dict = {"config": config.to_dict(), "checks": []}
-    thresholds = config.thresholds
-    params = config.check_params
-
-    estimate = None
-    if "zero_one" in selected:
-        estimate = finiteness_probability(config, threads=threads)
-        counts = {v: estimate.per_path_verdicts.count(v)
-                  for v in ("FINITE_LIKE", "INFINITE_LIKE", "INCONCLUSIVE")}
-        artifacts = []
-        if out is not None:
-            csv_path = out / "finiteness.csv"
-            _write_finiteness_csv(csv_path, estimate)
-            artifacts.append(csv_path.name)
-        report["finiteness"] = {
-            "p_hat": estimate.p_hat,
-            "checkpoints": [float(t) for t in estimate.checkpoints],
-            "growth_curve": [float(v) for v in estimate.growth_curve],
-            "verdict_counts": counts,
-            "inconclusive_fraction": estimate.inconclusive_fraction,
-            "flagged": estimate.flagged,
-        }
-        _run_one(
-            report,
-            lambda: _with_artifacts(
-                zero_one_check(estimate, thresholds["delta_01"]), artifacts
-            ),
-            "zero_one",
-            "zero_one",
-        )
-
-    if "occupation" in selected:
-        kw = dict(params.get("occupation", {}))
-        _run_one(
-            report,
-            lambda: occupation_identity_check(config, threads=threads, **kw),
-            "occupation_identity",
-            "occupation",
-        )
-
-    if "overshoot" in selected:
-        kw = dict(params.get("overshoot", {}))
-        z1 = float(kw.pop("z1", _auto_level(config)))
-        z2 = float(kw.pop("z2", 2.0 * z1))
-        n = int(kw.pop("n", 400))
-        dt = float(kw.pop("dt", config.dt))
-
-        _run_one(
-            report,
-            lambda: overshoot_stationarity_check(
-                config.triplet, z1, z2, n,
-                seed=derive_seed(config.master_seed, "overshoot-check"),
-                ks_alpha=thresholds["ks_alpha"], dt=dt, artifact_dir=out, **kw,
-            ),
-            "overshoot_stationarity",
-            "overshoot",
-        )
-
-    if "invariance" in selected:
-        kw = dict(params.get("invariance", {}))
-        x_list = kw.pop("x_list", [1.0, 2.0, 5.0])
-        n = int(kw.pop("n", 200))
-        _run_one(
-            report,
-            lambda: local_time_law_invariance_check(
-                config.triplet, x_list, n,
-                seed=derive_seed(config.master_seed, "invariance-check"),
-                dt=kw.pop("dt", config.dt), threads=threads, **kw,
-            ),
-            "local_time_invariance",
-            "invariance",
-        )
-
-    if "lln" in selected:
-        kw = dict(params.get("lln", {}))
-        mu = config.triplet.mean()
-        if mu.is_finite_positive:
-            sigma_auto = 50.0 * config.triplet.effective_volatility_sq() / mu.as_float() ** 2
-        else:
-            sigma_auto = 0.0
-        t0 = float(kw.pop("t0", max(sigma_auto, 10.0 * config.t0)))
-        n = int(kw.pop("n", 200))
-        _run_one(
-            report,
-            lambda: lln_envelope_check(
-                config.triplet, t0, n,
-                seed=derive_seed(config.master_seed, "lln-check"),
-                dt=kw.pop("dt", config.dt), threads=threads, **kw,
-            ),
-            "lln_envelope",
-            "lln",
-        )
+    durations = {}
+    for check in CHECKS.values():
+        if check.key in selected:
+            check_started = time.monotonic()
+            report["checks"].append(_run_one(check, config, threads, out, report))
+            durations[check.key] = time.monotonic() - check_started
 
     # expected_fail speaks the config vocabulary (check keys), not report names
     expected_fail = set(config.expected_fail)
@@ -179,6 +70,7 @@ def run_experiment(
         metadata = {
             "created_at": created_at,
             "duration_seconds": time.monotonic() - started,
+            "check_duration_seconds": durations,
             "threads": threads,
             "version": __version__,
             "checks_run": selected,
@@ -189,49 +81,17 @@ def run_experiment(
     return report, exit_code
 
 
-def _with_artifacts(rep: CheckReport, artifacts: list[str]) -> CheckReport:
-    if not artifacts:
-        return rep
-    return CheckReport(
-        name=rep.name,
-        passed=rep.passed,
-        statistic=rep.statistic,
-        threshold=rep.threshold,
-        artifacts=tuple(artifacts),
-        notes=rep.notes,
-    )
-
-
-def _run_one(report: dict, runner, name: str, key: str) -> None:
-    """Run one check; a precondition violation becomes a failed entry, not a crash."""
+def _run_one(check: Check, config: ExperimentConfig, threads: int, out, report: dict) -> dict:
+    """Run one check; a package error becomes a failed entry, not a crash."""
+    failed = {"name": check.name, "check": check.key, "passed": False,
+              "statistic": None, "threshold": None, "artifacts": []}
     try:
-        rep = runner()
+        rep = check.run(config, resolve(check, config), threads, out, report)
     except PreconditionViolation as exc:
-        report["checks"].append({
-            "name": name,
-            "check": key,
-            "passed": False,
-            "statistic": None,
-            "threshold": None,
-            "artifacts": [],
-            "notes": f"precondition violated: {exc}",
-            "precondition": exc.reason,
-        })
-        return
+        return {**failed, "notes": f"precondition violated: {exc}", "precondition": exc.reason}
     except PerpetuaError as exc:
-        report["checks"].append({
-            "name": name,
-            "check": key,
-            "passed": False,
-            "statistic": None,
-            "threshold": None,
-            "artifacts": [],
-            "notes": f"{type(exc).__name__}: {exc}",
-        })
-        return
-    entry = rep.to_dict()
-    entry["check"] = key
-    report["checks"].append(entry)
+        return {**failed, "notes": f"{type(exc).__name__}: {exc}"}
+    return {**rep.to_dict(), "name": check.name, "check": check.key}
 
 
 def write_report(out_dir: Path, report: dict) -> Path:
@@ -241,31 +101,15 @@ def write_report(out_dir: Path, report: dict) -> Path:
     return path
 
 
-def simulate_paths(
-    config: ExperimentConfig,
-    out_dir: str | Path,
-    limit: int | None = None,
-    threads: int = 1,
-) -> list[Path]:
+def simulate_paths(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     """Write per-path time,value CSV dumps plus the partial-integral table."""
-    from .simulate import perpetual_estimate, sample_path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n = config.n_paths if limit is None else min(limit, config.n_paths)
-    checkpoints = np.asarray(config.checkpoints, dtype=float)
-    horizon = float(checkpoints[-1])
     written: list[Path] = []
-
-    rows = ["path_id,checkpoint,partial_integral"]
-    for i in range(n):
-        path = sample_path(
-            config.triplet, horizon, config.dt,
-            seed=derive_seed(config.master_seed, "finiteness", i),
-        )
-        partials = perpetual_estimate(path, config.f, checkpoints)
-        for t, v in zip(checkpoints, partials):
-            rows.append(f"{i},{float(t)!r},{float(v)!r}")
+    partials = []
+    for i in range(config.n_paths):
+        path, partial = harness.finiteness_path(config, i)
+        partials.append(partial)
         csv_path = out / f"path_{i:04d}.csv"
         lines = ["time,value"] + [
             f"{float(t)!r},{float(v)!r}" for t, v in zip(path.times, path.values)
@@ -274,6 +118,6 @@ def simulate_paths(
         written.append(csv_path)
 
     table = out / "partial_integrals.csv"
-    table.write_text("\n".join(rows) + "\n")
+    _write_finiteness_csv(table, np.asarray(partials), config.checkpoints)
     written.append(table)
     return written

@@ -16,9 +16,9 @@ the drift field differently:
   finite, so no compensation is applied and ``drift`` is the literal slope of
   the path between jumps.  E.g. zero drift plus unit-rate jumps of size 1
   gives Psi(lam) = 1 - exp(i lam).
-* infinite-activity families (stable-like, tempered, spectrally negative
-  stable): jumps in |x| <= 1 are compensated and ``drift`` is the linear term
-  of the truncated representation.
+* infinite-activity families (stable-like, tempered): jumps in |x| <= 1 are
+  compensated and ``drift`` is the linear term of the truncated
+  representation.
 
 Under either reading the mean of xi_1 is drift plus the appropriate jump
 mean: the full jump mean for finite activity, the |x| > 1 tail mean for

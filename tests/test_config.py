@@ -5,7 +5,8 @@ import json
 import pytest
 
 from perpetua import ConfigError, ExperimentConfig, load_config
-from perpetua.config import KNOWN_CHECKS
+from perpetua.checks import CHECKS
+from perpetua.config import MAX_STEPS_PER_PATH
 
 
 def good_payload():
@@ -29,12 +30,12 @@ class TestFromDict:
         assert cfg.n_paths == 200
         assert cfg.checkpoints == [2.0, 4.0, 8.0, 16.0, 32.0]
         assert cfg.horizon == 32.0
-        assert cfg.checks == KNOWN_CHECKS
+        assert cfg.checks == tuple(CHECKS)
         assert cfg.expected_fail == ()
 
     def test_threshold_defaults(self):
         cfg = ExperimentConfig.from_dict(good_payload())
-        assert cfg.thresholds == {"delta_01": 0.05, "growth_ratio": 0.5, "ks_alpha": 0.01}
+        assert cfg.thresholds == {"delta_01": 0.05, "ks_alpha": 0.01}
 
     def test_threshold_override_merges(self):
         d = good_payload()
@@ -113,12 +114,76 @@ class TestFromDict:
             ExperimentConfig.from_dict(d)
         assert "n_paths" in str(exc.value)
 
+    @pytest.mark.parametrize("value", [True, "nan", "inf", [1.0]])
+    def test_float_fields_take_finite_numbers_only(self, value):
+        d = good_payload()
+        d["dt"] = value
+        d["horizon"]["t0"] = value
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            f"dt: must be a finite number, got {value!r}",
+            f"horizon.t0: must be a finite number, got {value!r}",
+        ]
+
     def test_dt_must_resolve_the_first_checkpoint(self):
         d = good_payload()
         d["dt"] = 0.3  # > t0/10 = 0.2
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
         assert "t0/10" in str(exc.value)
+
+    def test_check_params_are_kept_as_written(self):
+        d = good_payload()
+        d["check_params"] = {"overshoot": {"n": 50}, "lln": {"t0": 60}}
+        cfg = ExperimentConfig.from_dict(d)
+        assert cfg.check_params == {"overshoot": {"n": 50}, "lln": {"t0": 60}}
+
+    def test_every_bad_check_param_is_reported(self):
+        d = good_payload()
+        d["check_params"] = {
+            "occupation": {"bandwidth": 0.0, "n_paths": 2.5},
+            "invariance": {"x_list": [1.0, "a", -2.0], "start_from_rho": 1},
+            "lln": {"horizon": "inf"},
+        }
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            "check_params.occupation.bandwidth: must be > 0, got 0.0",
+            "check_params.occupation.n_paths: must be an integer, got 2.5",
+            "check_params.invariance.x_list[1]: must be a finite number, got 'a'",
+            "check_params.invariance.x_list: must be > 0, got -2.0",
+            "check_params.invariance.start_from_rho: must be true or false, got 1",
+            "check_params.lln.horizon: must be a finite number, got 'inf'",
+        ]
+
+    def test_step_budget_refuses_a_tiny_dt(self):
+        d = good_payload()
+        d["dt"] = 1e-6
+        d["horizon"] = {"t0": 2.0, "doublings": 7}  # 2.56e8 steps per path
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            f"horizon: 2.56e+08 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)"
+        ]
+
+    def test_step_budget_holds_the_lln_horizon(self):
+        d = good_payload()
+        d["check_params"] = {"lln": {"t0": 1e4, "dt": 1e-3}}  # 4 t0 / dt = 4e7
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            f"check_params.lln: 4e+07 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)"
+        ]
+        d["checks"] = ["zero_one"]  # lln not run: its budget does not apply
+        ExperimentConfig.from_dict(d)
+
+    def test_huge_doublings_is_refused_not_overflowed(self):
+        d = good_payload()
+        d["horizon"]["doublings"] = 5000
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert "STEP_BUDGET" in str(exc.value)
 
     def test_round_trip(self):
         cfg = ExperimentConfig.from_dict(good_payload())

@@ -18,7 +18,6 @@ from perpetua import (
     ks_critical,
     ks_one_sample,
     overshoot_ensemble,
-    shifted_restart,
     stationary_overshoot,
 )
 from perpetua.rng import derive_seed, stream
@@ -133,7 +132,7 @@ class TestEmpiricalDistribution:
 class TestRestartedPaths:
     def test_restart_starts_at_overshoot(self):
         rho = overshoot_ensemble(CREEP_TRIPLET, 20.0, 100, seed=11)
-        src = shifted_restart(CREEP_TRIPLET, rho, 20.0, seed=12)
+        src = RestartedPathSource(CREEP_TRIPLET, rho, 20.0, seed=12)
         path = src.path(0, horizon=2.0)
         # recentered at the level: the path begins at the fresh overshoot
         assert 0.0 <= path.values[0] < 50.0
@@ -141,7 +140,7 @@ class TestRestartedPaths:
 
     def test_paths_deterministic_per_index(self):
         rho = overshoot_ensemble(CREEP_TRIPLET, 20.0, 100, seed=11)
-        src = shifted_restart(CREEP_TRIPLET, rho, 20.0, seed=12)
+        src = RestartedPathSource(CREEP_TRIPLET, rho, 20.0, seed=12)
         a = src.path(3, horizon=1.0)
         b = src.path(3, horizon=1.0)
         assert np.array_equal(a.values, b.values)
@@ -153,7 +152,7 @@ class TestRestartedPaths:
         # simulation started from the overshoot law (strong Markov property)
         n, horizon = 300, 1.0
         rho = overshoot_ensemble(CREEP_TRIPLET, 30.0, 500, seed=13)
-        src = shifted_restart(CREEP_TRIPLET, rho, 30.0, seed=14)
+        src = RestartedPathSource(CREEP_TRIPLET, rho, 30.0, seed=14)
         restarted = np.array([src.path(i, horizon).values[-1] for i in range(n)])
 
         from perpetua import sample_path

@@ -11,7 +11,6 @@ from perpetua import (
     ExponentialJump,
     LevyTriplet,
     NonFiniteParameter,
-    SpectrallyNegativeStable,
     StableLike,
     TemperedStable,
     TwoSidedExponentialJump,
@@ -37,7 +36,7 @@ ALL_TRIPLETS = [
     LevyTriplet(0.4, 0.1, StableLike(1.2, 0.5, -0.5)),
     LevyTriplet(0.0, 0.0, TemperedStable(0.7, 1.0, 1.5, 0.3)),
     LevyTriplet(1.0, 0.5, TemperedStable(1.4, 0.8, 2.0, -0.6)),
-    LevyTriplet(2.0, 0.0, SpectrallyNegativeStable(1.5, 1.0)),
+    LevyTriplet(2.0, 0.0, StableLike(1.5, 1.0, -1.0)),
 ]
 
 
@@ -127,7 +126,7 @@ class TestMean:
         assert t.mean().kind == "undefined"
 
     def test_spectrally_negative_stable_mean(self):
-        t = LevyTriplet(2.0, 0.0, SpectrallyNegativeStable(1.5, 1.0))
+        t = LevyTriplet(2.0, 0.0, StableLike(1.5, 1.0, -1.0))
         assert t.mean().kind == "finite"
 
     def test_mean_not_finite_positive_flag(self):
@@ -212,6 +211,24 @@ class TestSerialization:
     def test_from_dict_validates(self):
         with pytest.raises(NonFiniteParameter):
             LevyTriplet.from_dict({"drift": 0.0, "gaussian": -2.0})
+
+    def test_spectrally_negative_stable_is_a_config_alias(self):
+        t = LevyTriplet.from_dict({
+            "drift": 2.0, "gaussian": 0.0,
+            "levy_measure": {"family": "spectrally_negative_stable",
+                             "params": {"alpha": 1.5, "scale": 1.0}},
+        })
+        assert t == LevyTriplet(2.0, 0.0, StableLike(1.5, 1.0, -1.0))
+        assert t.to_dict()["levy_measure"]["family"] == "stable"
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_spectrally_negative_stable_alias_needs_alpha_in_1_2(self, alpha):
+        with pytest.raises(NonFiniteParameter, match="ALPHA"):
+            LevyTriplet.from_dict({
+                "drift": 2.0, "gaussian": 0.0,
+                "levy_measure": {"family": "spectrally_negative_stable",
+                                 "params": {"alpha": alpha, "scale": 1.0}},
+            })
 
     def test_digest_distinguishes(self):
         a = LevyTriplet(1.0, 1.0)
