@@ -5,6 +5,9 @@
     perpetua simulate --config FILE --out DIR [--seed U64]
     perpetua verify   --config FILE [--out DIR] [--seed U64] [--threads N]
 
+From a checkout, ``PYTHONPATH=src python -m perpetua ...`` runs the same
+commands.
+
 verify runs the checks the config lists under "checks", always in the order
 below.  check_params.<check> sets a check's parameters; defaults in brackets,
 where dt and t0 without a prefix are the config's own:
@@ -25,7 +28,6 @@ Exit codes: 0 pass, 1 check failure (or an analysis error), 2 bad config.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -92,11 +94,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        if getattr(args, "seed", None) is not None:
+            config = config.with_seed(args.seed)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
 
     try:
         if args.command == "verdict":

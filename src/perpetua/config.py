@@ -6,6 +6,7 @@ reports all its mistakes at once instead of one per run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -62,6 +63,14 @@ class ExperimentConfig:
             "expected_fail": list(self.expected_fail),
         }
 
+    def with_seed(self, seed: int) -> "ExperimentConfig":
+        """This config with another master seed, checked like master_seed."""
+        problems: list[str] = []
+        _check_seed("--seed", seed, problems)
+        if problems:
+            raise ConfigError(problems)
+        return dataclasses.replace(self, master_seed=seed)
+
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         problems: list[str] = []
@@ -108,8 +117,8 @@ class ExperimentConfig:
             _step_budget("horizon", t0 / dt * 2.0 ** min(doublings, 64), problems)
 
         master_seed = _as_int(d, "master_seed", problems)
-        if master_seed is not None and not 0 <= master_seed < 2**64:
-            problems.append(f"master_seed: must fit in uint64, got {master_seed}")
+        if master_seed is not None:
+            _check_seed("master_seed", master_seed, problems)
 
         thresholds = dict(_DEFAULT_THRESHOLDS)
         raw_thr = d.get("thresholds", {})
@@ -171,10 +180,16 @@ class ExperimentConfig:
         for name in config.checks:
             check = CHECKS[name]
             if check.steps is not None:
-                _step_budget(f"check_params.{name}", check.steps(resolve(check, config)), problems)
+                steps = check.steps(config, resolve(check, config))
+                _step_budget(f"check_params.{name}", steps, problems)
         if problems:
             raise ConfigError(problems)
         return config
+
+
+def _check_seed(key: str, seed: int, problems: list[str]) -> None:
+    if not 0 <= seed < 2**64:
+        problems.append(f"{key}: must fit in uint64, got {seed}")
 
 
 def _step_budget(key: str, steps: float, problems: list[str]) -> None:

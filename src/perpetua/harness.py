@@ -38,6 +38,7 @@ __all__ = [
     "zero_one_check",
     "occupation_identity_check",
     "overshoot_stationarity_check",
+    "invariance_horizon",
     "local_time_law_invariance_check",
     "lln_envelope_check",
 ]
@@ -287,6 +288,20 @@ def _local_time_proxy(
     raise NotReachedError(f"path from {x0:g} did not escape {escape:g}")
 
 
+def invariance_horizon(triplet: LevyTriplet, x_list, dt: float) -> tuple[float, float]:
+    """(escape height, chunk horizon) of the invariance check's escape proxy.
+
+    A path has escaped once a whole chunk stays above
+    max(x_list) + 5 sigma_eff/mu; each chunk covers
+    1.5 (escape + 4 sigma_eff)/mu of time, and at least 20 steps.  Needs a
+    mean mu in (0, inf).
+    """
+    mu = triplet.mean().as_float()
+    sigma_eff = math.sqrt(triplet.effective_volatility_sq())
+    escape = max(float(x) for x in x_list) + 5.0 * sigma_eff / mu
+    return escape, max(1.5 * (escape + 4.0 * sigma_eff) / mu, 20.0 * dt)
+
+
 def local_time_law_invariance_check(
     triplet: LevyTriplet,
     x_list,
@@ -319,7 +334,6 @@ def local_time_law_invariance_check(
     mean = triplet.mean()
     if not mean.is_finite_positive:
         raise PreconditionViolation("MEAN_RANGE", "invariance check needs mean in (0, inf)")
-    mu = mean.as_float()
 
     levels = np.asarray(sorted(set(float(x) for x in x_list)), dtype=float)
     if levels.size == 0 or levels[0] <= 0.0:
@@ -340,9 +354,7 @@ def local_time_law_invariance_check(
         notes = f"rho from level {rho_level:g} (self-check KS {self_ks:.4f}); "
     notes += f"n={n}, levels {levels.tolist()}, reference {reference:g}"
 
-    sigma_eff = math.sqrt(triplet.effective_volatility_sq())
-    escape = float(levels[-1]) + 5.0 * sigma_eff / mu
-    chunk_horizon = max(1.5 * (escape + 4.0 * sigma_eff) / mu, 20.0 * dt)
+    escape, chunk_horizon = invariance_horizon(triplet, levels, dt)
 
     def one_path(i: int) -> np.ndarray:
         path_seed = derive_seed(seed, "linf", i)

@@ -162,14 +162,52 @@ class LocalTimeField:
     t_covered: float  # time the path spent inside [x_grid[0], x_grid[-1]]
 
 
+def _ramp_cdf(q: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """F(q) = sum_i dt_i * clip((q - lo_i) / (hi_i - lo_i), 0, 1) at sorted queries q.
+
+    A flat segment (lo == hi) counts wholly at every q >= its value.
+    Segments wholly below a query are binned by the first query at or above
+    their top and summed by one cumsum over the queries.  Each (segment,
+    query) pair with lo < q < hi adds its exact ramp value; the pairs are
+    processed in blocks of at most 4,000,000 so that paths with large jumps
+    keep memory bounded.  Every term is non-negative, so nothing cancels.
+    """
+    full_from = np.searchsorted(q, hi, side="left")
+    cdf = np.cumsum(np.bincount(full_from, weights=dt, minlength=q.size + 1)[: q.size])
+    first = np.searchsorted(q, lo, side="right")
+    count = np.maximum(full_from - first, 0)  # pairs per segment; 0 for flat ones
+    ends = np.cumsum(count)
+    start, done = 0, 0
+    while done < ends[-1]:
+        stop = max(int(np.searchsorted(ends, done + 4_000_000, side="right")), start + 1)
+        seg = np.repeat(np.arange(start, stop), count[start:stop])
+        j = first[seg] + np.arange(done, ends[stop - 1]) - (ends[seg] - count[seg])
+        ramp = dt[seg] * (q[j] - lo[seg]) / (hi[seg] - lo[seg])
+        cdf += np.bincount(j, weights=ramp, minlength=q.size)
+        start, done = stop, int(ends[stop - 1])
+    return cdf
+
+
 def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeField:
     """Occupation density estimate: time within bandwidth of each level / 2eps.
 
     The path skeleton is treated as linear between grid times, so each step
-    spreads its dt over the levels the segment sweeps.  Bandwidth must stay
-    above a quarter of the typical diffusive step (estimated robustly from
-    the increments; jump steps do not inflate the floor) or window counts
-    are noise.
+    spreads its dt uniformly over the levels the segment sweeps.  The time
+    spent at or below y is then the piecewise-linear ramp CDF
+    F(y) = sum_i dt_i * clip((y - lo_i) / span_i, 0, 1), and
+    L(x) = (F(x + b) - F(x - b)) / 2b exactly; t_covered is F at the two
+    ends of the grid.  All window edges are evaluated in one sorted query
+    array, so a window the path never enters gets exactly 0.  Cost is
+    O(n log G + G + crossings) for n segments, G levels and the number of
+    (segment, window edge) pairs a segment strictly straddles.
+
+    A flat segment (a step with no movement) sits at one value v and counts
+    wholly in every closed window: v <= x + b at the upper end and v >= x - b
+    at the lower end; likewise for [x_grid[0], x_grid[-1]] in t_covered.
+
+    Bandwidth must stay above a quarter of the typical diffusive step
+    (estimated robustly from the increments; jump steps do not inflate the
+    floor) or window counts are noise.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if x_grid.size < 2 or np.any(np.diff(x_grid) <= 0.0):
@@ -188,39 +226,35 @@ def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeFie
     dt = np.diff(path.times)
     lo = np.minimum(path.values[:-1], path.values[1:])
     hi = np.maximum(path.values[:-1], path.values[1:])
-    span = hi - lo
 
-    values = np.zeros(x_grid.size)
-    chunk = max(1, int(4_000_000 // max(x_grid.size, 1)))
-    for start in range(0, lo.size, chunk):
-        sl = slice(start, min(start + chunk, lo.size))
-        seg_lo = lo[sl][None, :]
-        seg_hi = hi[sl][None, :]
-        seg_span = span[sl][None, :]
-        seg_dt = dt[sl][None, :]
-        win_lo = x_grid[:, None] - bandwidth
-        win_hi = x_grid[:, None] + bandwidth
-        overlap = np.clip(np.minimum(seg_hi, win_hi) - np.maximum(seg_lo, win_lo), 0.0, None)
-        flat = seg_span <= 0.0
-        inside = (seg_lo >= win_lo) & (seg_lo <= win_hi)
-        frac = np.where(flat, inside.astype(float), overlap / np.where(flat, 1.0, seg_span))
-        values += (frac * seg_dt).sum(axis=1)
-    values /= 2.0 * bandwidth
+    # lower edges (the G windows', then the grid's), upper edges likewise;
+    # the stable sort merges these four sorted runs in linear time
+    size = x_grid.size + 1
+    edges = np.concatenate((x_grid - bandwidth, x_grid[:1], x_grid + bandwidth, x_grid[-1:]))
+    order = np.argsort(edges, kind="stable")
+    cdf = np.empty(edges.size)
+    cdf[order] = _ramp_cdf(edges[order], lo, hi, dt)
 
-    inside_lo, inside_hi = x_grid[0], x_grid[-1]
-    clipped = np.clip(np.minimum(hi, inside_hi) - np.maximum(lo, inside_lo), 0.0, None)
-    flat = span <= 0.0
-    frac = np.where(
-        flat,
-        ((path.values[:-1] >= inside_lo) & (path.values[:-1] <= inside_hi)).astype(float),
-        clipped / np.where(flat, 1.0, span),
-    )
-    t_covered = float(np.sum(frac * dt))
+    # F counts a flat segment at q >= v; the lower edge of a closed window
+    # wants q > v, so flats sitting exactly on a lower edge are taken back out
+    flat = lo == hi
+    v, w = lo[flat], dt[flat]
+    lower = cdf[:size]
+    lower[:-1] -= _time_at(x_grid - bandwidth, v, w)
+    lower[-1] -= float(np.sum(w[v == x_grid[0]]))
+    upper = cdf[size:]
 
     return LocalTimeField(
         x_grid=x_grid,
         bandwidth=bandwidth,
-        values=values,
+        values=(upper[:-1] - lower[:-1]) / (2.0 * bandwidth),
         t=path.horizon,
-        t_covered=t_covered,
+        t_covered=float(upper[-1] - lower[-1]),
     )
+
+
+def _time_at(points: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per sorted point, the total weight w of the values v equal to it."""
+    k = np.minimum(np.searchsorted(points, v), points.size - 1)
+    hit = points[k] == v
+    return np.bincount(k[hit], weights=w[hit], minlength=points.size)

@@ -1,10 +1,14 @@
 """Command line behavior: exit codes, output shapes, seed override."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import perpetua
 from perpetua.cli import main
 
 
@@ -104,6 +108,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv[:1] + ["--config", write_config(tmp_path)] + argv[1:])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_uint64_is_a_config_error(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "run"
+        argv = [command, "--config", write_config(tmp_path), "--out", str(out), "--seed", seed]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --seed: must fit in uint64, got {seed}" in err
+        assert not out.exists()
 
     def test_analysis_error_maps_to_one(self, tmp_path, capsys):
         # driftless symmetric BM has zero mean: the verdict's mean
@@ -281,3 +295,15 @@ class TestVerifyCommand:
         meta = json.loads((out / "metadata.json").read_text())
         assert set(meta["check_duration_seconds"]) == {"zero_one", "lln"}
         assert all(s >= 0.0 for s in meta["check_duration_seconds"].values())
+
+
+def test_runs_as_python_module_from_a_checkout(tmp_path):
+    src = str(Path(perpetua.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "perpetua", "classify", "--config", write_config(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["local_time"] == "HAS_LOCAL_TIMES"

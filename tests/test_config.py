@@ -1,6 +1,7 @@
 """Config file validation: every problem reported, defaults applied."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +178,22 @@ class TestFromDict:
         ]
         d["checks"] = ["zero_one"]  # lln not run: its budget does not apply
         ExperimentConfig.from_dict(d)
+
+    def test_step_budget_holds_the_invariance_chunks(self):
+        # BM drift 1 at dt 0.01: chunks of 1.5 (1e7 + 5 + 4) time units
+        d = good_payload()
+        d["check_params"] = {"invariance": {"x_list": [1e7]}}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            f"check_params.invariance: 1.5e+09 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)"
+        ]
+        d["checks"] = ["zero_one"]  # invariance not run: its budget does not apply
+        ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("name", ["bm_drift_exp_decay.json", "stable_half_control.json"])
+    def test_shipped_configs_validate(self, name):
+        load_config(Path(__file__).resolve().parents[1] / "configs" / name)
 
     def test_huge_doublings_is_refused_not_overflowed(self):
         d = good_payload()

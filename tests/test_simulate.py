@@ -20,8 +20,57 @@ from perpetua import (
     perpetual_estimate,
     sample_path,
 )
+from perpetua.simulate import PathSample
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
+
+
+def dense_local_time_field(path, x_grid, bandwidth):
+    """Test oracle: the segments x levels overlap matrix, summed in chunks.
+
+    This is the O(n G) field local_time_field replaced; it returns
+    (values, t_covered) for the same linear-skeleton convention.
+    """
+    x_grid = np.asarray(x_grid, dtype=float)
+    dt = np.diff(path.times)
+    lo = np.minimum(path.values[:-1], path.values[1:])
+    hi = np.maximum(path.values[:-1], path.values[1:])
+    span = hi - lo
+
+    values = np.zeros(x_grid.size)
+    chunk = max(1, int(4_000_000 // max(x_grid.size, 1)))
+    for start in range(0, lo.size, chunk):
+        sl = slice(start, min(start + chunk, lo.size))
+        seg_lo = lo[sl][None, :]
+        seg_hi = hi[sl][None, :]
+        seg_span = span[sl][None, :]
+        seg_dt = dt[sl][None, :]
+        win_lo = x_grid[:, None] - bandwidth
+        win_hi = x_grid[:, None] + bandwidth
+        overlap = np.clip(np.minimum(seg_hi, win_hi) - np.maximum(seg_lo, win_lo), 0.0, None)
+        flat = seg_span <= 0.0
+        inside = (seg_lo >= win_lo) & (seg_lo <= win_hi)
+        frac = np.where(flat, inside.astype(float), overlap / np.where(flat, 1.0, seg_span))
+        values += (frac * seg_dt).sum(axis=1)
+    values /= 2.0 * bandwidth
+
+    inside_lo, inside_hi = x_grid[0], x_grid[-1]
+    clipped = np.clip(np.minimum(hi, inside_hi) - np.maximum(lo, inside_lo), 0.0, None)
+    flat = span <= 0.0
+    frac = np.where(
+        flat,
+        ((path.values[:-1] >= inside_lo) & (path.values[:-1] <= inside_hi)).astype(float),
+        clipped / np.where(flat, 1.0, span),
+    )
+    t_covered = float(np.sum(frac * dt))
+    return values, t_covered
+
+
+def lattice_path(steps, dt=0.01):
+    """A path through the given increments from 0, stored exactly."""
+    values = np.concatenate(([0.0], np.cumsum(steps)))
+    times = np.arange(values.size) * dt
+    return PathSample(times=times, values=values, jumps=(), seed=0, triplet_id="lattice")
 
 
 class TestSamplePath:
@@ -151,3 +200,79 @@ class TestLocalTimeField:
         path = sample_path(BM_DRIFT, 5.0, 0.01, seed=24)
         with pytest.raises(PreconditionViolation):
             local_time_field(path, np.array([1.0, 1.0, 2.0]), 0.05)
+
+
+def _padded_grid(path, pad, size):
+    return np.linspace(path.values.min() - pad, path.values.max() + pad, size)
+
+
+class TestLocalTimeFieldAgainstDenseOracle:
+    """The ramp-CDF field equals the dense overlap matrix up to rounding."""
+
+    @staticmethod
+    def assert_matches_oracle(path, grid, bandwidth):
+        fld = local_time_field(path, grid, bandwidth)
+        values, t_covered = dense_local_time_field(path, grid, bandwidth)
+        tol = 1e-10 * max(1.0, float(values.max()))
+        assert np.max(np.abs(fld.values - values)) <= tol
+        assert abs(fld.t_covered - t_covered) <= 1e-10 * max(1.0, path.horizon)
+        # windows the path never enters are exactly empty, as in the oracle
+        assert np.array_equal(fld.values == 0.0, values == 0.0)
+        return fld
+
+    def test_brownian_with_drift(self):
+        path = sample_path(BM_DRIFT, 50.0, 0.01, seed=30)
+        self.assert_matches_oracle(path, _padded_grid(path, 0.3, 1500), 0.05)
+
+    def test_compound_poisson_with_flat_segments(self):
+        # no drift and no Gaussian part: the path is flat between jumps
+        t = LevyTriplet(0.0, 0.0, CompoundPoisson(2.0, ExponentialJump(1.0, 1)))
+        path = sample_path(t, 50.0, 0.01, seed=31)
+        assert np.mean(np.diff(path.values) == 0.0) > 0.9
+        self.assert_matches_oracle(path, _padded_grid(path, 0.3, 900), 0.05)
+
+    def test_stable_path(self):
+        t = LevyTriplet(0.5, 0.0, StableLike(1.5, 1.0, 0.0))
+        path = sample_path(t, 30.0, 0.01, seed=32)
+        self.assert_matches_oracle(path, _padded_grid(path, 0.5, 2000), 0.1)
+
+    def test_non_uniform_grid(self):
+        path = sample_path(BM_DRIFT, 30.0, 0.01, seed=33)
+        lo, hi = path.values.min() - 1.0, path.values.max() + 1.0
+        grid = lo + (hi - lo) * np.linspace(0.0, 1.0, 700) ** 2
+        self.assert_matches_oracle(path, grid, 0.08)
+        grid = np.sort(np.random.default_rng(33).uniform(lo, hi, 500))
+        self.assert_matches_oracle(path, grid, 0.03)
+
+    def test_ties_on_path_values(self):
+        # dyadic increments, levels and bandwidth: every sum is exact, so
+        # window edges and grid ends land exactly on vertices and on flat
+        # segments, from above and from below
+        rng = np.random.default_rng(34)
+        steps = rng.choice([-0.25, -0.125, 0.0, 0.0, 0.125, 0.25, 0.5], size=4000)
+        path = lattice_path(steps)
+        grid = np.arange(path.values.min() - 0.5, path.values.max() + 0.75, 0.125)
+        fld = self.assert_matches_oracle(path, grid, 0.25)
+        assert np.intersect1d(grid - 0.25, path.values).size > 10
+        inner = grid[(grid > path.values.min()) & (grid < path.values.max())]
+        self.assert_matches_oracle(path, inner, 0.25)
+        assert fld.t_covered == pytest.approx(path.horizon, rel=1e-12)
+
+    def test_flat_segment_counts_in_closed_window(self):
+        # one step from 0 up to 1.0, then ten steps flat at 1.0: the flat
+        # time counts wholly in [0.5, 1.0] and in [1.0, 1.5]
+        path = lattice_path([0.0] * 5 + [1.0] + [0.0] * 10)
+        fld = local_time_field(path, np.array([0.75, 1.25, 2.0]), 0.25)
+        assert fld.values[0] == pytest.approx((0.005 + 0.10) / 0.5, rel=1e-12)
+        assert fld.values[1] == pytest.approx(0.10 / 0.5, rel=1e-12)
+        assert fld.values[2] == 0.0
+        fld = local_time_field(path, np.array([1.0, 1.25]), 0.25)
+        assert fld.t_covered == pytest.approx(0.10, rel=1e-12)
+
+    def test_large_jumps_cross_many_levels(self):
+        # 130 jumps over a 20,001-level grid: 5.2 million (segment, edge)
+        # pairs, more than one block
+        steps = np.zeros(1300)
+        steps[::10] = 200.0 * (-1.0) ** np.arange(130)
+        path = lattice_path(steps)
+        self.assert_matches_oracle(path, np.linspace(0.0, 200.0, 20001), 0.05)
