@@ -81,12 +81,9 @@ def _auto_level(config, p) -> float:
 
 
 def _auto_lln_t0(config, p) -> float:
-    mu = config.triplet.mean()
-    if mu.is_finite_positive:
-        sigma_auto = 50.0 * config.triplet.effective_volatility_sq() / mu.as_float() ** 2
-    else:
-        sigma_auto = 0.0
-    return max(sigma_auto, 10.0 * config.t0)
+    if not config.triplet.mean().is_finite_positive:
+        return 10.0 * config.t0  # the check itself refuses with MEAN_RANGE
+    return max(harness.lln_t0_floor(config.triplet), 10.0 * config.t0)
 
 
 def _invariance_steps(config, p) -> float:

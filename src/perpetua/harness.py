@@ -20,6 +20,7 @@ import numpy as np
 
 from .analysis import LocalTimeDecision, local_time_criterion
 from .errors import NotReachedError, PreconditionViolation
+from .measures import CompoundPoisson
 from .rng import derive_seed, stream
 from .simulate import local_time_field, perpetual_estimate, sample_path
 from .passage import stationary_overshoot, overshoot_ensemble
@@ -40,6 +41,7 @@ __all__ = [
     "overshoot_stationarity_check",
     "invariance_horizon",
     "local_time_law_invariance_check",
+    "lln_t0_floor",
     "lln_envelope_check",
 ]
 
@@ -232,6 +234,10 @@ def overshoot_stationarity_check(
 
     e1 = overshoot_ensemble(triplet, z1, n, seed=derive_seed(seed, "os", 1), dt=dt)
     e2 = overshoot_ensemble(triplet, z2, n, seed=derive_seed(seed, "os", 2), dt=dt)
+    if e1.events_drawn is None:
+        notes += f"; passage: grid dt={dt:g}"
+    else:
+        notes += f"; passage: exact events ({e1.events_drawn + e2.events_drawn} drawn)"
     artifacts: tuple[str, ...] = ()
     if artifact_dir is not None:
         out = Path(artifact_dir)
@@ -385,6 +391,21 @@ def local_time_law_invariance_check(
     )
 
 
+def lln_t0_floor(triplet: LevyTriplet) -> float:
+    """Smallest t0 the LLN envelope accepts: 50 v / mu^2, for a mean mu in (0, inf).
+
+    v is sigma^2 + int x^2 nu(dx) for compound Poisson, where every jump
+    counts, and sigma_eff^2 (jumps of size <= 1 only) for the other families.
+    """
+    mu = triplet.mean().as_float()
+    nu = triplet.levy_measure
+    if isinstance(nu, CompoundPoisson):
+        v = triplet.gaussian_coef + nu.rate * nu.jump_law.second_moment()
+    else:
+        v = triplet.effective_volatility_sq()
+    return 50.0 * v / (mu * mu)
+
+
 def lln_envelope_check(
     triplet: LevyTriplet,
     t0: float,
@@ -399,11 +420,10 @@ def lln_envelope_check(
     if not mean.is_finite_positive:
         raise PreconditionViolation("MEAN_RANGE", "LLN envelope needs mean in (0, inf)")
     mu = mean.as_float()
-    sigma_eff_sq = triplet.effective_volatility_sq()
-    floor = 50.0 * sigma_eff_sq / (mu * mu)
+    floor = lln_t0_floor(triplet)
     if t0 < floor:
         raise PreconditionViolation(
-            "T0_RANGE", f"need t0 >= 50*(sigma_eff/mu)^2 = {floor:g}, got {t0:g}"
+            "T0_RANGE", f"need t0 >= 50 v/mu^2 = {floor:g}, got {t0:g}"
         )
     if horizon is None:
         horizon = 4.0 * t0

@@ -1,11 +1,17 @@
 """First passage over a level, overshoots, and the stationary restart law.
 
-Passage is detected on the simulated skeleton: between jumps the path moves
-linearly (drift plus the step's Gaussian increment spread over the step), and
-every resolved jump is applied at its exact time, so a crossing is attributed
-either to a continuous piece (overshoot zero) or to one specific jump
-(overshoot = post-jump value minus level).  Diffusion excursions between grid
-points are not bridged; that bias vanishes with dt and oracles use dt/10.
+Drift plus compound Poisson (no Gaussian part, finite activity) is resolved
+exactly, event by event: the path is the line v + drift * t between
+exponential jump times, so it first crosses the level either on the linear
+piece before a jump (it creeps: overshoot zero) or at a jump (overshoot =
+post-jump value minus level).  No time grid is involved and dt is unused.
+
+Every other process is walked on the simulated dt skeleton: between jumps
+the path moves linearly (drift plus the step's Gaussian increment spread
+over the step), and every resolved jump is applied at its exact time, so a
+crossing is attributed to a continuous piece or to one specific jump in the
+same way.  Diffusion excursions between grid points are not bridged; that
+bias vanishes with dt and oracles use dt/10.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ __all__ = [
     "RestartedPathSource",
 ]
 
+# events (gap, jump size pairs) per batch of the exact event sampler: the
+# size of the largest grid chunk, so both samplers hold similar arrays
+BATCH_EVENTS = 65_536
+
 
 @dataclass(frozen=True)
 class FirstPassageSample:
@@ -45,6 +55,7 @@ class FirstPassageSample:
 class EmpiricalDistribution:
     samples: np.ndarray  # sorted ascending
     n: int
+    events_drawn: int | None = None  # exact event ensembles only; None on the grid
 
     def cdf(self, x) -> np.ndarray:
         return np.searchsorted(self.samples, x, side="right") / self.n
@@ -65,13 +76,28 @@ def first_passage(
     x0: float = 0.0,
     cutoff: float | None = None,
 ) -> FirstPassageSample:
-    """Time and overshoot of the first crossing of the level from below."""
+    """Time and overshoot of the first crossing of the level from below.
+
+    Drift plus compound Poisson is resolved exactly (dt and cutoff unused);
+    other processes are scanned on the dt grid.  Not reached by time cap
+    (default 10 level / mu) gives passage_time None.
+    """
     if not level > 0.0:
         raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
     if cap is None:
         cap = _default_cap(triplet, level)
+    if not math.isfinite(cap):
+        raise PreconditionViolation("CAP_RANGE", f"need a finite cap, got {cap}")
     if x0 >= level:
         return FirstPassageSample(level=level, passage_time=0.0, overshoot=x0 - level)
+
+    if _event_driven(triplet):
+        times, overshoots, _ = _event_passages(triplet, level, np.array([x0]), cap, stream(seed))
+        if math.isnan(times[0]):
+            return FirstPassageSample(level=level, passage_time=None, overshoot=None)
+        return FirstPassageSample(
+            level=level, passage_time=float(times[0]), overshoot=float(overshoots[0])
+        )
 
     engine = StepEngine(triplet, dt, cutoff)
     rng = stream(seed)
@@ -81,6 +107,84 @@ def first_passage(
         return FirstPassageSample(level=level, passage_time=None, overshoot=None)
     t_cross, value = crossed
     return FirstPassageSample(level=level, passage_time=t_cross, overshoot=value - level)
+
+
+def _event_driven(triplet: LevyTriplet) -> bool:
+    """True when passage is resolved exactly: no Gaussian part, finite activity."""
+    return triplet.gaussian_coef == 0.0 and triplet.levy_measure.is_finite_activity
+
+
+def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: float, rng):
+    """Exact first passages of drift + compound Poisson paths, one per start x0 < level.
+
+    Returns (passage times, overshoots, events drawn); NaN marks a path that
+    has not crossed by time cap.  Each path draws Exp(rate) gaps and then
+    jump sizes in batches of m events, m about 1.25 times the expected
+    number of events to passage.  The first event whose pre-jump value is
+    at or above the level means the path crept over on the linear piece
+    before it, at T_(j-1) + (level - v_(j-1)) / drift with overshoot 0;
+    otherwise the first event whose post-jump value is at or above the level
+    is a jump crossing at T_j with overshoot post - level.  Paths run in
+    blocks of rows so that one batch holds at most BATCH_EVENTS events, and
+    all draws come from rng in block order.  With no jumps the passage time
+    is the closed form (level - x0) / drift.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    times = np.full(x0.size, np.nan)
+    overshoots = np.full(x0.size, np.nan)
+    drift = triplet.drift
+    nu = triplet.levy_measure
+    rate = nu.rate_above(0.0)
+    mu = triplet.mean().as_float()  # validates the triplet
+    if rate == 0.0:
+        if drift > 0.0:
+            t = (level - x0) / drift
+            reached = t <= cap
+            times[reached] = t[reached]
+            overshoots[reached] = 0.0
+        return times, overshoots, 0
+
+    expected_time = float(np.max(level - x0)) / mu if mu > 0.0 else cap
+    m = int(min(BATCH_EVENTS, max(16, math.ceil(1.25 * rate * expected_time))))
+    rows = max(1, BATCH_EVENTS // m)
+    drawn = 0
+    for first in range(0, x0.size, rows):
+        live = np.arange(first, min(first + rows, x0.size))
+        t = np.zeros(live.size)
+        v = x0[live]
+        while live.size:
+            gaps = rng.exponential(1.0 / rate, (live.size, m))
+            jumps = nu.sample_jumps_above(rng, 0.0, gaps.size).reshape(gaps.shape)
+            drawn += gaps.size
+            elapsed = np.cumsum(gaps, axis=1)
+            at = t[:, None] + elapsed
+            summed = np.cumsum(jumps, axis=1)
+            # both add the jumps so far to the same drift line, so with
+            # drift <= 0 a pre-jump value never exceeds the post-jump value
+            # before it, even in floating point: such paths never creep
+            pre = v[:, None] + drift * elapsed
+            post = pre + summed
+            pre[:, 1:] += summed[:, :-1]
+            crossed = (pre >= level) | (post >= level)
+            hit = crossed.any(axis=1)
+
+            r = np.nonzero(hit)[0]
+            j = crossed[r].argmax(axis=1)
+            when = at[r, j]
+            over = post[r, j] - level
+            creep = pre[r, j] >= level
+            rc, jc = r[creep], j[creep]
+            start_t = np.where(jc > 0, at[rc, jc - 1], t[rc])
+            start_v = np.where(jc > 0, post[rc, jc - 1], v[rc])
+            when[creep] = start_t + (level - start_v) / drift
+            over[creep] = 0.0
+            reached = when <= cap
+            times[live[r[reached]]] = when[reached]
+            overshoots[live[r[reached]]] = over[reached]
+
+            going = ~hit & (at[:, -1] < cap)
+            live, t, v = live[going], at[going, -1], post[going, -1]
+    return times, overshoots, drawn
 
 
 def _default_cap(triplet: LevyTriplet, level: float) -> float:
@@ -167,11 +271,30 @@ def overshoot_ensemble(
     seed: int = 0,
     dt: float = 1e-2,
 ) -> EmpiricalDistribution:
-    """n independent overshoots at the level; error if any path stalls."""
+    """n independent overshoots at the level; error if any path stalls.
+
+    Drift plus compound Poisson runs all n paths exactly, from the one
+    stream derive_seed(seed, "overshoot"), and reports the events drawn;
+    dt is unused.  Other processes scan path i on the dt grid from stream
+    derive_seed(seed, "overshoot", i).  A path stalls when it has not
+    crossed by time 10 level / mu.
+    """
     mean = triplet.mean()
     if not mean.is_finite_positive:
         raise PreconditionViolation("MEAN_RANGE", "overshoot ensemble needs mean in (0, inf)")
+    if not level > 0.0:
+        raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
     cap = 10.0 * level / mean.as_float()
+    if _event_driven(triplet):
+        rng = stream(derive_seed(seed, "overshoot"))
+        times, out, drawn = _event_passages(triplet, level, np.zeros(n), cap, rng)
+        stalled = np.nonzero(np.isnan(times))[0]
+        if stalled.size:
+            raise NotReachedError(
+                f"path {stalled[0]} failed to reach {level:g} within cap {cap:g}"
+            )
+        out.sort()
+        return EmpiricalDistribution(samples=out, n=n, events_drawn=drawn)
     out = np.empty(n)
     for i in range(n):
         fp = first_passage(triplet, level, seed=derive_seed(seed, "overshoot", i), cap=cap, dt=dt)

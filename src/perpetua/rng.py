@@ -3,8 +3,13 @@
 Every stochastic routine in this package draws from a Philox generator keyed
 by a 128-bit (seed, stream_index) pair.  Streams are independent by
 construction, and results never depend on how work is split across threads:
-path k always consumes exactly the draws of stream (seed, k), in a fixed
-documented order.
+each stream is consumed by exactly one task, in a fixed documented order.
+A task is usually one path, whose stream is derived from the seed, a
+purpose tag and the path index.  The exact first-passage sampler for drift
+plus compound Poisson is the exception: one overshoot ensemble draws all
+its paths from one stream, in row blocks whose size follows from the
+triplet, the level and n, so a path's draws depend on the ensemble it
+belongs to (n included) but never on the thread count.
 
 Where one experiment needs several unrelated ensembles (say overshoot
 harvests at two levels), sub-seeds are derived by hashing the master seed

@@ -23,9 +23,12 @@ from perpetua import (
     overshoot_stationarity_check,
     zero_one_check,
 )
+from perpetua.checks import CHECKS, resolve
 from perpetua.harness import FINITE_LIKE, INCONCLUSIVE, INFINITE_LIKE
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
+# drift 0.1 plus rate-1 Exp(2) up-jumps: mu = 0.6, sigma^2 + int x^2 nu = 0.5
+DRIFT_CP = LevyTriplet(0.1, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
 
 
 def make_config(triplet, f, n_paths=16, dt=0.01, t0=1.0, doublings=3, master_seed=101):
@@ -190,6 +193,13 @@ class TestOvershootCheck:
         rep = overshoot_stationarity_check(BM_DRIFT, 0.5, 1.0, n=40, seed=5)
         assert "below recommended" in rep.notes
 
+    def test_notes_name_the_passage_method(self):
+        a = overshoot_stationarity_check(DRIFT_CP, 5.0, 10.0, n=100, seed=4)
+        b = overshoot_stationarity_check(DRIFT_CP, 5.0, 10.0, n=100, seed=4)
+        assert "; passage: exact events (" in a.notes and a.notes == b.notes
+        rep = overshoot_stationarity_check(BM_DRIFT, 25.0, 50.0, n=10, seed=4, dt=0.02)
+        assert rep.notes.endswith("; passage: grid dt=0.02")
+
 
 class TestInvarianceCheck:
     LATTICE = LevyTriplet(0.5, 1e-3, CompoundPoisson(1.0, ConstantJump(1.2)))
@@ -255,6 +265,18 @@ class TestLlnCheck:
         with pytest.raises(PreconditionViolation) as exc:
             lln_envelope_check(BM_DRIFT, t0=10.0, n=10)
         assert exc.value.reason == "T0_RANGE"
+
+    def test_t0_floor_counts_large_jumps(self):
+        # drift_cp: 50 * 0.5 / 0.6^2 = 69.4; jumps <= 1 alone would give 22.5
+        with pytest.raises(PreconditionViolation) as exc:
+            lln_envelope_check(DRIFT_CP, t0=60.0, n=10)
+        assert exc.value.reason == "T0_RANGE"
+
+    def test_drift_cp_passes_with_default_params(self):
+        cfg = make_config(DRIFT_CP, ExpDecay(1.0))
+        params = resolve(CHECKS["lln"], cfg)
+        assert params["t0"] == pytest.approx(50.0 * 0.5 / 0.36)
+        assert CHECKS["lln"].run(cfg, params, 1, None, {}).passed
 
     def test_pure_drift_always_inside(self):
         rep = lln_envelope_check(LevyTriplet(1.0), t0=1.0, n=20, seed=10)

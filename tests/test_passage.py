@@ -7,6 +7,7 @@ import pytest
 
 from perpetua import (
     CompoundPoisson,
+    ConstantJump,
     EmpiricalDistribution,
     ExponentialJump,
     LevyTriplet,
@@ -14,31 +15,49 @@ from perpetua import (
     PreconditionViolation,
     RestartedPathSource,
     StableLike,
+    StepTooCoarse,
+    TwoSidedExponentialJump,
     first_passage,
     ks_critical,
     ks_one_sample,
+    ks_two_sample,
     overshoot_ensemble,
     stationary_overshoot,
 )
+from perpetua.passage import BATCH_EVENTS, _event_passages, _scan_for_crossing
 from perpetua.rng import derive_seed, stream
+from perpetua.simulate import StepEngine
 
 # Drift 0.5 plus rate-1 Exp(0.4) jumps: mu = 0.5 + 2.5 = 3, creep mass 1/6.
 CREEP_TRIPLET = LevyTriplet(0.5, 0.0, CompoundPoisson(1.0, ExponentialJump(0.4, 1)))
 CREEP_MASS = 1.0 / 6.0
 JUMP_THETA = 0.4
+# The benchmark's drift_cp: drift 0.1 plus rate-1 Exp(2) up-jumps, mu = 0.6.
+DRIFT_CP = LevyTriplet(0.1, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
+# Drift 0.3 plus rate-1.5 jumps, +Exp(1) w.p. 0.6 and -Exp(2) otherwise: mu = 0.9.
+TWO_SIDED = LevyTriplet(0.3, 0.0, CompoundPoisson(1.5, TwoSidedExponentialJump(1.0, 2.0, 0.6)))
+# Drift 1 with unit down-jumps: the path is t - N(t), so it always creeps and
+# first reaches an integer level L at time L + (number of jumps before then).
+UNIT_DOWN = LevyTriplet(1.0, 0.0, CompoundPoisson(0.5, ConstantJump(-1.0)))
 
 
 class TestFirstPassage:
     def test_pure_drift_exact(self):
         fp = first_passage(LevyTriplet(2.0), 4.0, seed=1)
         assert fp.reached
-        assert fp.passage_time == pytest.approx(2.0, abs=1e-9)
-        assert fp.overshoot == pytest.approx(0.0, abs=1e-12)
+        assert fp.passage_time == 2.0
+        assert fp.overshoot == 0.0
+        assert first_passage(LevyTriplet(2.0), 4.0, x0=1.0).passage_time == 1.5
 
     def test_start_above_level_is_instant(self):
         fp = first_passage(LevyTriplet(1.0), 2.0, seed=1, x0=3.5)
         assert fp.passage_time == 0.0
         assert fp.overshoot == pytest.approx(1.5)
+
+    def test_cap_must_be_finite(self):
+        with pytest.raises(PreconditionViolation) as exc:
+            first_passage(DRIFT_CP, 5.0, cap=math.inf)
+        assert exc.value.reason == "CAP_RANGE"
 
     def test_level_must_be_positive(self):
         with pytest.raises(PreconditionViolation) as exc:
@@ -61,6 +80,129 @@ class TestFirstPassage:
         fp = first_passage(LevyTriplet(0.0, 1.0), 0.5, seed=3, cap=200.0)
         assert fp.reached
         assert fp.overshoot == pytest.approx(0.0, abs=1e-12)
+
+
+def grid_passages(triplet, level, n, seed, dt=1e-2):
+    """Oracle: passage times and overshoots of n paths scanned on the dt grid."""
+    engine = StepEngine(triplet, dt)
+    steps = int(math.ceil(10.0 * level / triplet.mean().as_float() / dt))
+    hits = [
+        _scan_for_crossing(engine, stream(derive_seed(seed, "grid", i)), 0.0, level, steps)
+        for i in range(n)
+    ]
+    times = np.array([t for t, _ in hits])
+    return times, np.array([v for _, v in hits]) - level
+
+
+def event_passages(triplet, level, n, seed, cap=None):
+    cap = 10.0 * level / triplet.mean().as_float() if cap is None else cap
+    return _event_passages(triplet, level, np.zeros(n), cap, stream(seed))
+
+
+class TestEventPassage:
+    """Exact event-by-event passage of drift plus compound Poisson."""
+
+    @pytest.mark.parametrize(
+        "triplet", [DRIFT_CP, TWO_SIDED, UNIT_DOWN], ids=["drift_cp", "two_sided", "unit_down"]
+    )
+    def test_matches_grid_scan(self, triplet):
+        # between jumps the path is linear and the grid resolves every jump
+        # at its exact time, so the scan is an exact (slow) oracle in law;
+        # with down-jumps a creep missed before a jump shows up as a later
+        # passage time
+        n = 600
+        grid_t, grid_o = grid_passages(triplet, 5.0, n, seed=21)
+        event_t, event_o, _ = event_passages(triplet, 5.0, n, seed=22)
+        crit = ks_critical(n, n, alpha=0.01)
+        # grid times are (step + fraction) * dt, off by rounding from the
+        # integer atoms of unit_down; KS would read those as separate points
+        assert ks_two_sample(np.round(event_t, 6), np.round(grid_t, 6)) < crit
+        assert ks_two_sample(event_o, grid_o) < crit
+        assert np.mean(event_o == 0.0) > 0.05  # all three creep
+
+    @pytest.mark.parametrize("x0", [5.0, 6.5])
+    def test_start_at_or_above_level_is_instant(self, x0):
+        fp = first_passage(DRIFT_CP, 5.0, seed=1, x0=x0)
+        assert fp.passage_time == 0.0
+        assert fp.overshoot == x0 - 5.0
+
+    def test_creep_time_is_exact(self):
+        # t - N(t) first reaches 3 at 3 + (jumps so far), overshoot exactly 0;
+        # a creep placed at the jump time or measured from the wrong start
+        # breaks the integer offsets
+        times, overshoots, _ = event_passages(UNIT_DOWN, 3.0, 400, seed=23)
+        offsets = times - 3.0
+        assert np.all(overshoots == 0.0)
+        assert np.allclose(offsets, np.round(offsets), atol=1e-9)
+        assert offsets.min() == pytest.approx(0.0, abs=1e-9)
+        assert offsets.max() >= 3.0
+
+    def test_negative_drift_never_creeps(self):
+        # only jumps go up, so every crossing overshoots, Exp(1) by lack of memory
+        triplet = LevyTriplet(-0.5, 0.0, CompoundPoisson(1.0, ExponentialJump(1.0, 1)))
+        dist = overshoot_ensemble(triplet, 5.0, 2000, seed=24)
+        assert np.all(dist.samples > 0.0)
+        stat = ks_one_sample(dist.samples, lambda x: 1.0 - np.exp(-x))
+        assert stat < ks_critical(2000, alpha=0.01)
+
+    def test_two_sided_jumps_with_positive_mean(self):
+        # upward crossings by a jump overshoot by Exp(theta_plus) at any level;
+        # the rest creep along the drift and overshoot by exactly 0
+        dist = overshoot_ensemble(TWO_SIDED, 8.0, 3000, seed=25)
+        assert np.all(dist.samples >= 0.0)
+        jumped = dist.samples[dist.samples > 0.0]
+        assert 0.05 < 1.0 - jumped.size / dist.n < 0.95
+        stat = ks_one_sample(jumped, lambda x: 1.0 - np.exp(-x))
+        assert stat < ks_critical(jumped.size, alpha=0.01)
+
+    def test_cap_between_events(self):
+        seed = next(s for s in range(100)
+                    if first_passage(UNIT_DOWN, 3.0, seed=s, cap=1e3).passage_time > 3.5)
+        t_hit = first_passage(UNIT_DOWN, 3.0, seed=seed, cap=1e3).passage_time
+        assert first_passage(UNIT_DOWN, 3.0, seed=seed, cap=t_hit).passage_time == t_hit
+        late = first_passage(UNIT_DOWN, 3.0, seed=seed, cap=t_hit - 1e-6)
+        assert not late.reached and late.overshoot is None
+        # the path is t - N(t) <= t, so a cap below the level is never enough
+        assert not first_passage(UNIT_DOWN, 3.0, seed=seed, cap=2.5).reached
+
+    def test_ensemble_raises_when_a_path_stalls(self):
+        # mu = 1.001 but passage needs one of the rare jumps: cap 10 level / mu
+        # leaves about e^-1 of the paths short
+        triplet = LevyTriplet(1e-3, 0.0, CompoundPoisson(2e-3, ConstantJump(500.0)))
+        with pytest.raises(NotReachedError):
+            overshoot_ensemble(triplet, 50.0, 20, seed=26)
+
+    def test_level_range_guard(self):
+        with pytest.raises(PreconditionViolation) as exc:
+            overshoot_ensemble(DRIFT_CP, 0.0, 10, seed=0)
+        assert exc.value.reason == "LEVEL_RANGE"
+
+    def test_row_blocks_and_batches_are_deterministic(self):
+        # about 8 events to passage, batches of the minimum 16: five row
+        # blocks of 4,096 paths from one stream, a few paths batched twice
+        a = overshoot_ensemble(DRIFT_CP, 5.0, 20_000, seed=27)
+        b = overshoot_ensemble(DRIFT_CP, 5.0, 20_000, seed=27)
+        assert np.array_equal(a.samples, b.samples)
+        assert a.events_drawn == b.events_drawn > 20_000 * 16
+        assert not np.array_equal(a.samples, overshoot_ensemble(DRIFT_CP, 5.0, 20_000, seed=28).samples)
+        # about 100,000 events to passage: one path per block, two full batches
+        dense = LevyTriplet(0.0, 0.0, CompoundPoisson(100.0, ExponentialJump(100.0, 1)))
+        t1, o1, drawn = event_passages(dense, 1000.0, 3, seed=29)
+        t2, o2, _ = event_passages(dense, 1000.0, 3, seed=29)
+        assert drawn == 3 * 2 * BATCH_EVENTS
+        assert np.array_equal(t1, t2) and np.array_equal(o1, o2)
+        assert np.all(np.abs(t1 - 1000.0) < 50.0) and np.all(o1 > 0.0)
+
+    def test_high_rate_needs_no_grid(self):
+        # 100 jumps per unit time at dt 0.01 is too coarse for the grid
+        triplet = LevyTriplet(0.5, 0.0, CompoundPoisson(100.0, ExponentialJump(50.0, 1)))
+        with pytest.raises(StepTooCoarse):
+            StepEngine(triplet, 0.01)
+        dist = overshoot_ensemble(triplet, 5.0, 200, seed=30, dt=0.01)
+        assert dist.n == 200 and np.all(dist.samples >= 0.0)
+
+    def test_grid_ensembles_report_no_events(self):
+        assert overshoot_ensemble(LevyTriplet(1.0, 1.0), 2.0, 5, seed=31).events_drawn is None
 
 
 class TestOvershootLaw:
