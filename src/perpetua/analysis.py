@@ -14,6 +14,17 @@ Gauss-Legendre with panel doubling until two consecutive refinements agree;
 the doubling also resolves oscillatory integrands (jump laws with atoms make
 Re(1/(1+Psi)) ring at the jump-size frequency).  Tail behaviour is then read
 off the block sums, never from pointwise extrapolation.
+
+Memoization
+-----------
+The hypotheses and the sup u factor of the expectation bound depend on the
+process only, yet every (triplet, f) pair asks for them.  The local-time
+decision, the verdict of each (triplet, f) pair and the sup bound are
+therefore memoized per argument value: triplets, measures, jump laws and
+test functions are frozen dataclasses that hash by value.  Each cache keeps
+at most _MEMO_SIZE entries; a refused inversion is cached as its error and
+raised afresh on every call.  Arguments that cannot be hashed (a Tabulated
+built from lists) run uncached.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -29,6 +40,7 @@ from .errors import (
     EvaluationError,
     InversionUnstable,
     NonFiniteParameter,
+    PerpetuaError,
     PreconditionViolation,
     QuadratureFailure,
 )
@@ -79,6 +91,36 @@ REASON_MEAN_NOT_FINITE_POSITIVE = "MEAN_NOT_FINITE_POSITIVE"
 REASON_NO_LOCAL_TIMES = "NO_LOCAL_TIMES"
 REASON_LOCAL_TIME_UNDECIDED = "LOCAL_TIME_UNDECIDED"
 REASON_TAIL_TEST_UNDECIDED = "TAIL_TEST_UNDECIDED"
+
+
+# -------------------------------------------------------------------------
+# memoization
+
+_MEMO_SIZE = 256
+
+
+def _memoized(fn):
+    """lru_cache(_MEMO_SIZE) on fn, called positionally; unhashable arguments run uncached."""
+    cached = lru_cache(maxsize=_MEMO_SIZE)(fn)
+
+    @wraps(fn)
+    def call(*args):
+        try:
+            hash(args)
+        except TypeError:
+            return fn(*args)
+        return cached(*args)
+
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    return call
+
+
+def _fresh(exc: PerpetuaError) -> PerpetuaError:
+    """A new exception with exc's type, message and attributes, and no traceback."""
+    new = type(exc).__new__(type(exc), *exc.args)
+    new.__dict__.update(exc.__dict__)
+    return new
 
 
 # -------------------------------------------------------------------------
@@ -148,6 +190,11 @@ def local_time_criterion(
     (a < -1 - tol) means local times exist; a >= -1 + tol means they do not;
     the margin band is UNDECIDED.
     """
+    return _local_time_decision(triplet, r_max, tol)
+
+
+@_memoized
+def _local_time_decision(triplet: LevyTriplet, r_max: float, tol: float) -> LocalTimeDecision:
     if r_max < 1e3:
         raise PreconditionViolation("R_MAX_RANGE", "need r_max >= 1e3")
     if not tol > 0.0:
@@ -348,7 +395,6 @@ def _tail_correction(remainder, grid: np.ndarray, r_cut: float, decay: float) ->
     # One integration by parts: residual tail ~ Re(g(R) e^{-iRx} / (ix)); near
     # x = 0 fall back to the fitted power model integrated in closed form.
     g_end = complex(remainder(np.asarray([r_cut]))[0])
-    corr = np.zeros(grid.size)
     small = np.abs(grid) * r_cut < 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         osc = (g_end * np.exp(-1j * grid * r_cut) / (1j * grid)).real
@@ -374,6 +420,8 @@ class ConvergenceDecision:
             "verdict": self.verdict.value,
             "value": self.value_or_lower_bound,
             "error_estimate": self.error_estimate,
+            "blocks_used": self.blocks_used,
+            "diagnostics": list(self.diagnostics),
         }
 
 
@@ -548,6 +596,11 @@ def perpetual_verdict(triplet: LevyTriplet, f: TestFunction) -> VerdictReport:
     that order.  Inputs must be valid; hypothesis failures are reported, not
     raised.
     """
+    return _verdict(triplet, f)
+
+
+@_memoized
+def _verdict(triplet: LevyTriplet, f: TestFunction) -> VerdictReport:
     issues = triplet.validate()
     if issues:
         raise NonFiniteParameter(issues)
@@ -606,8 +659,19 @@ def expectation_upper_bound(triplet: LevyTriplet, f: TestFunction) -> float:
             "TAIL_NOT_CONVERGENT",
             f"expectation bound needs CONVERGES, got {report.integral_decision.verdict.value}",
         )
-    density = potential_density(triplet, _sup_search_grid(triplet))
-    return density.sup_bound * f.integral_full()
+    sup = _sup_bound(triplet)
+    if isinstance(sup, PerpetuaError):
+        raise _fresh(sup)
+    return sup * f.integral_full()
+
+
+@_memoized
+def _sup_bound(triplet: LevyTriplet) -> float | PerpetuaError:
+    """sup u over the search grid, or the error potential_density refused with."""
+    try:
+        return potential_density(triplet, _sup_search_grid(triplet)).sup_bound
+    except PerpetuaError as exc:
+        return _fresh(exc)  # cached, so it must not hold the inversion's frames
 
 
 def _sup_search_grid(triplet: LevyTriplet) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotReachedError, PreconditionViolation
 from .rng import derive_seed, stream
-from .simulate import PathSample, StepEngine, sample_path
+from .simulate import PathSample, StepEngine, check_cutoff, sample_path
 from .triplet import LevyTriplet
 
 __all__ = [
@@ -78,7 +78,8 @@ def first_passage(
 ) -> FirstPassageSample:
     """Time and overshoot of the first crossing of the level from below.
 
-    Drift plus compound Poisson is resolved exactly (dt and cutoff unused);
+    Drift plus compound Poisson is resolved exactly (dt unused; a cutoff
+    other than 0 is refused, as for every finite-activity process);
     other processes are scanned on the dt grid.  Not reached by time cap
     (default 10 level / mu) gives passage_time None.
     """
@@ -88,6 +89,7 @@ def first_passage(
         cap = _default_cap(triplet, level)
     if not math.isfinite(cap):
         raise PreconditionViolation("CAP_RANGE", f"need a finite cap, got {cap}")
+    check_cutoff(triplet.levy_measure, cutoff)
     if x0 >= level:
         return FirstPassageSample(level=level, passage_time=0.0, overshoot=x0 - level)
 

@@ -54,6 +54,28 @@ class PathSample:
         return float(self.times[-1])
 
 
+def check_cutoff(measure, cutoff: float | None) -> None:
+    """Refuse an explicit jump cutoff the measure cannot be simulated with.
+
+    Finite activity draws every jump from the full jump law with no
+    compensation, so only cutoff 0 fits it.  Infinite activity resolves the
+    jumps above the cutoff, whose rate diverges at 0, so it needs a finite
+    cutoff > 0.  None stands for the measure's default and always passes.
+    """
+    if cutoff is None:
+        return
+    if measure.is_finite_activity:
+        if cutoff != 0.0:
+            raise PreconditionViolation(
+                "CUTOFF_RANGE",
+                f"finite-activity jumps are simulated exactly; need cutoff 0, got {cutoff}",
+            )
+    elif not (cutoff > 0.0 and math.isfinite(cutoff)):
+        raise PreconditionViolation(
+            "CUTOFF_RANGE", f"infinite-activity jumps need a finite cutoff > 0, got {cutoff}"
+        )
+
+
 class StepEngine:
     """Per-step increment generator shared by path and passage samplers.
 
@@ -70,6 +92,7 @@ class StepEngine:
         if not dt > 0.0:
             raise PreconditionViolation("DT_RANGE", "need dt > 0")
         nu = triplet.levy_measure
+        check_cutoff(nu, cutoff)
         if cutoff is None:
             cutoff = nu.default_cutoff(dt)
 

@@ -1,6 +1,7 @@
 """Analytic layer: local-time criterion, potential density, tail test, verdicts."""
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from perpetua import (
     ExpDecay,
     ExponentialJump,
     Indicator,
+    InversionUnstable,
     LevyTriplet,
     LocalTimeDecision,
     LogPower,
@@ -27,12 +29,14 @@ from perpetua import (
     potential_density,
     tail_integral_test,
 )
+from perpetua import analysis
 from perpetua.analysis import (
     REASON_IS_COMPOUND_POISSON,
     REASON_MEAN_NOT_FINITE_POSITIVE,
     REASON_NO_LOCAL_TIMES,
     REASON_TAIL_TEST_UNDECIDED,
 )
+from perpetua.benchmarks import benchmark_matrix
 
 INV_LOG2 = 1.4426950408889634
 
@@ -298,3 +302,82 @@ class TestExpectationUpperBound:
         with pytest.raises(PreconditionViolation) as exc:
             expectation_upper_bound(CP_ONLY, ExpDecay(1.0, left_level=0.0))
         assert exc.value.reason == REASON_IS_COMPOUND_POISSON
+
+
+@pytest.fixture
+def cold_memo():
+    for cache in (analysis._local_time_decision, analysis._verdict, analysis._sup_bound):
+        cache.cache_clear()
+
+
+class TestMemo:
+    def test_equal_triplets_share_one_criterion_run(self, cold_memo, monkeypatch):
+        runs = []
+        block_sums = analysis._criterion_block_sums
+
+        def counting(integrand, r_max):
+            runs.append(r_max)
+            return block_sums(integrand, r_max)
+
+        monkeypatch.setattr(analysis, "_criterion_block_sums", counting)
+        first = LevyTriplet(0.75, 1.25, CompoundPoisson(0.5, ExponentialJump(3.0, -1)))
+        twin = LevyTriplet(0.75, 1.25, CompoundPoisson(0.5, ExponentialJump(3.0, -1)))
+        assert first is not twin
+        decisions = set()
+        for t in (first, twin):
+            for f in (ExpDecay(1.0), PowerTail(1.0)):
+                perpetual_verdict(t, f)
+            decisions.add(local_time_criterion(t))
+            decisions.add(local_time_criterion(t, r_max=8192.0, tol=0.05))
+        assert runs == [8192.0]
+        assert decisions == {LocalTimeDecision.HAS_LOCAL_TIMES}
+        info = analysis._local_time_decision.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+
+    def test_refused_bound_raises_afresh_every_call(self, cold_memo):
+        # alpha below about 1.45: the inversion error estimate exceeds 5% of u
+        t = LevyTriplet(1.0, 0.0, StableLike(1.3, 1.0, 0.0))
+        f = ExpDecay(1.0, left_level=0.0)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(InversionUnstable) as exc:
+                expectation_upper_bound(t, f)
+            raised.append(exc.value)
+        assert len({str(e) for e in raised}) == 1
+        assert len({id(e) for e in raised}) == 3
+        depths = {len(traceback.extract_tb(e.__traceback__)) for e in raised}
+        assert len(depths) == 1
+        assert analysis._sup_bound.cache_info().misses == 1
+
+    def test_list_built_tabulated_runs_uncached(self, cold_memo):
+        by_tuple = Tabulated((0.0, 1.0, 2.0), (0.5, 1.0, 0.0))
+        by_list = Tabulated([0.0, 1.0, 2.0], [0.5, 1.0, 0.0])
+        with pytest.raises(TypeError):
+            hash(by_list)
+        assert perpetual_verdict(BM_DRIFT, by_list) == perpetual_verdict(BM_DRIFT, by_tuple)
+        assert expectation_upper_bound(PURE_DRIFT, by_list) == \
+            expectation_upper_bound(PURE_DRIFT, by_tuple)
+
+    def test_benchmark_matrix_matches_cold_computation(self, cold_memo):
+        cases = benchmark_matrix()
+        assert len(cases) == 28
+        warm = []
+        for case in cases:
+            report = perpetual_verdict(case.triplet, case.f)
+            bound = None
+            if report.verdict is Verdict.AS_FINITE:
+                bound = expectation_upper_bound(case.triplet, case.f)
+            warm.append((report, bound))
+
+        cold_sup = {}
+        for case, (report, bound) in zip(cases, warm):
+            analysis._local_time_decision.cache_clear()
+            cold = analysis._verdict.__wrapped__(case.triplet, case.f)
+            assert report.verdict is cold.verdict, case.name
+            assert report.precondition_record == cold.precondition_record, case.name
+            assert report.integral_decision == cold.integral_decision, case.name
+            if bound is not None:
+                if case.triplet not in cold_sup:
+                    cold_sup[case.triplet] = analysis._sup_bound.__wrapped__(case.triplet)
+                assert bound == cold_sup[case.triplet] * case.f.integral_full(), case.name
+        assert len(cold_sup) == 5

@@ -38,6 +38,9 @@ class TestVerdictCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "AS_FINITE"
         assert "integral" in payload and "preconditions" in payload
+        integral = payload["integral"]
+        assert integral["blocks_used"] == len(integral["diagnostics"]) > 0
+        assert sum(integral["diagnostics"]) == pytest.approx(integral["value"], rel=0.05)
 
     def test_csv_output(self, tmp_path, capsys):
         code = main(["verdict", "--config", write_config(tmp_path), "--format", "csv"])
