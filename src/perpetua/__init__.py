@@ -57,7 +57,6 @@ from .measures import (
 from .passage import (
     EmpiricalDistribution,
     FirstPassageSample,
-    RestartedPathSource,
     first_passage,
     overshoot_ensemble,
     stationary_overshoot,
@@ -106,7 +105,7 @@ __all__ = [
     "PathSample", "LocalTimeField", "sample_path", "perpetual_estimate",
     "local_time_field",
     "FirstPassageSample", "EmpiricalDistribution", "first_passage",
-    "overshoot_ensemble", "stationary_overshoot", "RestartedPathSource",
+    "overshoot_ensemble", "stationary_overshoot",
     # statistics and harness
     "ks_two_sample", "ks_one_sample", "ks_critical",
     "CheckReport", "FinitenessEstimate", "finiteness_probability",

@@ -22,9 +22,14 @@ process only, yet every (triplet, f) pair asks for them.  The local-time
 decision, the verdict of each (triplet, f) pair and the sup bound are
 therefore memoized per argument value: triplets, measures, jump laws and
 test functions are frozen dataclasses that hash by value.  Each cache keeps
-at most _MEMO_SIZE entries; a refused inversion is cached as its error and
+at most _MEMO_SIZE entries; a refused bound is cached as its error and
 raised afresh on every call.  Arguments that cannot be hashed (a Tabulated
 built from lists) run uncached.
+
+The sup bound is one integral: sup u = u(0) = 1/(2 mu) + (1/pi) int_0^inf
+Re(1/Psi(r)) dr, plus 1/(2|d|) for finite variation without a Gaussian part
+(d the pathwise drift); its slack covers the block residuals and both
+closed remainders (see expectation_upper_bound).
 """
 
 from __future__ import annotations
@@ -174,11 +179,56 @@ def _block_integral(func, a: float, b: float, *, check_sign: bool = False) -> tu
 
 
 # -------------------------------------------------------------------------
+# dyadic decay
+
+_R_MAX = 8192.0  # the criterion's default cutoff; the sup bound's upward blocks end there
+
+
+def _dyadic_blocks(integrand, ks, rtol: float = 0.0) -> tuple[list[float], float, float]:
+    """Integrate integrand over [2^k, 2^(k+1)] for k in ks, in order, and fit the decay.
+
+    Returns (block sums, summed residuals, slope): slope is log2 of the
+    per-block ratio of a geometric fit to the last four sums, -inf when they
+    are all zero; over upward blocks an r^a tail gives a + 1.  With rtol > 0
+    the scan stops once the remainder is at most rtol times the sum so far.
+    """
+    sums, residual = [], 0.0
+    try:
+        for k in ks:
+            value, resid = _block_integral(integrand, 2.0 ** k, 2.0 ** (k + 1))
+            sums.append(value)
+            residual += resid
+            if rtol > 0.0 and len(sums) >= 4:
+                if _remainder(sums, _decay_slope(sums)) <= rtol * sum(sums):
+                    break
+    except NonFiniteParameter as exc:
+        raise QuadratureFailure(f"characteristic exponent failed on grid: {exc}") from exc
+    return sums, residual, _decay_slope(sums)
+
+
+def _decay_slope(sums: list[float]) -> float:
+    tail = np.asarray(sums[-4:], dtype=float)
+    if not np.any(tail):
+        return -math.inf
+    if np.any(tail <= 0.0) or not np.all(np.isfinite(tail)):
+        raise QuadratureFailure("dyadic block sums are not positive finite")
+    return float(np.polyfit(np.arange(4.0), np.log2(tail), 1)[0])
+
+
+def _remainder(sums: list[float], slope: float) -> float:
+    """The blocks past the last one, summed as a geometric series at ratio 2^slope."""
+    if slope >= 0.0:
+        return math.inf
+    ratio = 2.0 ** slope
+    return sums[-1] * ratio / (1.0 - ratio)
+
+
+# -------------------------------------------------------------------------
 # local-time criterion
 
 def local_time_criterion(
     triplet: LevyTriplet,
-    r_max: float = 8192.0,
+    r_max: float = _R_MAX,
     tol: float = 0.05,
 ) -> LocalTimeDecision:
     """Decide whether the process has local times.
@@ -207,32 +257,14 @@ def _local_time_decision(triplet: LevyTriplet, r_max: float, tol: float) -> Loca
         psi = triplet.char_exponent(r)
         return (1.0 / (1.0 + psi)).real
 
-    sums = _criterion_block_sums(integrand, r_max)
-    tail = np.asarray(sums[-4:], dtype=float)
-    if np.any(tail <= 0.0) or not np.all(np.isfinite(tail)):
-        raise QuadratureFailure("criterion block sums are not positive finite")
-
-    k = np.arange(tail.size, dtype=float)
-    slope = np.polyfit(k, np.log2(tail), 1)[0]
+    # full dyadic blocks only; a truncated last block would bias the slope fit
+    _, _, slope = _dyadic_blocks(integrand, range(int(math.log2(r_max))))
     exponent = slope - 1.0
     if exponent < -1.0 - tol:
         return LocalTimeDecision.HAS_LOCAL_TIMES
     if exponent >= -1.0 + tol:
         return LocalTimeDecision.NO_LOCAL_TIMES
     return LocalTimeDecision.UNDECIDED
-
-
-def _criterion_block_sums(integrand, r_max: float) -> list[float]:
-    # Full dyadic blocks only; a truncated last block would bias the slope fit.
-    n_blocks = int(math.floor(math.log2(r_max)))
-    try:
-        sums = []
-        for k in range(n_blocks):
-            value, _ = _block_integral(integrand, 2.0 ** k, 2.0 ** (k + 1))
-            sums.append(value)
-    except NonFiniteParameter as exc:
-        raise QuadratureFailure(f"characteristic exponent failed on grid: {exc}") from exc
-    return sums
 
 
 # -------------------------------------------------------------------------
@@ -649,6 +681,15 @@ def expectation_upper_bound(triplet: LevyTriplet, f: TestFunction) -> float:
     everything else raises PreconditionViolation.  The bound covers mass of
     f on the negative half-line through the full-line integral, and is +inf
     when that integral is (a correct, if useless, bound).
+
+    sup u = u(0) = 1/(2 mu) + (1/pi) int_0^inf Re(1/Psi(r)) dr, since
+    u(x) = P(T_x < inf) u(0) (Bertoin, Levy Processes, 1996, ch. II and V).
+    Without a Gaussian part and with finite variation u jumps by 1/|d| at 0
+    (d the pathwise drift) and the integral is the midpoint, so 1/(2|d|) is
+    added.  The integral runs over the criterion's dyadic blocks up to r_max
+    and down toward 0, each end closed by the four-block decay fit; the
+    slack added is the block residuals plus both closed remainders.  An end
+    that does not decay raises InversionUnstable.
     """
     report = perpetual_verdict(triplet, f)
     failing = report.precondition_record.failing
@@ -667,19 +708,31 @@ def expectation_upper_bound(triplet: LevyTriplet, f: TestFunction) -> float:
 
 @_memoized
 def _sup_bound(triplet: LevyTriplet) -> float | PerpetuaError:
-    """sup u over the search grid, or the error potential_density refused with."""
+    """u(0) plus its slack (see expectation_upper_bound), or the error it was refused with."""
+
+    def integrand(r: np.ndarray) -> np.ndarray:
+        return (1.0 / triplet.char_exponent(r)).real
+
+    # Toward 0 a stable law's integrand grows like r^(alpha-2), so the scan
+    # goes down (at most 64 blocks) until the remainder is 1e-3 of the sum;
+    # finite variance stops within a few blocks, before the cancellation in
+    # Re Psi at small r turns into noise.
+    ends = (("r -> inf", range(int(math.log2(_R_MAX))), 0.0), ("r -> 0", range(-1, -65, -1), 1e-3))
     try:
-        return potential_density(triplet, _sup_search_grid(triplet)).sup_bound
+        value, slack = 1.0 / (2.0 * triplet.mean().as_float()), 0.0
+        for end, ks, rtol in ends:
+            sums, residual, slope = _dyadic_blocks(integrand, ks, rtol)
+            if slope >= 0.0:
+                raise InversionUnstable(
+                    f"Re(1/Psi) blocks do not decay toward {end} (fitted ratio {2.0 ** slope:.3g})"
+                )
+            value += sum(sums) / math.pi
+            slack += (residual + _remainder(sums, slope)) / math.pi
+        if triplet.gaussian_coef == 0.0 and triplet.levy_measure.finite_variation:
+            d = abs(triplet.natural_drift())
+            if d < 1e-12:  # unreachable when local times exist, but guard the division
+                raise InversionUnstable("vanishing pathwise drift in finite-variation sup bound")
+            value += 1.0 / (2.0 * d)
     except PerpetuaError as exc:
-        return _fresh(exc)  # cached, so it must not hold the inversion's frames
-
-
-def _sup_search_grid(triplet: LevyTriplet) -> np.ndarray:
-    # u typically peaks at or just above the origin (renewal mass of a
-    # finite-variation process sits at 1/drift there), so refine near 0.
-    mu = triplet.mean().as_float()
-    span = 10.0 * max(1.0, triplet.effective_volatility_sq() / mu, mu)
-    coarse = np.linspace(-span, span, 401)
-    fine = np.geomspace(1e-3, span, 60)
-    grid = np.unique(np.concatenate([coarse, -fine, fine]))
-    return grid
+        return _fresh(exc)  # cached, so it must not hold the computation's frames
+    return value + slack

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotReachedError, PreconditionViolation
 from .rng import derive_seed, stream
-from .simulate import PathSample, StepEngine, check_cutoff, sample_path
+from .simulate import StepEngine, check_cutoff
 from .triplet import LevyTriplet
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "first_passage",
     "overshoot_ensemble",
     "stationary_overshoot",
-    "RestartedPathSource",
 ]
 
 # events (gap, jump size pairs) per batch of the exact event sampler: the
@@ -333,47 +332,3 @@ def stationary_overshoot(
     from .stats import ks_two_sample
 
     return rho, ks_two_sample(rho.samples, half.samples), level
-
-
-class RestartedPathSource:
-    """Paths of the process observed from a level crossing under a rho start.
-
-    Each path draws a start point from rho, runs to first passage of the
-    level, and restarts from (value at passage - level); by the strong Markov
-    property simulating the continuation with fresh randomness is equal in
-    law to the original path shifted by the passage time and the level.
-    """
-
-    def __init__(
-        self,
-        triplet: LevyTriplet,
-        rho: EmpiricalDistribution,
-        level: float,
-        seed: int = 0,
-        dt: float = 1e-2,
-        cap: float | None = None,
-    ):
-        if not level > 0.0:
-            raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
-        self.triplet = triplet
-        self.rho = rho
-        self.level = level
-        self.seed = seed
-        self.dt = dt
-        self.cap = cap if cap is not None else _default_cap(triplet, level) + 10.0 * self.dt
-
-    def path(self, index: int, horizon: float, dt: float | None = None) -> PathSample:
-        dt = self.dt if dt is None else dt
-        base = derive_seed(self.seed, "restart", index)
-        rng = stream(base)
-        x0 = float(self.rho.draw(rng, 1)[0])
-        fp = first_passage(
-            self.triplet, self.level, seed=derive_seed(base, "approach"),
-            cap=self.cap, dt=dt, x0=x0,
-        )
-        if not fp.reached:
-            raise NotReachedError(f"restart path {index} never reached {self.level:g}")
-        return sample_path(
-            self.triplet, horizon, dt, x0=fp.overshoot, seed=derive_seed(base, "continuation")
-        )
-

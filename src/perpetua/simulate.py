@@ -41,9 +41,6 @@ class PathSample:
 
     times: np.ndarray
     values: np.ndarray
-    jumps: tuple[tuple[float, float], ...]  # (time, size), |size| > cutoff
-    seed: int
-    triplet_id: str
 
     @property
     def dt(self) -> float:
@@ -154,13 +151,10 @@ def sample_path(
     times = np.arange(n + 1) * dt
 
     rng = stream(seed)
-    cont, per_step, (jump_pos, sizes) = engine.draw(rng, n)
+    cont, per_step, _ = engine.draw(rng, n)
     values = x0 + engine.drift_eff * times
     values = values + np.concatenate(([0.0], np.cumsum(cont + per_step)))
-    jumps = tuple(zip((jump_pos * dt).tolist(), sizes.tolist()))
-    return PathSample(
-        times=times, values=values, jumps=jumps, seed=seed, triplet_id=triplet.digest()
-    )
+    return PathSample(times=times, values=values)
 
 
 def perpetual_estimate(path: PathSample, f: TestFunction, checkpoints) -> np.ndarray:

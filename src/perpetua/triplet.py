@@ -157,7 +157,7 @@ class LevyTriplet:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def digest(self) -> str:
-        """Short stable identifier used to tag path samples."""
+        """Short stable identifier of the triplet value."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
 
     @classmethod

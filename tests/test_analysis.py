@@ -22,6 +22,7 @@ from perpetua import (
     StableLike,
     SumOf,
     Tabulated,
+    TemperedStable,
     Verdict,
     expectation_upper_bound,
     local_time_criterion,
@@ -304,6 +305,52 @@ class TestExpectationUpperBound:
         assert exc.value.reason == REASON_IS_COMPOUND_POISSON
 
 
+SN_BM_CP = LevyTriplet(1.0, 1.0, CompoundPoisson(1.0, ExponentialJump(2.0, -1)))
+# bounded variation with a sqrt(x) cusp of u at 0+
+TEMPERED_CUSP = LevyTriplet(1.0, 0.0, TemperedStable(0.5, 1.0, 1.0))
+UNIT = Indicator(0.0, 1.0)  # integral 1, so the bound is sup u itself
+
+
+def stable_drift(alpha):
+    return LevyTriplet(1.0, 0.0, StableLike(alpha, 1.0, 0.0))
+
+
+class TestSupBound:
+    @pytest.mark.parametrize("t", [
+        BM_DRIFT, SN_BM_CP, DRIFT_CP, PURE_DRIFT,
+        stable_drift(1.5), stable_drift(1.8), TEMPERED_CUSP,
+    ])
+    def test_dominates_inverted_density_near_zero(self, t):
+        near = np.geomspace(1e-6, 1.0, 40)
+        bound = expectation_upper_bound(t, UNIT)
+        for grid in (near, np.concatenate((-near[::-1], near))):
+            dens = potential_density(t, grid)
+            assert bound >= float(np.max(dens.u_values)) - dens.error_estimate
+
+    @pytest.mark.parametrize("t, mass", [
+        # potential_density integrated over (0, 1e-4]; u peaks at 0+ for both
+        (DRIFT_CP, 9.9995e-4),
+        (TEMPERED_CUSP, 1.766e-4),
+    ])
+    def test_bounded_variation_peak_at_zero_is_covered(self, t, mass):
+        assert expectation_upper_bound(t, Indicator(0.0, 1e-4)) >= mass
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.3, 1.4])
+    def test_slow_stable_decay_matches_quadrature(self, alpha):
+        from scipy.integrate import quad
+
+        t = stable_drift(alpha)
+
+        def integrand(r):
+            return (1.0 / t.char_exponent(r)).real
+
+        # u(0) = 1/(2 mu) + (1/pi) int_0^inf Re(1/Psi); the r^(alpha-2) pole at 0 needs the split
+        integral = quad(integrand, 0.0, 1.0, limit=200)[0] + quad(integrand, 1.0, np.inf, limit=200)[0]
+        oracle = 0.5 + integral / math.pi
+        bound = expectation_upper_bound(t, UNIT)
+        assert oracle <= bound <= 1.01 * oracle
+
+
 @pytest.fixture
 def cold_memo():
     for cache in (analysis._local_time_decision, analysis._verdict, analysis._sup_bound):
@@ -313,13 +360,13 @@ def cold_memo():
 class TestMemo:
     def test_equal_triplets_share_one_criterion_run(self, cold_memo, monkeypatch):
         runs = []
-        block_sums = analysis._criterion_block_sums
+        dyadic_blocks = analysis._dyadic_blocks
 
-        def counting(integrand, r_max):
-            runs.append(r_max)
-            return block_sums(integrand, r_max)
+        def counting(integrand, ks, rtol=0.0):
+            runs.append(ks)
+            return dyadic_blocks(integrand, ks, rtol)
 
-        monkeypatch.setattr(analysis, "_criterion_block_sums", counting)
+        monkeypatch.setattr(analysis, "_dyadic_blocks", counting)
         first = LevyTriplet(0.75, 1.25, CompoundPoisson(0.5, ExponentialJump(3.0, -1)))
         twin = LevyTriplet(0.75, 1.25, CompoundPoisson(0.5, ExponentialJump(3.0, -1)))
         assert first is not twin
@@ -329,15 +376,18 @@ class TestMemo:
                 perpetual_verdict(t, f)
             decisions.add(local_time_criterion(t))
             decisions.add(local_time_criterion(t, r_max=8192.0, tol=0.05))
-        assert runs == [8192.0]
+        assert runs == [range(13)]
         assert decisions == {LocalTimeDecision.HAS_LOCAL_TIMES}
         info = analysis._local_time_decision.cache_info()
         assert (info.misses, info.hits) == (1, 5)
 
-    def test_refused_bound_raises_afresh_every_call(self, cold_memo):
-        # alpha below about 1.45: the inversion error estimate exceeds 5% of u
+    def test_refused_bound_raises_afresh_every_call(self, cold_memo, monkeypatch):
         t = LevyTriplet(1.0, 0.0, StableLike(1.3, 1.0, 0.0))
         f = ExpDecay(1.0, left_level=0.0)
+        # the verdict is memoized first; then every block of Re(1/Psi) has the
+        # same sum, so the sup bound sees no decay and refuses
+        assert perpetual_verdict(t, f).verdict is Verdict.AS_FINITE
+        monkeypatch.setattr(analysis, "_block_integral", lambda func, a, b: (1.0, 0.0))
         raised = []
         for _ in range(3):
             with pytest.raises(InversionUnstable) as exc:

@@ -1,4 +1,4 @@
-"""First passage times, overshoot laws, and restarted path sources."""
+"""First passage times, overshoot laws, and the stationary overshoot law."""
 
 import math
 
@@ -13,7 +13,6 @@ from perpetua import (
     LevyTriplet,
     NotReachedError,
     PreconditionViolation,
-    RestartedPathSource,
     StableLike,
     StepTooCoarse,
     TwoSidedExponentialJump,
@@ -280,57 +279,6 @@ class TestEmpiricalDistribution:
     def test_mean(self):
         d = EmpiricalDistribution(samples=np.array([1.0, 3.0]), n=2)
         assert d.mean() == pytest.approx(2.0)
-
-
-class TestRestartedPaths:
-    def test_restart_starts_at_overshoot(self):
-        rho = overshoot_ensemble(CREEP_TRIPLET, 20.0, 100, seed=11)
-        src = RestartedPathSource(CREEP_TRIPLET, rho, 20.0, seed=12)
-        path = src.path(0, horizon=2.0)
-        # recentered at the level: the path begins at the fresh overshoot
-        assert 0.0 <= path.values[0] < 50.0
-        assert path.times[-1] == pytest.approx(2.0)
-
-    def test_paths_deterministic_per_index(self):
-        rho = overshoot_ensemble(CREEP_TRIPLET, 20.0, 100, seed=11)
-        src = RestartedPathSource(CREEP_TRIPLET, rho, 20.0, seed=12)
-        a = src.path(3, horizon=1.0)
-        b = src.path(3, horizon=1.0)
-        assert np.array_equal(a.values, b.values)
-        c = src.path(4, horizon=1.0)
-        assert not np.array_equal(a.values, c.values)
-
-    def test_markov_restart_matches_direct_law(self):
-        # marginal at a fixed horizon after passage agrees with a direct
-        # simulation started from the overshoot law (strong Markov property)
-        n, horizon = 300, 1.0
-        rho = overshoot_ensemble(CREEP_TRIPLET, 30.0, 500, seed=13)
-        src = RestartedPathSource(CREEP_TRIPLET, rho, 30.0, seed=14)
-        restarted = np.array([src.path(i, horizon).values[-1] for i in range(n)])
-
-        from perpetua import sample_path
-
-        direct = np.empty(n)
-        for i in range(n):
-            base = derive_seed(99, "direct", i)
-            x0 = float(rho.draw(stream(base), 1)[0])
-            direct[i] = sample_path(
-                CREEP_TRIPLET, horizon, 1e-2, x0=x0, seed=derive_seed(base, "path")
-            ).values[-1]
-        from perpetua import ks_two_sample
-
-        assert ks_two_sample(restarted, direct) < ks_critical(n, n, alpha=0.01)
-
-    def test_not_reached_with_tiny_cap(self):
-        rho = EmpiricalDistribution(samples=np.zeros(4), n=4)
-        src = RestartedPathSource(LevyTriplet(1.0, 1.0), rho, 50.0, seed=15, cap=0.05)
-        with pytest.raises(NotReachedError):
-            src.path(0, horizon=1.0)
-
-    def test_level_range_guard(self):
-        rho = EmpiricalDistribution(samples=np.zeros(4), n=4)
-        with pytest.raises(PreconditionViolation):
-            RestartedPathSource(LevyTriplet(1.0, 1.0), rho, 0.0, seed=0)
 
 
 class TestStableOvershoot:

@@ -20,7 +20,8 @@ from perpetua import (
     perpetual_estimate,
     sample_path,
 )
-from perpetua.simulate import PathSample
+from perpetua.rng import stream
+from perpetua.simulate import PathSample, StepEngine
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
 
@@ -70,14 +71,15 @@ def lattice_path(steps, dt=0.01):
     """A path through the given increments from 0, stored exactly."""
     values = np.concatenate(([0.0], np.cumsum(steps)))
     times = np.arange(values.size) * dt
-    return PathSample(times=times, values=values, jumps=(), seed=0, triplet_id="lattice")
+    return PathSample(times=times, values=values)
 
 
 class TestSamplePath:
     def test_pure_drift_is_exact(self):
         path = sample_path(LevyTriplet(2.0), 10.0, 0.01, x0=1.0, seed=1)
         assert np.allclose(path.values, 1.0 + 2.0 * path.times, atol=1e-12)
-        assert path.jumps == ()
+        _, _, (jump_pos, _) = StepEngine(LevyTriplet(2.0), 0.01).draw(stream(1), 1000)
+        assert jump_pos.size == 0
 
     def test_grid_shape(self):
         path = sample_path(BM_DRIFT, 5.0, 0.01, seed=2)
@@ -104,7 +106,9 @@ class TestSamplePath:
     def test_compound_poisson_jump_count(self):
         t = LevyTriplet(0.0, 0.0, CompoundPoisson(2.0, ConstantJump(1.0)))
         path = sample_path(t, 50.0, 0.01, seed=3)
-        n_jumps = len(path.jumps)
+        # the path's own draws: sample_path runs one draw of 5000 steps on stream(3)
+        _, _, (_, sizes) = StepEngine(t, 0.01).draw(stream(3), 5000)
+        n_jumps = sizes.size
         # Poisson(100): five sigma is +-50
         assert 50 <= n_jumps <= 150
         assert path.values[-1] == pytest.approx(n_jumps)  # unit jumps, no drift
@@ -112,9 +116,12 @@ class TestSamplePath:
     def test_jump_times_recorded_in_order(self):
         t = LevyTriplet(0.5, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
         path = sample_path(t, 20.0, 0.01, seed=4)
-        times = [jt for jt, _ in path.jumps]
-        assert times == sorted(times)
-        assert all(0.0 <= jt <= 20.0 for jt in times)
+        _, _, (jump_pos, sizes) = StepEngine(t, 0.01).draw(stream(4), 2000)
+        times = jump_pos * 0.01
+        assert sizes.size > 0
+        assert np.all(np.diff(times) >= 0.0)
+        assert np.all((times >= 0.0) & (times <= 20.0))
+        assert path.values[-1] == pytest.approx(0.5 * 20.0 + sizes.sum())
 
     def test_stable_increment_scaling(self):
         # alpha-stable increments over dt scale like dt^(1/alpha)
@@ -138,7 +145,6 @@ class TestSamplePath:
 
     def test_step_too_coarse_for_heavy_cutoff(self):
         t = LevyTriplet(0.0, 0.0, StableLike(0.5, 1.0, 0.0))
-        from perpetua.simulate import StepEngine
         with pytest.raises(StepTooCoarse):
             # cutoff so small the expected jumps per step blow past the budget
             StepEngine(t, 0.5, cutoff=1e-6)
