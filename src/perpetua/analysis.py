@@ -17,14 +17,17 @@ off the block sums, never from pointwise extrapolation.
 
 Memoization
 -----------
-The hypotheses and the sup u factor of the expectation bound depend on the
-process only, yet every (triplet, f) pair asks for them.  The local-time
-decision, the verdict of each (triplet, f) pair and the sup bound are
-therefore memoized per argument value: triplets, measures, jump laws and
-test functions are frozen dataclasses that hash by value.  Each cache keeps
-at most _MEMO_SIZE entries; a refused bound is cached as its error and
-raised afresh on every call.  Arguments that cannot be hashed (a Tabulated
-built from lists) run uncached.
+Each cache is keyed on the one input its answer depends on.  The local-time
+criterion and the sup u factor of the expectation bound depend on the
+process only, the tail test on f only, yet every (triplet, f) pair asks for
+them.  local_time_criterion and _sup_bound are therefore memoized per
+triplet and tail_integral_test per test function (its Scaled and SumOf
+recursion hits the cache for the inner functions too); perpetual_verdict
+combines the cached answers without a cache of its own.  Triplets,
+measures, jump laws and test functions are frozen dataclasses that hash by
+value.  Each cache keeps at most _MEMO_SIZE entries; a refused bound is
+cached as its error and raised afresh on every call.  Arguments that cannot
+be hashed (a Tabulated built from lists) run uncached.
 
 The sup bound is one integral: sup u = u(0) = 1/(2 mu) + (1/pi) int_0^inf
 Re(1/Psi(r)) dr, plus 1/(2|d|) for finite variation without a Gaussian part
@@ -105,16 +108,16 @@ _MEMO_SIZE = 256
 
 
 def _memoized(fn):
-    """lru_cache(_MEMO_SIZE) on fn, called positionally; unhashable arguments run uncached."""
+    """lru_cache(_MEMO_SIZE) on fn; calls with unhashable arguments run uncached."""
     cached = lru_cache(maxsize=_MEMO_SIZE)(fn)
 
     @wraps(fn)
-    def call(*args):
+    def call(*args, **kwargs):
         try:
-            hash(args)
+            hash((args, tuple(kwargs.values())))
         except TypeError:
-            return fn(*args)
-        return cached(*args)
+            return fn(*args, **kwargs)
+        return cached(*args, **kwargs)
 
     call.cache_info = cached.cache_info
     call.cache_clear = cached.cache_clear
@@ -181,7 +184,7 @@ def _block_integral(func, a: float, b: float, *, check_sign: bool = False) -> tu
 # -------------------------------------------------------------------------
 # dyadic decay
 
-_R_MAX = 8192.0  # the criterion's default cutoff; the sup bound's upward blocks end there
+_R_MAX = 8192.0  # the criterion's and the sup bound's upward blocks end there
 
 
 def _dyadic_blocks(integrand, ks, rtol: float = 0.0) -> tuple[list[float], float, float]:
@@ -226,29 +229,18 @@ def _remainder(sums: list[float], slope: float) -> float:
 # -------------------------------------------------------------------------
 # local-time criterion
 
-def local_time_criterion(
-    triplet: LevyTriplet,
-    r_max: float = _R_MAX,
-    tol: float = 0.05,
-) -> LocalTimeDecision:
+@_memoized
+def local_time_criterion(triplet: LevyTriplet) -> LocalTimeDecision:
     """Decide whether the process has local times.
 
-    Integrates Re(1/(1 + Psi(r))) over dyadic blocks up to r_max (the full
-    two-sided integral is twice this by symmetry of Psi) and fits the decay
-    exponent a of the integrand from the last four block sums: a block over
-    [2^k, 2^(k+1)] of an r^a tail scales like 2^(k(a+1)).  Integrable tail
-    (a < -1 - tol) means local times exist; a >= -1 + tol means they do not;
-    the margin band is UNDECIDED.
+    Integrates Re(1/(1 + Psi(r))) over the dyadic blocks up to r_max = 8192
+    (the full two-sided integral is twice this by symmetry of Psi) and fits
+    the decay exponent a of the integrand from the last four block sums: a
+    block over [2^k, 2^(k+1)] of an r^a tail scales like 2^(k(a+1)).  An
+    integrable tail (a < -1.05) means local times exist; a >= -0.95 means
+    they do not; the band between, a margin of 0.05 either side of -1, is
+    UNDECIDED.
     """
-    return _local_time_decision(triplet, r_max, tol)
-
-
-@_memoized
-def _local_time_decision(triplet: LevyTriplet, r_max: float, tol: float) -> LocalTimeDecision:
-    if r_max < 1e3:
-        raise PreconditionViolation("R_MAX_RANGE", "need r_max >= 1e3")
-    if not tol > 0.0:
-        raise PreconditionViolation("TOL_RANGE", "need tol > 0")
     issues = triplet.validate()
     if issues:
         raise NonFiniteParameter(issues)
@@ -258,11 +250,11 @@ def _local_time_decision(triplet: LevyTriplet, r_max: float, tol: float) -> Loca
         return (1.0 / (1.0 + psi)).real
 
     # full dyadic blocks only; a truncated last block would bias the slope fit
-    _, _, slope = _dyadic_blocks(integrand, range(int(math.log2(r_max))))
+    _, _, slope = _dyadic_blocks(integrand, range(int(math.log2(_R_MAX))))
     exponent = slope - 1.0
-    if exponent < -1.0 - tol:
+    if exponent < -1.05:
         return LocalTimeDecision.HAS_LOCAL_TIMES
-    if exponent >= -1.0 + tol:
+    if exponent >= -0.95:
         return LocalTimeDecision.NO_LOCAL_TIMES
     return LocalTimeDecision.UNDECIDED
 
@@ -457,38 +449,33 @@ class ConvergenceDecision:
         }
 
 
-def tail_integral_test(
-    f: TestFunction,
-    tol: float = 0.02,
-    divergence_threshold: float = 1e6,
-    k_max: int = 256,
-) -> ConvergenceDecision:
+@_memoized
+def tail_integral_test(f: TestFunction) -> ConvergenceDecision:
     """Classify int_0^inf f(x) dx as CONVERGES / DIVERGES / UNDECIDED.
 
     Block sums over [0,1], [1,2], [2,4], ... drive three certificates:
 
     * CONVERGES once the last four block sums decay geometrically with
-      fitted ratio rho < 1 - tol and the geometric remainder is below
-      tol * (accumulated value); compactly supported f converges exactly
+      fitted ratio rho < 0.98 and the geometric remainder is below 0.02
+      times the accumulated value; compactly supported f converges exactly
       when the blocks pass its support bound.
-    * DIVERGES once the cumulative sum exceeds divergence_threshold (the
-      value reported is then a certified lower bound), or once block sums
-      are non-decreasing over six consecutive comparisons, which certifies
-      a non-integrable tail trend long before any fixed threshold is hit.
-    * UNDECIDED when k_max blocks settle neither rule (slowly varying
-      tails near the integrability boundary genuinely look like this).
+    * DIVERGES once the cumulative sum exceeds 1e6 (the value reported is
+      then a certified lower bound), or once block sums are non-decreasing
+      over six consecutive comparisons, which certifies a non-integrable
+      tail trend long before any fixed threshold is hit.
+    * UNDECIDED when 256 dyadic blocks past the head settle neither rule
+      (slowly varying tails near the integrability boundary genuinely look
+      like this).
 
     Combinators are decided componentwise: a positive sum converges iff
     every summand does, and scaling by c > 0 never changes the verdict.
     """
-    if not tol > 0.0 or tol >= 1.0:
-        raise PreconditionViolation("TOL_RANGE", "need 0 < tol < 1")
     issues = f.validate()
     if issues:
         raise EvaluationError(f"invalid test function: {issues}")
 
     if isinstance(f, Scaled):
-        inner = tail_integral_test(f.inner, tol, divergence_threshold, k_max)
+        inner = tail_integral_test(f.inner)
         return ConvergenceDecision(
             verdict=inner.verdict,
             value_or_lower_bound=f.factor * inner.value_or_lower_bound,
@@ -497,10 +484,9 @@ def tail_integral_test(
             error_estimate=f.factor * inner.error_estimate,
         )
     if isinstance(f, SumOf):
-        parts = [tail_integral_test(p, tol, divergence_threshold, k_max) for p in f.parts]
-        return _combine_sum_decisions(parts)
+        return _combine_sum_decisions([tail_integral_test(p) for p in f.parts])
 
-    return _blocks_decision(f, tol, divergence_threshold, k_max)
+    return _blocks_decision(f)
 
 
 def _combine_sum_decisions(parts: list[ConvergenceDecision]) -> ConvergenceDecision:
@@ -527,12 +513,7 @@ def _combine_sum_decisions(parts: list[ConvergenceDecision]) -> ConvergenceDecis
     )
 
 
-def _blocks_decision(
-    f: TestFunction,
-    tol: float,
-    divergence_threshold: float,
-    k_max: int,
-) -> ConvergenceDecision:
+def _blocks_decision(f: TestFunction) -> ConvergenceDecision:
     bound = f.support_bound()
     head, resid = _block_integral(f, 0.0, 1.0, check_sign=True)
     sums = [head]
@@ -540,7 +521,7 @@ def _blocks_decision(
     quad_err = resid if math.isfinite(resid) else 0.0
     nondecreasing = 0
 
-    for k in range(k_max):
+    for k in range(256):
         lo = 2.0 ** k
         if bound is not None and lo >= bound:
             return ConvergenceDecision(
@@ -551,7 +532,7 @@ def _blocks_decision(
         sums.append(s)
         cum += s
 
-        if cum > divergence_threshold:
+        if cum > 1e6:
             return ConvergenceDecision(
                 Convergence.DIVERGES, cum, len(sums), tuple(sums), quad_err
             )
@@ -563,19 +544,13 @@ def _blocks_decision(
             )
 
         if len(sums) >= 5:
-            window = np.asarray(sums[-4:], dtype=float)
-            if np.all(window > 0.0):
-                ratio = 2.0 ** np.polyfit(np.arange(4.0), np.log2(window), 1)[0]
-                if ratio < 1.0 - tol:
-                    remainder = s * ratio / (1.0 - ratio)
-                    if remainder < tol * max(cum, 1e-300):
-                        return ConvergenceDecision(
-                            Convergence.CONVERGES,
-                            cum + remainder,
-                            len(sums),
-                            tuple(sums),
-                            quad_err + remainder,
-                        )
+            if all(w > 0.0 for w in sums[-4:]):
+                slope = _decay_slope(sums)
+                rest = _remainder(sums, slope)
+                if 2.0 ** slope < 0.98 and rest < 0.02 * max(cum, 1e-300):
+                    return ConvergenceDecision(
+                        Convergence.CONVERGES, cum + rest, len(sums), tuple(sums), quad_err + rest
+                    )
             elif bound is None and sums[-1] == 0.0 and sums[-2] == 0.0:
                 # unbounded support yet tail below float resolution two blocks
                 # running; compact supports must instead run out their bound
@@ -628,11 +603,6 @@ def perpetual_verdict(triplet: LevyTriplet, f: TestFunction) -> VerdictReport:
     that order.  Inputs must be valid; hypothesis failures are reported, not
     raised.
     """
-    return _verdict(triplet, f)
-
-
-@_memoized
-def _verdict(triplet: LevyTriplet, f: TestFunction) -> VerdictReport:
     issues = triplet.validate()
     if issues:
         raise NonFiniteParameter(issues)

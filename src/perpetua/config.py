@@ -125,14 +125,12 @@ class ExperimentConfig:
         if not isinstance(raw_thr, dict):
             problems.append("thresholds: must be an object")
         else:
-            for key, val in raw_thr.items():
+            for key in raw_thr:
                 if key not in _DEFAULT_THRESHOLDS:
                     problems.append(f"thresholds.{key}: unknown threshold")
                     continue
-                try:
-                    val = float(val)
-                except (TypeError, ValueError):
-                    problems.append(f"thresholds.{key}: not a number")
+                val = _as_float(raw_thr, key, problems, prefix="thresholds.")
+                if val is None:
                     continue
                 if not 0.0 < val < 1.0:
                     problems.append(f"thresholds.{key}: must lie in (0, 1), got {val}")
@@ -250,15 +248,18 @@ def _as_int(d: dict, key: str, problems: list[str], prefix: str = "") -> int | N
 
 
 def _as_float(d: dict, key: str, problems: list[str], prefix: str = "") -> float | None:
+    """d[key] as a float when it is a finite JSON number (int or float, not bool)."""
     if key not in d:
         problems.append(f"{prefix}{key}: missing")
         return None
     val = d[key]
-    try:
-        out = float(val)
-    except (TypeError, ValueError):
-        out = math.nan
-    if isinstance(val, bool) or not math.isfinite(out):
+    out = math.nan
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        try:
+            out = float(val)
+        except OverflowError:  # an integer past the float range
+            pass
+    if not math.isfinite(out):
         problems.append(f"{prefix}{key}: must be a finite number, got {val!r}")
         return None
     return out

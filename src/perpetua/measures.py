@@ -316,7 +316,7 @@ class TemperedStable:
             if math.isfinite(v) and v <= 0:
                 issues.append(Issue(code, name, f"{name} must be > 0"))
         issues += require_finite(self.skew, "skew", "SKEW_RANGE")
-        if not -1.0 <= self.skew <= 1.0:
+        if not any(i.field == "skew" for i in issues) and not -1.0 <= self.skew <= 1.0:
             issues.append(Issue("SKEW_RANGE", "skew", "skew must lie in [-1, 1]"))
         return issues
 

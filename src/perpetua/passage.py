@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotReachedError, PreconditionViolation
 from .rng import derive_seed, stream
-from .simulate import StepEngine, check_cutoff
+from .simulate import StepEngine
 from .triplet import LevyTriplet
 
 __all__ = [
@@ -73,13 +73,12 @@ def first_passage(
     cap: float | None = None,
     dt: float = 1e-2,
     x0: float = 0.0,
-    cutoff: float | None = None,
 ) -> FirstPassageSample:
     """Time and overshoot of the first crossing of the level from below.
 
-    Drift plus compound Poisson is resolved exactly (dt unused; a cutoff
-    other than 0 is refused, as for every finite-activity process);
-    other processes are scanned on the dt grid.  Not reached by time cap
+    Drift plus compound Poisson is resolved exactly (dt unused); other
+    processes are scanned on the dt grid, with jumps above the measure's
+    default cutoff for dt resolved.  Not reached by time cap
     (default 10 level / mu) gives passage_time None.
     """
     if not level > 0.0:
@@ -88,7 +87,6 @@ def first_passage(
         cap = _default_cap(triplet, level)
     if not math.isfinite(cap):
         raise PreconditionViolation("CAP_RANGE", f"need a finite cap, got {cap}")
-    check_cutoff(triplet.levy_measure, cutoff)
     if x0 >= level:
         return FirstPassageSample(level=level, passage_time=0.0, overshoot=x0 - level)
 
@@ -100,7 +98,7 @@ def first_passage(
             level=level, passage_time=float(times[0]), overshoot=float(overshoots[0])
         )
 
-    engine = StepEngine(triplet, dt, cutoff)
+    engine = StepEngine(triplet, dt)
     rng = stream(seed)
     n_total = int(math.ceil(cap / dt))
     crossed = _scan_for_crossing(engine, rng, x0, level, n_total)

@@ -1,12 +1,15 @@
 """Path simulation on a regular grid with exact jumps above a cutoff.
 
 Increments follow the usual splitting: linear drift, Brownian part, all jumps
-with magnitude above eps_cut placed at exact (uniform-in-step) times, and a
-mean-zero Gaussian surrogate for the discarded small jumps whose variance
+with magnitude above the cutoff eps placed at exact (uniform-in-step) times,
+and a mean-zero Gaussian surrogate for the discarded small jumps whose variance
 matches int_{|x|<=eps} x^2 nu(dx).  For infinite-activity families the drift
 is compensator-adjusted (the characteristic exponent compensates jumps in
 (eps, 1], so their raw simulation must subtract that mean); finite-activity
 families simulate their jumps uncompensated and keep the drift as given.
+The cutoff is always the measure's default_cutoff(dt): 0 for finite activity,
+so every jump is drawn exactly; for infinite activity it is chosen from dt so
+that about 0.5 jumps per step are resolved (StepEngine refuses more).
 
 The deterministic part of a path is drift_eff * times computed by
 multiplication, not by accumulation, so a pure drift path reproduces the
@@ -51,47 +54,25 @@ class PathSample:
         return float(self.times[-1])
 
 
-def check_cutoff(measure, cutoff: float | None) -> None:
-    """Refuse an explicit jump cutoff the measure cannot be simulated with.
-
-    Finite activity draws every jump from the full jump law with no
-    compensation, so only cutoff 0 fits it.  Infinite activity resolves the
-    jumps above the cutoff, whose rate diverges at 0, so it needs a finite
-    cutoff > 0.  None stands for the measure's default and always passes.
-    """
-    if cutoff is None:
-        return
-    if measure.is_finite_activity:
-        if cutoff != 0.0:
-            raise PreconditionViolation(
-                "CUTOFF_RANGE",
-                f"finite-activity jumps are simulated exactly; need cutoff 0, got {cutoff}",
-            )
-    elif not (cutoff > 0.0 and math.isfinite(cutoff)):
-        raise PreconditionViolation(
-            "CUTOFF_RANGE", f"infinite-activity jumps need a finite cutoff > 0, got {cutoff}"
-        )
-
-
 class StepEngine:
     """Per-step increment generator shared by path and passage samplers.
 
-    Owns the simulation constants of one (triplet, dt, cutoff) combination:
-    effective drift, per-step Gaussian deviation, and the Poisson rate of
-    resolved jumps.  Draw order per request is fixed (normals, counts, jump
-    sizes, jump offsets) so results depend only on the generator state.
+    Owns the simulation constants of one (triplet, dt) pair: the jump cutoff
+    (always the measure's default_cutoff(dt): 0 for finite activity, whose
+    jumps are all drawn exactly), effective drift, per-step Gaussian
+    deviation, and the Poisson rate of resolved jumps.  Draw order per
+    request is fixed (normals, counts, jump sizes, jump offsets) so results
+    depend only on the generator state.
     """
 
-    def __init__(self, triplet: LevyTriplet, dt: float, cutoff: float | None = None):
+    def __init__(self, triplet: LevyTriplet, dt: float):
         issues = triplet.validate()
         if issues:
             raise NonFiniteParameter(issues)
         if not dt > 0.0:
             raise PreconditionViolation("DT_RANGE", "need dt > 0")
         nu = triplet.levy_measure
-        check_cutoff(nu, cutoff)
-        if cutoff is None:
-            cutoff = nu.default_cutoff(dt)
+        cutoff = nu.default_cutoff(dt)
 
         self.triplet = triplet
         self.dt = dt
@@ -135,18 +116,18 @@ def sample_path(
     dt: float,
     x0: float = 0.0,
     seed: int = 0,
-    cutoff: float | None = None,
 ) -> PathSample:
     """Simulate one path on [0, horizon] with step dt, started from x0.
 
-    Deterministic in (seed, horizon, dt): the same arguments always produce
-    the identical PathSample.
+    Jumps above the measure's default cutoff for dt are resolved (all of
+    them for finite activity).  Deterministic in (seed, horizon, dt): the
+    same arguments always produce the identical PathSample.
     """
     if not horizon > 0.0:
         raise PreconditionViolation("HORIZON_RANGE", "need horizon > 0")
     if not dt <= horizon / 10.0:
         raise PreconditionViolation("DT_RANGE", "need dt <= horizon/10")
-    engine = StepEngine(triplet, dt, cutoff)
+    engine = StepEngine(triplet, dt)
     n = int(round(horizon / dt))
     times = np.arange(n + 1) * dt
 

@@ -37,7 +37,7 @@ from perpetua.analysis import (
     REASON_NO_LOCAL_TIMES,
     REASON_TAIL_TEST_UNDECIDED,
 )
-from perpetua.benchmarks import benchmark_matrix
+from perpetua.benchmarks import benchmark_matrix, benchmark_processes
 
 INV_LOG2 = 1.4426950408889634
 
@@ -69,22 +69,24 @@ class TestLocalTimeCriterion:
         assert local_time_criterion(t) is LocalTimeDecision.HAS_LOCAL_TIMES
 
     def test_cauchy_sits_in_margin(self):
-        # integrand decays exactly like 1/r: inside the +-tol dead band
+        # integrand decays exactly like 1/r: inside the +-0.05 dead band
         t = LevyTriplet(0.0, 0.0, StableLike(1.0, 1.0, 0.0))
         assert local_time_criterion(t) is LocalTimeDecision.UNDECIDED
+
+    @pytest.mark.parametrize("alpha, expected", [
+        (0.9, LocalTimeDecision.NO_LOCAL_TIMES),
+        (0.97, LocalTimeDecision.UNDECIDED),
+        (1.03, LocalTimeDecision.UNDECIDED),
+        (1.1, LocalTimeDecision.HAS_LOCAL_TIMES),
+    ])
+    def test_margin_is_0_05_either_side_of_minus_one(self, alpha, expected):
+        # Re(1/(1 + Psi)) of a symmetric stable law decays like r^-alpha
+        t = LevyTriplet(0.0, 0.0, StableLike(alpha, 1.0, 0.0))
+        assert local_time_criterion(t) is expected
 
     def test_gaussian_component_dominates_heavy_jumps(self):
         t = LevyTriplet(0.0, 0.5, StableLike(0.5, 1.0, 0.0))
         assert local_time_criterion(t) is LocalTimeDecision.HAS_LOCAL_TIMES
-
-    def test_precondition_r_max(self):
-        with pytest.raises(PreconditionViolation) as exc:
-            local_time_criterion(BM_DRIFT, r_max=10.0)
-        assert exc.value.reason == "R_MAX_RANGE"
-
-    def test_precondition_tol(self):
-        with pytest.raises(PreconditionViolation):
-            local_time_criterion(BM_DRIFT, tol=0.0)
 
 
 class TestPotentialDensity:
@@ -205,10 +207,6 @@ class TestTailIntegralTest:
         d = tail_integral_test(f)
         assert d.verdict is Convergence.CONVERGES
         assert d.value_or_lower_bound == pytest.approx(f.integral_above(0.0), rel=1e-6)
-
-    def test_tol_precondition(self):
-        with pytest.raises(PreconditionViolation):
-            tail_integral_test(ExpDecay(1.0), tol=1.5)
 
 
 class TestPerpetualVerdict:
@@ -353,7 +351,7 @@ class TestSupBound:
 
 @pytest.fixture
 def cold_memo():
-    for cache in (analysis._local_time_decision, analysis._verdict, analysis._sup_bound):
+    for cache in (local_time_criterion, tail_integral_test, analysis._sup_bound):
         cache.cache_clear()
 
 
@@ -375,17 +373,33 @@ class TestMemo:
             for f in (ExpDecay(1.0), PowerTail(1.0)):
                 perpetual_verdict(t, f)
             decisions.add(local_time_criterion(t))
-            decisions.add(local_time_criterion(t, r_max=8192.0, tol=0.05))
         assert runs == [range(13)]
         assert decisions == {LocalTimeDecision.HAS_LOCAL_TIMES}
-        info = analysis._local_time_decision.cache_info()
+        info = local_time_criterion.cache_info()
         assert (info.misses, info.hits) == (1, 5)
+
+    def test_one_function_across_the_matrix_triplets_scans_once(self, cold_memo, monkeypatch):
+        runs = []
+        blocks_decision = analysis._blocks_decision
+
+        def counting(f):
+            runs.append(f)
+            return blocks_decision(f)
+
+        monkeypatch.setattr(analysis, "_blocks_decision", counting)
+        f = LogPower(2.0)
+        triplets = [t for _, t in benchmark_processes()]
+        assert len(triplets) == 5
+        reports = [perpetual_verdict(t, f) for t in triplets]
+        assert runs == [f]
+        assert {r.verdict for r in reports} == {Verdict.AS_FINITE}
+        assert len({r.integral_decision for r in reports}) == 1
 
     def test_refused_bound_raises_afresh_every_call(self, cold_memo, monkeypatch):
         t = LevyTriplet(1.0, 0.0, StableLike(1.3, 1.0, 0.0))
         f = ExpDecay(1.0, left_level=0.0)
-        # the verdict is memoized first; then every block of Re(1/Psi) has the
-        # same sum, so the sup bound sees no decay and refuses
+        # the criterion and the tail test are memoized first; then every block
+        # of Re(1/Psi) has the same sum, so the sup bound sees no decay and refuses
         assert perpetual_verdict(t, f).verdict is Verdict.AS_FINITE
         monkeypatch.setattr(analysis, "_block_integral", lambda func, a, b: (1.0, 0.0))
         raised = []
@@ -407,27 +421,38 @@ class TestMemo:
         assert perpetual_verdict(BM_DRIFT, by_list) == perpetual_verdict(BM_DRIFT, by_tuple)
         assert expectation_upper_bound(PURE_DRIFT, by_list) == \
             expectation_upper_bound(PURE_DRIFT, by_tuple)
+        assert tail_integral_test.cache_info().currsize == 1  # by_tuple only
 
-    def test_benchmark_matrix_matches_cold_computation(self, cold_memo):
+    def test_keyword_calls(self, cold_memo):
+        assert local_time_criterion(triplet=BM_DRIFT) is local_time_criterion(BM_DRIFT) \
+            is LocalTimeDecision.HAS_LOCAL_TIMES
+        assert tail_integral_test(f=ExpDecay(1.0)) == tail_integral_test(ExpDecay(1.0))
+        by_list = Tabulated([0.0, 1.0, 2.0], [0.5, 1.0, 0.0])
+        assert tail_integral_test(f=by_list) == \
+            tail_integral_test(Tabulated((0.0, 1.0, 2.0), (0.5, 1.0, 0.0)))
+
+    def test_benchmark_matrix_matches_cold_computation(self, cold_memo, monkeypatch):
         cases = benchmark_matrix()
         assert len(cases) == 28
-        warm = []
-        for case in cases:
-            report = perpetual_verdict(case.triplet, case.f)
-            bound = None
-            if report.verdict is Verdict.AS_FINITE:
-                bound = expectation_upper_bound(case.triplet, case.f)
-            warm.append((report, bound))
 
-        cold_sup = {}
-        for case, (report, bound) in zip(cases, warm):
-            analysis._local_time_decision.cache_clear()
-            cold = analysis._verdict.__wrapped__(case.triplet, case.f)
-            assert report.verdict is cold.verdict, case.name
-            assert report.precondition_record == cold.precondition_record, case.name
-            assert report.integral_decision == cold.integral_decision, case.name
-            if bound is not None:
-                if case.triplet not in cold_sup:
-                    cold_sup[case.triplet] = analysis._sup_bound.__wrapped__(case.triplet)
-                assert bound == cold_sup[case.triplet] * case.f.integral_full(), case.name
-        assert len(cold_sup) == 5
+        def answers():
+            out = []
+            for case in cases:
+                report = perpetual_verdict(case.triplet, case.f)
+                bound = None
+                if report.verdict is Verdict.AS_FINITE:
+                    bound = expectation_upper_bound(case.triplet, case.f)
+                out.append((report, bound))
+            return out
+
+        warm = answers()
+        assert local_time_criterion.cache_info().currsize == 7
+        assert tail_integral_test.cache_info().currsize == 4
+        assert analysis._sup_bound.cache_info().currsize == 5
+        # cold: every cached function replaced by its uncached body, the
+        # tail test's Scaled and SumOf recursion included
+        for name in ("local_time_criterion", "tail_integral_test", "_sup_bound"):
+            monkeypatch.setattr(analysis, name, getattr(analysis, name).__wrapped__)
+        cold = answers()
+        for case, w, c in zip(cases, warm, cold):
+            assert w == c, case.name

@@ -103,6 +103,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "check_params.lln.bogus" in err and "check_params.invariance.n" in err
 
+    def test_numbers_written_as_strings_are_refused(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            dt="0.01",
+            horizon={"t0": "2", "doublings": 3},
+            thresholds={"delta_01": "0.05"},
+            check_params={"overshoot": {"z1": "3"}},
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        for problem in ("dt: must be a finite number, got '0.01'",
+                        "horizon.t0: must be a finite number, got '2'",
+                        "thresholds.delta_01: must be a finite number, got '0.05'",
+                        "check_params.overshoot.z1: must be a finite number, got '3'"):
+            assert problem in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["verdict", "--seed", "3"], ["classify", "--out", "x"],
         ["verify", "--format", "csv"], ["simulate", "--out", "x", "--threads", "2"],

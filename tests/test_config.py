@@ -115,7 +115,9 @@ class TestFromDict:
             ExperimentConfig.from_dict(d)
         assert "n_paths" in str(exc.value)
 
-    @pytest.mark.parametrize("value", [True, "nan", "inf", [1.0]])
+    @pytest.mark.parametrize("value", [
+        True, "nan", "inf", [1.0], "0.5", pytest.param(10**400, id="int-past-float-range"),
+    ])
     def test_float_fields_take_finite_numbers_only(self, value):
         d = good_payload()
         d["dt"] = value

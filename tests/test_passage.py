@@ -69,17 +69,6 @@ class TestFirstPassage:
         assert fp.passage_time is None
         assert fp.overshoot is None
 
-    @pytest.mark.parametrize("t, cutoff", [
-        (DRIFT_CP, 0.5),  # resolved exactly, yet the cutoff is still refused
-        (LevyTriplet(1.0, 0.5, CompoundPoisson(1.0, ExponentialJump(2.0, 1))), 0.5),
-        (LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0, 0.0)), -0.1),
-        (LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0, 0.0)), math.inf),
-    ])
-    def test_cutoff_out_of_range_refused(self, t, cutoff):
-        with pytest.raises(PreconditionViolation) as exc:
-            first_passage(t, 2.0, seed=0, cap=10.0, cutoff=cutoff)
-        assert exc.value.reason == "CUTOFF_RANGE"
-
     def test_default_cap_needs_positive_mean(self):
         with pytest.raises(PreconditionViolation) as exc:
             first_passage(LevyTriplet(0.0, 1.0), 1.0, seed=0)

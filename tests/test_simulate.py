@@ -144,31 +144,17 @@ class TestSamplePath:
             sample_path(BM_DRIFT, -1.0, 0.01, seed=0)
 
     def test_step_too_coarse_for_heavy_cutoff(self):
-        t = LevyTriplet(0.0, 0.0, StableLike(0.5, 1.0, 0.0))
+        t = LevyTriplet(0.0, 0.0, CompoundPoisson(100.0, ExponentialJump(2.0, 1)))
         with pytest.raises(StepTooCoarse):
-            # cutoff so small the expected jumps per step blow past the budget
-            StepEngine(t, 0.5, cutoff=1e-6)
-
-    @pytest.mark.parametrize("t, cutoff", [
-        # finite activity samples the full jump law: only cutoff 0 fits it
-        (LevyTriplet(0.1, 0.5, CompoundPoisson(1.0, ExponentialJump(2.0, 1))), 0.5),
-        (LevyTriplet(0.1, 0.5, CompoundPoisson(1.0, ExponentialJump(2.0, 1))), -0.5),
-        (BM_DRIFT, 0.1),
-        (LevyTriplet(0.0, 0.0, StableLike(1.5, 1.0, 0.0)), 0.0),
-        (LevyTriplet(0.0, 0.0, StableLike(1.5, 1.0, 0.0)), -0.1),
-        (LevyTriplet(0.0, 0.0, StableLike(1.5, 1.0, 0.0)), math.inf),
-        (LevyTriplet(0.0, 0.0, StableLike(1.5, 1.0, 0.0)), math.nan),
-    ])
-    def test_cutoff_out_of_range_refused(self, t, cutoff):
-        with pytest.raises(PreconditionViolation) as exc:
-            sample_path(t, 1.0, 0.01, seed=0, cutoff=cutoff)
-        assert exc.value.reason == "CUTOFF_RANGE"
+            # cutoff 0 resolves every jump: one expected per step, past the budget
+            StepEngine(t, 0.01)
 
     def test_zero_cutoff_on_finite_activity_is_the_default(self):
         t = LevyTriplet(0.1, 0.5, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
-        a = sample_path(t, 5.0, 0.01, seed=3)
-        b = sample_path(t, 5.0, 0.01, seed=3, cutoff=0.0)
-        assert np.array_equal(a.values, b.values)
+        engine = StepEngine(t, 0.01)
+        assert engine.cutoff == 0.0
+        assert engine.rate == 1.0
+        assert engine.drift_eff == 0.1  # finite-activity jumps are not compensated
 
 
 class TestPerpetualEstimate:

@@ -189,6 +189,13 @@ class TestValidation:
     def test_issue_codes(self, bad, code):
         assert code in [i.code for i in bad.validate()]
 
+    @pytest.mark.parametrize("measure", [
+        StableLike(1.5, 1.0, math.nan),
+        TemperedStable(1.5, 1.0, 1.0, math.nan),
+    ])
+    def test_nan_skew_is_reported_once(self, measure):
+        assert [i.code for i in measure.validate() if i.field == "skew"] == ["SKEW_RANGE"]
+
     def test_operations_refuse_invalid(self):
         bad = LevyTriplet(0.0, -1.0)
         with pytest.raises(NonFiniteParameter):
