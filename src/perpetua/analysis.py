@@ -37,6 +37,7 @@ closed remainders (see expectation_upper_bound).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -64,6 +65,7 @@ __all__ = [
     "PreconditionRecord",
     "VerdictReport",
     "local_time_criterion",
+    "require_local_times",
     "potential_density",
     "tail_integral_test",
     "perpetual_verdict",
@@ -108,16 +110,23 @@ _MEMO_SIZE = 256
 
 
 def _memoized(fn):
-    """lru_cache(_MEMO_SIZE) on fn; calls with unhashable arguments run uncached."""
+    """lru_cache(_MEMO_SIZE) on fn; calls with unhashable arguments run uncached.
+
+    Arguments are bound to fn's signature first, so a keyword call and a
+    positional call with equal values share one cache entry.
+    """
     cached = lru_cache(maxsize=_MEMO_SIZE)(fn)
+    signature = inspect.signature(fn)
 
     @wraps(fn)
     def call(*args, **kwargs):
+        if kwargs:  # about 5 us, so positional calls skip it
+            args = signature.bind(*args, **kwargs).args
         try:
-            hash((args, tuple(kwargs.values())))
+            hash(args)
         except TypeError:
-            return fn(*args, **kwargs)
-        return cached(*args, **kwargs)
+            return fn(*args)
+        return cached(*args)
 
     call.cache_info = cached.cache_info
     call.cache_clear = cached.cache_clear
@@ -259,6 +268,15 @@ def local_time_criterion(triplet: LevyTriplet) -> LocalTimeDecision:
     return LocalTimeDecision.UNDECIDED
 
 
+def require_local_times(triplet: LevyTriplet, what: str) -> None:
+    """The theorem's local-time hypothesis: LOCAL_TIMES_REQUIRED unless the criterion holds."""
+    decision = local_time_criterion(triplet)
+    if decision is not LocalTimeDecision.HAS_LOCAL_TIMES:
+        raise PreconditionViolation(
+            "LOCAL_TIMES_REQUIRED", f"{what} needs local times, got {decision.value}"
+        )
+
+
 # -------------------------------------------------------------------------
 # potential density by Fourier inversion
 
@@ -294,18 +312,8 @@ def potential_density(triplet: LevyTriplet, grid) -> PotentialDensity:
     issues = triplet.validate()
     if issues:
         raise NonFiniteParameter(issues)
-    decision = local_time_criterion(triplet)
-    if decision is not LocalTimeDecision.HAS_LOCAL_TIMES:
-        raise PreconditionViolation(
-            "LOCAL_TIMES_REQUIRED",
-            f"potential density needs HAS_LOCAL_TIMES, criterion says {decision.value}",
-        )
-    mean = triplet.mean()
-    if not mean.is_finite_positive:
-        raise PreconditionViolation(
-            "MEAN_RANGE", f"potential density needs mean in (0, inf), got {mean.describe()}"
-        )
-    mu = mean.as_float()
+    require_local_times(triplet, "potential density")
+    mu = triplet.positive_mean("potential density")
 
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0 or np.any(np.diff(grid) <= 0.0):

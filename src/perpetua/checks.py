@@ -13,10 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
-
-import numpy as np
 
 from . import harness
 from .rng import derive_seed
@@ -64,14 +61,6 @@ def resolve(check: Check, config) -> dict:
     return out
 
 
-def _write_finiteness_csv(path: Path, partials: np.ndarray, checkpoints) -> None:
-    lines = ["path_id,checkpoint,partial_integral"]
-    for i in range(partials.shape[0]):
-        for j, t in enumerate(checkpoints):
-            lines.append(f"{i},{float(t)!r},{float(partials[i, j])!r}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _auto_level(config, p) -> float:
     mu = config.triplet.mean()
     if not mu.is_finite_positive:
@@ -109,7 +98,7 @@ def _run_zero_one(config, p, threads, out, report):
         "flagged": estimate.flagged,
     }
     if out is not None:
-        _write_finiteness_csv(out / "finiteness.csv", estimate.partials, estimate.checkpoints)
+        harness.write_partials_csv(out / "finiteness.csv", estimate.partials, estimate.checkpoints)
     rep = harness.zero_one_check(estimate, config.thresholds["delta_01"])
     return rep if out is None else dataclasses.replace(rep, artifacts=("finiteness.csv",))
 

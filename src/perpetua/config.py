@@ -16,6 +16,7 @@ from .checks import CHECKS, Check, resolve
 from .errors import ConfigError, NonFiniteParameter
 from .testfunctions import TestFunction, test_function_from_dict, test_function_to_dict
 from .triplet import LevyTriplet
+from .validation import finite_real
 
 __all__ = ["ExperimentConfig", "load_config"]
 
@@ -248,20 +249,13 @@ def _as_int(d: dict, key: str, problems: list[str], prefix: str = "") -> int | N
 
 
 def _as_float(d: dict, key: str, problems: list[str], prefix: str = "") -> float | None:
-    """d[key] as a float when it is a finite JSON number (int or float, not bool)."""
+    """d[key] as a float when it is a finite number (see validation.finite_real)."""
     if key not in d:
         problems.append(f"{prefix}{key}: missing")
         return None
-    val = d[key]
-    out = math.nan
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
-        try:
-            out = float(val)
-        except OverflowError:  # an integer past the float range
-            pass
-    if not math.isfinite(out):
-        problems.append(f"{prefix}{key}: must be a finite number, got {val!r}")
-        return None
+    out = finite_real(d[key])
+    if out is None:
+        problems.append(f"{prefix}{key}: must be a finite number, got {d[key]!r}")
     return out
 
 

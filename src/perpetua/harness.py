@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import LocalTimeDecision, local_time_criterion
+from .analysis import require_local_times
 from .errors import NotReachedError, PreconditionViolation
 from .measures import CompoundPoisson
 from .rng import derive_seed, stream
@@ -43,6 +43,8 @@ __all__ = [
     "local_time_law_invariance_check",
     "lln_t0_floor",
     "lln_envelope_check",
+    "write_csv",
+    "write_partials_csv",
 ]
 
 FINITE_LIKE = "FINITE_LIKE"
@@ -88,6 +90,26 @@ class FinitenessEstimate:
     @property
     def classified(self) -> int:
         return sum(v != INCONCLUSIVE for v in self.per_path_verdicts)
+
+
+def write_csv(path: Path, header: str, rows) -> None:
+    """The one CSV writer: a header line, then one line per row.
+
+    Integers are written as they are and every other value as repr(float),
+    which round-trips exactly.
+    """
+    lines = [header] + [",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
+                        for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_partials_csv(path: Path, partials, checkpoints) -> None:
+    """Partial integrals, one row per (path, checkpoint).
+
+    The table of finiteness.csv (verify) and partial_integrals.csv (simulate).
+    """
+    write_csv(path, "path_id,checkpoint,partial_integral",
+              ((i, t, row[j]) for i, row in enumerate(partials) for j, t in enumerate(checkpoints)))
 
 
 def _parallel_map(fn, count: int, threads: int) -> list:
@@ -172,11 +194,7 @@ def occupation_identity_check(
     threads: int = 1,
 ) -> CheckReport:
     """Median relative gap between the time and the space side of occupation."""
-    decision = local_time_criterion(config.triplet)
-    if decision is not LocalTimeDecision.HAS_LOCAL_TIMES:
-        raise PreconditionViolation(
-            "LOCAL_TIMES_REQUIRED", f"occupation identity needs local times, got {decision.value}"
-        )
+    require_local_times(config.triplet, "occupation identity")
     horizon = float(config.checkpoints[-1])
 
     def one_gap(i: int) -> float:
@@ -223,11 +241,9 @@ def overshoot_stationarity_check(
     """
     if not 0.0 < z1 < z2:
         raise PreconditionViolation("LEVEL_ORDER", "need 0 < z1 < z2")
-    mu = triplet.mean()
-    if not mu.is_finite_positive:
-        raise PreconditionViolation("MEAN_RANGE", "overshoot check needs mean in (0, inf)")
+    mu = triplet.positive_mean("overshoot check")
     sigma_eff = math.sqrt(triplet.effective_volatility_sq())
-    recommended = 20.0 * sigma_eff / mu.as_float()
+    recommended = 20.0 * sigma_eff / mu
     notes = f"z1={z1:g}, z2={z2:g}, n={n}"
     if z1 < recommended:
         notes += f"; z1 below recommended {recommended:.3g}, pre-asymptotic failure is expected"
@@ -242,14 +258,9 @@ def overshoot_stationarity_check(
     if artifact_dir is not None:
         out = Path(artifact_dir)
         out.mkdir(parents=True, exist_ok=True)
-        names = []
-        for tag, ens in (("z1", e1), ("z2", e2)):
-            csv_path = out / f"overshoots_{tag}.csv"
-            csv_path.write_text(
-                "\n".join(["overshoot"] + [repr(float(s)) for s in ens.samples]) + "\n"
-            )
-            names.append(csv_path.name)
-        artifacts = tuple(names)
+        artifacts = ("overshoots_z1.csv", "overshoots_z2.csv")
+        for name, ens in zip(artifacts, (e1, e2)):
+            write_csv(out / name, "overshoot", ((s,) for s in ens.samples))
     statistic = ks_two_sample(e1.samples, e2.samples)
     threshold = ks_critical(n, n, ks_alpha)
     return CheckReport(
@@ -302,7 +313,7 @@ def invariance_horizon(triplet: LevyTriplet, x_list, dt: float) -> tuple[float, 
     1.5 (escape + 4 sigma_eff)/mu of time, and at least 20 steps.  Needs a
     mean mu in (0, inf).
     """
-    mu = triplet.mean().as_float()
+    mu = triplet.positive_mean("invariance horizon")
     sigma_eff = math.sqrt(triplet.effective_volatility_sq())
     escape = max(float(x) for x in x_list) + 5.0 * sigma_eff / mu
     return escape, max(1.5 * (escape + 4.0 * sigma_eff) / mu, 20.0 * dt)
@@ -332,14 +343,8 @@ def local_time_law_invariance_check(
     start_from_rho=False is the documented negative control: started from a
     fixed point, jump processes need not be level-invariant.
     """
-    decision = local_time_criterion(triplet)
-    if decision is not LocalTimeDecision.HAS_LOCAL_TIMES:
-        raise PreconditionViolation(
-            "LOCAL_TIMES_REQUIRED", f"invariance check needs local times, got {decision.value}"
-        )
-    mean = triplet.mean()
-    if not mean.is_finite_positive:
-        raise PreconditionViolation("MEAN_RANGE", "invariance check needs mean in (0, inf)")
+    require_local_times(triplet, "invariance check")
+    triplet.positive_mean("invariance check")
 
     levels = np.asarray(sorted(set(float(x) for x in x_list)), dtype=float)
     if levels.size == 0 or levels[0] <= 0.0:
@@ -397,7 +402,7 @@ def lln_t0_floor(triplet: LevyTriplet) -> float:
     v is sigma^2 + int x^2 nu(dx) for compound Poisson, where every jump
     counts, and sigma_eff^2 (jumps of size <= 1 only) for the other families.
     """
-    mu = triplet.mean().as_float()
+    mu = triplet.positive_mean("LLN t0 floor")
     nu = triplet.levy_measure
     if isinstance(nu, CompoundPoisson):
         v = triplet.gaussian_coef + nu.rate * nu.jump_law.second_moment()
@@ -416,10 +421,7 @@ def lln_envelope_check(
     threads: int = 1,
 ) -> CheckReport:
     """Fraction of paths staying inside (mu t / 2, 2 mu t) for all t >= t0."""
-    mean = triplet.mean()
-    if not mean.is_finite_positive:
-        raise PreconditionViolation("MEAN_RANGE", "LLN envelope needs mean in (0, inf)")
-    mu = mean.as_float()
+    mu = triplet.positive_mean("LLN envelope")
     floor = lln_t0_floor(triplet)
     if t0 < floor:
         raise PreconditionViolation(

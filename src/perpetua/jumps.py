@@ -1,10 +1,9 @@
 """Jump size laws for the compound Poisson family.
 
 Each law exposes the closed forms the rest of the package needs: the
-characteristic function, the mean, partial moments split at a threshold
-(used for the |x| <= 1 truncation bookkeeping and small-jump variance),
-and an exact sampler.  No law here has a heavy tail; means and second
-moments are always finite.
+characteristic function, the mean, the second moment (whole and below a
+threshold, for the small-jump variance) and an exact sampler.  No law here
+has a heavy tail; means and second moments are always finite.
 """
 
 from __future__ import annotations
@@ -46,13 +45,6 @@ class ConstantJump:
     def char(self, lam):
         return np.exp(1j * np.asarray(lam, dtype=float) * self.size)
 
-    def prob_abs_above(self, a: float) -> float:
-        return 1.0 if abs(self.size) > a else 0.0
-
-    def mean_abs_above(self, a: float) -> float:
-        # E[J ; |J| > a]
-        return self.size if abs(self.size) > a else 0.0
-
     def second_moment_abs_below(self, a: float) -> float:
         return self.size ** 2 if abs(self.size) <= a else 0.0
 
@@ -82,7 +74,7 @@ class ExponentialJump:
         issues = require_finite(self.theta, "theta", "THETA_POSITIVE")
         if not issues and self.theta <= 0:
             issues.append(Issue("THETA_POSITIVE", "theta", "theta must be > 0"))
-        if self.sign not in (-1, 1):
+        if require_finite(self.sign, "sign", "SIGN_VALUE") or self.sign not in (-1, 1):
             issues.append(Issue("SIGN_VALUE", "sign", "sign must be +1 or -1"))
         return issues
 
@@ -95,14 +87,6 @@ class ExponentialJump:
     def char(self, lam):
         lam = np.asarray(lam, dtype=float)
         return self.theta / (self.theta - 1j * self.sign * lam)
-
-    def prob_abs_above(self, a: float) -> float:
-        return float(np.exp(-self.theta * max(a, 0.0)))
-
-    def mean_abs_above(self, a: float) -> float:
-        a = max(a, 0.0)
-        # int_a^inf x theta e^{-theta x} dx = e^{-theta a} (a + 1/theta)
-        return self.sign * float(np.exp(-self.theta * a) * (a + 1.0 / self.theta))
 
     def second_moment_abs_below(self, a: float) -> float:
         if a <= 0:
@@ -136,11 +120,11 @@ class TwoSidedExponentialJump:
     def validate(self):
         issues = []
         for name in ("theta_plus", "theta_minus"):
-            v = getattr(self, name)
-            issues += require_finite(v, name, "THETA_POSITIVE")
-            if np.isfinite(v) and v <= 0:
-                issues.append(Issue("THETA_POSITIVE", name, f"{name} must be > 0"))
-        if not 0.0 <= self.p_plus <= 1.0:
+            bad = require_finite(getattr(self, name), name, "THETA_POSITIVE")
+            if not bad and getattr(self, name) <= 0:
+                bad.append(Issue("THETA_POSITIVE", name, f"{name} must be > 0"))
+            issues += bad
+        if require_finite(self.p_plus, "p_plus", "PROB_RANGE") or not 0.0 <= self.p_plus <= 1.0:
             issues.append(Issue("PROB_RANGE", "p_plus", "p_plus must lie in [0, 1]"))
         return issues
 
@@ -158,14 +142,6 @@ class TwoSidedExponentialJump:
     def char(self, lam):
         up, dn = self._sides()
         return self.p_plus * up.char(lam) + (1 - self.p_plus) * dn.char(lam)
-
-    def prob_abs_above(self, a: float) -> float:
-        up, dn = self._sides()
-        return self.p_plus * up.prob_abs_above(a) + (1 - self.p_plus) * dn.prob_abs_above(a)
-
-    def mean_abs_above(self, a: float) -> float:
-        up, dn = self._sides()
-        return self.p_plus * up.mean_abs_above(a) + (1 - self.p_plus) * dn.mean_abs_above(a)
 
     def second_moment_abs_below(self, a: float) -> float:
         up, dn = self._sides()
@@ -226,23 +202,10 @@ class UniformJump:
         out[nz] = (np.exp(1j * ln * self.b) - np.exp(1j * ln * self.a)) / (1j * ln * (self.b - self.a))
         return out
 
-    def _clip_integral(self, lo, hi, power):
-        # int_{lo}^{hi} x^power dx / (b - a) restricted to [a, b]
-        lo = max(lo, self.a)
-        hi = min(hi, self.b)
-        if hi <= lo:
-            return 0.0
-        p = power + 1
-        return (hi ** p - lo ** p) / (p * (self.b - self.a))
-
-    def prob_abs_above(self, c: float) -> float:
-        return self._clip_integral(c, np.inf, 0) + self._clip_integral(-np.inf, -c, 0)
-
-    def mean_abs_above(self, c: float) -> float:
-        return self._clip_integral(c, np.inf, 1) + self._clip_integral(-np.inf, -c, 1)
-
     def second_moment_abs_below(self, c: float) -> float:
-        return self._clip_integral(-c, c, 2)
+        # int x^2 dx / (b - a) over [-c, c] restricted to [a, b]
+        lo, hi = max(-c, self.a), min(c, self.b)
+        return (hi ** 3 - lo ** 3) / (3 * (self.b - self.a)) if hi > lo else 0.0
 
     def positive_mass(self) -> bool:
         return self.b > 0

@@ -7,11 +7,16 @@ layers need:
   exponent, under the package-wide drift convention (see triplet module):
   finite-activity families enter uncompensated, infinite-activity families
   enter in the |x| <= 1 truncated form.
-* tail mass ``nu(|x| > 1)`` and tail mean ``int_{|x|>1} x nu(dx)``.
-* small-jump variance ``int_{|x|<=eps} x^2 nu(dx)`` and the partial mean
-  ``int_{lo<|x|<=hi} x nu(dx)`` used as the compensator adjustment when a
-  simulation cuts jumps below eps.
-* exact (or rejection) samplers for jumps above a cutoff.
+* ``jump_mean()``: what the jumps add to E[xi_1] under that convention, as
+  an extended real: ``int x nu(dx)`` for finite activity, the tail mean
+  ``int_{|x|>1} x nu(dx)`` for infinite activity.
+* ``compensator(eps)``: ``int_{eps<|x|<=1} x nu(dx)``, the drift a simulation
+  that cuts jumps below eps must take back out; 0 for the finite-activity
+  families, which are not compensated.
+* ``small_jump_variance(eps)``: ``int_{|x|<=eps} x^2 nu(dx)``.
+* ``default_cutoff(dt)``, ``rate_above(eps)`` and ``sample_jumps_above``:
+  the jumps a simulation at step dt resolves, their rate and an exact (or
+  rejection) sampler; the cutoff is 0 for finite activity.
 
 Power-law integrals against an exponential taper reduce to incomplete gamma
 functions; the upper one is extended to negative shape by the usual downward
@@ -87,19 +92,13 @@ class NoJumps:
     def char_integral(self, lam):
         return np.zeros_like(np.asarray(lam, dtype=float), dtype=complex)
 
-    def tail_mass(self) -> float:
+    def jump_mean(self) -> ExtendedReal:
+        return ExtendedReal.finite(0.0)
+
+    def compensator(self, eps: float) -> float:
         return 0.0
-
-    def tail_mean(self) -> ExtendedReal:
-        return ExtendedReal.finite(0.0)
-
-    def jump_mean_full(self) -> ExtendedReal:
-        return ExtendedReal.finite(0.0)
 
     def small_jump_variance(self, eps: float) -> float:
-        return 0.0
-
-    def inner_mean(self, lo: float, hi: float) -> float:
         return 0.0
 
     def rate_above(self, eps: float) -> float:
@@ -145,23 +144,17 @@ class CompoundPoisson:
     def char_integral(self, lam):
         return self.rate * (1.0 - self.jump_law.char(lam))
 
-    def tail_mass(self) -> float:
-        return self.rate * self.jump_law.prob_abs_above(1.0)
-
-    def tail_mean(self) -> ExtendedReal:
-        return ExtendedReal.finite(self.rate * self.jump_law.mean_abs_above(1.0))
-
-    def jump_mean_full(self) -> ExtendedReal:
+    def jump_mean(self) -> ExtendedReal:
         return ExtendedReal.finite(self.rate * self.jump_law.mean())
+
+    def compensator(self, eps: float) -> float:
+        return 0.0
 
     def small_jump_variance(self, eps: float) -> float:
         return self.rate * self.jump_law.second_moment_abs_below(eps)
 
-    def inner_mean(self, lo: float, hi: float) -> float:
-        return self.rate * (self.jump_law.mean_abs_above(lo) - self.jump_law.mean_abs_above(hi))
-
     def rate_above(self, eps: float) -> float:
-        return self.rate if eps <= 0 else self.rate * self.jump_law.prob_abs_above(eps)
+        return self.rate  # the cutoff is 0: every jump is resolved
 
     def sample_jumps_above(self, rng, eps: float, n: int):
         if eps > 0:
@@ -237,10 +230,7 @@ class StableLike:
         out = out + 1j * lam * (s * self.skew / (1.0 - a))
         return out
 
-    def tail_mass(self) -> float:
-        return self.scale / self.alpha
-
-    def tail_mean(self) -> ExtendedReal:
+    def jump_mean(self) -> ExtendedReal:
         if self.alpha > 1.0:
             return ExtendedReal.finite(self.scale * self.skew / (self.alpha - 1.0))
         if self.skew == 1.0:
@@ -252,16 +242,11 @@ class StableLike:
     def small_jump_variance(self, eps: float) -> float:
         return self.scale * eps ** (2.0 - self.alpha) / (2.0 - self.alpha)
 
-    def inner_mean(self, lo: float, hi: float) -> float:
-        if self.skew == 0.0 or hi <= lo:
+    def compensator(self, eps: float) -> float:
+        if self.skew == 0.0:  # always so at alpha = 1
             return 0.0
-        a = self.alpha
-        if a >= 1.0 and lo <= 0.0:
-            raise ValueError("inner mean diverges at 0 for alpha >= 1")
-        if a == 1.0:
-            return self.scale * self.skew * math.log(hi / lo)
-        p = 1.0 - a
-        return self.scale * self.skew * (hi ** p - lo ** p) / p
+        p = 1.0 - self.alpha  # for alpha > 1, eps = 0 (a divergent integral) raises
+        return self.scale * self.skew * (1.0 - eps ** p) / p
 
     def rate_above(self, eps: float) -> float:
         return self.scale * eps ** (-self.alpha) / self.alpha
@@ -311,10 +296,10 @@ class TemperedStable:
             issues.append(Issue("ALPHA_RANGE", "alpha",
                                 "alpha = 1 not supported for the tempered family"))
         for name, code in (("scale", "SCALE_POSITIVE"), ("tempering", "TEMPERING_POSITIVE")):
-            v = getattr(self, name)
-            issues += require_finite(v, name, code)
-            if math.isfinite(v) and v <= 0:
-                issues.append(Issue(code, name, f"{name} must be > 0"))
+            bad = require_finite(getattr(self, name), name, code)
+            if not bad and getattr(self, name) <= 0:
+                bad.append(Issue(code, name, f"{name} must be > 0"))
+            issues += bad
         issues += require_finite(self.skew, "skew", "SKEW_RANGE")
         if not any(i.field == "skew" for i in issues) and not -1.0 <= self.skew <= 1.0:
             issues.append(Issue("SKEW_RANGE", "skew", "skew must lie in [-1, 1]"))
@@ -340,10 +325,7 @@ class TemperedStable:
         t1 = s * self.skew * th ** (a - 1.0) * upper_gamma(1.0 - a, th)
         return base - 1j * lam * t1
 
-    def tail_mass(self) -> float:
-        return self.scale * self.tempering ** self.alpha * upper_gamma(-self.alpha, self.tempering)
-
-    def tail_mean(self) -> ExtendedReal:
+    def jump_mean(self) -> ExtendedReal:
         th, a = self.tempering, self.alpha
         return ExtendedReal.finite(self.scale * self.skew * th ** (a - 1.0)
                                    * upper_gamma(1.0 - a, th))
@@ -352,16 +334,14 @@ class TemperedStable:
         th, a = self.tempering, self.alpha
         return self.scale * th ** (a - 2.0) * lower_gamma(2.0 - a, th * eps)
 
-    def inner_mean(self, lo: float, hi: float) -> float:
-        if self.skew == 0.0 or hi <= lo:
+    def compensator(self, eps: float) -> float:
+        if self.skew == 0.0:
             return 0.0
         th, a = self.tempering, self.alpha
         if a < 1.0:
-            val = lower_gamma(1.0 - a, th * hi) - lower_gamma(1.0 - a, th * lo)
-        else:
-            if lo <= 0.0:
-                raise ValueError("inner mean diverges at 0 for alpha >= 1")
-            val = upper_gamma(1.0 - a, th * lo) - upper_gamma(1.0 - a, th * hi)
+            val = lower_gamma(1.0 - a, th) - lower_gamma(1.0 - a, th * eps)
+        else:  # upper_gamma refuses eps <= 0, where the compensator diverges
+            val = upper_gamma(1.0 - a, th * eps) - upper_gamma(1.0 - a, th)
         return self.scale * self.skew * th ** (a - 1.0) * val
 
     def rate_above(self, eps: float) -> float:
@@ -391,8 +371,7 @@ class TemperedStable:
 
     def default_cutoff(self, dt: float) -> float:
         # the untapered rate bounds the tapered one, so the stable budget works
-        proxy = StableLike(self.alpha, self.scale, self.skew if self.alpha != 1 else 0.0)
-        return proxy.default_cutoff(dt)
+        return StableLike(self.alpha, self.scale, self.skew).default_cutoff(dt)
 
     def has_positive_jumps(self) -> bool:
         return self.skew > -1.0

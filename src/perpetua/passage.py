@@ -187,12 +187,8 @@ def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: flo
 
 
 def _default_cap(triplet: LevyTriplet, level: float) -> float:
-    mean = triplet.mean()
-    if not mean.is_finite_positive:
-        raise PreconditionViolation(
-            "MEAN_RANGE", "passage cap needs a finite positive mean (or pass cap explicitly)"
-        )
-    return 10.0 * level / mean.as_float()
+    """10 level / mu: a passage not seen by then counts as not reached."""
+    return 10.0 * level / triplet.positive_mean("passage cap")
 
 
 def _scan_for_crossing(engine: StepEngine, rng, x0: float, level: float, n_total: int):
@@ -278,12 +274,9 @@ def overshoot_ensemble(
     derive_seed(seed, "overshoot", i).  A path stalls when it has not
     crossed by time 10 level / mu.
     """
-    mean = triplet.mean()
-    if not mean.is_finite_positive:
-        raise PreconditionViolation("MEAN_RANGE", "overshoot ensemble needs mean in (0, inf)")
+    cap = _default_cap(triplet, level)
     if not level > 0.0:
         raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
-    cap = 10.0 * level / mean.as_float()
     if _event_driven(triplet):
         rng = stream(derive_seed(seed, "overshoot"))
         times, out, drawn = _event_passages(triplet, level, np.zeros(n), cap, rng)
@@ -318,10 +311,7 @@ def stationary_overshoot(
     Returns (distribution, self-check KS vs the ensemble at half the level,
     level used); the caller decides whether the self-check is close enough.
     """
-    mean = triplet.mean()
-    if not mean.is_finite_positive:
-        raise PreconditionViolation("MEAN_RANGE", "stationary overshoot needs mean in (0, inf)")
-    mu = mean.as_float()
+    mu = triplet.positive_mean("stationary overshoot")
     if level is None:
         sigma_eff = math.sqrt(triplet.effective_volatility_sq())
         level = max(100.0 * sigma_eff / mu, 1.0)

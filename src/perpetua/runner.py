@@ -14,10 +14,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import harness
-from .checks import CHECKS, Check, _write_finiteness_csv, resolve
+from .checks import CHECKS, Check, resolve
 from .config import ExperimentConfig
 from .errors import PerpetuaError, PreconditionViolation
 
@@ -27,14 +25,9 @@ __all__ = ["run_experiment", "write_report", "simulate_paths"]
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
-    checks: list[str] | None = None,
     threads: int = 1,
 ) -> tuple[dict, int]:
-    """Run the selected checks and return (report, exit_code)."""
-    selected = list(checks) if checks is not None else list(config.checks)
-    unknown = [c for c in selected if c not in CHECKS]
-    if unknown:
-        raise PreconditionViolation("UNKNOWN_CHECK", ", ".join(unknown))
+    """Run the checks the config lists and return (report, exit_code)."""
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -45,7 +38,7 @@ def run_experiment(
     report: dict = {"config": config.to_dict(), "checks": []}
     durations = {}
     for check in CHECKS.values():
-        if check.key in selected:
+        if check.key in config.checks:
             check_started = time.monotonic()
             report["checks"].append(_run_one(check, config, threads, out, report))
             durations[check.key] = time.monotonic() - check_started
@@ -73,7 +66,7 @@ def run_experiment(
             "check_duration_seconds": durations,
             "threads": threads,
             "version": __version__,
-            "checks_run": selected,
+            "checks_run": list(config.checks),
         }
         (out / "metadata.json").write_text(
             json.dumps(metadata, indent=2, sort_keys=True) + "\n"
@@ -111,13 +104,10 @@ def simulate_paths(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
         path, partial = harness.finiteness_path(config, i)
         partials.append(partial)
         csv_path = out / f"path_{i:04d}.csv"
-        lines = ["time,value"] + [
-            f"{float(t)!r},{float(v)!r}" for t, v in zip(path.times, path.values)
-        ]
-        csv_path.write_text("\n".join(lines) + "\n")
+        harness.write_csv(csv_path, "time,value", zip(path.times, path.values))
         written.append(csv_path)
 
     table = out / "partial_integrals.csv"
-    _write_finiteness_csv(table, np.asarray(partials), config.checkpoints)
+    harness.write_partials_csv(table, partials, config.checkpoints)
     written.append(table)
     return written

@@ -3,13 +3,14 @@
 Increments follow the usual splitting: linear drift, Brownian part, all jumps
 with magnitude above the cutoff eps placed at exact (uniform-in-step) times,
 and a mean-zero Gaussian surrogate for the discarded small jumps whose variance
-matches int_{|x|<=eps} x^2 nu(dx).  For infinite-activity families the drift
-is compensator-adjusted (the characteristic exponent compensates jumps in
-(eps, 1], so their raw simulation must subtract that mean); finite-activity
-families simulate their jumps uncompensated and keep the drift as given.
-The cutoff is always the measure's default_cutoff(dt): 0 for finite activity,
-so every jump is drawn exactly; for infinite activity it is chosen from dt so
-that about 0.5 jumps per step are resolved (StepEngine refuses more).
+matches int_{|x|<=eps} x^2 nu(dx).  The drift is reduced by the measure's
+compensator(eps) = int_{eps<|x|<=1} x nu(dx): the characteristic exponent
+compensates jumps in (eps, 1], so their raw simulation must subtract that
+mean.  Finite-activity families are not compensated (their compensator is 0)
+and keep the drift as given.  The cutoff is always the measure's
+default_cutoff(dt): 0 for finite activity, so every jump is drawn exactly;
+for infinite activity it is chosen from dt so that about 0.5 jumps per step
+are resolved (StepEngine refuses more).
 
 The deterministic part of a path is drift_eff * times computed by
 multiplication, not by accumulation, so a pure drift path reproduces the
@@ -82,11 +83,8 @@ class StepEngine:
             raise StepTooCoarse(
                 f"{self.rate * dt:.3g} expected jumps per step; need rate*dt <= 0.5"
             )
-        self.drift_eff = triplet.drift
-        if not nu.is_finite_activity:
-            self.drift_eff -= nu.inner_mean(cutoff, 1.0)
+        self.drift_eff = triplet.drift - nu.compensator(cutoff)
         self.sd_step = math.sqrt((triplet.gaussian_coef + nu.small_jump_variance(cutoff)) * dt)
-        self._sample_eps = 0.0 if nu.is_finite_activity else cutoff
 
     def draw(self, rng: np.random.Generator, n: int):
         """n steps of randomness: (continuous part, step jump sums, jump detail).
@@ -100,7 +98,7 @@ class StepEngine:
             return cont, np.zeros(n), (np.empty(0), np.empty(0))
         counts = rng.poisson(self.rate * self.dt, n)
         total = int(counts.sum())
-        sizes = np.asarray(nu.sample_jumps_above(rng, self._sample_eps, total), dtype=float)
+        sizes = np.asarray(nu.sample_jumps_above(rng, self.cutoff, total), dtype=float)
         offsets = rng.random(total)
         step_of = np.repeat(np.arange(n), counts)
         jump_pos = step_of + offsets  # in units of dt

@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import NonFiniteParameter
-from .validation import Issue, require_finite
+from .validation import Issue, finite_real, require_finite
 
 __all__ = [
     "ExpDecay",
@@ -227,24 +227,26 @@ class Tabulated:
 
     def validate(self) -> list[Issue]:
         issues: list[Issue] = []
-        k = np.asarray(self.knots, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if k.size < 2:
+        if len(self.knots) < 2:
             issues.append(Issue("KNOTS_COUNT", "knots", "need at least 2 knots"))
-        if k.size != v.size:
+        if len(self.knots) != len(self.values):
             issues.append(Issue("SHAPE_MISMATCH", "values", "one value per knot"))
         if issues:
             return issues
-        if not np.all(np.isfinite(k)) or not np.all(np.isfinite(v)):
-            issues.append(Issue("TABLE_NONFINITE", "knots", "knots and values must be finite"))
+        if any(finite_real(x) is None for x in (*self.knots, *self.values)):
+            issues.append(Issue("TABLE_NONFINITE", "knots",
+                                "knots and values must be finite numbers"))
             return issues
+        k = np.asarray(self.knots, dtype=float)
+        v = np.asarray(self.values, dtype=float)
         if np.any(np.diff(k) <= 0.0):
             issues.append(Issue("KNOTS_ORDER", "knots", "knots must be strictly increasing"))
         if np.any(v < 0.0):
             issues.append(Issue("VALUES_NEGATIVE", "values", "f must be >= 0"))
         if self.tail_model not in ("zero", "exp"):
             issues.append(Issue("TAIL_MODEL", "tail_model", "tail_model must be 'zero' or 'exp'"))
-        elif self.tail_model == "exp" and not (self.tail_rate > 0.0 and math.isfinite(self.tail_rate)):
+        elif self.tail_model == "exp" and (require_finite(self.tail_rate, "tail_rate", "TAIL_RATE")
+                                           or self.tail_rate <= 0.0):
             issues.append(Issue("TAIL_RATE", "tail_rate", "exp tail needs rate > 0"))
         return issues
 
@@ -388,8 +390,8 @@ def test_function_from_dict(payload: dict) -> TestFunction:
     elif family == "sum":
         params["parts"] = tuple(test_function_from_dict(p) for p in params["parts"])
     elif family == "tabulated":
-        params["knots"] = tuple(float(k) for k in params["knots"])
-        params["values"] = tuple(float(v) for v in params["values"])
+        params["knots"] = tuple(params["knots"])
+        params["values"] = tuple(params["values"])
     f = _FAMILIES[family](**params)
     issues = f.validate()
     if issues:

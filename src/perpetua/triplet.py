@@ -20,21 +20,25 @@ the drift field differently:
   compensated and ``drift`` is the linear term of the truncated
   representation.
 
-Under either reading the mean of xi_1 is drift plus the appropriate jump
-mean: the full jump mean for finite activity, the |x| > 1 tail mean for
-infinite activity (compensated small jumps contribute nothing).
+Under either reading the mean of xi_1 is drift plus the measure's
+jump_mean(): the full jump mean for finite activity, the |x| > 1 tail mean
+for infinite activity (compensated small jumps contribute nothing).  The
+slope of the path between jumps is drift minus the measure's
+compensator(0), which is 0 for finite activity.
+
+The theorem's first hypothesis, a mean in (0, inf), is checked in one place:
+positive_mean(what) returns mu or raises the MEAN_RANGE precondition.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteParameter
+from .errors import NonFiniteParameter, PreconditionViolation
 from .extended import ExtendedReal
 from .measures import LevyMeasureSpec, NoJumps, measure_from_dict
 from .validation import Issue, require_finite
@@ -73,10 +77,11 @@ class LevyTriplet:
     def validate(self) -> list[Issue]:
         """Collect machine-readable parameter problems; empty list means valid."""
         issues = require_finite(self.drift, "drift", "NONFINITE_DRIFT")
-        issues += require_finite(self.gaussian_coef, "gaussian_coef", "NEGATIVE_GAUSSIAN")
-        if math.isfinite(self.gaussian_coef) and self.gaussian_coef < 0:
-            issues.append(Issue("NEGATIVE_GAUSSIAN", "gaussian_coef",
-                                "gaussian coefficient must be >= 0"))
+        bad = require_finite(self.gaussian_coef, "gaussian_coef", "NEGATIVE_GAUSSIAN")
+        if not bad and self.gaussian_coef < 0:
+            bad.append(Issue("NEGATIVE_GAUSSIAN", "gaussian_coef",
+                             "gaussian coefficient must be >= 0"))
+        issues += bad
         issues += self.levy_measure.validate()
         return issues
 
@@ -108,18 +113,20 @@ class LevyTriplet:
     def mean(self) -> ExtendedReal:
         """E[xi_1] as an extended real; infinite tails are reported, not faked."""
         self._require_valid()
-        nu = self.levy_measure
-        jump = nu.jump_mean_full() if nu.is_finite_activity else nu.tail_mean()
-        return jump.shifted(self.drift)
+        return self.levy_measure.jump_mean().shifted(self.drift)
+
+    def positive_mean(self, what: str) -> float:
+        """mu = E[xi_1] when it lies in (0, inf); else MEAN_RANGE, saying what needed it."""
+        mean = self.mean()
+        if not mean.is_finite_positive:
+            raise PreconditionViolation("MEAN_RANGE", f"{what} needs mean in (0, inf)")
+        return mean.as_float()
 
     def natural_drift(self) -> float:
         """Slope of the path between jumps; defined for finite-variation processes."""
-        nu = self.levy_measure
-        if nu.is_finite_activity:
-            return self.drift
-        if not nu.finite_variation:
+        if not self.levy_measure.finite_variation:
             raise ValueError("no pathwise drift for infinite-variation jump part")
-        return self.drift - nu.inner_mean(0.0, 1.0)
+        return self.drift - self.levy_measure.compensator(0.0)
 
     def effective_volatility_sq(self) -> float:
         """sigma^2 + int_{|x|<=1} x^2 nu(dx): the scale used for rule-of-thumb horizons."""
@@ -131,7 +138,7 @@ class LevyTriplet:
         mean = self.mean()
 
         pure_jump = self.gaussian_coef == 0.0 and nu.is_finite_activity \
-            and nu.tail_mass() + nu.rate_above(0.0) > 0.0
+            and nu.rate_above(0.0) > 0.0
         is_cp = pure_jump and self.drift == 0.0
 
         if self.gaussian_coef > 0.0 or nu.has_negative_jumps() or not nu.finite_variation:
@@ -162,11 +169,13 @@ class LevyTriplet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LevyTriplet":
-        t = cls(drift=float(d["drift"]),
-                gaussian_coef=float(d.get("gaussian", 0.0)),
-                levy_measure=measure_from_dict(d.get("levy_measure",
-                                                     {"family": "none", "params": {}})))
-        issues = t.validate()
+        measure, measure_issues = NoJumps(), []
+        try:
+            measure = measure_from_dict(d.get("levy_measure", {"family": "none", "params": {}}))
+        except NonFiniteParameter as exc:  # listed with the drift's and gaussian's problems
+            measure_issues = exc.issues
+        t = cls(drift=d["drift"], gaussian_coef=d.get("gaussian", 0.0), levy_measure=measure)
+        issues = t.validate() + measure_issues
         if issues:
             raise NonFiniteParameter(issues)
         return t

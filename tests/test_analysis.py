@@ -426,6 +426,8 @@ class TestMemo:
     def test_keyword_calls(self, cold_memo):
         assert local_time_criterion(triplet=BM_DRIFT) is local_time_criterion(BM_DRIFT) \
             is LocalTimeDecision.HAS_LOCAL_TIMES
+        info = local_time_criterion.cache_info()
+        assert (info.hits, info.misses) == (1, 1)  # one entry for both spellings
         assert tail_integral_test(f=ExpDecay(1.0)) == tail_integral_test(ExpDecay(1.0))
         by_list = Tabulated([0.0, 1.0, 2.0], [0.5, 1.0, 0.0])
         assert tail_integral_test(f=by_list) == \

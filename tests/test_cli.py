@@ -120,6 +120,32 @@ class TestExitCodes:
             assert problem in err
         assert "Traceback" not in err
 
+    def test_family_numbers_written_as_strings_or_booleans_are_refused(self, tmp_path, capsys):
+        # the same test of a number as above, inside the triplet and f
+        cp = {"family": "compound_poisson", "params": {
+            "rate": 1.0, "jump_law": {"kind": "exponential", "theta": "2.0", "sign": 1}}}
+        cases = [
+            ({"triplet": {"drift": "1.0"}}, "drift must be a finite number, got '1.0'"),
+            ({"triplet": {"drift": 1.0, "gaussian": True}},
+             "gaussian_coef must be a finite number, got True"),
+            ({"f": {"family": "indicator", "params": {"a": "0", "b": "5"}}},
+             "a must be a finite number, got '0'; B_NONFINITE: b must be a finite number, got '5'"),
+            ({"triplet": {"drift": 1.0, "levy_measure": cp}},
+             "theta must be a finite number, got '2.0'"),
+        ]
+        for overrides, fragment in cases:
+            assert main(["verdict", "--config", write_config(tmp_path, **overrides)]) == 2
+            err = capsys.readouterr().err
+            assert fragment in err and "Traceback" not in err
+        together = write_config(
+            tmp_path, triplet={"drift": "1.0", "gaussian": True, "levy_measure": cp},
+            f=cases[2][0]["f"])
+        assert main(["verdict", "--config", together]) == 2
+        err = capsys.readouterr().err
+        for fragment in ("triplet: NONFINITE_DRIFT", "gaussian_coef must be", "theta must be",
+                         "f: A_NONFINITE"):
+            assert fragment in err
+
     @pytest.mark.parametrize("argv", [
         ["verdict", "--seed", "3"], ["classify", "--out", "x"],
         ["verify", "--format", "csv"], ["simulate", "--out", "x", "--threads", "2"],

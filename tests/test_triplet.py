@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from perpetua import (
     CompoundPoisson,
     ConstantJump,
     ExponentialJump,
     LevyTriplet,
+    NoJumps,
     NonFiniteParameter,
     StableLike,
     TemperedStable,
@@ -135,6 +137,58 @@ class TestMean:
         assert not flags.mean_is_finite_positive
 
 
+def _levy_density(nu):
+    """x -> nu(dx)/dx for a StableLike or TemperedStable measure, x != 0."""
+    taper = getattr(nu, "tempering", 0.0)
+
+    def density(x):
+        side = 0.5 * (1.0 + nu.skew) if x > 0 else 0.5 * (1.0 - nu.skew)
+        return nu.scale * side * abs(x) ** (-1.0 - nu.alpha) * math.exp(-taper * abs(x))
+    return density
+
+
+def _first_moment(nu, lo, hi):
+    """int_{lo<|x|<=hi} x nu(dx) by scipy quad, each side on its own."""
+    density = _levy_density(nu)
+    return sum(quad(lambda x: x * density(x), a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+               for a, b in ((lo, hi), (-hi, -lo)))
+
+
+class TestMeasureIntegrals:
+    """compensator(eps) and jump_mean() against quadrature of the Levy density."""
+
+    MEASURES = [
+        StableLike(0.6, 1.3, 0.4),
+        StableLike(1.5, 0.7, -0.7),
+        TemperedStable(0.7, 1.0, 1.5, 0.3),
+        TemperedStable(1.4, 0.8, 2.0, -0.6),
+    ]
+
+    @pytest.mark.parametrize("nu", MEASURES)
+    @pytest.mark.parametrize("eps", [1e-3, 0.05, 0.5])
+    def test_compensator(self, nu, eps):
+        assert nu.compensator(eps) == pytest.approx(_first_moment(nu, eps, 1.0), rel=1e-8)
+
+    @pytest.mark.parametrize("nu", [m for m in MEASURES if m.alpha < 1.0])
+    def test_compensator_at_zero_for_finite_variation(self, nu):
+        assert nu.compensator(0.0) == pytest.approx(_first_moment(nu, 0.0, 1.0), rel=1e-6)
+
+    @pytest.mark.parametrize("nu", [m for m in MEASURES if m.jump_mean().is_finite])
+    def test_jump_mean_is_the_tail_mean(self, nu):
+        assert nu.jump_mean().as_float() == pytest.approx(_first_moment(nu, 1.0, math.inf),
+                                                          rel=1e-8)
+
+    @pytest.mark.parametrize("skew, kind", [(0.4, "undefined"), (1.0, "+inf"), (-1.0, "-inf")])
+    def test_stable_jump_mean_below_alpha_one(self, skew, kind):
+        assert StableLike(0.6, 1.3, skew).jump_mean().kind == kind
+
+    def test_finite_activity_is_not_compensated(self):
+        cp = CompoundPoisson(2.0, TwoSidedExponentialJump(1.0, 3.0, 0.4))
+        assert cp.compensator(0.0) == NoJumps().compensator(0.0) == 0.0
+        assert cp.jump_mean().as_float() == pytest.approx(2.0 * (0.4 - 0.6 / 3.0))
+        assert NoJumps().jump_mean().as_float() == 0.0
+
+
 class TestStructure:
     def test_compound_poisson_flag_requires_zero_drift(self):
         cp = CompoundPoisson(1.0, ExponentialJump(1.0, 1))
@@ -152,7 +206,7 @@ class TestStructure:
         # one-sided alpha = 0.5 jumps have finite variation; the pathwise
         # slope subtracts the small-jump compensator baked into drift
         nu = StableLike(0.5, 1.0, 1.0)
-        t = LevyTriplet(nu.inner_mean(0.0, 1.0) + 1.0, 0.0, nu)
+        t = LevyTriplet(nu.compensator(0.0) + 1.0, 0.0, nu)
         assert t.natural_drift() == pytest.approx(1.0)
         assert t.classify().is_subordinator
 
