@@ -25,9 +25,11 @@ triplet and tail_integral_test per test function (its Scaled and SumOf
 recursion hits the cache for the inner functions too); perpetual_verdict
 combines the cached answers without a cache of its own.  Triplets,
 measures, jump laws and test functions are frozen dataclasses that hash by
-value.  Each cache keeps at most _MEMO_SIZE entries; a refused bound is
-cached as its error and raised afresh on every call.  Arguments that cannot
-be hashed (a Tabulated built from lists) run uncached.
+value (a Tabulated or SumOf built from lists stores tuples, so it hashes
+and shares the entry of its tuple-built twin).  Each cache keeps at most
+_MEMO_SIZE entries; a refused bound is cached as its error and raised afresh
+on every call.  Every input was checked when it was built, so no routine
+here validates it again.
 
 The sup bound is one integral: sup u = u(0) = 1/(2 mu) + (1/pi) int_0^inf
 Re(1/Psi(r)) dr, plus 1/(2|d|) for finite variation without a Gaussian part
@@ -110,7 +112,7 @@ _MEMO_SIZE = 256
 
 
 def _memoized(fn):
-    """lru_cache(_MEMO_SIZE) on fn; calls with unhashable arguments run uncached.
+    """lru_cache(_MEMO_SIZE) on fn.
 
     Arguments are bound to fn's signature first, so a keyword call and a
     positional call with equal values share one cache entry.
@@ -122,10 +124,6 @@ def _memoized(fn):
     def call(*args, **kwargs):
         if kwargs:  # about 5 us, so positional calls skip it
             args = signature.bind(*args, **kwargs).args
-        try:
-            hash(args)
-        except TypeError:
-            return fn(*args)
         return cached(*args)
 
     call.cache_info = cached.cache_info
@@ -250,10 +248,6 @@ def local_time_criterion(triplet: LevyTriplet) -> LocalTimeDecision:
     they do not; the band between, a margin of 0.05 either side of -1, is
     UNDECIDED.
     """
-    issues = triplet.validate()
-    if issues:
-        raise NonFiniteParameter(issues)
-
     def integrand(r: np.ndarray) -> np.ndarray:
         psi = triplet.char_exponent(r)
         return (1.0 / (1.0 + psi)).real
@@ -309,9 +303,6 @@ def potential_density(triplet: LevyTriplet, grid) -> PotentialDensity:
     At points where u jumps (x = 0 for processes started continuously) the
     inversion returns the midpoint of the two one-sided limits.
     """
-    issues = triplet.validate()
-    if issues:
-        raise NonFiniteParameter(issues)
     require_local_times(triplet, "potential density")
     mu = triplet.positive_mean("potential density")
 
@@ -478,10 +469,6 @@ def tail_integral_test(f: TestFunction) -> ConvergenceDecision:
     Combinators are decided componentwise: a positive sum converges iff
     every summand does, and scaling by c > 0 never changes the verdict.
     """
-    issues = f.validate()
-    if issues:
-        raise EvaluationError(f"invalid test function: {issues}")
-
     if isinstance(f, Scaled):
         inner = tail_integral_test(f.inner)
         return ConvergenceDecision(
@@ -608,13 +595,8 @@ def perpetual_verdict(triplet: LevyTriplet, f: TestFunction) -> VerdictReport:
     AS_FINITE / AS_INFINITE when the hypotheses hold (not compound Poisson,
     local times exist, mean in (0, inf)) and the tail test is decisive;
     UNDECIDED otherwise with the first failing hypothesis named, checked in
-    that order.  Inputs must be valid; hypothesis failures are reported, not
-    raised.
+    that order.  Hypothesis failures are reported, not raised.
     """
-    issues = triplet.validate()
-    if issues:
-        raise NonFiniteParameter(issues)
-
     flags = triplet.classify()
     try:
         lt = local_time_criterion(triplet)

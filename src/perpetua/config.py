@@ -87,8 +87,8 @@ class ExperimentConfig:
         f = None
         try:
             f = test_function_from_dict(d["f"])
-        except KeyError as exc:
-            problems.append("f: missing" if exc.args == ("f",) else f"f: {exc}")
+        except KeyError:
+            problems.append("f: missing")
         except (NonFiniteParameter, TypeError, ValueError) as exc:
             problems.append(f"f: {exc}")
 

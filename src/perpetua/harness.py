@@ -25,7 +25,6 @@ from .rng import derive_seed, stream
 from .simulate import local_time_field, perpetual_estimate, sample_path
 from .passage import stationary_overshoot, overshoot_ensemble
 from .stats import ks_critical, ks_two_sample
-from .testfunctions import TestFunction
 from .triplet import LevyTriplet
 
 __all__ = [

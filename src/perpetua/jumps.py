@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteParameter
-from .validation import Issue, require_finite
+from .validation import Issue, Validated, json_object, require_finite, require_positive
 
 __all__ = [
     "JumpLaw",
@@ -26,7 +26,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConstantJump:
+class ConstantJump(Validated):
     """Every jump has the fixed size c (c may be negative)."""
 
     size: float
@@ -62,7 +62,7 @@ class ConstantJump:
 
 
 @dataclass(frozen=True)
-class ExponentialJump:
+class ExponentialJump(Validated):
     """One-sided exponential jumps: |J| ~ Exp(theta), sign fixed by `sign`."""
 
     theta: float
@@ -71,9 +71,7 @@ class ExponentialJump:
     kind = "exponential"
 
     def validate(self):
-        issues = require_finite(self.theta, "theta", "THETA_POSITIVE")
-        if not issues and self.theta <= 0:
-            issues.append(Issue("THETA_POSITIVE", "theta", "theta must be > 0"))
+        issues = require_positive(self.theta, "theta", "THETA_POSITIVE")
         if require_finite(self.sign, "sign", "SIGN_VALUE") or self.sign not in (-1, 1):
             issues.append(Issue("SIGN_VALUE", "sign", "sign must be +1 or -1"))
         return issues
@@ -108,7 +106,7 @@ class ExponentialJump:
 
 
 @dataclass(frozen=True)
-class TwoSidedExponentialJump:
+class TwoSidedExponentialJump(Validated):
     """Mixture: +Exp(theta_plus) w.p. p_plus, -Exp(theta_minus) otherwise."""
 
     theta_plus: float
@@ -118,12 +116,8 @@ class TwoSidedExponentialJump:
     kind = "two_sided_exponential"
 
     def validate(self):
-        issues = []
-        for name in ("theta_plus", "theta_minus"):
-            bad = require_finite(getattr(self, name), name, "THETA_POSITIVE")
-            if not bad and getattr(self, name) <= 0:
-                bad.append(Issue("THETA_POSITIVE", name, f"{name} must be > 0"))
-            issues += bad
+        issues = require_positive(self.theta_plus, "theta_plus", "THETA_POSITIVE")
+        issues += require_positive(self.theta_minus, "theta_minus", "THETA_POSITIVE")
         if require_finite(self.p_plus, "p_plus", "PROB_RANGE") or not 0.0 <= self.p_plus <= 1.0:
             issues.append(Issue("PROB_RANGE", "p_plus", "p_plus must lie in [0, 1]"))
         return issues
@@ -167,7 +161,7 @@ class TwoSidedExponentialJump:
 
 
 @dataclass(frozen=True)
-class UniformJump:
+class UniformJump(Validated):
     """Jump sizes uniform on [a, b]."""
 
     a: float
@@ -228,12 +222,8 @@ _LAWS = {cls.kind: cls for cls in
 
 def jump_law_from_dict(d: dict) -> JumpLaw:
     try:
-        cls = _LAWS[d["kind"]]
+        cls = _LAWS[json_object(d, "jump_law")["kind"]]
     except KeyError as e:
         raise NonFiniteParameter([Issue("JUMP_KIND", "kind",
                                         f"unknown jump law {d.get('kind')!r}")]) from e
-    law = cls(**{k: v for k, v in d.items() if k != "kind"})
-    issues = law.validate()
-    if issues:
-        raise NonFiniteParameter(issues)
-    return law
+    return cls(**{k: v for k, v in d.items() if k != "kind"})

@@ -31,9 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1, gamma as gamma_fn, gammainc
 
+from .errors import NonFiniteParameter
 from .extended import ExtendedReal
 from .jumps import JumpLaw, jump_law_from_dict
-from .validation import Issue, require_finite
+from .validation import (Issue, Validated, json_field, json_object, require_finite,
+                         require_positive)
 
 __all__ = [
     "LevyMeasureSpec",
@@ -79,7 +81,7 @@ def _alpha_issues(alpha, lo=0.0, hi=2.0):
 
 
 @dataclass(frozen=True)
-class NoJumps:
+class NoJumps(Validated):
     """Empty Levy measure: Brownian motion with drift, or pure drift."""
 
     kind = "none"
@@ -121,7 +123,7 @@ class NoJumps:
 
 
 @dataclass(frozen=True)
-class CompoundPoisson:
+class CompoundPoisson(Validated):
     """Finitely many jumps per unit time: rate * law(dx).
 
     Enters the characteristic exponent uncompensated, so the companion drift
@@ -136,10 +138,7 @@ class CompoundPoisson:
     finite_variation = True
 
     def validate(self):
-        issues = require_finite(self.rate, "rate", "RATE_POSITIVE")
-        if not issues and self.rate <= 0:
-            issues.append(Issue("RATE_POSITIVE", "rate", "rate must be > 0"))
-        return issues + self.jump_law.validate()
+        return require_positive(self.rate, "rate", "RATE_POSITIVE")
 
     def char_integral(self, lam):
         return self.rate * (1.0 - self.jump_law.char(lam))
@@ -180,7 +179,7 @@ def _stable_sided_weights(skew: float):
 
 
 @dataclass(frozen=True)
-class StableLike:
+class StableLike(Validated):
     """Pure power-law Levy density scale * |x|^{-1-alpha}, sides weighted by skew.
 
     nu(dx) = scale * (p+ 1_{x>0} + p- 1_{x<0}) |x|^{-1-alpha} dx,
@@ -204,9 +203,7 @@ class StableLike:
 
     def validate(self):
         issues = _alpha_issues(self.alpha)
-        issues += require_finite(self.scale, "scale", "SCALE_POSITIVE")
-        if not any(i.field == "scale" for i in issues) and self.scale <= 0:
-            issues.append(Issue("SCALE_POSITIVE", "scale", "scale must be > 0"))
+        issues += require_positive(self.scale, "scale", "SCALE_POSITIVE")
         issues += require_finite(self.skew, "skew", "SKEW_RANGE")
         if not any(i.field == "skew" for i in issues) and not -1.0 <= self.skew <= 1.0:
             issues.append(Issue("SKEW_RANGE", "skew", "skew must lie in [-1, 1]"))
@@ -274,7 +271,7 @@ class StableLike:
 
 
 @dataclass(frozen=True)
-class TemperedStable:
+class TemperedStable(Validated):
     """Power-law density with exponential taper exp(-tempering * |x|).
 
     All moments are finite.  The characteristic integral uses the analytic
@@ -295,11 +292,8 @@ class TemperedStable:
         if self.alpha == 1.0:
             issues.append(Issue("ALPHA_RANGE", "alpha",
                                 "alpha = 1 not supported for the tempered family"))
-        for name, code in (("scale", "SCALE_POSITIVE"), ("tempering", "TEMPERING_POSITIVE")):
-            bad = require_finite(getattr(self, name), name, code)
-            if not bad and getattr(self, name) <= 0:
-                bad.append(Issue(code, name, f"{name} must be > 0"))
-            issues += bad
+        issues += require_positive(self.scale, "scale", "SCALE_POSITIVE")
+        issues += require_positive(self.tempering, "tempering", "TEMPERING_POSITIVE")
         issues += require_finite(self.skew, "skew", "SKEW_RANGE")
         if not any(i.field == "skew" for i in issues) and not -1.0 <= self.skew <= 1.0:
             issues.append(Issue("SKEW_RANGE", "skew", "skew must lie in [-1, 1]"))
@@ -391,21 +385,18 @@ _FAMILIES = {cls.kind: cls for cls in
 
 
 def measure_from_dict(d: dict) -> LevyMeasureSpec:
-    from .errors import NonFiniteParameter
-    family = d.get("family")
-    params = dict(d.get("params", {}))
+    family = json_object(d, "levy_measure").get("family")
+    params = dict(json_object(d.get("params", {}), "params"))
     if family == "spectrally_negative_stable":
         # an alias: {alpha, scale} with alpha in (1, 2) is StableLike at skew -1
         spec = StableLike(**params, skew=-1.0)
-        issues = spec.validate() or _alpha_issues(spec.alpha, lo=1.0, hi=2.0)
-    elif family in _FAMILIES:
-        if family == "compound_poisson":
-            params["jump_law"] = jump_law_from_dict(params["jump_law"])
-        spec = _FAMILIES[family](**params)
-        issues = spec.validate()
-    else:
+        issues = _alpha_issues(spec.alpha, lo=1.0, hi=2.0)
+        if issues:
+            raise NonFiniteParameter(issues)
+        return spec
+    if family not in _FAMILIES:
         raise NonFiniteParameter([Issue("FAMILY_UNKNOWN", "family",
                                         f"unknown Levy measure family {family!r}")])
-    if issues:
-        raise NonFiniteParameter(issues)
-    return spec
+    if family == "compound_poisson":
+        params["jump_law"] = jump_law_from_dict(json_field(params, "jump_law"))
+    return _FAMILIES[family](**params)

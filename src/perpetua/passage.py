@@ -134,7 +134,7 @@ def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: flo
     drift = triplet.drift
     nu = triplet.levy_measure
     rate = nu.rate_above(0.0)
-    mu = triplet.mean().as_float()  # validates the triplet
+    mu = triplet.mean().as_float()
     if rate == 0.0:
         if drift > 0.0:
             t = (level - x0) / drift

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthTooSmall, NonFiniteParameter, PreconditionViolation, StepTooCoarse
+from .errors import BandwidthTooSmall, PreconditionViolation, StepTooCoarse
 from .rng import stream
 from .testfunctions import TestFunction
 from .triplet import LevyTriplet
@@ -67,9 +67,6 @@ class StepEngine:
     """
 
     def __init__(self, triplet: LevyTriplet, dt: float):
-        issues = triplet.validate()
-        if issues:
-            raise NonFiniteParameter(issues)
         if not dt > 0.0:
             raise PreconditionViolation("DT_RANGE", "need dt > 0")
         nu = triplet.levy_measure

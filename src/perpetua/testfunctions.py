@@ -8,6 +8,8 @@ beyond what the family can certify.  Compactly supported families report a
 ``support_bound`` so block integration can stop early.
 
 Families compose through :class:`Scaled` and :class:`SumOf`.
+
+Building an invalid test function raises NonFiniteParameter with all its issues.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import NonFiniteParameter
-from .validation import Issue, finite_real, require_finite
+from .validation import Issue, Validated, finite_real, json_field, json_object, require_finite
 
 __all__ = [
     "ExpDecay",
@@ -36,7 +38,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ExpDecay:
+class ExpDecay(Validated):
     """f(x) = exp(-rate * max(x, 0)) for x >= 0, constant left_level for x < 0.
 
     With the default left_level=1 this is the continuous bounded extension of
@@ -80,7 +82,7 @@ class ExpDecay:
 
 
 @dataclass(frozen=True)
-class PowerTail:
+class PowerTail(Validated):
     """f(x) = 1 / (shift + |x|)**p.  Integrable tail iff p > 1."""
 
     p: float
@@ -129,7 +131,7 @@ class PowerTail:
 
 
 @dataclass(frozen=True)
-class LogPower:
+class LogPower(Validated):
     """f(x) = 1 / ((2 + |x|) * log(2 + |x|)**p).
 
     The borderline family: tails thinner than any 1/(shift+|x|) yet the
@@ -174,7 +176,7 @@ class LogPower:
 
 
 @dataclass(frozen=True)
-class Indicator:
+class Indicator(Validated):
     """Indicator of the closed interval [a, b]."""
 
     a: float
@@ -209,7 +211,7 @@ class Indicator:
 
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(Validated):
     """Piecewise-linear interpolant of (knots, values) with an explicit tail.
 
     Zero below the first knot.  Beyond the last knot the tail model takes
@@ -224,6 +226,11 @@ class Tabulated:
     tail_rate: float = 1.0
 
     kind = "tabulated"
+
+    def __post_init__(self):  # stored as tuples, so a list-built table hashes too
+        object.__setattr__(self, "knots", tuple(self.knots))
+        object.__setattr__(self, "values", tuple(self.values))
+        super().__post_init__()
 
     def validate(self) -> list[Issue]:
         issues: list[Issue] = []
@@ -293,7 +300,7 @@ class Tabulated:
 
 
 @dataclass(frozen=True)
-class Scaled:
+class Scaled(Validated):
     """c * f for a constant c > 0."""
 
     factor: float
@@ -305,7 +312,7 @@ class Scaled:
         issues = require_finite(self.factor, "factor", "FACTOR_NONFINITE")
         if not issues and self.factor <= 0.0:
             issues.append(Issue("FACTOR_POSITIVE", "factor", "scale factor must be > 0"))
-        return issues + self.inner.validate()
+        return issues
 
     def __call__(self, x):
         return self.factor * self.inner(x)
@@ -324,20 +331,21 @@ class Scaled:
 
 
 @dataclass(frozen=True)
-class SumOf:
+class SumOf(Validated):
     """Pointwise sum of finitely many test functions."""
 
     parts: tuple["TestFunction", ...]
 
     kind = "sum"
 
+    def __post_init__(self):  # stored as a tuple, so a list-built sum hashes too
+        object.__setattr__(self, "parts", tuple(self.parts))
+        super().__post_init__()
+
     def validate(self) -> list[Issue]:
-        issues: list[Issue] = []
         if len(self.parts) == 0:
-            issues.append(Issue("EMPTY_SUM", "parts", "need at least one summand"))
-        for part in self.parts:
-            issues += part.validate()
-        return issues
+            return [Issue("EMPTY_SUM", "parts", "need at least one summand")]
+        return []
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -380,20 +388,13 @@ def test_function_to_dict(f: TestFunction) -> dict:
 
 
 def test_function_from_dict(payload: dict) -> TestFunction:
-    family = payload.get("family")
+    family = json_object(payload, "f").get("family")
     if family not in _FAMILIES:
         raise NonFiniteParameter([Issue("FAMILY_UNKNOWN", "family",
                                         f"unknown test function family {family!r}")])
-    params = dict(payload.get("params", {}))
+    params = dict(json_object(payload.get("params", {}), "params"))
     if family == "scaled":
-        params["inner"] = test_function_from_dict(params["inner"])
+        params["inner"] = test_function_from_dict(json_field(params, "inner"))
     elif family == "sum":
-        params["parts"] = tuple(test_function_from_dict(p) for p in params["parts"])
-    elif family == "tabulated":
-        params["knots"] = tuple(params["knots"])
-        params["values"] = tuple(params["values"])
-    f = _FAMILIES[family](**params)
-    issues = f.validate()
-    if issues:
-        raise NonFiniteParameter(issues)
-    return f
+        params["parts"] = [test_function_from_dict(p) for p in json_field(params, "parts")]
+    return _FAMILIES[family](**params)

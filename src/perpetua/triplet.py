@@ -28,6 +28,8 @@ compensator(0), which is 0 for finite activity.
 
 The theorem's first hypothesis, a mean in (0, inf), is checked in one place:
 positive_mean(what) returns mu or raises the MEAN_RANGE precondition.
+
+Building an invalid triplet raises NonFiniteParameter with all of its issues.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .errors import NonFiniteParameter, PreconditionViolation
 from .extended import ExtendedReal
 from .measures import LevyMeasureSpec, NoJumps, measure_from_dict
-from .validation import Issue, require_finite
+from .validation import Issue, Validated, json_field, json_object, require_finite
 
 __all__ = ["LevyTriplet", "ClassificationFlags", "triplet_from_json"]
 
@@ -69,33 +71,25 @@ class ClassificationFlags:
 
 
 @dataclass(frozen=True)
-class LevyTriplet:
+class LevyTriplet(Validated):
     drift: float
     gaussian_coef: float = 0.0
     levy_measure: LevyMeasureSpec = NoJumps()
 
     def validate(self) -> list[Issue]:
-        """Collect machine-readable parameter problems; empty list means valid."""
+        """Problems of drift and gaussian_coef; the measure checked itself when built."""
         issues = require_finite(self.drift, "drift", "NONFINITE_DRIFT")
         bad = require_finite(self.gaussian_coef, "gaussian_coef", "NEGATIVE_GAUSSIAN")
         if not bad and self.gaussian_coef < 0:
             bad.append(Issue("NEGATIVE_GAUSSIAN", "gaussian_coef",
                              "gaussian coefficient must be >= 0"))
-        issues += bad
-        issues += self.levy_measure.validate()
-        return issues
-
-    def _require_valid(self):
-        issues = self.validate()
-        if issues:
-            raise NonFiniteParameter(issues)
+        return issues + bad
 
     # ------------------------------------------------------------------
     # characteristic exponent
 
     def char_exponent(self, lam):
         """Psi(lam) for scalar or array lam; complex output, vectorized."""
-        self._require_valid()
         arr = np.atleast_1d(np.asarray(lam, dtype=float))
         out = (-1j * self.drift * arr
                + 0.5 * self.gaussian_coef * arr * arr
@@ -112,7 +106,6 @@ class LevyTriplet:
 
     def mean(self) -> ExtendedReal:
         """E[xi_1] as an extended real; infinite tails are reported, not faked."""
-        self._require_valid()
         return self.levy_measure.jump_mean().shifted(self.drift)
 
     def positive_mean(self, what: str) -> float:
@@ -133,7 +126,6 @@ class LevyTriplet:
         return self.gaussian_coef + self.levy_measure.small_jump_variance(1.0)
 
     def classify(self) -> ClassificationFlags:
-        self._require_valid()
         nu = self.levy_measure
         mean = self.mean()
 
@@ -169,16 +161,19 @@ class LevyTriplet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LevyTriplet":
-        measure, measure_issues = NoJumps(), []
+        """The triplet d describes; drift, gaussian and measure problems are raised together."""
+        d, issues = json_object(d, "triplet"), []
         try:
-            measure = measure_from_dict(d.get("levy_measure", {"family": "none", "params": {}}))
-        except NonFiniteParameter as exc:  # listed with the drift's and gaussian's problems
-            measure_issues = exc.issues
-        t = cls(drift=d["drift"], gaussian_coef=d.get("gaussian", 0.0), levy_measure=measure)
-        issues = t.validate() + measure_issues
+            bare = cls(json_field(d, "drift"), d.get("gaussian", 0.0))
+        except NonFiniteParameter as exc:
+            issues += exc.issues
+        try:
+            measure = measure_from_dict(d.get("levy_measure", {"family": "none"}))
+        except NonFiniteParameter as exc:
+            issues += exc.issues
         if issues:
             raise NonFiniteParameter(issues)
-        return t
+        return cls(bare.drift, bare.gaussian_coef, measure)
 
 
 def triplet_from_json(text: str) -> LevyTriplet:

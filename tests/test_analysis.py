@@ -28,6 +28,7 @@ from perpetua import (
     local_time_criterion,
     perpetual_verdict,
     potential_density,
+    sample_path,
     tail_integral_test,
 )
 from perpetua import analysis
@@ -413,15 +414,33 @@ class TestMemo:
         assert len(depths) == 1
         assert analysis._sup_bound.cache_info().misses == 1
 
-    def test_list_built_tabulated_runs_uncached(self, cold_memo):
+    def test_list_built_tabulated_shares_memo_entry(self, cold_memo):
         by_tuple = Tabulated((0.0, 1.0, 2.0), (0.5, 1.0, 0.0))
         by_list = Tabulated([0.0, 1.0, 2.0], [0.5, 1.0, 0.0])
-        with pytest.raises(TypeError):
-            hash(by_list)
+        assert by_list == by_tuple and hash(by_list) == hash(by_tuple)
         assert perpetual_verdict(BM_DRIFT, by_list) == perpetual_verdict(BM_DRIFT, by_tuple)
         assert expectation_upper_bound(PURE_DRIFT, by_list) == \
             expectation_upper_bound(PURE_DRIFT, by_tuple)
-        assert tail_integral_test.cache_info().currsize == 1  # by_tuple only
+        info = tail_integral_test.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)  # one entry for both spellings
+        summed = SumOf([by_list, ExpDecay(1.0)])
+        assert summed == SumOf((by_tuple, ExpDecay(1.0))) and hash(summed)
+
+    def test_analysis_never_revalidates_a_built_triplet(self, cold_memo, monkeypatch):
+        calls = []
+        validate = LevyTriplet.validate
+
+        def counting(self):
+            calls.append(self)
+            return validate(self)
+
+        monkeypatch.setattr(LevyTriplet, "validate", counting)
+        triplet = LevyTriplet(0.75, 1.25, CompoundPoisson(0.5, ExponentialJump(3.0, -1)))
+        assert len(calls) == 1  # when it was built
+        perpetual_verdict(triplet, ExpDecay(1.0))
+        expectation_upper_bound(triplet, ExpDecay(1.0))
+        sample_path(triplet, 5.0, 0.01, seed=3)
+        assert len(calls) == 1
 
     def test_keyword_calls(self, cold_memo):
         assert local_time_criterion(triplet=BM_DRIFT) is local_time_criterion(BM_DRIFT) \

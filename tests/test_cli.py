@@ -146,6 +146,28 @@ class TestExitCodes:
                          "f: A_NONFINITE"):
             assert fragment in err
 
+    def test_malformed_triplet_and_f_name_the_field(self, tmp_path, capsys):
+        cp = {"family": "compound_poisson", "params": {"rate": 1.0}}
+        scaled = {"family": "scaled", "params": {"factor": 2.0}}
+        cases = [
+            ({"triplet": "x"}, "triplet: FIELD_TYPE: triplet must be an object, got 'x'"),
+            ({"f": "x"}, "f: FIELD_TYPE: f must be an object, got 'x'"),
+            ({"triplet": {"drift": 1.0, "levy_measure": "x"}},
+             "triplet: FIELD_TYPE: levy_measure must be an object, got 'x'"),
+            ({"triplet": {"gaussian": 1.0}}, "triplet: FIELD_MISSING: missing field 'drift'"),
+            ({"triplet": {"drift": 1.0, "levy_measure": cp}},
+             "triplet: FIELD_MISSING: missing field 'jump_law'"),
+            ({"f": scaled}, "f: FIELD_MISSING: missing field 'inner'"),
+        ]
+        for overrides, fragment in cases:
+            assert main(["verdict", "--config", write_config(tmp_path, **overrides)]) == 2
+            err = capsys.readouterr().err
+            assert fragment in err and "Traceback" not in err
+        together = write_config(tmp_path, triplet={"levy_measure": cp}, f=scaled)
+        assert main(["verdict", "--config", together]) == 2
+        assert ("triplet: FIELD_MISSING: missing field 'drift'; FIELD_MISSING: missing field "
+                "'jump_law'; f: FIELD_MISSING: missing field 'inner'") in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["verdict", "--seed", "3"], ["classify", "--out", "x"],
         ["verify", "--format", "csv"], ["simulate", "--out", "x", "--threads", "2"],

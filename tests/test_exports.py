@@ -1,7 +1,9 @@
-"""Every exported name resolves, in the package and in each submodule."""
+"""Every exported name resolves, and no submodule imports a name it never uses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import perpetua
 
@@ -18,3 +20,35 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads (a name in __all__ counts as read)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {}
+    for path in sorted(Path(perpetua.__file__).parent.glob("*.py")):
+        names = _unused_imports(ast.parse(path.read_text()))
+        if names and path.stem != "__init__":  # __init__ imports to re-export
+            unused[path.stem] = names
+    assert unused == {}
+
+
+def test_unused_import_check_sees_an_unused_name():
+    tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
+    assert _unused_imports(tree) == ["os", "tau"]

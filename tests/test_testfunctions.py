@@ -1,6 +1,7 @@
 """Integrand families: values, exact tail integrals, support, serialization."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -146,21 +147,26 @@ class TestSupport:
 
 class TestValidation:
     @pytest.mark.parametrize("bad", [
-        ExpDecay(-1.0),
-        ExpDecay(1.0, left_level=-0.5),
-        PowerTail(0.0),
-        LogPower(-2.0),
-        Indicator(3.0, 1.0),
-        Scaled(-1.0, ExpDecay(1.0)),
-        Tabulated((0.0, 1.0), (1.0, -1.0)),
-        Tabulated((1.0, 0.0), (1.0, 1.0)),
+        (partial(ExpDecay, -1.0), "RATE_POSITIVE"),
+        (partial(ExpDecay, 1.0, left_level=-0.5), "LEVEL_NEGATIVE"),
+        (partial(PowerTail, 0.0), "P_POSITIVE"),
+        (partial(LogPower, -2.0), "P_POSITIVE"),
+        (partial(Indicator, 3.0, 1.0), "INTERVAL_ORDER"),
+        (partial(Scaled, -1.0, ExpDecay(1.0)), "FACTOR_POSITIVE"),
+        (partial(Tabulated, (0.0, 1.0), (1.0, -1.0)), "VALUES_NEGATIVE"),
+        (partial(Tabulated, (1.0, 0.0), (1.0, 1.0)), "KNOTS_ORDER"),
     ])
     def test_bad_parameters_flagged(self, bad):
-        assert bad.validate()
+        build, code = bad
+        with pytest.raises(NonFiniteParameter) as exc:
+            build()
+        assert [i.code for i in exc.value.issues] == [code]
 
     def test_nested_validation_propagates(self):
-        f = SumOf((ExpDecay(1.0), Scaled(2.0, PowerTail(-3.0))))
-        assert f.validate()
+        # the invalid part refuses to be built, so no invalid composite exists
+        with pytest.raises(NonFiniteParameter) as exc:
+            SumOf((ExpDecay(1.0), Scaled(2.0, PowerTail(-3.0))))
+        assert [i.code for i in exc.value.issues] == ["P_POSITIVE"]
 
 
 class TestSerialization:

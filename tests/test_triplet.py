@@ -1,6 +1,8 @@
 """Characteristic exponent, moments, and classification of the triplet."""
 
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from perpetua import (
     TwoSidedExponentialJump,
     UniformJump,
 )
+from perpetua import jumps, measures, testfunctions
 from perpetua.rng import derive_seed, stream
 from perpetua.triplet import triplet_from_json
+from perpetua.validation import Validated
 
 LAM_GRID = np.concatenate([-np.geomspace(50, 0.01, 25), [0.0], np.geomspace(0.01, 50, 25)])
 
@@ -230,32 +234,44 @@ class TestStructure:
 
 
 class TestValidation:
+    # each case builds the invalid part itself: building it is what raises
     @pytest.mark.parametrize("bad, code", [
-        (LevyTriplet(float("nan")), "NONFINITE_DRIFT"),
-        (LevyTriplet(0.0, -1.0), "NEGATIVE_GAUSSIAN"),
-        (LevyTriplet(0.0, 0.0, CompoundPoisson(-1.0, ConstantJump(1.0))), "RATE_POSITIVE"),
-        (LevyTriplet(0.0, 0.0, StableLike(2.5, 1.0)), "ALPHA_RANGE"),
-        (LevyTriplet(0.0, 0.0, StableLike(1.0, 1.0, 0.5)), "SKEW_ALPHA_ONE"),
-        (LevyTriplet(0.0, 0.0, StableLike(1.5, 1.0, 2.0)), "SKEW_RANGE"),
-        (LevyTriplet(0.0, 0.0, TemperedStable(1.0, 1.0, 1.0)), "ALPHA_RANGE"),
-        (LevyTriplet(0.0, 0.0, CompoundPoisson(1.0, ExponentialJump(-2.0))), "THETA_POSITIVE"),
+        (partial(LevyTriplet, float("nan")), "NONFINITE_DRIFT"),
+        (partial(LevyTriplet, 0.0, -1.0), "NEGATIVE_GAUSSIAN"),
+        (partial(CompoundPoisson, -1.0, ConstantJump(1.0)), "RATE_POSITIVE"),
+        (partial(StableLike, 2.5, 1.0), "ALPHA_RANGE"),
+        (partial(StableLike, 1.0, 1.0, 0.5), "SKEW_ALPHA_ONE"),
+        (partial(StableLike, 1.5, 1.0, 2.0), "SKEW_RANGE"),
+        (partial(TemperedStable, 1.0, 1.0, 1.0), "ALPHA_RANGE"),
+        (partial(ExponentialJump, -2.0), "THETA_POSITIVE"),
     ])
     def test_issue_codes(self, bad, code):
-        assert code in [i.code for i in bad.validate()]
+        with pytest.raises(NonFiniteParameter) as exc:
+            bad()
+        assert [i.code for i in exc.value.issues] == [code]
 
     @pytest.mark.parametrize("measure", [
-        StableLike(1.5, 1.0, math.nan),
-        TemperedStable(1.5, 1.0, 1.0, math.nan),
+        partial(StableLike, 1.5, 1.0, math.nan),
+        partial(TemperedStable, 1.5, 1.0, 1.0, math.nan),
     ])
     def test_nan_skew_is_reported_once(self, measure):
-        assert [i.code for i in measure.validate() if i.field == "skew"] == ["SKEW_RANGE"]
+        with pytest.raises(NonFiniteParameter) as exc:
+            measure()
+        assert [i.code for i in exc.value.issues if i.field == "skew"] == ["SKEW_RANGE"]
 
     def test_operations_refuse_invalid(self):
-        bad = LevyTriplet(0.0, -1.0)
-        with pytest.raises(NonFiniteParameter):
-            bad.char_exponent(1.0)
-        with pytest.raises(NonFiniteParameter):
-            bad.mean()
+        # no operation can meet an invalid triplet: building one raises, and
+        # so does replacing a field of a valid one
+        with pytest.raises(NonFiniteParameter, match="NEGATIVE_GAUSSIAN"):
+            LevyTriplet(0.0, -1.0)
+        with pytest.raises(NonFiniteParameter, match="NEGATIVE_GAUSSIAN"):
+            dataclasses.replace(LevyTriplet(0.0, 1.0), gaussian_coef=-1.0)
+
+    def test_every_value_type_checks_itself_when_built(self):
+        types = [LevyTriplet, *measures._FAMILIES.values(), *jumps._LAWS.values(),
+                 *testfunctions._FAMILIES.values()]
+        assert len(types) == 16
+        assert [t.__name__ for t in types if not issubclass(t, Validated)] == []
 
     def test_valid_triplet_has_no_issues(self):
         for t in ALL_TRIPLETS:
