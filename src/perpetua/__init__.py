@@ -80,22 +80,21 @@ from .testfunctions import (
     Tabulated,
     TestFunction,
     test_function_from_dict,
-    test_function_to_dict,
 )
-from .triplet import ClassificationFlags, LevyTriplet, triplet_from_json
+from .triplet import ClassificationFlags, LevyTriplet
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # core representation
-    "LevyTriplet", "ClassificationFlags", "ExtendedReal", "triplet_from_json",
+    "LevyTriplet", "ClassificationFlags", "ExtendedReal",
     "NoJumps", "CompoundPoisson", "StableLike", "TemperedStable",
     "ConstantJump", "ExponentialJump", "TwoSidedExponentialJump", "UniformJump",
     # integrands
     "TestFunction", "ExpDecay", "PowerTail", "LogPower", "Indicator",
     "Tabulated", "Scaled", "SumOf",
-    "test_function_from_dict", "test_function_to_dict",
+    "test_function_from_dict",
     # analysis
     "LocalTimeDecision", "Convergence", "Verdict",
     "ConvergenceDecision", "PotentialDensity", "PreconditionRecord", "VerdictReport",

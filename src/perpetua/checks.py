@@ -62,11 +62,7 @@ def resolve(check: Check, config) -> dict:
 
 
 def _auto_level(config, p) -> float:
-    mu = config.triplet.mean()
-    if not mu.is_finite_positive:
-        return 1.0  # the check itself refuses with MEAN_RANGE
-    sigma_eff = math.sqrt(config.triplet.effective_volatility_sq())
-    return max(20.0 * sigma_eff / mu.as_float(), 1.0)
+    return max(harness.overshoot_recommended_z1(config.triplet), 1.0)
 
 
 def _auto_lln_t0(config, p) -> float:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checks import CHECKS, Check, resolve
 from .errors import ConfigError, NonFiniteParameter
-from .testfunctions import TestFunction, test_function_from_dict, test_function_to_dict
+from .testfunctions import TestFunction, test_function_from_dict
 from .triplet import LevyTriplet
 from .validation import finite_real
 
@@ -53,7 +53,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {
             "triplet": self.triplet.to_dict(),
-            "f": test_function_to_dict(self.f),
+            "f": self.f.to_dict(),
             "n_paths": self.n_paths,
             "dt": self.dt,
             "horizon": {"t0": self.t0, "doublings": self.doublings},

@@ -38,6 +38,7 @@ __all__ = [
     "zero_one_check",
     "occupation_identity_check",
     "overshoot_stationarity_check",
+    "overshoot_recommended_z1",
     "invariance_horizon",
     "local_time_law_invariance_check",
     "lln_t0_floor",
@@ -223,6 +224,12 @@ def occupation_identity_check(
     )
 
 
+def overshoot_recommended_z1(triplet: LevyTriplet) -> float:
+    """20 sigma_eff/mu, the first level the overshoot check recommends; needs mu in (0, inf)."""
+    mu = triplet.positive_mean("overshoot check")
+    return 20.0 * math.sqrt(triplet.effective_volatility_sq()) / mu
+
+
 def overshoot_stationarity_check(
     triplet: LevyTriplet,
     z1: float,
@@ -240,9 +247,7 @@ def overshoot_stationarity_check(
     """
     if not 0.0 < z1 < z2:
         raise PreconditionViolation("LEVEL_ORDER", "need 0 < z1 < z2")
-    mu = triplet.positive_mean("overshoot check")
-    sigma_eff = math.sqrt(triplet.effective_volatility_sq())
-    recommended = 20.0 * sigma_eff / mu
+    recommended = overshoot_recommended_z1(triplet)
     notes = f"z1={z1:g}, z2={z2:g}, n={n}"
     if z1 < recommended:
         notes += f"; z1 below recommended {recommended:.3g}, pre-asymptotic failure is expected"

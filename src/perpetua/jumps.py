@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteParameter
-from .validation import Issue, Validated, json_object, require_finite, require_positive
+from .validation import (Issue, Validated, build, family_class, json_object, require_finite,
+                         require_positive)
 
 __all__ = [
     "JumpLaw",
@@ -25,8 +25,14 @@ __all__ = [
 ]
 
 
+class JumpLaw(Validated):
+    """A law of jump sizes, written flat: {"kind": ..., <fields>}."""
+
+    flat = True
+
+
 @dataclass(frozen=True)
-class ConstantJump(Validated):
+class ConstantJump(JumpLaw):
     """Every jump has the fixed size c (c may be negative)."""
 
     size: float
@@ -57,12 +63,22 @@ class ConstantJump(Validated):
     def sample(self, rng, n: int):
         return np.full(n, self.size)
 
-    def params(self):
-        return {"size": self.size}
+
+def _exp_char(theta, sign, lam):
+    """Characteristic function of sign * Exp(theta)."""
+    return theta / (theta - 1j * sign * np.asarray(lam, dtype=float))
+
+
+def _exp_second_moment_below(theta, a: float) -> float:
+    """E[J^2; |J| <= a] for |J| ~ Exp(theta)."""
+    if a <= 0:
+        return 0.0
+    t = theta * a
+    return (2.0 - np.exp(-t) * (t * t + 2 * t + 2.0)) / theta ** 2
 
 
 @dataclass(frozen=True)
-class ExponentialJump(Validated):
+class ExponentialJump(JumpLaw):
     """One-sided exponential jumps: |J| ~ Exp(theta), sign fixed by `sign`."""
 
     theta: float
@@ -83,14 +99,10 @@ class ExponentialJump(Validated):
         return 2.0 / self.theta ** 2
 
     def char(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return self.theta / (self.theta - 1j * self.sign * lam)
+        return _exp_char(self.theta, self.sign, lam)
 
     def second_moment_abs_below(self, a: float) -> float:
-        if a <= 0:
-            return 0.0
-        t = self.theta * a
-        return (2.0 - np.exp(-t) * (t * t + 2 * t + 2.0)) / self.theta ** 2
+        return _exp_second_moment_below(self.theta, a)
 
     def positive_mass(self) -> bool:
         return self.sign > 0
@@ -101,12 +113,9 @@ class ExponentialJump(Validated):
     def sample(self, rng, n: int):
         return self.sign * rng.exponential(1.0 / self.theta, n)
 
-    def params(self):
-        return {"theta": self.theta, "sign": self.sign}
-
 
 @dataclass(frozen=True)
-class TwoSidedExponentialJump(Validated):
+class TwoSidedExponentialJump(JumpLaw):
     """Mixture: +Exp(theta_plus) w.p. p_plus, -Exp(theta_minus) otherwise."""
 
     theta_plus: float
@@ -122,11 +131,6 @@ class TwoSidedExponentialJump(Validated):
             issues.append(Issue("PROB_RANGE", "p_plus", "p_plus must lie in [0, 1]"))
         return issues
 
-    def _sides(self):
-        up = ExponentialJump(self.theta_plus, 1)
-        dn = ExponentialJump(self.theta_minus, -1)
-        return up, dn
-
     def mean(self) -> float:
         return self.p_plus / self.theta_plus - (1 - self.p_plus) / self.theta_minus
 
@@ -134,13 +138,12 @@ class TwoSidedExponentialJump(Validated):
         return 2 * self.p_plus / self.theta_plus ** 2 + 2 * (1 - self.p_plus) / self.theta_minus ** 2
 
     def char(self, lam):
-        up, dn = self._sides()
-        return self.p_plus * up.char(lam) + (1 - self.p_plus) * dn.char(lam)
+        return (self.p_plus * _exp_char(self.theta_plus, 1, lam)
+                + (1 - self.p_plus) * _exp_char(self.theta_minus, -1, lam))
 
     def second_moment_abs_below(self, a: float) -> float:
-        up, dn = self._sides()
-        return (self.p_plus * up.second_moment_abs_below(a)
-                + (1 - self.p_plus) * dn.second_moment_abs_below(a))
+        return (self.p_plus * _exp_second_moment_below(self.theta_plus, a)
+                + (1 - self.p_plus) * _exp_second_moment_below(self.theta_minus, a))
 
     def positive_mass(self) -> bool:
         return self.p_plus > 0
@@ -155,13 +158,9 @@ class TwoSidedExponentialJump(Validated):
                         rng.exponential(1.0 / self.theta_minus, n))
         return signs * mags
 
-    def params(self):
-        return {"theta_plus": self.theta_plus, "theta_minus": self.theta_minus,
-                "p_plus": self.p_plus}
-
 
 @dataclass(frozen=True)
-class UniformJump(Validated):
+class UniformJump(JumpLaw):
     """Jump sizes uniform on [a, b]."""
 
     a: float
@@ -210,20 +209,13 @@ class UniformJump(Validated):
     def sample(self, rng, n: int):
         return rng.uniform(self.a, self.b, n)
 
-    def params(self):
-        return {"a": self.a, "b": self.b}
-
-
-JumpLaw = ConstantJump | ExponentialJump | TwoSidedExponentialJump | UniformJump
 
 _LAWS = {cls.kind: cls for cls in
          (ConstantJump, ExponentialJump, TwoSidedExponentialJump, UniformJump)}
 
 
 def jump_law_from_dict(d: dict) -> JumpLaw:
-    try:
-        cls = _LAWS[json_object(d, "jump_law")["kind"]]
-    except KeyError as e:
-        raise NonFiniteParameter([Issue("JUMP_KIND", "kind",
-                                        f"unknown jump law {d.get('kind')!r}")]) from e
-    return cls(**{k: v for k, v in d.items() if k != "kind"})
+    """The law {"kind": ..., <fields>} describes; every problem raised together."""
+    params = dict(json_object(d, "jump_law"))
+    cls = family_class(_LAWS, params.pop("kind", None), "kind", "JUMP_KIND", "jump law")
+    return build(cls, params)

@@ -34,7 +34,7 @@ from scipy.special import exp1, gamma as gamma_fn, gammainc
 from .errors import NonFiniteParameter
 from .extended import ExtendedReal
 from .jumps import JumpLaw, jump_law_from_dict
-from .validation import (Issue, Validated, json_field, json_object, require_finite,
+from .validation import (Issue, Validated, build, family_class, family_params, require_finite,
                          require_positive)
 
 __all__ = [
@@ -80,6 +80,13 @@ def _alpha_issues(alpha, lo=0.0, hi=2.0):
     return issues
 
 
+def _skew_issues(skew):
+    issues = require_finite(skew, "skew", "SKEW_RANGE")
+    if not issues and not -1.0 <= skew <= 1.0:
+        issues.append(Issue("SKEW_RANGE", "skew", "skew must lie in [-1, 1]"))
+    return issues
+
+
 @dataclass(frozen=True)
 class NoJumps(Validated):
     """Empty Levy measure: Brownian motion with drift, or pure drift."""
@@ -117,9 +124,6 @@ class NoJumps(Validated):
 
     def has_negative_jumps(self) -> bool:
         return False
-
-    def params(self):
-        return {}
 
 
 @dataclass(frozen=True)
@@ -169,10 +173,6 @@ class CompoundPoisson(Validated):
     def has_negative_jumps(self) -> bool:
         return self.jump_law.negative_mass()
 
-    def params(self):
-        return {"rate": self.rate,
-                "jump_law": {"kind": self.jump_law.kind, **self.jump_law.params()}}
-
 
 def _stable_sided_weights(skew: float):
     return 0.5 * (1.0 + skew), 0.5 * (1.0 - skew)
@@ -204,9 +204,7 @@ class StableLike(Validated):
     def validate(self):
         issues = _alpha_issues(self.alpha)
         issues += require_positive(self.scale, "scale", "SCALE_POSITIVE")
-        issues += require_finite(self.skew, "skew", "SKEW_RANGE")
-        if not any(i.field == "skew" for i in issues) and not -1.0 <= self.skew <= 1.0:
-            issues.append(Issue("SKEW_RANGE", "skew", "skew must lie in [-1, 1]"))
+        issues += _skew_issues(self.skew)
         if self.alpha == 1.0 and self.skew != 0.0:
             issues.append(Issue("SKEW_ALPHA_ONE", "skew",
                                 "alpha = 1 supported only with skew = 0"))
@@ -266,9 +264,6 @@ class StableLike(Validated):
     def has_negative_jumps(self) -> bool:
         return self.skew < 1.0
 
-    def params(self):
-        return {"alpha": self.alpha, "scale": self.scale, "skew": self.skew}
-
 
 @dataclass(frozen=True)
 class TemperedStable(Validated):
@@ -294,9 +289,7 @@ class TemperedStable(Validated):
                                 "alpha = 1 not supported for the tempered family"))
         issues += require_positive(self.scale, "scale", "SCALE_POSITIVE")
         issues += require_positive(self.tempering, "tempering", "TEMPERING_POSITIVE")
-        issues += require_finite(self.skew, "skew", "SKEW_RANGE")
-        if not any(i.field == "skew" for i in issues) and not -1.0 <= self.skew <= 1.0:
-            issues.append(Issue("SKEW_RANGE", "skew", "skew must lie in [-1, 1]"))
+        issues += _skew_issues(self.skew)
         return issues
 
     @property
@@ -373,10 +366,6 @@ class TemperedStable(Validated):
     def has_negative_jumps(self) -> bool:
         return self.skew < 1.0
 
-    def params(self):
-        return {"alpha": self.alpha, "scale": self.scale,
-                "tempering": self.tempering, "skew": self.skew}
-
 
 LevyMeasureSpec = NoJumps | CompoundPoisson | StableLike | TemperedStable
 
@@ -385,18 +374,14 @@ _FAMILIES = {cls.kind: cls for cls in
 
 
 def measure_from_dict(d: dict) -> LevyMeasureSpec:
-    family = json_object(d, "levy_measure").get("family")
-    params = dict(json_object(d.get("params", {}), "params"))
+    """The measure {"family": ..., "params": {<fields>}} describes; every problem raised together."""
+    family, params = family_params(d, "levy_measure")
     if family == "spectrally_negative_stable":
         # an alias: {alpha, scale} with alpha in (1, 2) is StableLike at skew -1
-        spec = StableLike(**params, skew=-1.0)
+        spec = build(StableLike, params, skew=-1.0)
         issues = _alpha_issues(spec.alpha, lo=1.0, hi=2.0)
         if issues:
             raise NonFiniteParameter(issues)
         return spec
-    if family not in _FAMILIES:
-        raise NonFiniteParameter([Issue("FAMILY_UNKNOWN", "family",
-                                        f"unknown Levy measure family {family!r}")])
-    if family == "compound_poisson":
-        params["jump_law"] = jump_law_from_dict(json_field(params, "jump_law"))
-    return _FAMILIES[family](**params)
+    cls = family_class(_FAMILIES, family, "family", "FAMILY_UNKNOWN", "Levy measure family")
+    return build(cls, params, {"jump_law": jump_law_from_dict})

@@ -20,8 +20,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NonFiniteParameter
-from .validation import Issue, Validated, finite_real, json_field, json_object, require_finite
+from .validation import (Issue, Validated, build, family_class, family_params, finite_real,
+                         require_finite)
 
 __all__ = [
     "ExpDecay",
@@ -33,7 +33,6 @@ __all__ = [
     "SumOf",
     "TestFunction",
     "test_function_from_dict",
-    "test_function_to_dict",
 ]
 
 
@@ -76,9 +75,6 @@ class ExpDecay(Validated):
 
     def integral_full(self) -> float:
         return math.inf if self.left_level > 0.0 else 1.0 / self.rate
-
-    def params(self) -> dict:
-        return {"rate": self.rate, "left_level": self.left_level}
 
 
 @dataclass(frozen=True)
@@ -126,9 +122,6 @@ class PowerTail(Validated):
             return math.inf
         return 2.0 * self.shift ** (1.0 - self.p) / (self.p - 1.0)
 
-    def params(self) -> dict:
-        return {"p": self.p, "shift": self.shift}
-
 
 @dataclass(frozen=True)
 class LogPower(Validated):
@@ -171,9 +164,6 @@ class LogPower(Validated):
     def integral_full(self) -> float:
         return self.integral_above(0.0) * 2.0 if self.p > 1.0 else math.inf
 
-    def params(self) -> dict:
-        return {"p": self.p}
-
 
 @dataclass(frozen=True)
 class Indicator(Validated):
@@ -205,9 +195,6 @@ class Indicator(Validated):
 
     def integral_full(self) -> float:
         return self.b - self.a
-
-    def params(self) -> dict:
-        return {"a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -290,14 +277,6 @@ class Tabulated(Validated):
     def integral_full(self) -> float:
         return self.integral_above(float(self.knots[0]))
 
-    def params(self) -> dict:
-        return {
-            "knots": list(self.knots),
-            "values": list(self.values),
-            "tail_model": self.tail_model,
-            "tail_rate": self.tail_rate,
-        }
-
 
 @dataclass(frozen=True)
 class Scaled(Validated):
@@ -325,9 +304,6 @@ class Scaled(Validated):
 
     def integral_full(self) -> float:
         return self.factor * self.inner.integral_full()
-
-    def params(self) -> dict:
-        return {"factor": self.factor, "inner": test_function_to_dict(self.inner)}
 
 
 @dataclass(frozen=True)
@@ -366,35 +342,15 @@ class SumOf(Validated):
     def integral_full(self) -> float:
         return sum(part.integral_full() for part in self.parts)
 
-    def params(self) -> dict:
-        return {"parts": [test_function_to_dict(p) for p in self.parts]}
-
 
 TestFunction = Union[ExpDecay, PowerTail, LogPower, Indicator, Tabulated, Scaled, SumOf]
 
-_FAMILIES = {
-    "exp_decay": ExpDecay,
-    "power_tail": PowerTail,
-    "log_power": LogPower,
-    "indicator": Indicator,
-    "tabulated": Tabulated,
-    "scaled": Scaled,
-    "sum": SumOf,
-}
-
-
-def test_function_to_dict(f: TestFunction) -> dict:
-    return {"family": f.kind, "params": f.params()}
+_FAMILIES = {cls.kind: cls for cls in
+             (ExpDecay, PowerTail, LogPower, Indicator, Tabulated, Scaled, SumOf)}
 
 
 def test_function_from_dict(payload: dict) -> TestFunction:
-    family = json_object(payload, "f").get("family")
-    if family not in _FAMILIES:
-        raise NonFiniteParameter([Issue("FAMILY_UNKNOWN", "family",
-                                        f"unknown test function family {family!r}")])
-    params = dict(json_object(payload.get("params", {}), "params"))
-    if family == "scaled":
-        params["inner"] = test_function_from_dict(json_field(params, "inner"))
-    elif family == "sum":
-        params["parts"] = [test_function_from_dict(p) for p in json_field(params, "parts")]
-    return _FAMILIES[family](**params)
+    """The function {"family": ..., "params": {<fields>}} describes; every problem raised together."""
+    family, params = family_params(payload, "f")
+    cls = family_class(_FAMILIES, family, "family", "FAMILY_UNKNOWN", "test function family")
+    return build(cls, params, {"inner": test_function_from_dict, "parts": test_function_from_dict})

@@ -36,16 +36,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonFiniteParameter, PreconditionViolation
 from .extended import ExtendedReal
 from .measures import LevyMeasureSpec, NoJumps, measure_from_dict
-from .validation import Issue, Validated, json_field, json_object, require_finite
+from .validation import Issue, Validated, build, json_object, require_finite
 
-__all__ = ["LevyTriplet", "ClassificationFlags", "triplet_from_json"]
+__all__ = ["LevyTriplet", "ClassificationFlags"]
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class ClassificationFlags:
 @dataclass(frozen=True)
 class LevyTriplet(Validated):
     drift: float
-    gaussian_coef: float = 0.0
+    gaussian_coef: float = field(default=0.0, metadata={"key": "gaussian"})
     levy_measure: LevyMeasureSpec = NoJumps()
 
     def validate(self) -> list[Issue]:
@@ -145,12 +145,8 @@ class LevyTriplet(Validated):
     # serialization
 
     def to_dict(self) -> dict:
-        return {
-            "drift": self.drift,
-            "gaussian": self.gaussian_coef,
-            "levy_measure": {"family": self.levy_measure.kind,
-                             "params": self.levy_measure.params()},
-        }
+        return {"drift": self.drift, "gaussian": self.gaussian_coef,
+                "levy_measure": self.levy_measure.to_dict()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -161,20 +157,5 @@ class LevyTriplet(Validated):
 
     @classmethod
     def from_dict(cls, d: dict) -> "LevyTriplet":
-        """The triplet d describes; drift, gaussian and measure problems are raised together."""
-        d, issues = json_object(d, "triplet"), []
-        try:
-            bare = cls(json_field(d, "drift"), d.get("gaussian", 0.0))
-        except NonFiniteParameter as exc:
-            issues += exc.issues
-        try:
-            measure = measure_from_dict(d.get("levy_measure", {"family": "none"}))
-        except NonFiniteParameter as exc:
-            issues += exc.issues
-        if issues:
-            raise NonFiniteParameter(issues)
-        return cls(bare.drift, bare.gaussian_coef, measure)
-
-
-def triplet_from_json(text: str) -> LevyTriplet:
-    return LevyTriplet.from_dict(json.loads(text))
+        """The triplet d describes; its own problems and the measure's are raised together."""
+        return build(cls, json_object(d, "triplet"), {"levy_measure": measure_from_dict})

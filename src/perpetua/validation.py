@@ -1,16 +1,21 @@
-"""Machine-readable validation issues, and the one place values are checked: when built."""
+"""Machine-readable validation issues, and the one place values are checked: when built.
+
+A value's dataclass fields are also its config schema: ``Validated.to_dict``
+writes them and ``build`` reads them back.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
 from .errors import NonFiniteParameter
 
 # concrete types, not numbers.Real: an ABC isinstance costs about 1 us, and a
-# value is checked each time one is built, in inner loops too (TwoSidedExponentialJump._sides)
+# value is checked each time one is built
 _REALS = (float, int, np.floating, np.integer)
 
 
@@ -51,12 +56,31 @@ def require_positive(value, field: str, code: str) -> list[Issue]:
 
 
 class Validated:
-    """Frozen values that check themselves when built: NonFiniteParameter lists every issue."""
+    """Frozen values that check themselves when built: NonFiniteParameter lists every issue.
+
+    to_dict writes the fields in order, a tuple as a list and a nested value in
+    its own form: {"kind": ..., <fields>} when flat (the jump laws), else
+    {"family": ..., "params": {<fields>}} (measures and test functions).
+    """
+
+    flat = False
 
     def __post_init__(self):
         issues = self.validate()
         if issues:
             raise NonFiniteParameter(issues)
+
+    def to_dict(self) -> dict:
+        params = {f.name: _wire(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        return {"kind": self.kind, **params} if self.flat else {"family": self.kind, "params": params}
+
+
+def _wire(value):
+    if isinstance(value, Validated):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_wire(v) for v in value]
+    return value
 
 
 def json_object(value, field: str) -> dict:
@@ -67,8 +91,73 @@ def json_object(value, field: str) -> dict:
     return value
 
 
-def json_field(d: dict, name: str):
-    """d[name]; a missing field raises NonFiniteParameter naming it."""
-    if name not in d:
-        raise NonFiniteParameter([Issue("FIELD_MISSING", name, f"missing field {name!r}")])
-    return d[name]
+def _key_issues(d: dict, known, required=()) -> list[Issue]:
+    """FIELD_UNKNOWN for each key of d not in known, then FIELD_MISSING for each required one d lacks."""
+    issues = [Issue("FIELD_UNKNOWN", k, f"unknown field {k!r} (known: {', '.join(known) or 'none'})")
+              for k in d if k not in known]
+    return issues + [_missing(k) for k in required if k not in d]
+
+
+def _missing(key: str) -> Issue:
+    return Issue("FIELD_MISSING", key, f"missing field {key!r}")
+
+
+def family_params(d, field: str) -> tuple:
+    """(family, params) of the {"family", "params"} object d named field; params may be left out."""
+    issues = _key_issues(json_object(d, field), ("family", "params"), ("family",))
+    if issues:
+        raise NonFiniteParameter(issues)
+    return d["family"], json_object(d.get("params", {}), "params")
+
+
+def family_class(registry: dict, name, key: str, code: str, what: str):
+    """registry[name]; None is FIELD_MISSING key, any other unknown name is code."""
+    if name is None:
+        raise NonFiniteParameter([_missing(key)])
+    if not isinstance(name, str) or name not in registry:
+        raise NonFiniteParameter([Issue(code, key, f"unknown {what} {name!r}")])
+    return registry[name]
+
+
+def build(cls, params: dict, read: dict | None = None, **fixed):
+    """cls built from params, a JSON object of its fields; all problems raised together.
+
+    A key is a field's name, or its metadata "key" (LevyTriplet's gaussian).
+    A key naming no field is FIELD_UNKNOWN, a field with no default and no key
+    FIELD_MISSING, and a tuple field takes a list.  fixed fields are set here
+    and are no keys.  read maps a field to the reader of its nested JSON value
+    (of each item, for a tuple field); nested issues follow the value's own.
+    A nested value that fails is passed on as written: a value's own checks
+    never look inside the values it holds.
+    """
+    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)
+              if f.name not in fixed}
+    required = [k for k, f in fields.items()
+                if f.default is MISSING and f.default_factory is MISSING]
+    issues, nested, values, read = _key_issues(params, fields, required), [], dict(fixed), read or {}
+    for key, value in params.items():
+        if key not in fields:
+            continue
+        name, many = fields[key].name, str(fields[key].type).startswith("tuple")
+        if many and not isinstance(value, list):
+            issues.append(Issue("FIELD_TYPE", key, f"{key} must be a list, got {value!r}"))
+        elif name in read:
+            value = ([_read(read[name], v, nested) for v in value] if many
+                     else _read(read[name], value, nested))
+        values[name] = value
+    if not issues:
+        try:
+            built = cls(**values)
+        except NonFiniteParameter as exc:
+            issues = exc.issues
+    if issues or nested:
+        raise NonFiniteParameter(issues + nested)
+    return built
+
+
+def _read(reader, value, nested: list):
+    try:
+        return reader(value)
+    except NonFiniteParameter as exc:
+        nested += exc.issues
+        return value

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import perpetua
+from perpetua import jumps, measures, testfunctions
 from perpetua.cli import main
 
 
@@ -149,6 +150,16 @@ class TestExitCodes:
     def test_malformed_triplet_and_f_name_the_field(self, tmp_path, capsys):
         cp = {"family": "compound_poisson", "params": {"rate": 1.0}}
         scaled = {"family": "scaled", "params": {"factor": 2.0}}
+
+        def measure(family, **params):
+            return {"triplet": {"drift": 1.0, "levy_measure": {"family": family, "params": params}}}
+
+        def f(family, **params):
+            return {"f": {"family": family, "params": params}}
+
+        def law(**law):
+            return measure("compound_poisson", rate=1.0, jump_law=law)
+
         cases = [
             ({"triplet": "x"}, "triplet: FIELD_TYPE: triplet must be an object, got 'x'"),
             ({"f": "x"}, "f: FIELD_TYPE: f must be an object, got 'x'"),
@@ -158,15 +169,56 @@ class TestExitCodes:
             ({"triplet": {"drift": 1.0, "levy_measure": cp}},
              "triplet: FIELD_MISSING: missing field 'jump_law'"),
             ({"f": scaled}, "f: FIELD_MISSING: missing field 'inner'"),
+            # unknown, missing and misshapen family fields
+            ({"triplet": {"drift": 1.0, "gausian": 1.0}},
+             "triplet: FIELD_UNKNOWN: unknown field 'gausian' (known: drift, gaussian, levy_measure)"),
+            ({"triplet": {"drift": 1.0, "levy_measure": {"family": "none", "extra": 1}}},
+             "triplet: FIELD_UNKNOWN: unknown field 'extra' (known: family, params)"),
+            ({"f": {"family": "exp_decay", "params": {"rate": 1.0}, "extra": 1}},
+             "f: FIELD_UNKNOWN: unknown field 'extra' (known: family, params)"),
+            ({"triplet": {"drift": "x", "levy_measure": {"family": "stable",
+                                                         "params": {"scale": 1.0}}}},
+             "triplet: NONFINITE_DRIFT: drift must be a finite number, got 'x'; "
+             "FIELD_MISSING: missing field 'alpha'"),
+            (measure("tempered_stable", alpha=1.5, scale=1.0),
+             "triplet: FIELD_MISSING: missing field 'tempering'"),
+            (f("exp_decay", rate=1.0, bogus=2),
+             "f: FIELD_UNKNOWN: unknown field 'bogus' (known: rate, left_level)"),
+            (law(kind="exponential", theta=2.0, sgn=1),
+             "triplet: FIELD_UNKNOWN: unknown field 'sgn' (known: theta, sign)"),
+            (measure("spectrally_negative_stable", alpha=1.5, scale=1.0, skew=0.3),
+             "triplet: FIELD_UNKNOWN: unknown field 'skew' (known: alpha, scale)"),
+            (f("tabulated", knots=5, values=[1.0, 0.0]),
+             "f: FIELD_TYPE: knots must be a list, got 5"),
+            (f("sum", parts=3), "f: FIELD_TYPE: parts must be a list, got 3"),
+            ({"triplet": {"drift": 1.0, "levy_measure": {"params": {}}}},
+             "triplet: FIELD_MISSING: missing field 'family'"),
+            (law(theta=2.0), "triplet: FIELD_MISSING: missing field 'kind'"),
         ]
+        leaks = ["Traceback", "positional argument", "keyword argument", "not iterable",
+                 "LevyTriplet", *(cls.__name__ for cls in (*measures._FAMILIES.values(),
+                                                           *jumps._LAWS.values(),
+                                                           *testfunctions._FAMILIES.values()))]
         for overrides, fragment in cases:
             assert main(["verdict", "--config", write_config(tmp_path, **overrides)]) == 2
             err = capsys.readouterr().err
-            assert fragment in err and "Traceback" not in err
+            assert fragment in err, (fragment, err)
+            assert [leak for leak in leaks if leak in err] == [], err
         together = write_config(tmp_path, triplet={"levy_measure": cp}, f=scaled)
         assert main(["verdict", "--config", together]) == 2
         assert ("triplet: FIELD_MISSING: missing field 'drift'; FIELD_MISSING: missing field "
                 "'jump_law'; f: FIELD_MISSING: missing field 'inner'") in capsys.readouterr().err
+        # every level lists its own issues first, then those of the values it holds
+        parts = [{"family": "power_tail", "params": {"p": -1.0}}, {"family": "mystery"}]
+        together = write_config(
+            tmp_path, triplet=law(kind="uniform", a=2.0, b=1.0)["triplet"] | {"drift": "x"},
+            f={"family": "scaled", "params": {"factor": 0.0, "inner": {
+                "family": "sum", "params": {"parts": parts}}}})
+        assert main(["verdict", "--config", together]) == 2
+        assert ("triplet: NONFINITE_DRIFT: drift must be a finite number, got 'x'; "
+                "UNIFORM_BOUNDS: need a < b; f: FACTOR_POSITIVE: scale factor must be > 0; "
+                "P_POSITIVE: exponent must be > 0; "
+                "FAMILY_UNKNOWN: unknown test function family 'mystery'") in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["verdict", "--seed", "3"], ["classify", "--out", "x"],
@@ -256,6 +308,30 @@ def test_docs_list_every_check_parameter(where):
         if not check.params:
             assert "none" in listed[key]
 
+
+def test_readme_lists_every_family_and_its_fields():
+    import dataclasses
+
+    from perpetua.triplet import LevyTriplet
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = text[text.index("## Configuration"):text.index("check_params.<check>")]
+    families = {"triplet": LevyTriplet, **measures._FAMILIES, **jumps._LAWS,
+                **testfunctions._FAMILIES}
+    listed = _param_lines(text, [*families, "spectrally_negative_stable"])
+    assert set(listed) == {*families, "spectrally_negative_stable"}
+    for name, cls in families.items():
+        fields = dataclasses.fields(cls)
+        items = listed[name].split(None, 1)[1].split(",")
+        if not fields:
+            assert items == ["(no parameters)"], name
+            continue
+        # each field by its key, with its default in brackets when it has one
+        assert [item.split()[0] for item in items] == [
+            f.metadata.get("key", f.name) for f in fields], name
+        assert ["[" in item for item in items] == [
+            f.default is not dataclasses.MISSING for f in fields], name
+    assert listed["spectrally_negative_stable"].split()[1:] == ["alpha,", "scale"]
 
 class TestVerifyCommand:
     def test_pass_lines_and_report(self, tmp_path, capsys):

@@ -24,7 +24,9 @@ from perpetua import (
     zero_one_check,
 )
 from perpetua.checks import CHECKS, resolve
-from perpetua.harness import FINITE_LIKE, INCONCLUSIVE, INFINITE_LIKE
+from perpetua.harness import (FINITE_LIKE, INCONCLUSIVE, INFINITE_LIKE,
+                              overshoot_recommended_z1)
+from perpetua.runner import _run_one
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
 # drift 0.1 plus rate-1 Exp(2) up-jumps: mu = 0.6, sigma^2 + int x^2 nu = 0.5
@@ -192,6 +194,20 @@ class TestOvershootCheck:
     def test_pre_asymptotic_levels_noted(self):
         rep = overshoot_stationarity_check(BM_DRIFT, 0.5, 1.0, n=40, seed=5)
         assert "below recommended" in rep.notes
+
+    def test_default_z1_and_the_note_share_one_recommended_level(self):
+        # BM + drift: sigma_eff = mu = 1, so 20 sigma_eff/mu = 20
+        assert overshoot_recommended_z1(BM_DRIFT) == 20.0
+        assert resolve(CHECKS["overshoot"], make_config(BM_DRIFT, ExpDecay(1.0)))["z1"] == 20.0
+        rep = overshoot_stationarity_check(BM_DRIFT, 10.0, 40.0, n=10, seed=5)
+        assert "z1 below recommended 20," in rep.notes
+
+    def test_default_z1_without_positive_mean_is_the_mean_precondition(self):
+        cfg = make_config(LevyTriplet(-1.0, 1.0), ExpDecay(1.0))
+        entry = _run_one(CHECKS["overshoot"], cfg, 1, None, {})
+        assert entry["precondition"] == "MEAN_RANGE"
+        assert entry["notes"] == ("precondition violated: MEAN_RANGE: "
+                                  "overshoot check needs mean in (0, inf)")
 
     def test_notes_name_the_passage_method(self):
         a = overshoot_stationarity_check(DRIFT_CP, 5.0, 10.0, n=100, seed=4)

@@ -18,7 +18,6 @@ from perpetua import (
     Tabulated,
 )
 from perpetua import test_function_from_dict as fn_from_dict
-from perpetua import test_function_to_dict as fn_to_dict
 
 INV_LOG2 = 1.4426950408889634  # int_0^inf dx / ((2+x) log^2(2+x))
 
@@ -180,7 +179,7 @@ class TestSerialization:
         SumOf((ExpDecay(1.0), Scaled(2.0, Indicator(0.0, 1.0)))),
     ])
     def test_round_trip(self, f):
-        back = fn_from_dict(fn_to_dict(f))
+        back = fn_from_dict(f.to_dict())
         assert back == f
 
     def test_unknown_family_rejected(self):

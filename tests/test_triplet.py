@@ -1,6 +1,7 @@
 """Characteristic exponent, moments, and classification of the triplet."""
 
 import dataclasses
+import json
 import math
 from functools import partial
 
@@ -11,18 +12,25 @@ from scipy.integrate import quad
 from perpetua import (
     CompoundPoisson,
     ConstantJump,
+    ExpDecay,
     ExponentialJump,
+    Indicator,
     LevyTriplet,
+    LogPower,
     NoJumps,
     NonFiniteParameter,
+    PowerTail,
+    Scaled,
     StableLike,
+    SumOf,
+    Tabulated,
     TemperedStable,
     TwoSidedExponentialJump,
     UniformJump,
+    benchmark_matrix,
 )
 from perpetua import jumps, measures, testfunctions
 from perpetua.rng import derive_seed, stream
-from perpetua.triplet import triplet_from_json
 from perpetua.validation import Validated
 
 LAM_GRID = np.concatenate([-np.geomspace(50, 0.01, 25), [0.0], np.geomspace(0.01, 50, 25)])
@@ -85,6 +93,17 @@ class TestCharExponent:
         lam = np.array([0.5, 1.0, 2.0, 5.0])
         C = 1.6710855164206668  # Gamma(2-a) cos(pi a/2) / (a (1-a)) at a = 1.5
         assert np.allclose(t.char_exponent(lam), C * lam**1.5, rtol=1e-9)
+
+    def test_two_sided_exponential_is_the_mixture_of_its_sides_exactly(self):
+        # on every dyadic block of r the criterion and the sup u integral visit
+        law = TwoSidedExponentialJump(2.0, 3.0, 0.4)
+        up, down = ExponentialJump(2.0, 1), ExponentialJump(3.0, -1)
+        r = np.concatenate([np.linspace(2.0**k, 2.0**(k + 1), 65) for k in range(-64, 13)])
+        for lam in (r, -r):
+            assert np.array_equal(law.char(lam), 0.4 * up.char(lam) + 0.6 * down.char(lam))
+        for a in (-1.0, 0.0, 1e-3, 0.5, 7.0):
+            assert law.second_moment_abs_below(a) == (0.4 * up.second_moment_abs_below(a)
+                                                      + 0.6 * down.second_moment_abs_below(a))
 
     def test_stable_half_closed_form(self):
         t = LevyTriplet(0.0, 0.0, StableLike(0.5, 1.0, 0.0))
@@ -281,7 +300,7 @@ class TestValidation:
 class TestSerialization:
     @pytest.mark.parametrize("t", ALL_TRIPLETS)
     def test_json_round_trip(self, t):
-        back = triplet_from_json(t.to_json())
+        back = LevyTriplet.from_dict(json.loads(t.to_json()))
         assert back == t
         assert back.digest() == t.digest()
 
@@ -312,6 +331,103 @@ class TestSerialization:
         b = LevyTriplet(1.0, 1.0 + 1e-9)
         assert a.digest() != b.digest()
 
+
+# one value of each family, and its wire form as written before the families
+# shared one writer; the key order is part of the form
+ONE_OF_EACH = [
+    (NoJumps(), {"family": "none", "params": {}}),
+    (CompoundPoisson(1.0, ExponentialJump(2.0, 1)),
+     {"family": "compound_poisson", "params": {"rate": 1.0, "jump_law": {
+         "kind": "exponential", "theta": 2.0, "sign": 1}}}),
+    (StableLike(1.5, 1.0, 0.25),
+     {"family": "stable", "params": {"alpha": 1.5, "scale": 1.0, "skew": 0.25}}),
+    (TemperedStable(0.5, 1.0, 2.0, -0.5),
+     {"family": "tempered_stable",
+      "params": {"alpha": 0.5, "scale": 1.0, "tempering": 2.0, "skew": -0.5}}),
+    (ConstantJump(-0.5), {"kind": "constant", "size": -0.5}),
+    (ExponentialJump(2.0, -1), {"kind": "exponential", "theta": 2.0, "sign": -1}),
+    (TwoSidedExponentialJump(2.0, 3.0, 0.4),
+     {"kind": "two_sided_exponential", "theta_plus": 2.0, "theta_minus": 3.0, "p_plus": 0.4}),
+    (UniformJump(-1.0, 2.0), {"kind": "uniform", "a": -1.0, "b": 2.0}),
+    (ExpDecay(1.5, 0.0), {"family": "exp_decay", "params": {"rate": 1.5, "left_level": 0.0}}),
+    (PowerTail(2.0, 3.0), {"family": "power_tail", "params": {"p": 2.0, "shift": 3.0}}),
+    (LogPower(2.0), {"family": "log_power", "params": {"p": 2.0}}),
+    (Indicator(0.0, 5.0), {"family": "indicator", "params": {"a": 0.0, "b": 5.0}}),
+    (Tabulated([0.0, 1.0, 2.0], [0.5, 1.0, 0.0], "exp", 2.0),
+     {"family": "tabulated", "params": {"knots": [0.0, 1.0, 2.0], "values": [0.5, 1.0, 0.0],
+                                        "tail_model": "exp", "tail_rate": 2.0}}),
+    (Scaled(2.5, LogPower(2.0)),
+     {"family": "scaled", "params": {"factor": 2.5, "inner": {
+         "family": "log_power", "params": {"p": 2.0}}}}),
+    (SumOf([ExpDecay(1.0), Scaled(2.0, Indicator(0.0, 1.0))]),
+     {"family": "sum", "params": {"parts": [
+         {"family": "exp_decay", "params": {"rate": 1.0, "left_level": 1.0}},
+         {"family": "scaled", "params": {"factor": 2.0, "inner": {
+             "family": "indicator", "params": {"a": 0.0, "b": 1.0}}}}]}}),
+]
+
+# the benchmark matrix's processes and functions, with the triplet digests
+MATRIX_TRIPLETS = {
+    "pure_drift": ("7cf9c4e0d5e3", 1.0, 0.0, {"family": "none", "params": {}}),
+    "bm_drift": ("1ba4457bb538", 1.0, 1.0, {"family": "none", "params": {}}),
+    "drift_cp": ("e4f31ec9cc16", 0.1, 0.0, {"family": "compound_poisson", "params": {
+        "rate": 1.0, "jump_law": {"kind": "exponential", "theta": 2.0, "sign": 1}}}),
+    "stable_drift": ("c04d025744dc", 1.0, 0.0, {"family": "stable", "params": {
+        "alpha": 1.5, "scale": 1.0, "skew": 0.0}}),
+    "sn_bm_cp": ("bf5676354f4f", 1.0, 1.0, {"family": "compound_poisson", "params": {
+        "rate": 1.0, "jump_law": {"kind": "exponential", "theta": 2.0, "sign": -1}}}),
+    "cp_only": ("d5c680134c11", 0.0, 0.0, {"family": "compound_poisson", "params": {
+        "rate": 1.0, "jump_law": {"kind": "exponential", "theta": 1.0, "sign": 1}}}),
+    "stable_half": ("f1daaa76bc93", 0.0, 0.0, {"family": "stable", "params": {
+        "alpha": 0.5, "scale": 1.0, "skew": 0.0}}),
+}
+MATRIX_FUNCTIONS = {
+    "exp_decay": {"family": "exp_decay", "params": {"rate": 1.0, "left_level": 1.0}},
+    "power_tail": {"family": "power_tail", "params": {"p": 1.0, "shift": 1.0}},
+    "log_power": {"family": "log_power", "params": {"p": 2.0}},
+    "indicator": {"family": "indicator", "params": {"a": 0.0, "b": 5.0}},
+}
+
+
+def _reader(value):
+    if isinstance(value, jumps.JumpLaw):
+        return jumps.jump_law_from_dict
+    if type(value) in measures._FAMILIES.values():
+        return measures.measure_from_dict
+    return testfunctions.test_function_from_dict
+
+
+class TestWireForm:
+    def test_one_value_of_every_registered_family(self):
+        registered = {*measures._FAMILIES.values(), *jumps._LAWS.values(),
+                      *testfunctions._FAMILIES.values()}
+        assert {type(v) for v, _ in ONE_OF_EACH} == registered
+
+    @pytest.mark.parametrize("value,written", ONE_OF_EACH,
+                             ids=[type(v).__name__ for v, _ in ONE_OF_EACH])
+    def test_reader_inverts_writer(self, value, written):
+        assert value.to_dict() == written  # lists, not tuples
+        assert json.dumps(value.to_dict()) == json.dumps(written)  # in the same key order
+        back = _reader(value)(value.to_dict())
+        assert back == value and hash(back) == hash(value)
+
+    def test_benchmark_matrix_is_written_as_before(self):
+        cases = benchmark_matrix()
+        assert len(cases) == 28
+        for case in cases:
+            pname, fname = case.name.split("/")
+            digest, drift, gaussian, measure = MATRIX_TRIPLETS[pname]
+            written = {"drift": drift, "gaussian": gaussian, "levy_measure": measure}
+            assert json.dumps(case.triplet.to_dict()) == json.dumps(written)
+            assert case.triplet.digest() == digest
+            assert json.dumps(case.f.to_dict()) == json.dumps(MATRIX_FUNCTIONS[fname])
+            assert LevyTriplet.from_dict(written) == case.triplet
+            assert testfunctions.test_function_from_dict(MATRIX_FUNCTIONS[fname]) == case.f
+
+    def test_triplet_reads_gaussian_not_its_field_name(self):
+        assert LevyTriplet.from_dict({"drift": 1.0, "gaussian": 2.0}) == LevyTriplet(1.0, 2.0)
+        with pytest.raises(NonFiniteParameter, match="unknown field 'gaussian_coef'"):
+            LevyTriplet.from_dict({"drift": 1.0, "gaussian_coef": 2.0})
 
 class TestRng:
     def test_derived_seeds_differ_by_tag(self):
