@@ -27,7 +27,6 @@ from .config import ExperimentConfig, load_config
 from .errors import (
     BandwidthTooSmall,
     ConfigError,
-    EvaluationError,
     InversionUnstable,
     NonFiniteParameter,
     NotReachedError,
@@ -114,6 +113,6 @@ __all__ = [
     "BenchmarkCase", "benchmark_matrix",
     # errors
     "PerpetuaError", "NonFiniteParameter", "PreconditionViolation",
-    "QuadratureFailure", "InversionUnstable", "EvaluationError",
+    "QuadratureFailure", "InversionUnstable",
     "StepTooCoarse", "BandwidthTooSmall", "NotReachedError", "ConfigError",
 ]

@@ -1,15 +1,17 @@
 """Decision procedures: local times, tail convergence, potential density, verdict.
 
 The verdict machinery turns a process triplet plus a test function into one of
-AS_FINITE / AS_INFINITE / UNDECIDED.  Everything here is numerical, so each
-decision routine owns an explicit UNDECIDED outcome and never silently forces
-a binary answer; the divergence and convergence declarations come with a
-certificate (a trend over dyadic blocks, or a geometric remainder bound).
+AS_FINITE / AS_INFINITE / UNDECIDED.  The process questions are numerical,
+so the local-time criterion owns an explicit UNDECIDED outcome and never
+silently forces a binary answer.  The tail question is exact: every
+test-function family knows int_x^inf f in closed form, and the tail test
+reads its verdict from there, with the exact dyadic block sums as its
+certificate.
 
 Quadrature strategy
 -------------------
-Improper integrals over [0, inf) are split into a head block [0, 1] and
-dyadic blocks [2^k, 2^(k+1)].  Each block is integrated by composite
+Improper integrals over r of functions of the characteristic exponent are
+split into dyadic blocks [2^k, 2^(k+1)].  Each block is integrated by composite
 Gauss-Legendre with panel doubling until two consecutive refinements agree;
 the doubling also resolves oscillatory integrands (jump laws with atoms make
 Re(1/(1+Psi)) ring at the jump-size frequency).  Tail behaviour is then read
@@ -21,8 +23,7 @@ Each cache is keyed on the one input its answer depends on.  The local-time
 criterion and the sup u factor of the expectation bound depend on the
 process only, the tail test on f only, yet every (triplet, f) pair asks for
 them.  local_time_criterion and _sup_bound are therefore memoized per
-triplet and tail_integral_test per test function (its Scaled and SumOf
-recursion hits the cache for the inner functions too); perpetual_verdict
+triplet and tail_integral_test per test function; perpetual_verdict
 combines the cached answers without a cache of its own.  Triplets,
 measures, jump laws and test functions are frozen dataclasses that hash by
 value (a Tabulated or SumOf built from lists stores tuples, so it hashes
@@ -48,14 +49,13 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from .errors import (
-    EvaluationError,
     InversionUnstable,
     NonFiniteParameter,
     PerpetuaError,
     PreconditionViolation,
     QuadratureFailure,
 )
-from .testfunctions import Scaled, SumOf, TestFunction
+from .testfunctions import TestFunction
 from .triplet import ClassificationFlags, LevyTriplet
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
     "REASON_MEAN_NOT_FINITE_POSITIVE",
     "REASON_NO_LOCAL_TIMES",
     "REASON_LOCAL_TIME_UNDECIDED",
-    "REASON_TAIL_TEST_UNDECIDED",
 ]
 
 
@@ -89,7 +88,6 @@ class LocalTimeDecision(Enum):
 class Convergence(Enum):
     CONVERGES = "CONVERGES"
     DIVERGES = "DIVERGES"
-    UNDECIDED = "UNDECIDED"
 
 
 class Verdict(Enum):
@@ -102,7 +100,6 @@ REASON_IS_COMPOUND_POISSON = "IS_COMPOUND_POISSON"
 REASON_MEAN_NOT_FINITE_POSITIVE = "MEAN_NOT_FINITE_POSITIVE"
 REASON_NO_LOCAL_TIMES = "NO_LOCAL_TIMES"
 REASON_LOCAL_TIME_UNDECIDED = "LOCAL_TIME_UNDECIDED"
-REASON_TAIL_TEST_UNDECIDED = "TAIL_TEST_UNDECIDED"
 
 
 # -------------------------------------------------------------------------
@@ -147,7 +144,7 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _block_integral(func, a: float, b: float, *, check_sign: bool = False) -> tuple[float, float]:
+def _block_integral(func, a: float, b: float) -> tuple[float, float]:
     """Integrate func over [a, b]; returns (value, residual of last refinement).
 
     Composite 16-point Gauss-Legendre.  The initial panel count scales with
@@ -167,8 +164,6 @@ def _block_integral(func, a: float, b: float, *, check_sign: bool = False) -> tu
         vals = np.asarray(func(pts), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise QuadratureFailure(f"integrand non-finite on [{a:g}, {b:g}]")
-        if check_sign and np.any(vals < 0.0):
-            raise EvaluationError(f"integrand negative on [{a:g}, {b:g}]")
         return float(half * np.sum(vals.reshape(p, -1) @ weights))
 
     value = evaluate(panels)
@@ -435,7 +430,7 @@ class ConvergenceDecision:
     verdict: Convergence
     value_or_lower_bound: float
     blocks_used: int
-    diagnostics: tuple[float, ...]  # per-block partial sums, head block first
+    diagnostics: tuple[float, ...]  # exact block integrals, head block [0, 1] first
     error_estimate: float
 
     def to_dict(self) -> dict:
@@ -448,112 +443,29 @@ class ConvergenceDecision:
         }
 
 
+_MAX_BLOCKS = 64
+
+
 @_memoized
 def tail_integral_test(f: TestFunction) -> ConvergenceDecision:
-    """Classify int_0^inf f(x) dx as CONVERGES / DIVERGES / UNDECIDED.
+    """Decide int_0^inf f(x) dx from the family's closed form.
 
-    Block sums over [0,1], [1,2], [2,4], ... drive three certificates:
-
-    * CONVERGES once the last four block sums decay geometrically with
-      fitted ratio rho < 0.98 and the geometric remainder is below 0.02
-      times the accumulated value; compactly supported f converges exactly
-      when the blocks pass its support bound.
-    * DIVERGES once the cumulative sum exceeds 1e6 (the value reported is
-      then a certified lower bound), or once block sums are non-decreasing
-      over six consecutive comparisons, which certifies a non-integrable
-      tail trend long before any fixed threshold is hit.
-    * UNDECIDED when 256 dyadic blocks past the head settle neither rule
-      (slowly varying tails near the integrability boundary genuinely look
-      like this).
-
-    Combinators are decided componentwise: a positive sum converges iff
-    every summand does, and scaling by c > 0 never changes the verdict.
+    The value is f.integral_above(0): finite means CONVERGES with that value,
+    inf means DIVERGES.  The certificate lists the exact integrals over [0, 1]
+    and the dyadic blocks [2^k, 2^(k+1)] (f.integral_between), at most 64
+    blocks; a finite tail stops the list before the first block whose
+    remainder no longer moves the value in floating point.  A divergent
+    integral reports the finite sum of the listed blocks as its lower bound.
     """
-    if isinstance(f, Scaled):
-        inner = tail_integral_test(f.inner)
-        return ConvergenceDecision(
-            verdict=inner.verdict,
-            value_or_lower_bound=f.factor * inner.value_or_lower_bound,
-            blocks_used=inner.blocks_used,
-            diagnostics=tuple(f.factor * s for s in inner.diagnostics),
-            error_estimate=f.factor * inner.error_estimate,
-        )
-    if isinstance(f, SumOf):
-        return _combine_sum_decisions([tail_integral_test(p) for p in f.parts])
-
-    return _blocks_decision(f)
-
-
-def _combine_sum_decisions(parts: list[ConvergenceDecision]) -> ConvergenceDecision:
-    verdicts = [p.verdict for p in parts]
-    if any(v is Convergence.DIVERGES for v in verdicts):
-        verdict = Convergence.DIVERGES
-    elif all(v is Convergence.CONVERGES for v in verdicts):
-        verdict = Convergence.CONVERGES
-    else:
-        verdict = Convergence.UNDECIDED
-    depth = max(len(p.diagnostics) for p in parts)
-    # parts may stop at different depths; missing blocks contribute 0, so the
-    # merged diagnostics are per-block lower bounds for the summed function
-    merged = tuple(
-        sum(p.diagnostics[i] if i < len(p.diagnostics) else 0.0 for p in parts)
-        for i in range(depth)
-    )
-    return ConvergenceDecision(
-        verdict=verdict,
-        value_or_lower_bound=sum(p.value_or_lower_bound for p in parts),
-        blocks_used=sum(p.blocks_used for p in parts),
-        diagnostics=merged,
-        error_estimate=sum(p.error_estimate for p in parts),
-    )
-
-
-def _blocks_decision(f: TestFunction) -> ConvergenceDecision:
-    bound = f.support_bound()
-    head, resid = _block_integral(f, 0.0, 1.0, check_sign=True)
-    sums = [head]
-    cum = head
-    quad_err = resid if math.isfinite(resid) else 0.0
-    nondecreasing = 0
-
-    for k in range(256):
-        lo = 2.0 ** k
-        if bound is not None and lo >= bound:
-            return ConvergenceDecision(
-                Convergence.CONVERGES, cum, len(sums), tuple(sums), quad_err
-            )
-        s, resid = _block_integral(f, lo, 2.0 ** (k + 1), check_sign=True)
-        quad_err += resid if math.isfinite(resid) else 0.0
-        sums.append(s)
-        cum += s
-
-        if cum > 1e6:
-            return ConvergenceDecision(
-                Convergence.DIVERGES, cum, len(sums), tuple(sums), quad_err
-            )
-        # empty blocks are not divergence evidence, so require mass
-        nondecreasing = nondecreasing + 1 if (s > 0.0 and s >= sums[-2]) else 0
-        if nondecreasing >= 6:
-            return ConvergenceDecision(
-                Convergence.DIVERGES, cum, len(sums), tuple(sums), quad_err
-            )
-
-        if len(sums) >= 5:
-            if all(w > 0.0 for w in sums[-4:]):
-                slope = _decay_slope(sums)
-                rest = _remainder(sums, slope)
-                if 2.0 ** slope < 0.98 and rest < 0.02 * max(cum, 1e-300):
-                    return ConvergenceDecision(
-                        Convergence.CONVERGES, cum + rest, len(sums), tuple(sums), quad_err + rest
-                    )
-            elif bound is None and sums[-1] == 0.0 and sums[-2] == 0.0:
-                # unbounded support yet tail below float resolution two blocks
-                # running; compact supports must instead run out their bound
-                return ConvergenceDecision(
-                    Convergence.CONVERGES, cum, len(sums), tuple(sums), quad_err
-                )
-
-    return ConvergenceDecision(Convergence.UNDECIDED, cum, len(sums), tuple(sums), quad_err)
+    value = float(f.integral_above(0.0))
+    sums = [float(f.integral_between(0.0, 1.0))]
+    for k in range(_MAX_BLOCKS):
+        if math.isfinite(value) and value + f.integral_above(2.0 ** k) == value:
+            break
+        sums.append(float(f.integral_between(2.0 ** k, 2.0 ** (k + 1))))
+    if math.isfinite(value):
+        return ConvergenceDecision(Convergence.CONVERGES, value, len(sums), tuple(sums), 0.0)
+    return ConvergenceDecision(Convergence.DIVERGES, sum(sums), len(sums), tuple(sums), 0.0)
 
 
 # -------------------------------------------------------------------------
@@ -592,10 +504,10 @@ class VerdictReport:
 def perpetual_verdict(triplet: LevyTriplet, f: TestFunction) -> VerdictReport:
     """Almost-sure finiteness of the running integral of f along the path.
 
-    AS_FINITE / AS_INFINITE when the hypotheses hold (not compound Poisson,
-    local times exist, mean in (0, inf)) and the tail test is decisive;
-    UNDECIDED otherwise with the first failing hypothesis named, checked in
-    that order.  Hypothesis failures are reported, not raised.
+    AS_FINITE / AS_INFINITE as int_0^inf f converges or diverges, when the
+    hypotheses hold (not compound Poisson, local times exist, mean in
+    (0, inf)); UNDECIDED otherwise with the first failing hypothesis named,
+    checked in that order.  Hypothesis failures are reported, not raised.
     """
     flags = triplet.classify()
     try:
@@ -619,11 +531,8 @@ def perpetual_verdict(triplet: LevyTriplet, f: TestFunction) -> VerdictReport:
         verdict = Verdict.UNDECIDED
     elif integral.verdict is Convergence.CONVERGES:
         verdict = Verdict.AS_FINITE
-    elif integral.verdict is Convergence.DIVERGES:
-        verdict = Verdict.AS_INFINITE
     else:
-        verdict = Verdict.UNDECIDED
-        failing = REASON_TAIL_TEST_UNDECIDED
+        verdict = Verdict.AS_INFINITE
 
     record = PreconditionRecord(
         flags=flags,
@@ -653,7 +562,7 @@ def expectation_upper_bound(triplet: LevyTriplet, f: TestFunction) -> float:
     """
     report = perpetual_verdict(triplet, f)
     failing = report.precondition_record.failing
-    if failing is not None and failing != REASON_TAIL_TEST_UNDECIDED:
+    if failing is not None:
         raise PreconditionViolation(failing, "expectation bound needs the verdict hypotheses")
     if report.integral_decision.verdict is not Convergence.CONVERGES:
         raise PreconditionViolation(

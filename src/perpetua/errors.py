@@ -15,8 +15,13 @@ class NonFiniteParameter(PerpetuaError, ValueError):
 
     def __init__(self, issues):
         self.issues = list(issues)
-        msgs = "; ".join(f"{i.code}: {i.message}" for i in self.issues)
-        super().__init__(msgs)
+        super().__init__("; ".join(map(_describe, self.issues)))
+
+
+def _describe(issue) -> str:
+    """'CODE: message', and ' (at path)' after it when the issue's field is a nested path."""
+    nested = "." in issue.field or "[" in issue.field
+    return f"{issue.code}: {issue.message}" + (f" (at {issue.field})" if nested else "")
 
 
 class PreconditionViolation(PerpetuaError):
@@ -33,10 +38,6 @@ class QuadratureFailure(PerpetuaError):
 
 class InversionUnstable(PerpetuaError):
     """Fourier inversion error estimate exceeded the allowed fraction of the value."""
-
-
-class EvaluationError(PerpetuaError):
-    """A test function returned negative or non-finite values."""
 
 
 class StepTooCoarse(PerpetuaError):

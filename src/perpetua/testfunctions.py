@@ -2,10 +2,11 @@
 
 Every family is measurable, locally integrable and >= 0 on the whole line,
 which is all the theory asks of f.  On top of evaluation each family knows
-its own tail analytically: ``integral_above(x)`` returns the exact value of
-``int_x^inf f``, so quadrature routines and tests never have to extrapolate
-beyond what the family can certify.  Compactly supported families report a
-``support_bound`` so block integration can stop early.
+its integrals in closed form: ``integral_above(x)`` is the exact value of
+``int_x^inf f`` (inf when it diverges) and ``integral_between(a, b)`` that of
+``int_a^b f`` for a <= b (finite, also where the tail diverges), so the tail
+test reads its verdict and its block sums from the family and never
+extrapolates.
 
 Families compose through :class:`Scaled` and :class:`SumOf`.
 
@@ -15,6 +16,7 @@ Building an invalid test function raises NonFiniteParameter with all its issues.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -34,6 +36,23 @@ __all__ = [
     "TestFunction",
     "test_function_from_dict",
 ]
+
+
+def _power_integral(v: float, dv: float, p: float) -> float:
+    """int_v^(v+dv) t^-p dt for v > 0 and dv >= 0; log(1 + dv/v) at p = 1."""
+    log_ratio = math.log1p(dv / v)
+    if p == 1.0:
+        return log_ratio
+    return v ** (1.0 - p) * math.expm1((1.0 - p) * log_ratio) / (1.0 - p)
+
+
+def _even_integral(piece, a: float, b: float) -> float:
+    """int_a^b f of an even f for a <= b, from piece(lo, hi) = int_lo^hi f on 0 <= lo <= hi."""
+    if a >= 0.0:
+        return piece(a, b)
+    if b <= 0.0:
+        return piece(-b, -a)
+    return piece(0.0, -a) + piece(0.0, b)
 
 
 @dataclass(frozen=True)
@@ -65,13 +84,13 @@ class ExpDecay(Validated):
         out = np.where(x < 0.0, self.left_level, np.exp(-self.rate * np.maximum(x, 0.0)))
         return out if out.ndim else float(out)
 
-    def support_bound(self) -> float | None:
-        return None  # positive tail never vanishes
-
     def integral_above(self, x: float) -> float:
         if x >= 0.0:
             return math.exp(-self.rate * x) / self.rate
         return self.left_level * (-x) + 1.0 / self.rate
+
+    def integral_between(self, a: float, b: float) -> float:
+        return self.integral_above(a) - self.integral_above(b)
 
     def integral_full(self) -> float:
         return math.inf if self.left_level > 0.0 else 1.0 / self.rate
@@ -102,9 +121,6 @@ class PowerTail(Validated):
         out = (self.shift + np.abs(x)) ** (-self.p)
         return out if out.ndim else float(out)
 
-    def support_bound(self) -> float | None:
-        return None
-
     def integral_above(self, x: float) -> float:
         # int_a^inf (shift+t)^-p dt for a >= 0, plus the reflected piece if x < 0.
         if self.p <= 1.0:
@@ -117,10 +133,17 @@ class PowerTail(Validated):
             return upper(x)
         return 2.0 * upper(0.0) - upper(-x)
 
+    def integral_between(self, a: float, b: float) -> float:
+        return _even_integral(lambda lo, hi: _power_integral(self.shift + lo, hi - lo, self.p), a, b)
+
     def integral_full(self) -> float:
         if self.p <= 1.0:
             return math.inf
         return 2.0 * self.shift ** (1.0 - self.p) / (self.p - 1.0)
+
+
+# the largest p at which log(2)^(1 - p), a factor of f(0) and of every closed form, is a float
+_LOG_POWER_P_MAX = 1 + math.floor(math.log(sys.float_info.max) / -math.log(math.log(2.0)))
 
 
 @dataclass(frozen=True)
@@ -139,6 +162,9 @@ class LogPower(Validated):
         issues = require_finite(self.p, "p", "P_NONFINITE")
         if not issues and self.p <= 0.0:
             issues.append(Issue("P_POSITIVE", "p", "exponent must be > 0"))
+        elif not issues and self.p > _LOG_POWER_P_MAX:
+            issues.append(Issue("P_RANGE", "p", f"exponent must be <= {_LOG_POWER_P_MAX}, "
+                                                "past which f(0) and its integrals overflow a float"))
         return issues
 
     def __call__(self, x):
@@ -146,9 +172,6 @@ class LogPower(Validated):
         base = 2.0 + np.abs(x)
         out = 1.0 / (base * np.log(base) ** self.p)
         return out if out.ndim else float(out)
-
-    def support_bound(self) -> float | None:
-        return None
 
     def integral_above(self, x: float) -> float:
         if self.p <= 1.0:
@@ -160,6 +183,13 @@ class LogPower(Validated):
         if x >= 0.0:
             return upper(x)
         return 2.0 * upper(0.0) - upper(-x)
+
+    def integral_between(self, a: float, b: float) -> float:
+        # u = log(2 + t) turns the integral into int u^-p du
+        def piece(lo: float, hi: float) -> float:
+            return _power_integral(math.log(2.0 + lo), math.log1p((hi - lo) / (2.0 + lo)), self.p)
+
+        return _even_integral(piece, a, b)
 
     def integral_full(self) -> float:
         return self.integral_above(0.0) * 2.0 if self.p > 1.0 else math.inf
@@ -186,12 +216,12 @@ class Indicator(Validated):
         out = np.where((x >= self.a) & (x <= self.b), 1.0, 0.0)
         return out if out.ndim else float(out)
 
-    def support_bound(self) -> float | None:
-        return self.b
-
     def integral_above(self, x: float) -> float:
         lo = max(self.a, x)
         return max(self.b - lo, 0.0)
+
+    def integral_between(self, a: float, b: float) -> float:
+        return self.integral_above(a) - self.integral_above(b)
 
     def integral_full(self) -> float:
         return self.b - self.a
@@ -254,9 +284,6 @@ class Tabulated(Validated):
             out = np.where(x > k[-1], tail, out)
         return out if out.ndim else float(out)
 
-    def support_bound(self) -> float | None:
-        return float(self.knots[-1]) if self.tail_model == "zero" else None
-
     def _tail_integral(self, x: float) -> float:
         # int_x^inf of the tail branch, valid for x >= last knot.
         if self.tail_model == "zero":
@@ -273,6 +300,9 @@ class Tabulated(Validated):
         xs = np.concatenate(([a], k[keep]))
         ys = np.concatenate(([self(a)], v[keep]))
         return float(np.trapezoid(ys, xs)) + self._tail_integral(float(k[-1]))
+
+    def integral_between(self, a: float, b: float) -> float:
+        return self.integral_above(a) - self.integral_above(b)
 
     def integral_full(self) -> float:
         return self.integral_above(float(self.knots[0]))
@@ -296,11 +326,11 @@ class Scaled(Validated):
     def __call__(self, x):
         return self.factor * self.inner(x)
 
-    def support_bound(self) -> float | None:
-        return self.inner.support_bound()
-
     def integral_above(self, x: float) -> float:
         return self.factor * self.inner.integral_above(x)
+
+    def integral_between(self, a: float, b: float) -> float:
+        return self.factor * self.inner.integral_between(a, b)
 
     def integral_full(self) -> float:
         return self.factor * self.inner.integral_full()
@@ -330,14 +360,11 @@ class SumOf(Validated):
             out = out + part(x)
         return out if out.ndim else float(out)
 
-    def support_bound(self) -> float | None:
-        bounds = [part.support_bound() for part in self.parts]
-        if any(b is None for b in bounds):
-            return None
-        return max(bounds)
-
     def integral_above(self, x: float) -> float:
         return sum(part.integral_above(x) for part in self.parts)
+
+    def integral_between(self, a: float, b: float) -> float:
+        return sum(part.integral_between(a, b) for part in self.parts)
 
     def integral_full(self) -> float:
         return sum(part.integral_full() for part in self.parts)

@@ -79,10 +79,10 @@ class LevyTriplet(Validated):
     def validate(self) -> list[Issue]:
         """Problems of drift and gaussian_coef; the measure checked itself when built."""
         issues = require_finite(self.drift, "drift", "NONFINITE_DRIFT")
-        bad = require_finite(self.gaussian_coef, "gaussian_coef", "NEGATIVE_GAUSSIAN")
+        # named by its config key, the one a user wrote
+        bad = require_finite(self.gaussian_coef, "gaussian", "NEGATIVE_GAUSSIAN")
         if not bad and self.gaussian_coef < 0:
-            bad.append(Issue("NEGATIVE_GAUSSIAN", "gaussian_coef",
-                             "gaussian coefficient must be >= 0"))
+            bad.append(Issue("NEGATIVE_GAUSSIAN", "gaussian", "gaussian coefficient must be >= 0"))
         return issues + bad
 
     # ------------------------------------------------------------------

@@ -83,11 +83,14 @@ def _wire(value):
     return value
 
 
-def json_object(value, field: str) -> dict:
-    """value when it is a JSON object; otherwise NonFiniteParameter naming field."""
+def json_object(value, name: str) -> dict:
+    """value when it is a JSON object; otherwise NonFiniteParameter whose message calls it name.
+
+    The issue is about the value itself, so its field is empty; where the
+    value was read for a field, build puts that field's path there.
+    """
     if not isinstance(value, dict):
-        raise NonFiniteParameter([Issue("FIELD_TYPE", field,
-                                        f"{field} must be an object, got {value!r}")])
+        raise NonFiniteParameter([Issue("FIELD_TYPE", "", f"{name} must be an object, got {value!r}")])
     return value
 
 
@@ -102,12 +105,15 @@ def _missing(key: str) -> Issue:
     return Issue("FIELD_MISSING", key, f"missing field {key!r}")
 
 
-def family_params(d, field: str) -> tuple:
-    """(family, params) of the {"family", "params"} object d named field; params may be left out."""
-    issues = _key_issues(json_object(d, field), ("family", "params"), ("family",))
+def family_params(d, name: str) -> tuple:
+    """(family, params) of the {"family", "params"} object d named name; params may be left out."""
+    issues = _key_issues(json_object(d, name), ("family", "params"), ("family",))
+    params = d.get("params", {})
+    if not isinstance(params, dict):
+        issues.append(Issue("FIELD_TYPE", "params", f"params must be an object, got {params!r}"))
     if issues:
         raise NonFiniteParameter(issues)
-    return d["family"], json_object(d.get("params", {}), "params")
+    return d["family"], params
 
 
 def family_class(registry: dict, name, key: str, code: str, what: str):
@@ -126,9 +132,11 @@ def build(cls, params: dict, read: dict | None = None, **fixed):
     A key naming no field is FIELD_UNKNOWN, a field with no default and no key
     FIELD_MISSING, and a tuple field takes a list.  fixed fields are set here
     and are no keys.  read maps a field to the reader of its nested JSON value
-    (of each item, for a tuple field); nested issues follow the value's own.
-    A nested value that fails is passed on as written: a value's own checks
-    never look inside the values it holds.
+    (of each item, for a tuple field); nested issues follow the value's own,
+    each field prefixed with the key and index it came from, such as
+    levy_measure.jump_law.b or parts[1].rate.  A nested value that fails is
+    passed on as written: a value's own checks never look inside the values
+    it holds.
     """
     fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)
               if f.name not in fixed}
@@ -142,8 +150,8 @@ def build(cls, params: dict, read: dict | None = None, **fixed):
         if many and not isinstance(value, list):
             issues.append(Issue("FIELD_TYPE", key, f"{key} must be a list, got {value!r}"))
         elif name in read:
-            value = ([_read(read[name], v, nested) for v in value] if many
-                     else _read(read[name], value, nested))
+            value = ([_read(read[name], v, f"{key}[{i}]", nested) for i, v in enumerate(value)]
+                     if many else _read(read[name], value, key, nested))
         values[name] = value
     if not issues:
         try:
@@ -155,9 +163,11 @@ def build(cls, params: dict, read: dict | None = None, **fixed):
     return built
 
 
-def _read(reader, value, nested: list):
+def _read(reader, value, path: str, nested: list):
+    """reader(value); when it fails, its issues go to nested with their fields under path."""
     try:
         return reader(value)
     except NonFiniteParameter as exc:
-        nested += exc.issues
+        nested += [dataclasses.replace(i, field=f"{path}.{i.field}" if i.field else path)
+                   for i in exc.issues]
         return value

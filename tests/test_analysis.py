@@ -1,5 +1,6 @@
 """Analytic layer: local-time criterion, potential density, tail test, verdicts."""
 
+import json
 import math
 import traceback
 
@@ -36,7 +37,6 @@ from perpetua.analysis import (
     REASON_IS_COMPOUND_POISSON,
     REASON_MEAN_NOT_FINITE_POSITIVE,
     REASON_NO_LOCAL_TIMES,
-    REASON_TAIL_TEST_UNDECIDED,
 )
 from perpetua.benchmarks import benchmark_matrix, benchmark_processes
 
@@ -153,7 +153,8 @@ class TestTailIntegralTest:
     def test_log_power_frozen_value(self):
         d = tail_integral_test(LogPower(2.0))
         assert d.verdict is Convergence.CONVERGES
-        assert abs(d.value_or_lower_bound - INV_LOG2) <= d.error_estimate + 0.02 * INV_LOG2
+        assert d.value_or_lower_bound == pytest.approx(INV_LOG2, rel=1e-12)
+        assert d.error_estimate == 0.0
 
     def test_power_tail_one_diverges(self):
         d = tail_integral_test(PowerTail(1.0))
@@ -166,15 +167,16 @@ class TestTailIntegralTest:
         assert d.verdict is Convergence.CONVERGES
         assert d.value_or_lower_bound == pytest.approx(1.0, rel=0.02)
 
-    def test_indicator_exact_via_support_bound(self):
+    def test_indicator_exact(self):
         d = tail_integral_test(Indicator(0.0, 5.0))
         assert d.verdict is Convergence.CONVERGES
         assert d.value_or_lower_bound == pytest.approx(5.0, rel=1e-9)
 
-    def test_log_power_one_honestly_undecided(self):
-        # diverges like log log x: no finite dyadic scan can certify either way
+    def test_log_power_one_diverges(self):
+        # diverges like log log x, which the closed form says, though no dyadic scan could
         d = tail_integral_test(LogPower(1.0))
-        assert d.verdict is Convergence.UNDECIDED
+        assert d.verdict is Convergence.DIVERGES
+        assert math.isfinite(d.value_or_lower_bound)
 
     def test_scaling_covariance(self):
         base = tail_integral_test(ExpDecay(1.0))
@@ -208,6 +210,60 @@ class TestTailIntegralTest:
         d = tail_integral_test(f)
         assert d.verdict is Convergence.CONVERGES
         assert d.value_or_lower_bound == pytest.approx(f.integral_above(0.0), rel=1e-6)
+
+    @pytest.mark.parametrize("f", [
+        ExpDecay(1.0), ExpDecay(0.01), Indicator(0.0, 1000.0), PowerTail(2.0), PowerTail(1.0),
+        LogPower(1.0), LogPower(2.0), SumOf((ExpDecay(1.0), Scaled(2.0, Indicator(3.0, 9.0)))),
+    ])
+    def test_certificate_is_the_exact_dyadic_block_sums(self, f):
+        d = tail_integral_test(f)
+        edges = [0.0] + [2.0 ** k for k in range(len(d.diagnostics))]
+        assert d.diagnostics == tuple(f.integral_between(a, b) for a, b in zip(edges, edges[1:]))
+        assert d.blocks_used == len(d.diagnostics) <= 65
+        assert d.error_estimate == 0.0
+        json.dumps(d.to_dict(), allow_nan=False)  # a divergent value is finite too
+        last = edges[len(d.diagnostics)]
+        if d.verdict is Convergence.CONVERGES:
+            # the scan stops where the rest no longer moves the value, or after 64 blocks
+            assert d.blocks_used == 65 or d.value_or_lower_bound + f.integral_above(last) \
+                == d.value_or_lower_bound
+            assert sum(d.diagnostics) + f.integral_above(last) == pytest.approx(
+                d.value_or_lower_bound, rel=1e-12)
+        else:
+            assert d.blocks_used == 65
+            assert d.value_or_lower_bound == sum(d.diagnostics)
+
+    def test_exp_decay_stops_where_the_tail_is_below_rounding(self):
+        # e^-32 still moves 1.0 in floating point, e^-64 does not
+        d = tail_integral_test(ExpDecay(1.0))
+        assert (d.value_or_lower_bound, d.blocks_used) == (1.0, 7)
+
+
+# Slow and borderline tails, which a quadrature scan over dyadic blocks stops on
+# too early or never decides: each is decided as its closed form says.
+@pytest.mark.parametrize("f, value", [
+    (Indicator(0.0, 1000.0), 1000.0),
+    (Tabulated((0.0, 1.0, 500.0), (0.0, 1.0, 1.0)), 499.5),
+    (ExpDecay(0.01), 100.0),
+    (PowerTail(1.01), 100.0),
+    (PowerTail(1.02), 50.0),
+    (LogPower(1.1), 10.0 / math.log(2.0) ** 0.1),
+    (LogPower(1.5), 2.0 / math.log(2.0) ** 0.5),
+    (LogPower(2.0), INV_LOG2),
+])
+def test_integrable_tails_are_as_finite_with_the_closed_form_value(f, value):
+    rep = perpetual_verdict(BM_DRIFT, f)
+    assert rep.verdict is Verdict.AS_FINITE
+    assert rep.integral_decision.value_or_lower_bound == f.integral_above(0.0)
+    assert rep.integral_decision.value_or_lower_bound == pytest.approx(value, rel=1e-12)
+    assert rep.integral_decision.error_estimate == 0.0
+
+
+@pytest.mark.parametrize("p", [0.9, 1.0])
+def test_log_power_up_to_one_is_as_infinite(p):
+    rep = perpetual_verdict(BM_DRIFT, LogPower(p))
+    assert rep.verdict is Verdict.AS_INFINITE
+    assert rep.integral_decision.verdict is Convergence.DIVERGES
 
 
 class TestPerpetualVerdict:
@@ -244,10 +300,10 @@ class TestPerpetualVerdict:
         rep = perpetual_verdict(LevyTriplet(-1.0, 1.0), ExpDecay(1.0))
         assert rep.precondition_record.failing == REASON_MEAN_NOT_FINITE_POSITIVE
 
-    def test_undecided_tail(self):
+    def test_borderline_divergent_tail(self):
         rep = perpetual_verdict(BM_DRIFT, LogPower(1.0))
-        assert rep.verdict is Verdict.UNDECIDED
-        assert rep.precondition_record.failing == REASON_TAIL_TEST_UNDECIDED
+        assert rep.verdict is Verdict.AS_INFINITE
+        assert rep.precondition_record.failing is None
 
     @pytest.mark.parametrize("t, f", [
         (BM_DRIFT, ExpDecay(1.0)),
@@ -379,20 +435,13 @@ class TestMemo:
         info = local_time_criterion.cache_info()
         assert (info.misses, info.hits) == (1, 5)
 
-    def test_one_function_across_the_matrix_triplets_scans_once(self, cold_memo, monkeypatch):
-        runs = []
-        blocks_decision = analysis._blocks_decision
-
-        def counting(f):
-            runs.append(f)
-            return blocks_decision(f)
-
-        monkeypatch.setattr(analysis, "_blocks_decision", counting)
+    def test_one_function_across_the_matrix_triplets_scans_once(self, cold_memo):
         f = LogPower(2.0)
         triplets = [t for _, t in benchmark_processes()]
         assert len(triplets) == 5
         reports = [perpetual_verdict(t, f) for t in triplets]
-        assert runs == [f]
+        info = tail_integral_test.cache_info()
+        assert (info.misses, info.hits) == (1, 4)  # the uncached body ran once
         assert {r.verdict for r in reports} == {Verdict.AS_FINITE}
         assert len({r.integral_decision for r in reports}) == 1
 
@@ -470,8 +519,7 @@ class TestMemo:
         assert local_time_criterion.cache_info().currsize == 7
         assert tail_integral_test.cache_info().currsize == 4
         assert analysis._sup_bound.cache_info().currsize == 5
-        # cold: every cached function replaced by its uncached body, the
-        # tail test's Scaled and SumOf recursion included
+        # cold: every cached function replaced by its uncached body
         for name in ("local_time_criterion", "tail_integral_test", "_sup_bound"):
             monkeypatch.setattr(analysis, name, getattr(analysis, name).__wrapped__)
         cold = answers()

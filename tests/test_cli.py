@@ -128,7 +128,7 @@ class TestExitCodes:
         cases = [
             ({"triplet": {"drift": "1.0"}}, "drift must be a finite number, got '1.0'"),
             ({"triplet": {"drift": 1.0, "gaussian": True}},
-             "gaussian_coef must be a finite number, got True"),
+             "NEGATIVE_GAUSSIAN: gaussian must be a finite number, got True"),
             ({"f": {"family": "indicator", "params": {"a": "0", "b": "5"}}},
              "a must be a finite number, got '0'; B_NONFINITE: b must be a finite number, got '5'"),
             ({"triplet": {"drift": 1.0, "levy_measure": cp}},
@@ -143,7 +143,7 @@ class TestExitCodes:
             f=cases[2][0]["f"])
         assert main(["verdict", "--config", together]) == 2
         err = capsys.readouterr().err
-        for fragment in ("triplet: NONFINITE_DRIFT", "gaussian_coef must be", "theta must be",
+        for fragment in ("triplet: NONFINITE_DRIFT", "gaussian must be", "theta must be",
                          "f: A_NONFINITE"):
             assert fragment in err
 
@@ -167,13 +167,14 @@ class TestExitCodes:
              "triplet: FIELD_TYPE: levy_measure must be an object, got 'x'"),
             ({"triplet": {"gaussian": 1.0}}, "triplet: FIELD_MISSING: missing field 'drift'"),
             ({"triplet": {"drift": 1.0, "levy_measure": cp}},
-             "triplet: FIELD_MISSING: missing field 'jump_law'"),
+             "triplet: FIELD_MISSING: missing field 'jump_law' (at levy_measure.jump_law)"),
             ({"f": scaled}, "f: FIELD_MISSING: missing field 'inner'"),
             # unknown, missing and misshapen family fields
             ({"triplet": {"drift": 1.0, "gausian": 1.0}},
              "triplet: FIELD_UNKNOWN: unknown field 'gausian' (known: drift, gaussian, levy_measure)"),
             ({"triplet": {"drift": 1.0, "levy_measure": {"family": "none", "extra": 1}}},
-             "triplet: FIELD_UNKNOWN: unknown field 'extra' (known: family, params)"),
+             "triplet: FIELD_UNKNOWN: unknown field 'extra' (known: family, params) "
+             "(at levy_measure.extra)"),
             ({"f": {"family": "exp_decay", "params": {"rate": 1.0}, "extra": 1}},
              "f: FIELD_UNKNOWN: unknown field 'extra' (known: family, params)"),
             ({"triplet": {"drift": "x", "levy_measure": {"family": "stable",
@@ -185,7 +186,8 @@ class TestExitCodes:
             (f("exp_decay", rate=1.0, bogus=2),
              "f: FIELD_UNKNOWN: unknown field 'bogus' (known: rate, left_level)"),
             (law(kind="exponential", theta=2.0, sgn=1),
-             "triplet: FIELD_UNKNOWN: unknown field 'sgn' (known: theta, sign)"),
+             "triplet: FIELD_UNKNOWN: unknown field 'sgn' (known: theta, sign) "
+             "(at levy_measure.jump_law.sgn)"),
             (measure("spectrally_negative_stable", alpha=1.5, scale=1.0, skew=0.3),
              "triplet: FIELD_UNKNOWN: unknown field 'skew' (known: alpha, scale)"),
             (f("tabulated", knots=5, values=[1.0, 0.0]),
@@ -207,8 +209,10 @@ class TestExitCodes:
         together = write_config(tmp_path, triplet={"levy_measure": cp}, f=scaled)
         assert main(["verdict", "--config", together]) == 2
         assert ("triplet: FIELD_MISSING: missing field 'drift'; FIELD_MISSING: missing field "
-                "'jump_law'; f: FIELD_MISSING: missing field 'inner'") in capsys.readouterr().err
-        # every level lists its own issues first, then those of the values it holds
+                "'jump_law' (at levy_measure.jump_law); f: FIELD_MISSING: missing field 'inner'"
+                ) in capsys.readouterr().err
+        # every level lists its own issues first, then those of the values it holds, each
+        # of these with the path of keys and indices that leads to it
         parts = [{"family": "power_tail", "params": {"p": -1.0}}, {"family": "mystery"}]
         together = write_config(
             tmp_path, triplet=law(kind="uniform", a=2.0, b=1.0)["triplet"] | {"drift": "x"},
@@ -216,9 +220,18 @@ class TestExitCodes:
                 "family": "sum", "params": {"parts": parts}}}})
         assert main(["verdict", "--config", together]) == 2
         assert ("triplet: NONFINITE_DRIFT: drift must be a finite number, got 'x'; "
-                "UNIFORM_BOUNDS: need a < b; f: FACTOR_POSITIVE: scale factor must be > 0; "
-                "P_POSITIVE: exponent must be > 0; "
-                "FAMILY_UNKNOWN: unknown test function family 'mystery'") in capsys.readouterr().err
+                "UNIFORM_BOUNDS: need a < b (at levy_measure.jump_law.a); "
+                "f: FACTOR_POSITIVE: scale factor must be > 0; "
+                "P_POSITIVE: exponent must be > 0 (at inner.parts[0].p); "
+                "FAMILY_UNKNOWN: unknown test function family 'mystery' (at inner.parts[1].family)"
+                ) in capsys.readouterr().err
+        # two equal issues are told apart by their paths
+        bad = {"family": "exp_decay", "params": {"rate": -1}}
+        twins = write_config(tmp_path, f={"family": "sum", "params": {"parts": [bad, bad]}})
+        assert main(["verdict", "--config", twins]) == 2
+        assert ("f: RATE_POSITIVE: decay rate must be > 0 (at parts[0].rate); "
+                "RATE_POSITIVE: decay rate must be > 0 (at parts[1].rate)\n"
+                ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["verdict", "--seed", "3"], ["classify", "--out", "x"],

@@ -1,4 +1,4 @@
-"""Integrand families: values, exact tail integrals, support, serialization."""
+"""Integrand families: values, exact integrals, support, serialization."""
 
 import math
 from functools import partial
@@ -17,6 +17,7 @@ from perpetua import (
     SumOf,
     Tabulated,
 )
+from perpetua import analysis, testfunctions
 from perpetua import test_function_from_dict as fn_from_dict
 
 INV_LOG2 = 1.4426950408889634  # int_0^inf dx / ((2+x) log^2(2+x))
@@ -118,30 +119,80 @@ class TestIntegrals:
         assert math.isinf(f.integral_above(0.0))
 
 
+def support_end(f, x):
+    """f has no mass above x and some just below it, by its closed forms."""
+    return f.integral_above(x) == 0.0 < f.integral_between(x - 0.1, x) == f.integral_above(x - 0.1)
+
+
 class TestSupport:
+    """The closed forms see where a compact support ends; the tail test stops there."""
+
     def test_indicator_bound(self):
-        assert Indicator(0.0, 5.0).support_bound() == pytest.approx(5.0)
+        assert support_end(Indicator(0.0, 5.0), 5.0)
 
     def test_unbounded_families(self):
-        assert ExpDecay(1.0).support_bound() is None
-        assert PowerTail(1.0).support_bound() is None
-        assert LogPower(2.0).support_bound() is None
+        for f in (ExpDecay(0.01), PowerTail(1.5), LogPower(2.0)):
+            assert f.integral_above(1e3) > 0.0
+        for f in (PowerTail(1.0), LogPower(1.0)):
+            assert math.isinf(f.integral_above(1e3))
 
     def test_tabulated_zero_tail_bound(self):
         f = Tabulated((0.0, 1.0), (1.0, 1.0), tail_model="zero")
-        assert f.support_bound() == pytest.approx(1.0)
+        assert support_end(f, 1.0)
 
     def test_sum_bound_is_max(self):
         f = SumOf((Indicator(0.0, 2.0), Indicator(5.0, 9.0)))
-        assert f.support_bound() == pytest.approx(9.0)
+        assert support_end(f, 9.0)
 
     def test_sum_with_unbounded_part(self):
         f = SumOf((Indicator(0.0, 2.0), ExpDecay(1.0)))
-        assert f.support_bound() is None
+        assert f.integral_above(9.0) > 0.0
 
     def test_scaled_preserves_bound(self):
         f = Scaled(4.0, Indicator(1.0, 3.0))
-        assert f.support_bound() == pytest.approx(3.0)
+        assert support_end(f, 3.0)
+
+
+# One or more values of every family.  Kinks and jumps sit on panel edges of
+# the block quadrature, which then integrates each piece to rounding.
+EXAMPLES = {
+    "exp_decay": [ExpDecay(1.0), ExpDecay(0.01, left_level=0.5)],
+    "power_tail": [PowerTail(0.5), PowerTail(1.0), PowerTail(1.5, shift=2.0)],
+    "log_power": [LogPower(0.5), LogPower(1.0), LogPower(2.0)],
+    "indicator": [Indicator(-5.0, 1536.0)],
+    "tabulated": [Tabulated((0.0, 1.0, 2.0), (0.5, 1.0, 0.0)),
+                  Tabulated((-5.0, -3.5, 0.0, 2.0, 1536.0), (0.0, 1.0, 2.0, 0.5, 1.0),
+                            tail_model="exp", tail_rate=0.01)],
+    "scaled": [Scaled(3.0, PowerTail(1.0))],
+    "sum": [SumOf((Indicator(-5.0, 1536.0), LogPower(1.5),
+                   Scaled(0.5, ExpDecay(0.01, left_level=0.0))))],
+}
+
+
+class TestClosedForms:
+    """Every family's integral_between and integral_above, against quadrature and each other."""
+
+    @pytest.mark.parametrize("kind", sorted(testfunctions._FAMILIES))
+    def test_integral_between_matches_block_quadrature(self, kind):
+        for f in EXAMPLES[kind]:
+            for a, b in ((0.0, 1.0), (2.0 ** 10, 2.0 ** 11), (-8.0, -2.0), (-3.0, 5.0)):
+                quadrature, _ = analysis._block_integral(f, a, b)
+                assert f.integral_between(a, b) == pytest.approx(quadrature, rel=1e-9), (f, a, b)
+
+    @pytest.mark.parametrize("kind", sorted(testfunctions._FAMILIES))
+    def test_between_and_above_add_up(self, kind):
+        for f in EXAMPLES[kind]:
+            total = f.integral_above(0.0)
+            if math.isinf(total):
+                continue
+            for x in (0.5, 3.0, 1536.0, 1e6):
+                assert f.integral_between(0.0, x) + f.integral_above(x) == pytest.approx(
+                    total, rel=1e-12), (f, x)
+
+    @pytest.mark.parametrize("f", [PowerTail(1.0), LogPower(1.0)])
+    def test_divergent_tails_have_finite_positive_blocks(self, f):
+        sums = [f.integral_between(2.0 ** k, 2.0 ** (k + 1)) for k in range(64)]
+        assert all(0.0 < s < math.inf for s in sums)
 
 
 class TestValidation:
@@ -150,6 +201,7 @@ class TestValidation:
         (partial(ExpDecay, 1.0, left_level=-0.5), "LEVEL_NEGATIVE"),
         (partial(PowerTail, 0.0), "P_POSITIVE"),
         (partial(LogPower, -2.0), "P_POSITIVE"),
+        (partial(LogPower, 1938.0), "P_RANGE"),
         (partial(Indicator, 3.0, 1.0), "INTERVAL_ORDER"),
         (partial(Scaled, -1.0, ExpDecay(1.0)), "FACTOR_POSITIVE"),
         (partial(Tabulated, (0.0, 1.0), (1.0, -1.0)), "VALUES_NEGATIVE"),

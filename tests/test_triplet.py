@@ -428,6 +428,12 @@ class TestWireForm:
         assert LevyTriplet.from_dict({"drift": 1.0, "gaussian": 2.0}) == LevyTriplet(1.0, 2.0)
         with pytest.raises(NonFiniteParameter, match="unknown field 'gaussian_coef'"):
             LevyTriplet.from_dict({"drift": 1.0, "gaussian_coef": 2.0})
+        # and its issues name the key too, never the field
+        for bad in (-1.0, "x"):
+            with pytest.raises(NonFiniteParameter) as exc:
+                LevyTriplet.from_dict({"drift": 1.0, "gaussian": bad})
+            assert [i.field for i in exc.value.issues] == ["gaussian"]
+            assert "gaussian_coef" not in str(exc.value)
 
 class TestRng:
     def test_derived_seeds_differ_by_tag(self):
