@@ -1,12 +1,13 @@
 """Decision procedures: local times, tail convergence, potential density, verdict.
 
 The verdict machinery turns a process triplet plus a test function into one of
-AS_FINITE / AS_INFINITE / UNDECIDED.  The process questions are numerical,
-so the local-time criterion owns an explicit UNDECIDED outcome and never
-silently forces a binary answer.  The tail question is exact: every
-test-function family knows int_x^inf f in closed form, and the tail test
+AS_FINITE / AS_INFINITE / UNDECIDED; UNDECIDED names the paper's hypothesis
+that fails.  Every question the verdict asks is answered exactly: the
+local-time hypothesis is read off the triplet's closed form, and every
+test-function family knows int_x^inf f in closed form, so the tail test
 reads its verdict from there, with the exact dyadic block sums as its
-certificate.
+certificate.  Quadrature is left only where the answer is a number: the sup
+u factor of the expectation bound and the potential density.
 
 Quadrature strategy
 -------------------
@@ -14,23 +15,22 @@ Improper integrals over r of functions of the characteristic exponent are
 split into dyadic blocks [2^k, 2^(k+1)].  Each block is integrated by composite
 Gauss-Legendre with panel doubling until two consecutive refinements agree;
 the doubling also resolves oscillatory integrands (jump laws with atoms make
-Re(1/(1+Psi)) ring at the jump-size frequency).  Tail behaviour is then read
+Re(1/Psi) ring at the jump-size frequency).  Tail behaviour is then read
 off the block sums, never from pointwise extrapolation.
 
 Memoization
 -----------
-Each cache is keyed on the one input its answer depends on.  The local-time
-criterion and the sup u factor of the expectation bound depend on the
-process only, the tail test on f only, yet every (triplet, f) pair asks for
-them.  local_time_criterion and _sup_bound are therefore memoized per
-triplet and tail_integral_test per test function; perpetual_verdict
-combines the cached answers without a cache of its own.  Triplets,
-measures, jump laws and test functions are frozen dataclasses that hash by
-value (a Tabulated or SumOf built from lists stores tuples, so it hashes
-and shares the entry of its tuple-built twin).  Each cache keeps at most
-_MEMO_SIZE entries; a refused bound is cached as its error and raised afresh
-on every call.  Every input was checked when it was built, so no routine
-here validates it again.
+Each cache is keyed on the one input its answer depends on.  The sup u
+factor of the expectation bound depends on the process only, the tail test
+on f only, yet every (triplet, f) pair asks for them.  _sup_bound is
+therefore memoized per triplet and tail_integral_test per test function;
+perpetual_verdict combines the cached answers without a cache of its own.
+Triplets, measures, jump laws and test functions are frozen dataclasses
+that hash by value (a Tabulated or SumOf built from lists stores tuples, so
+it hashes and shares the entry of its tuple-built twin).  Each cache keeps
+at most _MEMO_SIZE entries; a refused bound is cached as its error and
+raised afresh on every call.  Every input was checked when it was built, so
+no routine here validates it again.
 
 The sup bound is one integral: sup u = u(0) = 1/(2 mu) + (1/pi) int_0^inf
 Re(1/Psi(r)) dr, plus 1/(2|d|) for finite variation without a Gaussian part
@@ -75,14 +75,12 @@ __all__ = [
     "REASON_IS_COMPOUND_POISSON",
     "REASON_MEAN_NOT_FINITE_POSITIVE",
     "REASON_NO_LOCAL_TIMES",
-    "REASON_LOCAL_TIME_UNDECIDED",
 ]
 
 
 class LocalTimeDecision(Enum):
     HAS_LOCAL_TIMES = "HAS_LOCAL_TIMES"
     NO_LOCAL_TIMES = "NO_LOCAL_TIMES"
-    UNDECIDED = "UNDECIDED"
 
 
 class Convergence(Enum):
@@ -99,7 +97,6 @@ class Verdict(Enum):
 REASON_IS_COMPOUND_POISSON = "IS_COMPOUND_POISSON"
 REASON_MEAN_NOT_FINITE_POSITIVE = "MEAN_NOT_FINITE_POSITIVE"
 REASON_NO_LOCAL_TIMES = "NO_LOCAL_TIMES"
-REASON_LOCAL_TIME_UNDECIDED = "LOCAL_TIME_UNDECIDED"
 
 
 # -------------------------------------------------------------------------
@@ -186,10 +183,10 @@ def _block_integral(func, a: float, b: float) -> tuple[float, float]:
 # -------------------------------------------------------------------------
 # dyadic decay
 
-_R_MAX = 8192.0  # the criterion's and the sup bound's upward blocks end there
+_R_MAX = 8192.0  # the sup bound's upward blocks end there
 
 
-def _dyadic_blocks(integrand, ks, rtol: float = 0.0) -> tuple[list[float], float, float]:
+def _dyadic_blocks(integrand, ks, rtol: float) -> tuple[list[float], float, float]:
     """Integrate integrand over [2^k, 2^(k+1)] for k in ks, in order, and fit the decay.
 
     Returns (block sums, summed residuals, slope): slope is log2 of the
@@ -231,30 +228,21 @@ def _remainder(sums: list[float], slope: float) -> float:
 # -------------------------------------------------------------------------
 # local-time criterion
 
-@_memoized
 def local_time_criterion(triplet: LevyTriplet) -> LocalTimeDecision:
-    """Decide whether the process has local times.
+    """Decide whether the process has local times, from the triplet's closed form.
 
-    Integrates Re(1/(1 + Psi(r))) over the dyadic blocks up to r_max = 8192
-    (the full two-sided integral is twice this by symmetry of Psi) and fits
-    the decay exponent a of the integrand from the last four block sums: a
-    block over [2^k, 2^(k+1)] of an r^a tail scales like 2^(k(a+1)).  An
-    integrable tail (a < -1.05) means local times exist; a >= -0.95 means
-    they do not; the band between, a margin of 0.05 either side of -1, is
-    UNDECIDED.
+    Hawkes' criterion (Bertoin, Levy Processes, 1996, Thm V.1): local times
+    exist iff int Re(1/(1 + Psi(r))) dr < inf.  With Kesten (1969, Mem. AMS
+    93) that reads, for the families here: a Gaussian part gives local
+    times; finite-variation jumps give them iff the pathwise drift is not 0;
+    the infinite-variation families (StableLike and TemperedStable with
+    alpha >= 1) give them iff alpha > 1.
     """
-    def integrand(r: np.ndarray) -> np.ndarray:
-        psi = triplet.char_exponent(r)
-        return (1.0 / (1.0 + psi)).real
-
-    # full dyadic blocks only; a truncated last block would bias the slope fit
-    _, _, slope = _dyadic_blocks(integrand, range(int(math.log2(_R_MAX))))
-    exponent = slope - 1.0
-    if exponent < -1.05:
+    nu = triplet.levy_measure
+    if triplet.gaussian_coef > 0.0:
         return LocalTimeDecision.HAS_LOCAL_TIMES
-    if exponent >= -0.95:
-        return LocalTimeDecision.NO_LOCAL_TIMES
-    return LocalTimeDecision.UNDECIDED
+    has = triplet.natural_drift() != 0.0 if nu.finite_variation else nu.alpha > 1.0
+    return LocalTimeDecision.HAS_LOCAL_TIMES if has else LocalTimeDecision.NO_LOCAL_TIMES
 
 
 def require_local_times(triplet: LevyTriplet, what: str) -> None:
@@ -309,7 +297,7 @@ def potential_density(triplet: LevyTriplet, grid) -> PotentialDensity:
     if triplet.gaussian_coef == 0.0 and triplet.levy_measure.finite_variation:
         slope = triplet.natural_drift()
         if abs(slope) < 1e-12:
-            # unreachable when local times exist, but guard the division
+            # local times exist for any d != 0, but the subtraction below divides by d
             raise InversionUnstable("vanishing pathwise drift in finite-variation inversion")
 
     def remainder(r: np.ndarray) -> np.ndarray:
@@ -510,18 +498,13 @@ def perpetual_verdict(triplet: LevyTriplet, f: TestFunction) -> VerdictReport:
     checked in that order.  Hypothesis failures are reported, not raised.
     """
     flags = triplet.classify()
-    try:
-        lt = local_time_criterion(triplet)
-    except QuadratureFailure:
-        lt = LocalTimeDecision.UNDECIDED
+    lt = local_time_criterion(triplet)
 
     failing = None
     if flags.is_compound_poisson:
         failing = REASON_IS_COMPOUND_POISSON
     elif lt is LocalTimeDecision.NO_LOCAL_TIMES:
         failing = REASON_NO_LOCAL_TIMES
-    elif lt is LocalTimeDecision.UNDECIDED:
-        failing = REASON_LOCAL_TIME_UNDECIDED
     elif not flags.mean_is_finite_positive:
         failing = REASON_MEAN_NOT_FINITE_POSITIVE
 
@@ -555,7 +538,7 @@ def expectation_upper_bound(triplet: LevyTriplet, f: TestFunction) -> float:
     u(x) = P(T_x < inf) u(0) (Bertoin, Levy Processes, 1996, ch. II and V).
     Without a Gaussian part and with finite variation u jumps by 1/|d| at 0
     (d the pathwise drift) and the integral is the midpoint, so 1/(2|d|) is
-    added.  The integral runs over the criterion's dyadic blocks up to r_max
+    added.  The integral runs over the dyadic blocks up to r_max = 8192
     and down toward 0, each end closed by the four-block decay fit; the
     slack added is the block residuals plus both closed remainders.  An end
     that does not decay raises InversionUnstable.
@@ -599,7 +582,7 @@ def _sup_bound(triplet: LevyTriplet) -> float | PerpetuaError:
             slack += (residual + _remainder(sums, slope)) / math.pi
         if triplet.gaussian_coef == 0.0 and triplet.levy_measure.finite_variation:
             d = abs(triplet.natural_drift())
-            if d < 1e-12:  # unreachable when local times exist, but guard the division
+            if d < 1e-12:  # local times exist for any d != 0; a 1/(2d) past 5e11 is refused
                 raise InversionUnstable("vanishing pathwise drift in finite-variation sup bound")
             value += 1.0 / (2.0 * d)
     except PerpetuaError as exc:

@@ -8,7 +8,9 @@ its integrals in closed form: ``integral_above(x)`` is the exact value of
 test reads its verdict and its block sums from the family and never
 extrapolates.
 
-Families compose through :class:`Scaled` and :class:`SumOf`.
+Families compose through :class:`Scaled` and :class:`SumOf`.  A value whose
+int_0^inf f is finite but past the float range is refused when built, since
+the tail test would read its inf as divergence.
 
 Building an invalid test function raises NonFiniteParameter with all its issues.
 """
@@ -75,6 +77,8 @@ class ExpDecay(Validated):
             return issues
         if self.rate <= 0.0:
             issues.append(Issue("RATE_POSITIVE", "rate", "decay rate must be > 0"))
+        elif math.isinf(1.0 / float(self.rate)):
+            issues.append(Issue("RATE_RANGE", "rate", "rate too small: 1/rate overflows a float"))
         if self.left_level < 0.0:
             issues.append(Issue("LEVEL_NEGATIVE", "left_level", "f must be >= 0"))
         return issues
@@ -272,6 +276,8 @@ class Tabulated(Validated):
         elif self.tail_model == "exp" and (require_finite(self.tail_rate, "tail_rate", "TAIL_RATE")
                                            or self.tail_rate <= 0.0):
             issues.append(Issue("TAIL_RATE", "tail_rate", "exp tail needs rate > 0"))
+        elif self.tail_model == "exp" and math.isinf(float(v[-1]) / float(self.tail_rate)):
+            issues.append(Issue("TAIL_RANGE", "tail_rate", "tail_rate too small: tail integral overflows"))
         return issues
 
     def __call__(self, x):
@@ -321,6 +327,8 @@ class Scaled(Validated):
         issues = require_finite(self.factor, "factor", "FACTOR_NONFINITE")
         if not issues and self.factor <= 0.0:
             issues.append(Issue("FACTOR_POSITIVE", "factor", "scale factor must be > 0"))
+        elif not issues and _overflows((self.inner,), self.factor):
+            issues.append(Issue("FACTOR_RANGE", "factor", "factor too large: its integral overflows"))
         return issues
 
     def __call__(self, x):
@@ -351,6 +359,8 @@ class SumOf(Validated):
     def validate(self) -> list[Issue]:
         if len(self.parts) == 0:
             return [Issue("EMPTY_SUM", "parts", "need at least one summand")]
+        if _overflows(self.parts):
+            return [Issue("SUM_RANGE", "parts", "parts too large: their integrals' sum overflows")]
         return []
 
     def __call__(self, x):
@@ -368,6 +378,13 @@ class SumOf(Validated):
 
     def integral_full(self) -> float:
         return sum(part.integral_full() for part in self.parts)
+
+
+def _overflows(parts, factor: float = 1.0) -> bool:
+    """Whether each part's int_0^inf is a float but factor times their sum is not (parts built)."""
+    values = [part.integral_above(0.0) for part in parts if isinstance(part, Validated)]
+    return len(values) == len(parts) and all(map(math.isfinite, values)) \
+        and math.isinf(factor * sum(values))
 
 
 TestFunction = Union[ExpDecay, PowerTail, LogPower, Indicator, Tabulated, Scaled, SumOf]

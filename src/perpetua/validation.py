@@ -135,8 +135,7 @@ def build(cls, params: dict, read: dict | None = None, **fixed):
     (of each item, for a tuple field); nested issues follow the value's own,
     each field prefixed with the key and index it came from, such as
     levy_measure.jump_law.b or parts[1].rate.  A nested value that fails is
-    passed on as written: a value's own checks never look inside the values
-    it holds.
+    passed on as written, and a value's own checks never look inside it.
     """
     fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)
               if f.name not in fixed}

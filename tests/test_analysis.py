@@ -32,7 +32,7 @@ from perpetua import (
     sample_path,
     tail_integral_test,
 )
-from perpetua import analysis
+from perpetua import analysis, measures
 from perpetua.analysis import (
     REASON_IS_COMPOUND_POISSON,
     REASON_MEAN_NOT_FINITE_POSITIVE,
@@ -55,6 +55,14 @@ class TestLocalTimeCriterion:
         (DRIFT_CP, LocalTimeDecision.HAS_LOCAL_TIMES),
         (CP_ONLY, LocalTimeDecision.NO_LOCAL_TIMES),
         (LevyTriplet(0.0, 2.0), LocalTimeDecision.HAS_LOCAL_TIMES),
+        # Cauchy has none whatever its drift; a pathwise drift or a Gaussian
+        # part, however small, gives them
+        (LevyTriplet(1.0, 0.0, StableLike(1.0, 1.0, 0.0)), LocalTimeDecision.NO_LOCAL_TIMES),
+        (LevyTriplet(1.0, 0.0, StableLike(0.9, 1.0, 0.0)), LocalTimeDecision.HAS_LOCAL_TIMES),
+        (LevyTriplet(1.0, 0.0, StableLike(0.97, 1.0, 0.0)), LocalTimeDecision.HAS_LOCAL_TIMES),
+        (LevyTriplet(0.0, 1e-8, StableLike(0.5, 1.0, 0.0)), LocalTimeDecision.HAS_LOCAL_TIMES),
+        # the compensator 1/(1 - alpha) takes the drift back out exactly: a driftless subordinator
+        (LevyTriplet(2.0, 0.0, StableLike(0.5, 1.0, 1.0)), LocalTimeDecision.NO_LOCAL_TIMES),
     ])
     def test_structural_cases(self, t, expected):
         assert local_time_criterion(t) is expected
@@ -70,24 +78,118 @@ class TestLocalTimeCriterion:
         assert local_time_criterion(t) is LocalTimeDecision.HAS_LOCAL_TIMES
 
     def test_cauchy_sits_in_margin(self):
-        # integrand decays exactly like 1/r: inside the +-0.05 dead band
+        # the integrand decays exactly like 1/r, on the border, and int dr/(1 + c r) diverges
         t = LevyTriplet(0.0, 0.0, StableLike(1.0, 1.0, 0.0))
-        assert local_time_criterion(t) is LocalTimeDecision.UNDECIDED
+        assert local_time_criterion(t) is LocalTimeDecision.NO_LOCAL_TIMES
 
     @pytest.mark.parametrize("alpha, expected", [
         (0.9, LocalTimeDecision.NO_LOCAL_TIMES),
-        (0.97, LocalTimeDecision.UNDECIDED),
-        (1.03, LocalTimeDecision.UNDECIDED),
+        (0.97, LocalTimeDecision.NO_LOCAL_TIMES),
+        (1.03, LocalTimeDecision.HAS_LOCAL_TIMES),
         (1.1, LocalTimeDecision.HAS_LOCAL_TIMES),
     ])
     def test_margin_is_0_05_either_side_of_minus_one(self, alpha, expected):
-        # Re(1/(1 + Psi)) of a symmetric stable law decays like r^-alpha
+        # Re(1/(1 + Psi)) of a symmetric stable law decays like r^-alpha; however
+        # close alpha is to 1, the closed form decides it
         t = LevyTriplet(0.0, 0.0, StableLike(alpha, 1.0, 0.0))
         assert local_time_criterion(t) is expected
 
     def test_gaussian_component_dominates_heavy_jumps(self):
         t = LevyTriplet(0.0, 0.5, StableLike(0.5, 1.0, 0.0))
         assert local_time_criterion(t) is LocalTimeDecision.HAS_LOCAL_TIMES
+
+
+CP_EXP2 = CompoundPoisson(1.0, ExponentialJump(2.0, 1))
+
+
+# A small pathwise drift, a small Gaussian part and alpha just above 1: each has
+# local times and a mean in (0, inf), so the verdict is decided.
+@pytest.mark.parametrize("t", [
+    LevyTriplet(1e-4),
+    LevyTriplet(1e-4, 0.0, CP_EXP2),
+    LevyTriplet(1e-3, 0.0, CP_EXP2),
+    LevyTriplet(0.0, 1e-6, CP_EXP2),
+    LevyTriplet(1.0, 0.0, TemperedStable(1.02, 1.0, 1.0)),
+    LevyTriplet(1.0, 0.0, StableLike(1.03, 1.0, 0.0)),
+])
+def test_both_hypotheses_hold_so_the_verdict_is_as_finite(t):
+    rep = perpetual_verdict(t, ExpDecay(1.0))
+    assert rep.verdict is Verdict.AS_FINITE
+    assert rep.precondition_record.failing is None
+
+
+def test_tiny_drift_has_local_times_yet_its_inversion_is_refused():
+    t = LevyTriplet(1e-13)
+    assert perpetual_verdict(t, ExpDecay(1.0)).verdict is Verdict.AS_FINITE
+    with pytest.raises(InversionUnstable, match="vanishing pathwise drift in finite-variation inversion"):
+        potential_density(t, np.array([0.0, 1.0]))
+    with pytest.raises(InversionUnstable, match="vanishing pathwise drift in finite-variation sup bound"):
+        expectation_upper_bound(t, UNIT)
+
+
+def _hawkes_slope(t):
+    """log2 of Re(1/(1 + Psi)) from r = 2^30 to 2^31: about its decay exponent there."""
+    lo, hi = (1.0 / (1.0 + t.char_exponent(np.array([2.0 ** 30, 2.0 ** 31])))).real
+    return math.log2(hi / lo)
+
+
+_EXP_UP = {"kind": "exponential", "theta": 2.0, "sign": 1}
+_UNIFORM = {"kind": "uniform", "a": -1.0, "b": 2.0}
+
+# (drift, gaussian, params) per measure family, each on one side of the
+# Hawkes integrability border by a clear margin at r = 2^30: no atomic jump law
+# (its Re(1/(1 + Psi)) rings) and no alpha near 1 (still pre-asymptotic there).
+LOCAL_TIME_EXAMPLES = {
+    "none": [(1.0, 0.0, {}), (0.0, 1.0, {}), (0.0, 0.0, {}), (-0.5, 0.0, {})],
+    "compound_poisson": [(0.1, 0.0, {"rate": 1.0, "jump_law": _EXP_UP}),
+                         (0.0, 0.0, {"rate": 1.0, "jump_law": _EXP_UP}),
+                         (0.0, 0.5, {"rate": 2.0, "jump_law": _UNIFORM}),
+                         (-1.0, 0.0, {"rate": 3.0, "jump_law": _UNIFORM})],
+    "stable": [(0.0, 0.0, {"alpha": 1.5, "scale": 1.0}),
+               (0.0, 0.0, {"alpha": 0.5, "scale": 1.0}),
+               (1.0, 0.0, {"alpha": 0.5, "scale": 1.0, "skew": 0.3}),
+               (2.0, 0.0, {"alpha": 0.5, "scale": 1.0, "skew": 1.0}),
+               (0.0, 0.0, {"alpha": 1.8, "scale": 0.5, "skew": -0.5})],
+    "tempered_stable": [(0.0, 0.0, {"alpha": 1.5, "scale": 1.0, "tempering": 1.0}),
+                        (0.0, 0.0, {"alpha": 0.5, "scale": 1.0, "tempering": 2.0}),
+                        (1.0, 0.0, {"alpha": 0.6, "scale": 1.0, "tempering": 1.0, "skew": 1.0})],
+    "spectrally_negative_stable": [(1.0, 0.0, {"alpha": 1.5, "scale": 1.0}),
+                                   (0.0, 0.0, {"alpha": 1.3, "scale": 2.0})],
+}
+
+
+class TestLocalTimeOracle:
+    """The closed form against the Hawkes integrand itself, for every measure family."""
+
+    @pytest.mark.parametrize("family", sorted([*measures._FAMILIES, "spectrally_negative_stable"]))
+    def test_closed_form_matches_the_integrand_decay(self, family):
+        examples = LOCAL_TIME_EXAMPLES.get(family)
+        assert examples, f"no local-time examples for measure family {family!r}"
+        decisions = set()
+        for drift, gaussian, params in examples:
+            nu = measures.measure_from_dict({"family": family, "params": params})
+            t = LevyTriplet(drift, gaussian, nu)
+            slope = _hawkes_slope(t)
+            assert not -1.2 <= slope <= -0.8, (t, slope)
+            expected = (LocalTimeDecision.HAS_LOCAL_TIMES if slope < -1.2
+                        else LocalTimeDecision.NO_LOCAL_TIMES)
+            assert local_time_criterion(t) is expected, (t, slope)
+            decisions.add(expected)
+        assert len(decisions) == 2 or family == "spectrally_negative_stable"
+
+    def test_matrix_verdicts_run_no_quadrature(self, monkeypatch):
+        cases = benchmark_matrix()
+        before = [perpetual_verdict(case.triplet, case.f) for case in cases]
+
+        def refuse(func, a, b):
+            raise AssertionError("the verdict ran a quadrature")
+
+        monkeypatch.setattr(analysis, "_block_integral", refuse)
+        after = [perpetual_verdict(case.triplet, case.f) for case in cases]
+        assert after == before
+        for case, rep in zip(cases, after):
+            assert rep.verdict is case.expected_verdict, case.name
+            assert rep.precondition_record.failing == case.expected_reason, case.name
 
 
 class TestPotentialDensity:
@@ -408,16 +510,17 @@ class TestSupBound:
 
 @pytest.fixture
 def cold_memo():
-    for cache in (local_time_criterion, tail_integral_test, analysis._sup_bound):
+    for cache in (tail_integral_test, analysis._sup_bound):
         cache.cache_clear()
 
 
 class TestMemo:
     def test_equal_triplets_share_one_criterion_run(self, cold_memo, monkeypatch):
+        # the sup bound is the one quadrature run per triplet
         runs = []
         dyadic_blocks = analysis._dyadic_blocks
 
-        def counting(integrand, ks, rtol=0.0):
+        def counting(integrand, ks, rtol):
             runs.append(ks)
             return dyadic_blocks(integrand, ks, rtol)
 
@@ -425,15 +528,14 @@ class TestMemo:
         first = LevyTriplet(0.75, 1.25, CompoundPoisson(0.5, ExponentialJump(3.0, -1)))
         twin = LevyTriplet(0.75, 1.25, CompoundPoisson(0.5, ExponentialJump(3.0, -1)))
         assert first is not twin
-        decisions = set()
+        sups = set()
         for t in (first, twin):
-            for f in (ExpDecay(1.0), PowerTail(1.0)):
-                perpetual_verdict(t, f)
-            decisions.add(local_time_criterion(t))
-        assert runs == [range(13)]
-        assert decisions == {LocalTimeDecision.HAS_LOCAL_TIMES}
-        info = local_time_criterion.cache_info()
-        assert (info.misses, info.hits) == (1, 5)
+            for f in (UNIT, Indicator(0.0, 2.0)):
+                sups.add(expectation_upper_bound(t, f) / f.integral_full())
+        assert runs == [range(13), range(-1, -65, -1)]
+        assert len(sups) == 1
+        info = analysis._sup_bound.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
     def test_one_function_across_the_matrix_triplets_scans_once(self, cold_memo):
         f = LogPower(2.0)
@@ -448,8 +550,8 @@ class TestMemo:
     def test_refused_bound_raises_afresh_every_call(self, cold_memo, monkeypatch):
         t = LevyTriplet(1.0, 0.0, StableLike(1.3, 1.0, 0.0))
         f = ExpDecay(1.0, left_level=0.0)
-        # the criterion and the tail test are memoized first; then every block
-        # of Re(1/Psi) has the same sum, so the sup bound sees no decay and refuses
+        # the verdict runs no quadrature; every block of Re(1/Psi) then has the
+        # same sum, so the sup bound sees no decay and refuses
         assert perpetual_verdict(t, f).verdict is Verdict.AS_FINITE
         monkeypatch.setattr(analysis, "_block_integral", lambda func, a, b: (1.0, 0.0))
         raised = []
@@ -492,9 +594,8 @@ class TestMemo:
         assert len(calls) == 1
 
     def test_keyword_calls(self, cold_memo):
-        assert local_time_criterion(triplet=BM_DRIFT) is local_time_criterion(BM_DRIFT) \
-            is LocalTimeDecision.HAS_LOCAL_TIMES
-        info = local_time_criterion.cache_info()
+        assert analysis._sup_bound(triplet=BM_DRIFT) == analysis._sup_bound(BM_DRIFT)
+        info = analysis._sup_bound.cache_info()
         assert (info.hits, info.misses) == (1, 1)  # one entry for both spellings
         assert tail_integral_test(f=ExpDecay(1.0)) == tail_integral_test(ExpDecay(1.0))
         by_list = Tabulated([0.0, 1.0, 2.0], [0.5, 1.0, 0.0])
@@ -516,11 +617,10 @@ class TestMemo:
             return out
 
         warm = answers()
-        assert local_time_criterion.cache_info().currsize == 7
         assert tail_integral_test.cache_info().currsize == 4
         assert analysis._sup_bound.cache_info().currsize == 5
         # cold: every cached function replaced by its uncached body
-        for name in ("local_time_criterion", "tail_integral_test", "_sup_bound"):
+        for name in ("tail_integral_test", "_sup_bound"):
             monkeypatch.setattr(analysis, name, getattr(analysis, name).__wrapped__)
         cold = answers()
         for case, w, c in zip(cases, warm, cold):

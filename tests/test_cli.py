@@ -80,6 +80,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "n_paths" in err and "master_seed" in err
 
+    @pytest.mark.parametrize("f, fragment", [
+        ({"family": "exp_decay", "params": {"rate": 1e-320}}, "f: RATE_RANGE: rate too small"),
+        ({"family": "tabulated", "params": {"knots": [0, 1], "values": [1, 1], "tail_model": "exp",
+                                            "tail_rate": 1e-320}},
+         "f: TAIL_RANGE: tail_rate too small"),
+        ({"family": "scaled", "params": {"factor": 1e308, "inner": {
+            "family": "exp_decay", "params": {"rate": 0.1}}}}, "f: FACTOR_RANGE: factor too large"),
+        ({"family": "sum", "params": {"parts": [{"family": "scaled", "params": {
+            "factor": 1e308, "inner": {"family": "exp_decay", "params": {"rate": 1.0}}}}] * 2}},
+         "f: SUM_RANGE: parts too large"),
+        ({"family": "sum", "params": {"parts": [
+            {"family": "exp_decay", "params": {"rate": 1.0}},
+            {"family": "exp_decay", "params": {"rate": 1e-320}}]}},
+         "f: RATE_RANGE: rate too small: 1/rate overflows a float (at parts[1].rate)"),
+    ])
+    def test_finite_integral_past_the_float_range_exits_two(self, tmp_path, capsys, f, fragment):
+        # the tail test would read its inf as divergence
+        assert main(["verdict", "--config", write_config(tmp_path, f=f)]) == 2
+        err = capsys.readouterr().err
+        assert fragment in err, err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("check_params, fragment", [
         ({"lln": {"bogus": 1}}, "check_params.lln.bogus: unknown parameter"),
         ({"lln": {"n": "abc"}}, "check_params.lln.n: must be an integer"),

@@ -206,12 +206,31 @@ class TestValidation:
         (partial(Scaled, -1.0, ExpDecay(1.0)), "FACTOR_POSITIVE"),
         (partial(Tabulated, (0.0, 1.0), (1.0, -1.0)), "VALUES_NEGATIVE"),
         (partial(Tabulated, (1.0, 0.0), (1.0, 1.0)), "KNOTS_ORDER"),
+        # finite integrals past the float range, which the tail test would read as divergent
+        (partial(ExpDecay, 1e-320), "RATE_RANGE"),
+        (partial(Tabulated, (0.0, 1.0), (1.0, 1.0), tail_model="exp", tail_rate=1e-320),
+         "TAIL_RANGE"),
+        (partial(Scaled, 1e308, ExpDecay(0.1)), "FACTOR_RANGE"),
+        (partial(SumOf, (Scaled(1e308, ExpDecay(1.0)), Scaled(1e308, ExpDecay(1.0)))), "SUM_RANGE"),
     ])
     def test_bad_parameters_flagged(self, bad):
         build, code = bad
         with pytest.raises(NonFiniteParameter) as exc:
             build()
         assert [i.code for i in exc.value.issues] == [code]
+
+    @pytest.mark.parametrize("f, converges", [
+        (ExpDecay(1e-308), True),
+        (Tabulated((0.0, 1.0), (1.0, 0.0), tail_model="exp", tail_rate=1e-320), True),
+        (Scaled(1e307, ExpDecay(1.0)), True),
+        (Scaled(1e300, PowerTail(1.0)), False),
+        (SumOf((PowerTail(1.0), Scaled(1e290, PowerTail(0.5)))), False),
+    ])
+    def test_float_and_divergent_integrals_are_kept(self, f, converges):
+        d = analysis.tail_integral_test(f)
+        assert (d.verdict is analysis.Convergence.CONVERGES) is converges
+        assert math.isfinite(d.value_or_lower_bound)
+        assert all(math.isfinite(x) for x in d.diagnostics)
 
     def test_nested_validation_propagates(self):
         # the invalid part refuses to be built, so no invalid composite exists
