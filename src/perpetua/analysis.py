@@ -443,14 +443,20 @@ def tail_integral_test(f: TestFunction) -> ConvergenceDecision:
     and the dyadic blocks [2^k, 2^(k+1)] (f.integral_between), at most 64
     blocks; a finite tail stops the list before the first block whose
     remainder no longer moves the value in floating point.  A divergent
-    integral reports the finite sum of the listed blocks as its lower bound.
+    integral reports the sum of the listed blocks as its lower bound; the
+    list stops before the block that would carry that sum past the float
+    range, so the bound is always a float.
     """
     value = float(f.integral_above(0.0))
-    sums = [float(f.integral_between(0.0, 1.0))]
-    for k in range(_MAX_BLOCKS):
-        if math.isfinite(value) and value + f.integral_above(2.0 ** k) == value:
+    sums: list[float] = []
+    edges = [0.0] + [2.0 ** k for k in range(_MAX_BLOCKS + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        if lo > 0.0 and math.isfinite(value) and value + f.integral_above(lo) == value:
             break
-        sums.append(float(f.integral_between(2.0 ** k, 2.0 ** (k + 1))))
+        block = float(f.integral_between(lo, hi))
+        if math.isinf(sum(sums) + block):
+            break
+        sums.append(block)
     if math.isfinite(value):
         return ConvergenceDecision(Convergence.CONVERGES, value, len(sums), tuple(sums), 0.0)
     return ConvergenceDecision(Convergence.DIVERGES, sum(sums), len(sums), tuple(sums), 0.0)

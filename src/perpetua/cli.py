@@ -15,8 +15,7 @@ where dt and t0 without a prefix are the config's own:
     zero_one    none (threshold: thresholds.delta_01)
     occupation  n_paths [50], bandwidth [0.05]
     overshoot   z1 [max(20 sigma_eff/mu, 1)], z2 [2 z1], n [400], dt [dt]
-                (threshold: thresholds.ks_alpha; dt only for processes with
-                a Gaussian part or infinite activity)
+                (threshold: thresholds.ks_alpha)
     invariance  x_list [[1, 2, 5]], n [200], bandwidth [0.05], dt [dt],
                 threshold [max(0.05, KS critical value at n)], ks_alpha [0.01],
                 n_rho [1000], start_from_rho [true]
@@ -24,6 +23,9 @@ where dt and t0 without a prefix are the config's own:
                 horizon [4 t0 of lln]
                 (v = sigma^2 + int x^2 nu(dx) for compound Poisson, else
                 sigma_eff^2; t0 below 50 v/mu^2 is refused)
+
+Every dt is read only for processes with a Gaussian part or infinite
+activity: drift plus finite activity is simulated exactly, event by event.
 
 Exit codes: 0 pass, 1 check failure (or an analysis error), 2 bad config.
 """

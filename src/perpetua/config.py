@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .checks import CHECKS, Check, resolve
 from .errors import ConfigError, NonFiniteParameter
+from .simulate import MAX_STEPS_PER_PATH
 from .testfunctions import TestFunction, test_function_from_dict
 from .triplet import LevyTriplet
 from .validation import finite_real
@@ -21,12 +22,6 @@ from .validation import finite_real
 __all__ = ["ExperimentConfig", "load_config"]
 
 _DEFAULT_THRESHOLDS = {"delta_01": 0.05, "ks_alpha": 0.01}
-
-# STEP_BUDGET: no path of any check may take more steps than this.  Paths
-# are held in memory whole, so a tiny dt is refused here rather than by a
-# MemoryError halfway through a run.  A precondition, not a setting.
-MAX_STEPS_PER_PATH = 2**24
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -192,6 +187,7 @@ def _check_seed(key: str, seed: int, problems: list[str]) -> None:
 
 
 def _step_budget(key: str, steps: float, problems: list[str]) -> None:
+    """STEP_BUDGET: horizon/dt of a check's paths within simulate.MAX_STEPS_PER_PATH."""
     if not steps <= MAX_STEPS_PER_PATH:
         problems.append(f"{key}: {steps:.3g} steps per path exceed STEP_BUDGET "
                         f"{MAX_STEPS_PER_PATH} (horizon/dt)")

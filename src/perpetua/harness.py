@@ -424,7 +424,12 @@ def lln_envelope_check(
     horizon: float | None = None,
     threads: int = 1,
 ) -> CheckReport:
-    """Fraction of paths staying inside (mu t / 2, 2 mu t) for all t >= t0."""
+    """Fraction of paths staying inside (mu t / 2, 2 mu t) for all t >= t0.
+
+    A path is read at t0 and at its knots in (t0, horizon].  Between knots
+    both the path and the envelope are linear, so this covers every t >= t0
+    (on a grid path t0 is a knot).
+    """
     mu = triplet.positive_mean("LLN envelope")
     floor = lln_t0_floor(triplet)
     if t0 < floor:
@@ -438,9 +443,9 @@ def lln_envelope_check(
         path = sample_path(
             triplet, horizon, dt, seed=derive_seed(seed, "lln", i)
         )
-        keep = path.times >= t0
-        t = path.times[keep]
-        v = path.values[keep]
+        later = path.times > t0
+        t = np.concatenate(([t0], path.times[later]))
+        v = np.concatenate(([path.at(t0)], path.values[later]))
         return bool(np.all((v > 0.5 * mu * t) & (v < 2.0 * mu * t)))
 
     inside = np.asarray(_parallel_map(one_path, n, threads))

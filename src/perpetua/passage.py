@@ -1,10 +1,11 @@
 """First passage over a level, overshoots, and the stationary restart law.
 
 Drift plus compound Poisson (no Gaussian part, finite activity) is resolved
-exactly, event by event: the path is the line v + drift * t between
-exponential jump times, so it first crosses the level either on the linear
-piece before a jump (it creeps: overshoot zero) or at a jump (overshoot =
-post-jump value minus level).  No time grid is involved and dt is unused.
+exactly, event by event, on the batches of simulate.event_batch that exact
+paths walk too: the path is the line v + drift * t between exponential jump
+times, so it first crosses the level either on the linear piece before a
+jump (it creeps: overshoot zero) or at a jump (overshoot = post-jump value
+minus level).  No time grid is involved and dt is unused.
 
 Every other process is walked on the simulated dt skeleton: between jumps
 the path moves linearly (drift plus the step's Gaussian increment spread
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import NotReachedError, PreconditionViolation
 from .rng import derive_seed, stream
-from .simulate import StepEngine
+from .simulate import BATCH_EVENTS, StepEngine, batch_size, event_batch, event_driven
 from .triplet import LevyTriplet
 
 __all__ = [
@@ -33,11 +34,6 @@ __all__ = [
     "overshoot_ensemble",
     "stationary_overshoot",
 ]
-
-# events (gap, jump size pairs) per batch of the exact event sampler: the
-# size of the largest grid chunk, so both samplers hold similar arrays
-BATCH_EVENTS = 65_536
-
 
 @dataclass(frozen=True)
 class FirstPassageSample:
@@ -90,7 +86,7 @@ def first_passage(
     if x0 >= level:
         return FirstPassageSample(level=level, passage_time=0.0, overshoot=x0 - level)
 
-    if _event_driven(triplet):
+    if event_driven(triplet):
         times, overshoots, _ = _event_passages(triplet, level, np.array([x0]), cap, stream(seed))
         if math.isnan(times[0]):
             return FirstPassageSample(level=level, passage_time=None, overshoot=None)
@@ -108,22 +104,17 @@ def first_passage(
     return FirstPassageSample(level=level, passage_time=t_cross, overshoot=value - level)
 
 
-def _event_driven(triplet: LevyTriplet) -> bool:
-    """True when passage is resolved exactly: no Gaussian part, finite activity."""
-    return triplet.gaussian_coef == 0.0 and triplet.levy_measure.is_finite_activity
-
-
 def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: float, rng):
     """Exact first passages of drift + compound Poisson paths, one per start x0 < level.
 
     Returns (passage times, overshoots, events drawn); NaN marks a path that
-    has not crossed by time cap.  Each path draws Exp(rate) gaps and then
-    jump sizes in batches of m events, m about 1.25 times the expected
-    number of events to passage.  The first event whose pre-jump value is
-    at or above the level means the path crept over on the linear piece
-    before it, at T_(j-1) + (level - v_(j-1)) / drift with overshoot 0;
-    otherwise the first event whose post-jump value is at or above the level
-    is a jump crossing at T_j with overshoot post - level.  Paths run in
+    has not crossed by time cap.  The live paths draw event_batch after
+    event_batch of m = batch_size(rate, expected time to passage) events.
+    The first event whose pre-jump value is at or above the level means the
+    path crept over on the linear piece before it, at
+    T_(j-1) + (level - v_(j-1)) / drift with overshoot 0; otherwise the
+    first event whose post-jump value is at or above the level is a jump
+    crossing at T_j with overshoot post - level.  Paths run in
     blocks of rows so that one batch holds at most BATCH_EVENTS events, and
     all draws come from rng in block order.  With no jumps the passage time
     is the closed form (level - x0) / drift.
@@ -132,8 +123,7 @@ def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: flo
     times = np.full(x0.size, np.nan)
     overshoots = np.full(x0.size, np.nan)
     drift = triplet.drift
-    nu = triplet.levy_measure
-    rate = nu.rate_above(0.0)
+    rate = triplet.levy_measure.rate_above(0.0)
     mu = triplet.mean().as_float()
     if rate == 0.0:
         if drift > 0.0:
@@ -144,7 +134,7 @@ def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: flo
         return times, overshoots, 0
 
     expected_time = float(np.max(level - x0)) / mu if mu > 0.0 else cap
-    m = int(min(BATCH_EVENTS, max(16, math.ceil(1.25 * rate * expected_time))))
+    m = batch_size(rate, expected_time)
     rows = max(1, BATCH_EVENTS // m)
     drawn = 0
     for first in range(0, x0.size, rows):
@@ -152,18 +142,9 @@ def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: flo
         t = np.zeros(live.size)
         v = x0[live]
         while live.size:
-            gaps = rng.exponential(1.0 / rate, (live.size, m))
-            jumps = nu.sample_jumps_above(rng, 0.0, gaps.size).reshape(gaps.shape)
-            drawn += gaps.size
-            elapsed = np.cumsum(gaps, axis=1)
-            at = t[:, None] + elapsed
-            summed = np.cumsum(jumps, axis=1)
-            # both add the jumps so far to the same drift line, so with
-            # drift <= 0 a pre-jump value never exceeds the post-jump value
-            # before it, even in floating point: such paths never creep
-            pre = v[:, None] + drift * elapsed
-            post = pre + summed
-            pre[:, 1:] += summed[:, :-1]
+            # with drift <= 0 no path creeps (see event_batch)
+            at, pre, post = event_batch(triplet, rng, t, v, m)
+            drawn += at.size
             crossed = (pre >= level) | (post >= level)
             hit = crossed.any(axis=1)
 
@@ -277,7 +258,7 @@ def overshoot_ensemble(
     cap = _default_cap(triplet, level)
     if not level > 0.0:
         raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
-    if _event_driven(triplet):
+    if event_driven(triplet):
         rng = stream(derive_seed(seed, "overshoot"))
         times, out, drawn = _event_passages(triplet, level, np.zeros(n), cap, rng)
         stalled = np.nonzero(np.isnan(times))[0]

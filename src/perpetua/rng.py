@@ -5,9 +5,11 @@ by a 128-bit (seed, stream_index) pair.  Streams are independent by
 construction, and results never depend on how work is split across threads:
 each stream is consumed by exactly one task, in a fixed documented order.
 A task is usually one path, whose stream is derived from the seed, a
-purpose tag and the path index.  The exact first-passage sampler for drift
-plus compound Poisson is the exception: one overshoot ensemble draws all
-its paths from one stream, in row blocks whose size follows from the
+purpose tag and the path index: a grid path draws its steps from it, and an
+exact event path (drift plus finite activity) its batches of jump gaps and
+sizes, through the same event loop as exact first passage.  The exact
+overshoot ensemble of drift plus compound Poisson is the exception: it draws
+all its paths from one stream, in row blocks whose size follows from the
 triplet, the level and n, so a path's draws depend on the ensemble it
 belongs to (n included) but never on the thread count.
 

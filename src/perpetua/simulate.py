@@ -1,5 +1,16 @@
-"""Path simulation on a regular grid with exact jumps above a cutoff.
+"""Path simulation: exact event paths for drift plus finite activity, a grid otherwise.
 
+Drift plus finite activity with no Gaussian part (event_driven: drift plus
+compound Poisson, or pure drift) is simulated exactly: the path is the line
+x + drift * t between Exp(rate) jump times.
+event_batch draws the gaps and then the jump sizes of a batch of events;
+sample_path and the exact first passage (passage) both walk these batches,
+so finite activity has one event loop.  An event path's knots are 0, each
+jump time twice (the value before the jump, then after) and the horizon; a
+jump is a piece of zero duration.  dt is unused, and integrals along the
+path are exact (perpetual_estimate reads f.integral_between).
+
+Every other process runs on a regular grid with exact jumps above a cutoff.
 Increments follow the usual splitting: linear drift, Brownian part, all jumps
 with magnitude above the cutoff eps placed at exact (uniform-in-step) times,
 and a mean-zero Gaussian surrogate for the discarded small jumps whose variance
@@ -12,7 +23,7 @@ default_cutoff(dt): 0 for finite activity, so every jump is drawn exactly;
 for infinite activity it is chosen from dt so that about 0.5 jumps per step
 are resolved (StepEngine refuses more).
 
-The deterministic part of a path is drift_eff * times computed by
+The deterministic part of a grid path is drift_eff * times computed by
 multiplication, not by accumulation, so a pure drift path reproduces the
 time grid exactly.
 """
@@ -33,30 +44,83 @@ __all__ = [
     "PathSample",
     "LocalTimeField",
     "StepEngine",
+    "event_driven",
+    "batch_size",
+    "event_batch",
     "sample_path",
     "perpetual_estimate",
     "local_time_field",
 ]
 
+# STEP_BUDGET: no path of any check may take more steps (grid) or expected
+# jumps (event path) than this.  Paths are held in memory whole, so a tiny
+# dt or a dense jump rate is refused rather than ending in a MemoryError
+# halfway through a run.  A precondition, not a setting.
+MAX_STEPS_PER_PATH = 2**24
+
+# events per batch of the event sampler, at most: the size of the largest
+# grid chunk, so both samplers hold similar arrays
+BATCH_EVENTS = 65_536
+
 
 @dataclass(frozen=True)
 class PathSample:
-    """One simulated trajectory on a regular time grid."""
+    """One simulated trajectory: values at non-decreasing knot times, linear in between.
+
+    A grid path has a knot every dt.  An event path (exact) is linear
+    between its knots by construction: its knots are 0, each jump time twice
+    (the value before the jump, then after) and the horizon, so a jump is a
+    piece of zero duration.
+    """
 
     times: np.ndarray
     values: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+    exact: bool = False  # an event path: integrals along it are exact
 
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
 
+    def at(self, t):
+        """The path's values at times t in [0, horizon]: after the jump at a jump time."""
+        return np.interp(t, self.times, self.values)
+
+
+def event_driven(triplet: LevyTriplet) -> bool:
+    """True when paths and passages are exact events: no Gaussian part, finite activity."""
+    return triplet.gaussian_coef == 0.0 and triplet.levy_measure.is_finite_activity
+
+
+def batch_size(rate: float, duration: float) -> int:
+    """Events per batch: about 1.25 times the expected number in duration, within [16, BATCH_EVENTS]."""
+    return int(min(BATCH_EVENTS, max(16, math.ceil(1.25 * rate * duration))))
+
+
+def event_batch(triplet: LevyTriplet, rng, t: np.ndarray, v: np.ndarray, m: int):
+    """m more events of each path, from time t and value v: (jump times, pre-, post-jump values).
+
+    Draws the (paths, m) Exp(rate) gaps row by row, then as many jump sizes,
+    in that order.  Each output is (paths, m).  Pre- and post-jump values
+    add the jumps so far to the same drift line, so with drift <= 0 a
+    pre-jump value never exceeds the post-jump value before it, even in
+    floating point.  Needs rate > 0.
+    """
+    nu = triplet.levy_measure
+    # cumulated in place: at most four (paths, m) arrays are held at once
+    elapsed = rng.exponential(1.0 / nu.rate_above(0.0), (t.size, m))
+    summed = np.asarray(nu.sample_jumps_above(rng, 0.0, elapsed.size), dtype=float)
+    summed = summed.reshape(elapsed.shape)
+    np.cumsum(elapsed, axis=1, out=elapsed)
+    np.cumsum(summed, axis=1, out=summed)
+    pre = v[:, None] + triplet.drift * elapsed
+    post = pre + summed
+    pre[:, 1:] += summed[:, :-1]
+    elapsed += t[:, None]
+    return elapsed, pre, post
+
 
 class StepEngine:
-    """Per-step increment generator shared by path and passage samplers.
+    """Per-step increment generator of the grid path and passage samplers.
 
     Owns the simulation constants of one (triplet, dt) pair: the jump cutoff
     (always the measure's default_cutoff(dt): 0 for finite activity, whose
@@ -112,14 +176,18 @@ def sample_path(
     x0: float = 0.0,
     seed: int = 0,
 ) -> PathSample:
-    """Simulate one path on [0, horizon] with step dt, started from x0.
+    """Simulate one path on [0, horizon], started from x0, from stream(seed).
 
-    Jumps above the measure's default cutoff for dt are resolved (all of
-    them for finite activity).  Deterministic in (seed, horizon, dt): the
-    same arguments always produce the identical PathSample.
+    An event_driven triplet gives the exact event path (dt unused); any
+    other a grid path with step dt, resolving the jumps above the measure's
+    default cutoff for dt (all of them for finite activity).  Deterministic
+    in (seed, horizon, dt): the same arguments always produce the identical
+    PathSample.
     """
     if not horizon > 0.0:
         raise PreconditionViolation("HORIZON_RANGE", "need horizon > 0")
+    if event_driven(triplet):
+        return _event_path(triplet, horizon, x0, stream(seed))
     if not dt <= horizon / 10.0:
         raise PreconditionViolation("DT_RANGE", "need dt <= horizon/10")
     engine = StepEngine(triplet, dt)
@@ -133,15 +201,68 @@ def sample_path(
     return PathSample(times=times, values=values)
 
 
+def _event_path(triplet: LevyTriplet, horizon: float, x0: float, rng) -> PathSample:
+    """The exact event path: event batches of batch_size(rate, horizon) until one passes the horizon."""
+    rate = triplet.levy_measure.rate_above(0.0)
+    if rate * horizon > MAX_STEPS_PER_PATH:
+        raise PreconditionViolation(
+            "EVENT_BUDGET", f"{rate * horizon:.3g} expected jumps per path exceed "
+                           f"{MAX_STEPS_PER_PATH} (rate*horizon)")
+    t, v = np.zeros(1), np.array([float(x0)])
+    times, values = [t], [v]
+    m = batch_size(rate, horizon)
+    while rate > 0.0:
+        at, pre, post = event_batch(triplet, rng, t, v, m)
+        k = int(np.searchsorted(at[0], horizon))  # the jumps before the horizon
+        times.append(np.repeat(at[0, :k], 2))
+        values.append(np.column_stack((pre[0, :k], post[0, :k])).ravel())
+        if k < m:
+            break
+        t, v = at[:, -1], post[:, -1]
+    times, values = np.concatenate(times), np.concatenate(values)
+    return PathSample(times=np.append(times, horizon),
+                      values=np.append(values, values[-1] + triplet.drift * (horizon - times[-1])),
+                      exact=True)
+
+
 def perpetual_estimate(path: PathSample, f: TestFunction, checkpoints) -> np.ndarray:
-    """Trapezoid partial integrals of f along the path at each checkpoint."""
+    """Partial integrals of f along the path at each checkpoint.
+
+    An exact path is integrated exactly, piece by piece, up to the partial
+    piece that ends at each checkpoint (_line_integrals); a grid path by the
+    trapezoid rule.
+    """
     checkpoints = np.atleast_1d(np.asarray(checkpoints, dtype=float))
     if checkpoints.size and (checkpoints.min() < 0.0 or checkpoints.max() > path.horizon * (1 + 1e-12)):
         raise PreconditionViolation("CHECKPOINT_RANGE", "checkpoints must lie in [0, horizon]")
-    fv = np.asarray(f(path.values), dtype=float)
-    steps = np.diff(path.times)
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (fv[1:] + fv[:-1]) * steps)))
-    return np.interp(checkpoints, path.times, cum)
+    t, v = path.times, path.values
+    if not path.exact:
+        fv = np.asarray(f(v), dtype=float)
+        cum = np.concatenate(([0.0], np.cumsum(0.5 * (fv[1:] + fv[:-1]) * np.diff(t))))
+        return np.interp(checkpoints, t, cum)
+    cum = np.concatenate(([0.0], np.cumsum(_line_integrals(f, np.diff(t), v[:-1], v[1:]))))
+    i = np.searchsorted(t, checkpoints, side="right") - 1  # the last knot at or before
+    return cum[i] + _line_integrals(f, checkpoints - t[i], v[i], path.at(checkpoints))
+
+
+def _line_integrals(f: TestFunction, gap: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact int of f along each straight piece from value a to value b in time gap >= 0.
+
+    That is (F(b) - F(a)) / d with slope d = (b - a) / gap, read as the mean
+    of f over [min, max] (f.integral_between / width) times gap, and f(a)
+    times gap on a flat piece.  A piece of zero duration (a jump) adds 0.
+    """
+    out = np.zeros(gap.size)
+    moving = gap > 0.0
+    gap, a, b = gap[moving], a[moving], b[moving]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    width = hi - lo
+    mean = np.empty(gap.size)
+    slope = width > 0.0
+    mean[~slope] = f(lo[~slope])
+    mean[slope] = f.integral_between(lo[slope], hi[slope]) / width[slope]
+    out[moving] = mean * gap
+    return out
 
 
 @dataclass(frozen=True)
@@ -184,8 +305,8 @@ def _ramp_cdf(q: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: np.ndarray) -> 
 def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeField:
     """Occupation density estimate: time within bandwidth of each level / 2eps.
 
-    The path skeleton is treated as linear between grid times, so each step
-    spreads its dt uniformly over the levels the segment sweeps.  The time
+    The path is linear between its knots, so each piece spreads its
+    duration dt uniformly over the levels the segment sweeps.  The time
     spent at or below y is then the piecewise-linear ramp CDF
     F(y) = sum_i dt_i * clip((y - lo_i) / span_i, 0, 1), and
     L(x) = (F(x + b) - F(x - b)) / 2b exactly; t_covered is F at the two
@@ -198,9 +319,11 @@ def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeFie
     wholly in every closed window: v <= x + b at the upper end and v >= x - b
     at the lower end; likewise for [x_grid[0], x_grid[-1]] in t_covered.
 
-    Bandwidth must stay above a quarter of the typical diffusive step
-    (estimated robustly from the increments; jump steps do not inflate the
-    floor) or window counts are noise.
+    A jump of an event path is a piece of zero duration: it adds no time,
+    and the pieces the field reads are the ones with positive duration.
+
+    Bandwidth must stay above the floor _bandwidth_floor measures on those
+    pieces, or window counts are noise.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if x_grid.size < 2 or np.any(np.diff(x_grid) <= 0.0):
@@ -208,17 +331,17 @@ def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeFie
     if not bandwidth > 0.0:
         raise PreconditionViolation("BANDWIDTH_RANGE", "need bandwidth > 0")
 
-    diffs = np.diff(path.values)
-    med = np.median(diffs)
-    wiggle = 1.4826 * np.median(np.abs(diffs - med))
-    if bandwidth < wiggle / 4.0:
-        raise BandwidthTooSmall(
-            f"bandwidth {bandwidth:g} below floor {wiggle / 4.0:g} for this step size"
-        )
-
     dt = np.diff(path.times)
-    lo = np.minimum(path.values[:-1], path.values[1:])
-    hi = np.maximum(path.values[:-1], path.values[1:])
+    start, end = path.values[:-1], path.values[1:]
+    if path.exact:  # a jump takes no time: read the pieces with positive duration
+        moving = dt > 0.0
+        dt, start, end = dt[moving], start[moving], end[moving]
+    floor = _bandwidth_floor(dt, end - start)
+    if bandwidth < floor:
+        raise BandwidthTooSmall(f"bandwidth {bandwidth:g} below floor {floor:g} for this step size")
+
+    lo = np.minimum(start, end)
+    hi = np.maximum(start, end)
 
     # lower edges (the G windows', then the grid's), upper edges likewise;
     # the stable sort merges these four sorted runs in linear time
@@ -244,6 +367,19 @@ def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeFie
         t=path.horizon,
         t_covered=float(upper[-1] - lower[-1]),
     )
+
+
+def _bandwidth_floor(dt: np.ndarray, steps: np.ndarray) -> float:
+    """A quarter of the typical diffusive move of a piece: 1.4826 MAD / 4 of the residuals.
+
+    The residual of a piece is its move less the median slope times its
+    duration, so a regular grid measures the spread of its increments about
+    their median, jump steps do not inflate the floor, and the linear pieces
+    of an event path (all at the drift's slope) give a floor of rounding
+    size.
+    """
+    resid = steps - np.median(steps / dt, overwrite_input=True) * dt
+    return 1.4826 * float(np.median(np.abs(resid, out=resid), overwrite_input=True)) / 4.0
 
 
 def _time_at(points: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

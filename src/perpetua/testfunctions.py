@@ -6,7 +6,9 @@ its integrals in closed form: ``integral_above(x)`` is the exact value of
 ``int_x^inf f`` (inf when it diverges) and ``integral_between(a, b)`` that of
 ``int_a^b f`` for a <= b (finite, also where the tail diverges), so the tail
 test reads its verdict and its block sums from the family and never
-extrapolates.
+extrapolates.  ``integral_between`` also takes numpy arrays of ends, so an
+exact path integrates all its linear pieces in one call; a call with plain
+numbers returns a float, computed with the math module's functions.
 
 Families compose through :class:`Scaled` and :class:`SumOf`.  A value whose
 int_0^inf f is finite but past the float range is refused when built, since
@@ -40,21 +42,40 @@ __all__ = [
 ]
 
 
-def _power_integral(v: float, dv: float, p: float) -> float:
+class _Floats:
+    """The math module's functions under numpy's names, for plain-number arguments.
+
+    numpy's exp, log, log1p and expm1 differ from math's in the last bit on a
+    few percent of inputs, so scalar closed forms (the tail test's
+    certificate) stay on math's.
+    """
+
+    exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
+    maximum, minimum = max, min
+
+
+def _lift(*xs):
+    """(ops, xs): numpy and float arrays when any x is an array, else _Floats and xs as given."""
+    if any(np.ndim(x) for x in xs):
+        return np, [np.asarray(x, dtype=float) for x in xs]
+    return _Floats, xs
+
+
+def _power_integral(m, v, dv, p: float):
     """int_v^(v+dv) t^-p dt for v > 0 and dv >= 0; log(1 + dv/v) at p = 1."""
-    log_ratio = math.log1p(dv / v)
+    log_ratio = m.log1p(dv / v)
     if p == 1.0:
         return log_ratio
-    return v ** (1.0 - p) * math.expm1((1.0 - p) * log_ratio) / (1.0 - p)
+    return v ** (1.0 - p) * m.expm1((1.0 - p) * log_ratio) / (1.0 - p)
 
 
-def _even_integral(piece, a: float, b: float) -> float:
-    """int_a^b f of an even f for a <= b, from piece(lo, hi) = int_lo^hi f on 0 <= lo <= hi."""
-    if a >= 0.0:
-        return piece(a, b)
-    if b <= 0.0:
-        return piece(-b, -a)
-    return piece(0.0, -a) + piece(0.0, b)
+def _even_integral(m, piece, a, b):
+    """int_a^b f of an even f for a <= b, from piece(lo, hi) = int_lo^hi f on 0 <= lo <= hi.
+
+    The positive part of [a, b] plus the mirror of its negative part; the
+    part a side lacks is an empty piece, which adds an exact 0.
+    """
+    return piece(m.maximum(a, 0.0), m.maximum(b, 0.0)) + piece(m.maximum(-b, 0.0), m.maximum(-a, 0.0))
 
 
 @dataclass(frozen=True)
@@ -93,8 +114,13 @@ class ExpDecay(Validated):
             return math.exp(-self.rate * x) / self.rate
         return self.left_level * (-x) + 1.0 / self.rate
 
-    def integral_between(self, a: float, b: float) -> float:
-        return self.integral_above(a) - self.integral_above(b)
+    def integral_between(self, a, b):
+        # e^(-rate lo) (1 - e^(-rate (hi - lo))) / rate right of 0, with no
+        # cancellation on a narrow piece, plus the flat part left of 0
+        m, (a, b) = _lift(a, b)
+        lo, hi = m.maximum(a, 0.0), m.maximum(b, 0.0)
+        return (m.exp(-self.rate * lo) * -m.expm1(-self.rate * (hi - lo)) / self.rate
+                + self.left_level * (m.minimum(b, 0.0) - m.minimum(a, 0.0)))
 
     def integral_full(self) -> float:
         return math.inf if self.left_level > 0.0 else 1.0 / self.rate
@@ -137,8 +163,10 @@ class PowerTail(Validated):
             return upper(x)
         return 2.0 * upper(0.0) - upper(-x)
 
-    def integral_between(self, a: float, b: float) -> float:
-        return _even_integral(lambda lo, hi: _power_integral(self.shift + lo, hi - lo, self.p), a, b)
+    def integral_between(self, a, b):
+        m, (a, b) = _lift(a, b)
+        return _even_integral(
+            m, lambda lo, hi: _power_integral(m, self.shift + lo, hi - lo, self.p), a, b)
 
     def integral_full(self) -> float:
         if self.p <= 1.0:
@@ -188,12 +216,14 @@ class LogPower(Validated):
             return upper(x)
         return 2.0 * upper(0.0) - upper(-x)
 
-    def integral_between(self, a: float, b: float) -> float:
-        # u = log(2 + t) turns the integral into int u^-p du
-        def piece(lo: float, hi: float) -> float:
-            return _power_integral(math.log(2.0 + lo), math.log1p((hi - lo) / (2.0 + lo)), self.p)
+    def integral_between(self, a, b):
+        m, (a, b) = _lift(a, b)
 
-        return _even_integral(piece, a, b)
+        # u = log(2 + t) turns the integral into int u^-p du
+        def piece(lo, hi):
+            return _power_integral(m, m.log(2.0 + lo), m.log1p((hi - lo) / (2.0 + lo)), self.p)
+
+        return _even_integral(m, piece, a, b)
 
     def integral_full(self) -> float:
         return self.integral_above(0.0) * 2.0 if self.p > 1.0 else math.inf
@@ -224,8 +254,9 @@ class Indicator(Validated):
         lo = max(self.a, x)
         return max(self.b - lo, 0.0)
 
-    def integral_between(self, a: float, b: float) -> float:
-        return self.integral_above(a) - self.integral_above(b)
+    def integral_between(self, a, b):
+        m, (a, b) = _lift(a, b)
+        return m.maximum(m.minimum(b, self.b) - m.maximum(a, self.a), 0.0)
 
     def integral_full(self) -> float:
         return self.b - self.a
@@ -278,6 +309,11 @@ class Tabulated(Validated):
             issues.append(Issue("TAIL_RATE", "tail_rate", "exp tail needs rate > 0"))
         elif self.tail_model == "exp" and math.isinf(float(v[-1]) / float(self.tail_rate)):
             issues.append(Issue("TAIL_RANGE", "tail_rate", "tail_rate too small: tail integral overflows"))
+        if not issues:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not math.isfinite(self.integral_full()):
+                    issues.append(Issue("TABLE_RANGE", "values",
+                                        "values too large: the table's integral overflows a float"))
         return issues
 
     def __call__(self, x):
@@ -290,24 +326,21 @@ class Tabulated(Validated):
             out = np.where(x > k[-1], tail, out)
         return out if out.ndim else float(out)
 
-    def _tail_integral(self, x: float) -> float:
-        # int_x^inf of the tail branch, valid for x >= last knot.
-        if self.tail_model == "zero":
-            return 0.0
-        return self.values[-1] * math.exp(-self.tail_rate * (x - self.knots[-1])) / self.tail_rate
-
-    def integral_above(self, x: float) -> float:
+    def integral_above(self, x):
+        """int_x^inf f: the table's trapezoids from x on, then the tail's closed form."""
         k = np.asarray(self.knots, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if x >= k[-1]:
-            return self._tail_integral(x)
-        a = max(x, float(k[0]))
-        keep = k > a
-        xs = np.concatenate(([a], k[keep]))
-        ys = np.concatenate(([self(a)], v[keep]))
-        return float(np.trapezoid(ys, xs)) + self._tail_integral(float(k[-1]))
+        xs = np.asarray(x, dtype=float)
+        # ahead[j] = int from knot j to the last knot
+        ahead = np.concatenate((np.cumsum((np.diff(k) * (v[1:] + v[:-1]) / 2.0)[::-1])[::-1], [0.0]))
+        a = np.clip(xs, k[0], k[-1])
+        j = np.minimum(np.searchsorted(k, a, side="right"), k.size - 1)  # the knot after a
+        out = ahead[j] + (k[j] - a) * (self(a) + v[j]) / 2.0
+        if self.tail_model == "exp":
+            out = out + v[-1] * np.exp(-self.tail_rate * (np.maximum(xs, k[-1]) - k[-1])) / self.tail_rate
+        return out if out.ndim else float(out)
 
-    def integral_between(self, a: float, b: float) -> float:
+    def integral_between(self, a, b):
         return self.integral_above(a) - self.integral_above(b)
 
     def integral_full(self) -> float:

@@ -335,6 +335,18 @@ class TestTailIntegralTest:
             assert d.blocks_used == 65
             assert d.value_or_lower_bound == sum(d.diagnostics)
 
+    def test_divergent_lower_bound_stops_before_the_float_range(self):
+        # blocks of 4e307 to 7e307: the first three sum to 1.6e308, and a
+        # fourth would carry the sum past the float range
+        f = Scaled(1e308, PowerTail(1.0))
+        d = tail_integral_test(f)
+        assert d.verdict is Convergence.DIVERGES
+        assert d.blocks_used == len(d.diagnostics) == 3
+        assert d.value_or_lower_bound == sum(d.diagnostics) < math.inf
+        n = d.blocks_used
+        assert math.isinf(d.value_or_lower_bound + f.integral_between(2.0 ** (n - 1), 2.0 ** n))
+        json.dumps(d.to_dict(), allow_nan=False)
+
     def test_exp_decay_stops_where_the_tail_is_below_rounding(self):
         # e^-32 still moves 1.0 in floating point, e^-64 does not
         d = tail_integral_test(ExpDecay(1.0))

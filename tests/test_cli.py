@@ -56,6 +56,15 @@ class TestVerdictCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "AS_INFINITE"
 
+    def test_divergent_lower_bound_is_standard_json(self, tmp_path, capsys):
+        # block sums of about 6.9e307: the lower bound stops before it overflows
+        cfg = write_config(tmp_path, f={"family": "scaled", "params": {
+            "factor": 1e308, "inner": {"family": "power_tail", "params": {"p": 1.0}}}})
+        assert main(["verdict", "--config", cfg]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "AS_INFINITE"
+        json.dumps(payload, allow_nan=False)
+
 
 class TestClassifyCommand:
     def test_reports_structure_and_local_time(self, tmp_path, capsys):
@@ -428,11 +437,12 @@ class TestVerifyCommand:
         assert "FAILED" in capsys.readouterr().out
 
     def test_package_error_in_any_check_is_a_failed_entry(self, tmp_path, capsys):
-        # rate * dt = 1 jump per step: the sampler refuses with StepTooCoarse
-        # inside zero_one, and the run still goes on to lln
+        # rate * dt = 1 jump per step on the grid (the Gaussian part rules out
+        # event paths): the sampler refuses with StepTooCoarse inside
+        # zero_one, and the run still goes on to lln
         cfg = write_config(
             tmp_path,
-            triplet={"drift": 1.0, "gaussian": 0.0, "levy_measure": {
+            triplet={"drift": 1.0, "gaussian": 0.5, "levy_measure": {
                 "family": "compound_poisson",
                 "params": {"rate": 100.0,
                            "jump_law": {"kind": "exponential", "theta": 2.0, "sign": 1}},
@@ -444,6 +454,44 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert [e["check"] for e in report["checks"]] == ["zero_one", "lln"]
         assert report["checks"][0]["notes"].startswith("StepTooCoarse")
+
+    def test_dense_compound_poisson_without_gaussian_part_runs_on_events(self, tmp_path, capsys):
+        # the same rate without a Gaussian part: exact event paths have no
+        # step grid, so nothing is too coarse
+        cfg = write_config(
+            tmp_path,
+            triplet={"drift": 1.0, "gaussian": 0.0, "levy_measure": {
+                "family": "compound_poisson",
+                "params": {"rate": 100.0,
+                           "jump_law": {"kind": "exponential", "theta": 2.0, "sign": 1}},
+            }},
+            checks=["zero_one"],
+        )
+        out = tmp_path / "run"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        entry = json.loads((out / "report.json").read_text())["checks"][0]
+        assert (entry["check"], entry["passed"]) == ("zero_one", True)
+
+    def test_drift_cp_outputs_do_not_depend_on_threads(self, tmp_path, capsys):
+        # event paths and exact passages: report.json and every CSV byte-identical
+        cfg = write_config(
+            tmp_path,
+            triplet={"drift": 0.1, "gaussian": 0.0, "levy_measure": {
+                "family": "compound_poisson",
+                "params": {"rate": 1.0,
+                           "jump_law": {"kind": "exponential", "theta": 2.0, "sign": 1}},
+            }},
+            horizon={"t0": 2.0, "doublings": 5},
+            checks=["zero_one", "overshoot", "lln"],
+            check_params={"overshoot": {"z1": 5.0, "z2": 10.0, "n": 200},
+                          "lln": {"n": 40, "t0": 70.0}},
+        )
+        runs = [tmp_path / f"t{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), runs):
+            main(["verify", "--config", cfg, "--out", str(out), "--threads", str(threads)])
+        names = ["report.json", "finiteness.csv", "overshoots_z1.csv", "overshoots_z2.csv"]
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_overshoot_default_level_on_undefined_mean(self, tmp_path, capsys):
         cfg = write_config(

@@ -26,7 +26,9 @@ from perpetua import (
 from perpetua.checks import CHECKS, resolve
 from perpetua.harness import (FINITE_LIKE, INCONCLUSIVE, INFINITE_LIKE,
                               overshoot_recommended_z1)
+from perpetua import harness
 from perpetua.runner import _run_one
+from perpetua.simulate import PathSample
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
 # drift 0.1 plus rate-1 Exp(2) up-jumps: mu = 0.6, sigma^2 + int x^2 nu = 0.5
@@ -293,6 +295,15 @@ class TestLlnCheck:
         params = resolve(CHECKS["lln"], cfg)
         assert params["t0"] == pytest.approx(50.0 * 0.5 / 0.36)
         assert CHECKS["lln"].run(cfg, params, 1, None, {}).passed
+
+    def test_envelope_is_read_at_t0_between_knots(self, monkeypatch):
+        # mu = 0.6, t0 = 70: the path is at 20 < 0.3 * 70 at t0, inside the
+        # knots after it, and linear between them
+        path = PathSample(times=np.array([0.0, 69.0, 71.0, 280.0]),
+                          values=np.array([0.0, 10.0, 30.0, 168.0]), exact=True)
+        monkeypatch.setattr(harness, "sample_path", lambda *args, **kwargs: path)
+        rep = lln_envelope_check(DRIFT_CP, t0=70.0, n=1, horizon=280.0)
+        assert rep.statistic == 1.0 and not rep.passed
 
     def test_pure_drift_always_inside(self):
         rep = lln_envelope_check(LevyTriplet(1.0), t0=1.0, n=20, seed=10)

@@ -13,17 +13,28 @@ from perpetua import (
     ExponentialJump,
     Indicator,
     LevyTriplet,
+    LogPower,
+    PowerTail,
     PreconditionViolation,
     StableLike,
     StepTooCoarse,
+    SumOf,
+    Tabulated,
+    TwoSidedExponentialJump,
+    first_passage,
+    overshoot_ensemble,
     local_time_field,
     perpetual_estimate,
     sample_path,
 )
-from perpetua.rng import stream
-from perpetua.simulate import PathSample, StepEngine
+from perpetua.rng import derive_seed, stream
+from perpetua.simulate import PathSample, StepEngine, _bandwidth_floor, event_batch
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
+# drift 0.1 plus rate-1 Exp(2) up-jumps: Laplace exponent psi(1) = 0.1 + 1 - 2/3
+DRIFT_CP = LevyTriplet(0.1, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
+# negative drift and two-sided jumps: pieces run downwards and cross 0
+DOWN_CP = LevyTriplet(-0.3, 0.0, CompoundPoisson(1.5, TwoSidedExponentialJump(1.0, 2.0, 0.6)))
 
 
 def dense_local_time_field(path, x_grid, bandwidth):
@@ -67,6 +78,13 @@ def dense_local_time_field(path, x_grid, bandwidth):
     return values, t_covered
 
 
+def event_jumps(path):
+    """(jump times, jump sizes) of an event path, read from its knots."""
+    assert path.exact
+    at = np.nonzero(np.diff(path.times) == 0.0)[0]
+    return path.times[at], path.values[at + 1] - path.values[at]
+
+
 def lattice_path(steps, dt=0.01):
     """A path through the given increments from 0, stored exactly."""
     values = np.concatenate(([0.0], np.cumsum(steps)))
@@ -76,17 +94,19 @@ def lattice_path(steps, dt=0.01):
 
 class TestSamplePath:
     def test_pure_drift_is_exact(self):
+        # no jumps: the event path is one linear piece
         path = sample_path(LevyTriplet(2.0), 10.0, 0.01, x0=1.0, seed=1)
-        assert np.allclose(path.values, 1.0 + 2.0 * path.times, atol=1e-12)
-        _, _, (jump_pos, _) = StepEngine(LevyTriplet(2.0), 0.01).draw(stream(1), 1000)
-        assert jump_pos.size == 0
+        assert path.exact
+        assert path.times.tolist() == [0.0, 10.0]
+        assert path.values.tolist() == [1.0, 21.0]
 
     def test_grid_shape(self):
         path = sample_path(BM_DRIFT, 5.0, 0.01, seed=2)
+        assert not path.exact
         assert path.times[0] == 0.0
         assert path.times[-1] == pytest.approx(5.0)
         assert path.values.shape == path.times.shape
-        assert path.dt == pytest.approx(0.01)
+        assert np.allclose(np.diff(path.times), 0.01)
 
     def test_deterministic_in_seed(self):
         a = sample_path(BM_DRIFT, 2.0, 0.01, seed=7)
@@ -106,21 +126,19 @@ class TestSamplePath:
     def test_compound_poisson_jump_count(self):
         t = LevyTriplet(0.0, 0.0, CompoundPoisson(2.0, ConstantJump(1.0)))
         path = sample_path(t, 50.0, 0.01, seed=3)
-        # the path's own draws: sample_path runs one draw of 5000 steps on stream(3)
-        _, _, (_, sizes) = StepEngine(t, 0.01).draw(stream(3), 5000)
-        n_jumps = sizes.size
+        times, sizes = event_jumps(path)
         # Poisson(100): five sigma is +-50
-        assert 50 <= n_jumps <= 150
-        assert path.values[-1] == pytest.approx(n_jumps)  # unit jumps, no drift
+        assert 50 <= times.size <= 150
+        assert np.all(sizes == 1.0)
+        assert path.values[-1] == times.size  # unit jumps, no drift: exact
 
     def test_jump_times_recorded_in_order(self):
         t = LevyTriplet(0.5, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
         path = sample_path(t, 20.0, 0.01, seed=4)
-        _, _, (jump_pos, sizes) = StepEngine(t, 0.01).draw(stream(4), 2000)
-        times = jump_pos * 0.01
+        times, sizes = event_jumps(path)
         assert sizes.size > 0
-        assert np.all(np.diff(times) >= 0.0)
-        assert np.all((times >= 0.0) & (times <= 20.0))
+        assert np.all(np.diff(times) > 0.0)
+        assert np.all((times > 0.0) & (times < 20.0))
         assert path.values[-1] == pytest.approx(0.5 * 20.0 + sizes.sum())
 
     def test_stable_increment_scaling(self):
@@ -155,6 +173,125 @@ class TestSamplePath:
         assert engine.cutoff == 0.0
         assert engine.rate == 1.0
         assert engine.drift_eff == 0.1  # finite-activity jumps are not compensated
+
+
+def fine_trapezoid(path, f, checkpoints, sub=400):
+    """Test oracle: the trapezoid rule with each piece of positive duration cut in sub."""
+    out = []
+    for c in checkpoints:
+        total = 0.0
+        for t0, t1, v0, v1 in zip(path.times, path.times[1:], path.values, path.values[1:]):
+            if t1 <= t0 or t0 >= c:
+                continue
+            end = min(t1, c)
+            s = np.linspace(0.0, 1.0, sub + 1)
+            values = v0 + (v1 - v0) * (end - t0) / (t1 - t0) * s
+            total += float(np.trapezoid(f(values), t0 + (end - t0) * s))
+        out.append(total)
+    return np.array(out)
+
+
+class TestEventPath:
+    """Drift plus finite activity without a Gaussian part: exact event paths."""
+
+    def test_knots_are_the_jumps_twice_between_zero_and_horizon(self):
+        path = sample_path(DRIFT_CP, 30.0, 0.01, x0=0.5, seed=50)
+        times, sizes = event_jumps(path)
+        assert path.times[0] == 0.0 and path.values[0] == 0.5
+        assert path.times[-1] == 30.0
+        assert path.times.size == 2 * times.size + 2
+        assert np.all(sizes > 0.0)
+        # between knots the path runs at the drift's slope
+        moving = np.diff(path.times) > 0.0
+        slopes = np.diff(path.values)[moving] / np.diff(path.times)[moving]
+        assert np.allclose(slopes, 0.1, rtol=1e-9, atol=1e-9)
+
+    def test_dt_is_unused(self):
+        a = sample_path(DRIFT_CP, 20.0, 0.01, seed=51)
+        b = sample_path(DRIFT_CP, 20.0, 7.0, seed=51)
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
+
+    def test_no_step_engine_on_event_paths(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("StepEngine built for an event path")
+
+        monkeypatch.setattr(StepEngine, "__init__", refuse)
+        path = sample_path(DRIFT_CP, 20.0, 0.01, seed=52)
+        local_time_field(path, np.linspace(0.5, 3.0, 11), 0.05)
+        assert first_passage(DRIFT_CP, 5.0, seed=52).reached
+        assert overshoot_ensemble(DRIFT_CP, 5.0, 20, seed=52).n == 20
+
+    def test_dense_jumps_refused_before_allocation(self):
+        dense = LevyTriplet(0.1, 0.0, CompoundPoisson(1e7, ExponentialJump(2.0, 1)))
+        with pytest.raises(PreconditionViolation) as exc:
+            sample_path(dense, 256.0, 0.01, seed=0)
+        assert exc.value.reason == "EVENT_BUDGET"
+
+    def test_mean_integral_is_one_over_laplace_exponent(self):
+        # E int_0^inf exp(-xi_s) ds = 1/psi(1) (Bertoin & Yor 2005); the rest
+        # after T = 64 has mean exp(-64 psi(1)) / psi(1), below 1e-11
+        psi = 0.1 + 1.0 - 2.0 / 3.0
+        n = 1000
+        f = ExpDecay(1.0)
+        total = np.array([
+            perpetual_estimate(sample_path(DRIFT_CP, 64.0, 0.01, seed=derive_seed(53, i)), f, [64.0])[0]
+            for i in range(n)
+        ])
+        z = (total.mean() - 1.0 / psi) / (total.std() / math.sqrt(n))
+        assert abs(z) < 4.0
+
+    @pytest.mark.parametrize("triplet", [DRIFT_CP, DOWN_CP], ids=["up", "down"])
+    @pytest.mark.parametrize("f", [
+        ExpDecay(1.0), PowerTail(1.5), LogPower(2.0),
+        SumOf((Tabulated((-2.0, 0.0, 1.0, 3.0), (0.5, 2.0, 1.0, 0.25), "exp", 0.5), ExpDecay(0.3))),
+    ], ids=["exp_decay", "power_tail", "log_power", "sum"])
+    def test_partial_integrals_match_a_fine_trapezoid(self, triplet, f):
+        path = sample_path(triplet, 20.0, 0.01, seed=54)
+        checkpoints = [0.0, 3.3, 7.0, 12.5, 20.0]
+        exact = perpetual_estimate(path, f, checkpoints)
+        assert exact[0] == 0.0
+        assert np.allclose(exact, fine_trapezoid(path, f, checkpoints), rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("f", [ExpDecay(1.0), PowerTail(1.5), LogPower(2.0), Indicator(-5.0, 2.9)],
+                             ids=["exp_decay", "power_tail", "log_power", "indicator"])
+    def test_narrow_pieces_keep_their_precision(self, f):
+        # at drift 1e-13 a piece spans about 1e-13 in space, where F(b) - F(a)
+        # would cancel; such pieces are flat to rounding, so the trapezoid of
+        # the knots is exact to rounding too
+        t = LevyTriplet(1e-13, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, -1)))
+        path = sample_path(t, 50.0, 0.01, x0=3.0, seed=58)
+        trapezoid = np.sum(np.diff(path.times) * (f(path.values[:-1]) + f(path.values[1:])) / 2.0)
+        assert perpetual_estimate(path, f, [50.0])[0] == pytest.approx(trapezoid, rel=1e-12)
+
+    @pytest.mark.parametrize("triplet", [
+        DRIFT_CP, LevyTriplet(0.5, 0.0, CompoundPoisson(1.0, ExponentialJump(0.4, 1))),
+    ], ids=["drift_cp", "creep"])
+    def test_bandwidth_floor_is_rounding_on_event_paths(self, triplet):
+        # the linear pieces all run at the drift's slope; jumps take no time
+        path = sample_path(triplet, 200.0, 0.01, seed=55)
+        moving = np.diff(path.times) > 0.0
+        floor = _bandwidth_floor(np.diff(path.times)[moving], np.diff(path.values)[moving])
+        assert floor < 1e-12
+        grid = np.linspace(1.0, 20.0, 39)
+        fld = local_time_field(path, grid, 1e-3)
+        assert np.all(fld.values >= 0.0)
+        local_time_field(path, grid, 0.05)
+
+    def test_bandwidth_floor_on_a_grid_is_the_increment_spread(self):
+        path = sample_path(BM_DRIFT, 50.0, 0.01, seed=56)
+        diffs = np.diff(path.values)
+        spread = 1.4826 * np.median(np.abs(diffs - np.median(diffs))) / 4.0
+        assert _bandwidth_floor(np.diff(path.times), diffs) == pytest.approx(spread, rel=1e-9)
+
+    def test_event_batch_is_the_passage_stream(self):
+        # gaps, then sizes, per batch: the exact passage's first batch on a
+        # fresh stream is event_batch's
+        rng_a, rng_b = stream(57), stream(57)
+        at, pre, post = event_batch(DRIFT_CP, rng_a, np.zeros(2), np.zeros(2), 16)
+        gaps = rng_b.exponential(1.0, (2, 16))
+        sizes = DRIFT_CP.levy_measure.sample_jumps_above(rng_b, 0.0, 32).reshape(2, 16)
+        assert np.array_equal(at, np.cumsum(gaps, axis=1))
+        assert np.allclose(post - pre, sizes, rtol=0.0, atol=1e-12)
 
 
 class TestPerpetualEstimate:
@@ -238,10 +375,13 @@ class TestLocalTimeFieldAgainstDenseOracle:
         self.assert_matches_oracle(path, _padded_grid(path, 0.3, 1500), 0.05)
 
     def test_compound_poisson_with_flat_segments(self):
-        # no drift and no Gaussian part: the path is flat between jumps
+        # no drift and no Gaussian part: the event path is flat between jumps,
+        # and each jump is a piece of zero duration
         t = LevyTriplet(0.0, 0.0, CompoundPoisson(2.0, ExponentialJump(1.0, 1)))
         path = sample_path(t, 50.0, 0.01, seed=31)
-        assert np.mean(np.diff(path.values) == 0.0) > 0.9
+        moving = np.diff(path.times) > 0.0
+        assert np.all(np.diff(path.values)[moving] == 0.0)
+        assert np.sum(~moving) > 50
         self.assert_matches_oracle(path, _padded_grid(path, 0.3, 900), 0.05)
 
     def test_stable_path(self):

@@ -189,6 +189,19 @@ class TestClosedForms:
                 assert f.integral_between(0.0, x) + f.integral_above(x) == pytest.approx(
                     total, rel=1e-12), (f, x)
 
+    @pytest.mark.parametrize("kind", sorted(testfunctions._FAMILIES))
+    def test_integral_between_takes_arrays(self, kind):
+        # the ends straddle 0, knots and the supports' edges, and include
+        # empty pieces; a scalar call stays a float
+        rng = np.random.default_rng(7)
+        a = np.concatenate((rng.uniform(-20.0, 20.0, 300), [0.0, -3.0, 2.0 ** 10, 5.0]))
+        b = a + np.concatenate((rng.exponential(4.0, 300), [1.0, 8.0, 2.0 ** 10, 0.0]))
+        for f in EXAMPLES[kind]:
+            scalar = np.array([f.integral_between(float(x), float(y)) for x, y in zip(a, b)])
+            assert isinstance(f.integral_between(float(a[0]), float(b[0])), float)
+            assert np.allclose(f.integral_between(a, b), scalar, rtol=1e-12, atol=1e-12), f
+            assert f.integral_between(a[:0], b[:0]).shape == (0,)
+
     @pytest.mark.parametrize("f", [PowerTail(1.0), LogPower(1.0)])
     def test_divergent_tails_have_finite_positive_blocks(self, f):
         sums = [f.integral_between(2.0 ** k, 2.0 ** (k + 1)) for k in range(64)]
@@ -210,6 +223,9 @@ class TestValidation:
         (partial(ExpDecay, 1e-320), "RATE_RANGE"),
         (partial(Tabulated, (0.0, 1.0), (1.0, 1.0), tail_model="exp", tail_rate=1e-320),
          "TAIL_RANGE"),
+        (partial(Tabulated, (0.0, 1e300), (1e300, 1e300)), "TABLE_RANGE"),
+        (partial(Tabulated, (0.0, 1.0), (1e308, 1e308), tail_model="exp", tail_rate=1.0),
+         "TABLE_RANGE"),
         (partial(Scaled, 1e308, ExpDecay(0.1)), "FACTOR_RANGE"),
         (partial(SumOf, (Scaled(1e308, ExpDecay(1.0)), Scaled(1e308, ExpDecay(1.0)))), "SUM_RANGE"),
     ])
