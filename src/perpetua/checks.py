@@ -43,7 +43,7 @@ class Check:
     name: str  # the report's name
     params: tuple[Param, ...]
     run: Callable  # (config, params, threads, out, report) -> harness.CheckReport
-    steps: Callable | None = None  # (config, params) -> steps per path, held to the step budget
+    path: Callable | None = None  # (config, params) -> (horizon, dt) of its paths, held to the budget
 
 
 def resolve(check: Check, config) -> dict:
@@ -71,10 +71,10 @@ def _auto_lln_t0(config, p) -> float:
     return max(harness.lln_t0_floor(config.triplet), 10.0 * config.t0)
 
 
-def _invariance_steps(config, p) -> float:
+def _invariance_path(config, p) -> tuple[float, float]:
     if not config.triplet.mean().is_finite_positive:
-        return 0.0  # the check itself refuses with MEAN_RANGE
-    return harness.invariance_horizon(config.triplet, p["x_list"], p["dt"])[1] / p["dt"]
+        return 0.0, p["dt"]  # the check itself refuses with MEAN_RANGE
+    return harness.invariance_horizon(config.triplet, p["x_list"], p["dt"])[1], p["dt"]
 
 
 def _config_dt(config, p) -> float:
@@ -147,11 +147,11 @@ CHECKS = {c.key: c for c in (
         Param("ks_alpha", float, 0.01, high=1.0),
         Param("n_rho", int, 1000),
         Param("start_from_rho", bool, True),
-    ), _run_invariance, steps=_invariance_steps),
+    ), _run_invariance, path=_invariance_path),
     Check("lln", "lln_envelope", (
         Param("t0", float, _auto_lln_t0),
         Param("n", int, 200),
         Param("dt", float, _config_dt),
         Param("horizon", float, lambda config, p: 4.0 * p["t0"]),
-    ), _run_lln, steps=lambda config, p: p["horizon"] / p["dt"]),
+    ), _run_lln, path=lambda config, p: (p["horizon"], p["dt"])),
 )}

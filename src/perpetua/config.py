@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checks import CHECKS, Check, resolve
 from .errors import ConfigError, NonFiniteParameter
-from .simulate import MAX_STEPS_PER_PATH
+from .simulate import MAX_STEPS_PER_PATH, event_driven
 from .testfunctions import TestFunction, test_function_from_dict
 from .triplet import LevyTriplet
 from .validation import finite_real
@@ -109,8 +109,11 @@ class ExperimentConfig:
         if t0 is not None and dt is not None and dt > t0 / 10.0:
             problems.append(f"dt: must be <= t0/10 = {t0 / 10.0:g}, got {dt}")
         elif None not in (t0, dt, doublings) and dt > 0.0:
-            # 2^64 steps are over budget already; the cap keeps 2.0**k finite
-            _step_budget("horizon", t0 / dt * 2.0 ** min(doublings, 64), problems)
+            # 2.0**1023 is the largest power of two below the float range
+            horizon = t0 * 2.0 ** min(doublings, 1023)
+            if math.isinf(horizon):
+                problems.append("horizon: t0 * 2^doublings overflows a float")
+            _path_budget("horizon", triplet, horizon, dt, problems)
 
         master_seed = _as_int(d, "master_seed", problems)
         if master_seed is not None:
@@ -173,9 +176,9 @@ class ExperimentConfig:
         )
         for name in config.checks:
             check = CHECKS[name]
-            if check.steps is not None:
-                steps = check.steps(config, resolve(check, config))
-                _step_budget(f"check_params.{name}", steps, problems)
+            if check.path is not None:
+                horizon, path_dt = check.path(config, resolve(check, config))
+                _path_budget(f"check_params.{name}", triplet, horizon, path_dt, problems)
         if problems:
             raise ConfigError(problems)
         return config
@@ -186,10 +189,21 @@ def _check_seed(key: str, seed: int, problems: list[str]) -> None:
         problems.append(f"{key}: must fit in uint64, got {seed}")
 
 
-def _step_budget(key: str, steps: float, problems: list[str]) -> None:
-    """STEP_BUDGET: horizon/dt of a check's paths within simulate.MAX_STEPS_PER_PATH."""
-    if not steps <= MAX_STEPS_PER_PATH:
-        problems.append(f"{key}: {steps:.3g} steps per path exceed STEP_BUDGET "
+def _path_budget(key: str, triplet, horizon: float, dt: float, problems: list[str]) -> None:
+    """A path of this horizon within simulate.MAX_STEPS_PER_PATH.
+
+    An event path (simulate.event_driven) is held to EVENT_BUDGET, its
+    expected jumps rate * horizon, and never reads dt; a grid path to
+    STEP_BUDGET, horizon/dt.  Without a valid triplet the grid rule applies.
+    """
+    if triplet is not None and event_driven(triplet):
+        rate = triplet.levy_measure.rate_above(0.0)
+        events = rate * horizon if rate > 0.0 else 0.0
+        if not events <= MAX_STEPS_PER_PATH:
+            problems.append(f"{key}: {events:.3g} expected jumps per path exceed EVENT_BUDGET "
+                            f"{MAX_STEPS_PER_PATH} (rate*horizon)")
+    elif not horizon / dt <= MAX_STEPS_PER_PATH:
+        problems.append(f"{key}: {horizon / dt:.3g} steps per path exceed STEP_BUDGET "
                         f"{MAX_STEPS_PER_PATH} (horizon/dt)")
 
 

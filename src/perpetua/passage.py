@@ -1,18 +1,20 @@
 """First passage over a level, overshoots, and the stationary restart law.
 
-Drift plus compound Poisson (no Gaussian part, finite activity) is resolved
-exactly, event by event, on the batches of simulate.event_batch that exact
-paths walk too: the path is the line v + drift * t between exponential jump
-times, so it first crosses the level either on the linear piece before a
-jump (it creeps: overshoot zero) or at a jump (overshoot = post-jump value
-minus level).  No time grid is involved and dt is unused.
+Every finite-activity process (drift, Gaussian part and compound Poisson
+jumps) is resolved exactly, event by event, on the batches of
+simulate.event_batch that exact paths walk too.  Each gap between jumps is
+one piece: a line of slope drift without a Gaussian part, a Brownian bridge
+between its two end values with one (its maximum decides whether it
+crosses, Metwally & Atiya 2002).  The path first crosses the level either
+inside a piece (it creeps: overshoot zero) or at a jump (overshoot =
+post-jump value minus level).  No time grid is involved and dt is unused.
 
-Every other process is walked on the simulated dt skeleton: between jumps
+Infinite activity is walked on the simulated dt skeleton: between jumps
 the path moves linearly (drift plus the step's Gaussian increment spread
 over the step), and every resolved jump is applied at its exact time, so a
 crossing is attributed to a continuous piece or to one specific jump in the
-same way.  Diffusion excursions between grid points are not bridged; that
-bias vanishes with dt and oracles use dt/10.
+same way.  Excursions between grid points are not bridged; that bias
+vanishes with dt.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import NotReachedError, PreconditionViolation
 from .rng import derive_seed, stream
-from .simulate import BATCH_EVENTS, StepEngine, batch_size, event_batch, event_driven
+from .simulate import BATCH_EVENTS, StepEngine, batch_size, event_batch
 from .triplet import LevyTriplet
 
 __all__ = [
@@ -50,7 +52,7 @@ class FirstPassageSample:
 class EmpiricalDistribution:
     samples: np.ndarray  # sorted ascending
     n: int
-    events_drawn: int | None = None  # exact event ensembles only; None on the grid
+    events_drawn: int | None = None  # exact ensembles (finite activity) only; None on the grid
 
     def cdf(self, x) -> np.ndarray:
         return np.searchsorted(self.samples, x, side="right") / self.n
@@ -72,10 +74,10 @@ def first_passage(
 ) -> FirstPassageSample:
     """Time and overshoot of the first crossing of the level from below.
 
-    Drift plus compound Poisson is resolved exactly (dt unused); other
-    processes are scanned on the dt grid, with jumps above the measure's
-    default cutoff for dt resolved.  Not reached by time cap
-    (default 10 level / mu) gives passage_time None.
+    Finite activity is resolved exactly (dt unused); infinite activity is
+    scanned on the dt grid, with jumps above the measure's default cutoff
+    for dt resolved.  Not reached by time cap (default 10 level / mu) gives
+    passage_time None.
     """
     if not level > 0.0:
         raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
@@ -86,7 +88,7 @@ def first_passage(
     if x0 >= level:
         return FirstPassageSample(level=level, passage_time=0.0, overshoot=x0 - level)
 
-    if event_driven(triplet):
+    if triplet.levy_measure.is_finite_activity:
         times, overshoots, _ = _event_passages(triplet, level, np.array([x0]), cap, stream(seed))
         if math.isnan(times[0]):
             return FirstPassageSample(level=level, passage_time=None, overshoot=None)
@@ -105,28 +107,43 @@ def first_passage(
 
 
 def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: float, rng):
-    """Exact first passages of drift + compound Poisson paths, one per start x0 < level.
+    """Exact first passages of finite-activity paths, one per start x0 < level.
 
     Returns (passage times, overshoots, events drawn); NaN marks a path that
-    has not crossed by time cap.  The live paths draw event_batch after
-    event_batch of m = batch_size(rate, expected time to passage) events.
-    The first event whose pre-jump value is at or above the level means the
-    path crept over on the linear piece before it, at
-    T_(j-1) + (level - v_(j-1)) / drift with overshoot 0; otherwise the
-    first event whose post-jump value is at or above the level is a jump
-    crossing at T_j with overshoot post - level.  Paths run in
-    blocks of rows so that one batch holds at most BATCH_EVENTS events, and
-    all draws come from rng in block order.  With no jumps the passage time
-    is the closed form (level - x0) / drift.
+    has not crossed by time cap.  Piece j (the gap before jump j) comes
+    before jump j.  The first piece that crosses means the path crept over
+    inside it, with overshoot 0: without a Gaussian part the piece is a
+    line, which crosses when its end value is at or above the level, at
+    T_(j-1) + (level - v_(j-1)) / drift; with one it is a Brownian bridge
+    (_bridge_crosses, _bridge_hit_times).  Otherwise the first jump whose
+    post-jump value is at or above the level is a jump crossing at T_j with
+    overshoot post - level.
+
+    All draws come from rng, in this order.  The paths run in blocks of rows
+    so that one batch holds at most BATCH_EVENTS events, block after block;
+    the live paths of a block draw event_batch after event_batch of
+    m = batch_size(rate, expected time to passage) events.  With a Gaussian
+    part each batch then draws a (paths, m) array of standard normals (the
+    Gaussian move over each gap), then one of uniforms (the bridge tests),
+    then the crossing times of the paths that crept, in path order.  With no
+    jumps the one piece is [0, cap]: the closed form (level - x0) / drift
+    without a Gaussian part; with one, a normal per path, then a uniform per
+    path, then the crossing times.
     """
     x0 = np.asarray(x0, dtype=float)
     times = np.full(x0.size, np.nan)
     overshoots = np.full(x0.size, np.nan)
     drift = triplet.drift
+    var = triplet.gaussian_coef
     rate = triplet.levy_measure.rate_above(0.0)
     mu = triplet.mean().as_float()
     if rate == 0.0:
-        if drift > 0.0:
+        if var > 0.0:
+            end = x0 + drift * cap + math.sqrt(var * cap) * rng.standard_normal(x0.size)
+            hit = _bridge_crosses(x0, end, cap, level, var, rng.random(x0.size))
+            times[hit] = _bridge_hit_times(rng, x0[hit], end[hit], cap, level, var)
+            overshoots[hit] = 0.0
+        elif drift > 0.0:
             t = (level - x0) / drift
             reached = t <= cap
             times[reached] = t[reached]
@@ -142,21 +159,35 @@ def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: flo
         t = np.zeros(live.size)
         v = x0[live]
         while live.size:
-            # with drift <= 0 no path creeps (see event_batch)
             at, pre, post = event_batch(triplet, rng, t, v, m)
             drawn += at.size
-            crossed = (pre >= level) | (post >= level)
+            if var > 0.0:
+                gaps = np.diff(at, axis=1, prepend=t[:, None])
+                moves = np.sqrt(var * gaps) * rng.standard_normal(at.shape)
+                np.cumsum(moves, axis=1, out=moves)
+                pre += moves
+                post += moves
+                starts = np.column_stack((v, post[:, :-1]))
+                crept = _bridge_crosses(starts, pre, gaps, level, var, rng.random(at.shape))
+            else:
+                # with drift <= 0 no path creeps (see event_batch)
+                crept = pre >= level
+            crossed = crept | (post >= level)
             hit = crossed.any(axis=1)
 
             r = np.nonzero(hit)[0]
             j = crossed[r].argmax(axis=1)
             when = at[r, j]
             over = post[r, j] - level
-            creep = pre[r, j] >= level
+            creep = crept[r, j]
             rc, jc = r[creep], j[creep]
             start_t = np.where(jc > 0, at[rc, jc - 1], t[rc])
             start_v = np.where(jc > 0, post[rc, jc - 1], v[rc])
-            when[creep] = start_t + (level - start_v) / drift
+            if var > 0.0:
+                when[creep] = start_t + _bridge_hit_times(
+                    rng, start_v, pre[rc, jc], gaps[rc, jc], level, var)
+            else:
+                when[creep] = start_t + (level - start_v) / drift
             over[creep] = 0.0
             reached = when <= cap
             times[live[r[reached]]] = when[reached]
@@ -165,6 +196,40 @@ def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: flo
             going = ~hit & (at[:, -1] < cap)
             live, t, v = live[going], at[going, -1], post[going, -1]
     return times, overshoots, drawn
+
+
+def _bridge_crosses(a, b, tau, level: float, var: float, u) -> np.ndarray:
+    """Whether Brownian bridges from a < level to b over time tau reach the level.
+
+    Certainly when b >= level; otherwise with probability
+    exp(-2 (level - a)(level - b) / (var tau)), the law of the bridge's
+    maximum, tested against the uniforms u.  var is the Gaussian variance
+    per unit time.  Where a >= level the answer means nothing, and a piece
+    of zero duration never crosses.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return (b >= level) | (u < np.exp(-2.0 * (level - a) * (level - b) / (var * tau)))
+
+
+def _bridge_hit_times(rng, a, b, tau, level: float, var: float) -> np.ndarray:
+    """When each bridge from a < level to b over time tau first reaches the level, given it does.
+
+    The first-passage density of Brownian motion at distance level - a,
+    times the density of the rest of the bridge to b, gives the time
+    tau Y / (1 + Y) with Y inverse Gaussian, of mean (level - a) / |level - b|
+    and shape (level - a)^2 / (var tau), whether b lies below or above the
+    level.  Y is drawn as in Michael, Schucany & Haas (1976), a normal for
+    every bridge and then a uniform for every bridge, but written in 1/Y so
+    that nothing cancels: numpy's wald loses every digit as |level - b|
+    goes to 0 (wald(1e300, 1) returns 0, a crossing at the piece's start).
+    """
+    alpha = level - a
+    inv_mean = np.abs(level - b) / alpha
+    w = rng.standard_normal(alpha.size) ** 2 * var * tau / (alpha * alpha)  # chi2(1) / shape
+    root = inv_mean + 0.5 * w + np.sqrt(w * inv_mean + 0.25 * w * w)  # 1 / the smaller root
+    keep = rng.random(alpha.size) * (root + inv_mean) <= root  # P = mean / (mean + root)
+    inv_y = np.where(keep, root, inv_mean * inv_mean / root)
+    return tau / (1.0 + inv_y)
 
 
 def _default_cap(triplet: LevyTriplet, level: float) -> float:
@@ -249,16 +314,17 @@ def overshoot_ensemble(
 ) -> EmpiricalDistribution:
     """n independent overshoots at the level; error if any path stalls.
 
-    Drift plus compound Poisson runs all n paths exactly, from the one
-    stream derive_seed(seed, "overshoot"), and reports the events drawn;
-    dt is unused.  Other processes scan path i on the dt grid from stream
+    Finite activity runs all n paths exactly, from the one stream
+    derive_seed(seed, "overshoot") in the order _event_passages documents,
+    and reports the events drawn (0 without jumps); dt is unused.  Infinite
+    activity scans path i on the dt grid from stream
     derive_seed(seed, "overshoot", i).  A path stalls when it has not
     crossed by time 10 level / mu.
     """
     cap = _default_cap(triplet, level)
     if not level > 0.0:
         raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
-    if event_driven(triplet):
+    if triplet.levy_measure.is_finite_activity:
         rng = stream(derive_seed(seed, "overshoot"))
         times, out, drawn = _event_passages(triplet, level, np.zeros(n), cap, rng)
         stalled = np.nonzero(np.isnan(times))[0]

@@ -8,10 +8,13 @@ A task is usually one path, whose stream is derived from the seed, a
 purpose tag and the path index: a grid path draws its steps from it, and an
 exact event path (drift plus finite activity) its batches of jump gaps and
 sizes, through the same event loop as exact first passage.  The exact
-overshoot ensemble of drift plus compound Poisson is the exception: it draws
-all its paths from one stream, in row blocks whose size follows from the
-triplet, the level and n, so a path's draws depend on the ensemble it
-belongs to (n included) but never on the thread count.
+overshoot ensemble of a finite-activity process (drift, Gaussian part and
+compound Poisson jumps) is the exception: it draws all its paths from one
+stream, in row blocks whose size follows from the triplet, the level and n,
+and in the order passage._event_passages documents (per batch the jump gaps
+and sizes, then with a Gaussian part the normals and uniforms of the bridge
+pieces, then the crossing times), so a path's draws depend on the ensemble
+it belongs to (n included) but never on the thread count.
 
 Where one experiment needs several unrelated ensembles (say overshoot
 harvests at two levels), sub-seeds are derived by hashing the master seed

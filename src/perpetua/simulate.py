@@ -55,7 +55,8 @@ __all__ = [
 # STEP_BUDGET: no path of any check may take more steps (grid) or expected
 # jumps (event path) than this.  Paths are held in memory whole, so a tiny
 # dt or a dense jump rate is refused rather than ending in a MemoryError
-# halfway through a run.  A precondition, not a setting.
+# halfway through a run; config validation holds every check's paths to it
+# (config._path_budget).  A precondition, not a setting.
 MAX_STEPS_PER_PATH = 2**24
 
 # events per batch of the event sampler, at most: the size of the largest
@@ -87,7 +88,10 @@ class PathSample:
 
 
 def event_driven(triplet: LevyTriplet) -> bool:
-    """True when paths and passages are exact events: no Gaussian part, finite activity."""
+    """True when paths are exact events: no Gaussian part, finite activity.
+
+    Passage is exact for all finite activity (passage._event_passages).
+    """
     return triplet.gaussian_coef == 0.0 and triplet.levy_measure.is_finite_activity
 
 

@@ -341,7 +341,19 @@ class Tabulated(Validated):
         return out if out.ndim else float(out)
 
     def integral_between(self, a, b):
-        return self.integral_above(a) - self.integral_above(b)
+        """int_a^b f.  A piece inside one table segment is its own trapezoid
+        (b - a)(f(a) + f(b)) / 2, and one inside the exp tail its own closed
+        form, so a narrow piece does not cancel; a piece across knots is
+        integral_above(a) - integral_above(b)."""
+        k = np.asarray(self.knots, dtype=float)
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        seg = np.searchsorted(k, a, side="right")  # 0 below the table, k.size in the tail
+        fa = self(a)
+        tail = fa * -np.expm1(-self.tail_rate * (b - a)) / self.tail_rate if self.tail_model == "exp" else 0.0
+        piece = np.select([seg == 0, seg == k.size], [0.0, tail], (b - a) * (fa + self(b)) / 2.0)
+        out = np.where(seg == np.searchsorted(k, b, side="left"), piece,
+                       self.integral_above(a) - self.integral_above(b))
+        return out if out.ndim else float(out)
 
     def integral_full(self) -> float:
         return self.integral_above(float(self.knots[0]))

@@ -25,6 +25,20 @@ def good_payload():
     }
 
 
+def event_payload(rate=1.0):
+    """Drift 0.1 plus rate Exp(2) up-jumps and no Gaussian part: exact event paths."""
+    d = good_payload()
+    d["triplet"] = {
+        "drift": 0.1,
+        "gaussian": 0.0,
+        "levy_measure": {"family": "compound_poisson", "params": {
+            "rate": rate, "jump_law": {"kind": "exponential", "theta": 2.0, "sign": 1}}},
+    }
+    d["horizon"] = {"t0": 2.0, "doublings": 7}
+    d["checks"] = ["zero_one", "overshoot", "lln"]
+    return d
+
+
 class TestFromDict:
     def test_good_payload_parses(self):
         cfg = ExperimentConfig.from_dict(good_payload())
@@ -192,6 +206,44 @@ class TestFromDict:
         ]
         d["checks"] = ["zero_one"]  # invariance not run: its budget does not apply
         ExperimentConfig.from_dict(d)
+
+    def test_event_paths_are_not_held_to_dt(self):
+        # about 256 expected jumps per path; horizon/dt would be 2.56e8 steps
+        d = event_payload()
+        d["dt"] = 1e-6
+        d["check_params"] = {"lln": {"t0": 100.0, "dt": 1e-6}}  # 4e8 grid steps
+        assert ExperimentConfig.from_dict(d).dt == 1e-6
+
+    def test_event_budget_holds_the_horizon_when_validated(self):
+        d = event_payload(rate=1e6)  # 256 time units at 1e6 jumps each
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            f"horizon: 2.56e+08 expected jumps per path exceed EVENT_BUDGET {MAX_STEPS_PER_PATH} "
+            "(rate*horizon)"
+        ]
+
+    def test_event_budget_holds_the_lln_horizon(self):
+        d = event_payload(rate=1e5)
+        d["horizon"] = {"t0": 2.0, "doublings": 4}  # 3.2e6 expected jumps
+        d["check_params"] = {"lln": {"t0": 100.0, "horizon": 400.0}}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            f"check_params.lln: 4e+07 expected jumps per path exceed EVENT_BUDGET "
+            f"{MAX_STEPS_PER_PATH} (rate*horizon)"
+        ]
+        d["checks"] = ["zero_one"]  # lln not run: its budget does not apply
+        ExperimentConfig.from_dict(d)
+
+    def test_a_horizon_past_the_float_range_is_refused(self):
+        # pure drift draws no events, so only the horizon itself can overflow
+        d = good_payload()
+        d["triplet"] = {"drift": 1.0}
+        d["horizon"]["doublings"] = 5000
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == ["horizon: t0 * 2^doublings overflows a float"]
 
     @pytest.mark.parametrize("name", ["bm_drift_exp_decay.json", "stable_half_control.json"])
     def test_shipped_configs_validate(self, name):

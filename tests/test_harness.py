@@ -215,7 +215,11 @@ class TestOvershootCheck:
         a = overshoot_stationarity_check(DRIFT_CP, 5.0, 10.0, n=100, seed=4)
         b = overshoot_stationarity_check(DRIFT_CP, 5.0, 10.0, n=100, seed=4)
         assert "; passage: exact events (" in a.notes and a.notes == b.notes
+        # finite activity is exact with a Gaussian part too; no jumps, no events
         rep = overshoot_stationarity_check(BM_DRIFT, 25.0, 50.0, n=10, seed=4, dt=0.02)
+        assert rep.notes.endswith("; passage: exact events (0 drawn)")
+        stable = LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0, 1.0))
+        rep = overshoot_stationarity_check(stable, 5.0, 10.0, n=10, seed=4, dt=0.02)
         assert rep.notes.endswith("; passage: grid dt=0.02")
 
 

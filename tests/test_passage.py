@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from perpetua import (
     CompoundPoisson,
@@ -23,7 +24,7 @@ from perpetua import (
     overshoot_ensemble,
     stationary_overshoot,
 )
-from perpetua.passage import BATCH_EVENTS, _event_passages, _scan_for_crossing
+from perpetua.passage import BATCH_EVENTS, _bridge_hit_times, _event_passages, _scan_for_crossing
 from perpetua.rng import derive_seed, stream
 from perpetua.simulate import StepEngine
 
@@ -201,7 +202,99 @@ class TestEventPassage:
         assert dist.n == 200 and np.all(dist.samples >= 0.0)
 
     def test_grid_ensembles_report_no_events(self):
-        assert overshoot_ensemble(LevyTriplet(1.0, 1.0), 2.0, 5, seed=31).events_drawn is None
+        # only infinite activity is scanned on the grid
+        triplet = LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0, 1.0))
+        assert overshoot_ensemble(triplet, 2.0, 5, seed=31, dt=5e-3).events_drawn is None
+
+
+# Drift 1, sigma 1 plus rate-1 Exp(2) up-jumps: mu = 1.5.  Its Lévy exponent
+# has the root beta2 = sqrt(6) above theta = 2 (Kou & Wang 2003).
+JUMP_DIFFUSION = LevyTriplet(1.0, 1.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
+BETA2 = math.sqrt(6.0)
+# The benchmark's sn_bm_cp: drift 1, sigma 1 plus rate-1 Exp(2) down-jumps, mu = 0.5.
+SN_BM_CP = LevyTriplet(1.0, 1.0, CompoundPoisson(1.0, ExponentialJump(2.0, -1)))
+
+
+class TestBridgePassage:
+    """Exact passage with a Gaussian part: Brownian bridges between the jumps."""
+
+    @pytest.mark.parametrize("triplet", [JUMP_DIFFUSION, SN_BM_CP],
+                             ids=["jump_diffusion", "sn_bm_cp"])
+    def test_matches_fine_grid_scan(self, triplet):
+        # the scan misses crossings inside a step, a bias of about
+        # 0.58 sigma sqrt(dt) / mu in time, well inside KS noise at dt = 1e-3
+        n = 600
+        grid_t, grid_o = grid_passages(triplet, 3.0, n, seed=41, dt=1e-3)
+        event_t, event_o, _ = event_passages(triplet, 3.0, n, seed=42)
+        crit = ks_critical(n, n, alpha=0.01)
+        assert ks_two_sample(event_t, grid_t) < crit
+        assert ks_two_sample(event_o, grid_o) < crit
+
+    def test_wald_identity(self):
+        # E T = (level - x0 + E overshoot) / mu, path by path mu T - overshoot
+        n = 4000
+        times, overshoots, _ = event_passages(JUMP_DIFFUSION, 5.0, n, seed=43)
+        x = 1.5 * times - overshoots
+        assert abs(x.mean() - 5.0) < 3.0 * x.std(ddof=1) / math.sqrt(n)
+
+    def test_jump_overshoots_match_kou_wang(self):
+        # P(overshoot > y) = e^(-theta y) (1 - theta/beta2)(1 - e^(-beta2 level)):
+        # jump crossings overshoot by Exp(theta) by lack of memory, and their
+        # share depends on the level through the Gaussian creep
+        n = 4000
+        jumped = []
+        for level, seed in ((0.5, 44), (5.0, 45)):
+            _, overshoots, _ = event_passages(JUMP_DIFFUSION, level, n, seed=seed)
+            share = (1.0 - 2.0 / BETA2) * (1.0 - math.exp(-BETA2 * level))
+            jumped.append(overshoots[overshoots > 0.0])
+            assert jumped[-1].size / n == pytest.approx(
+                share, abs=3.0 * math.sqrt(share * (1 - share) / n))
+        jumped = np.concatenate(jumped)
+        stat = ks_one_sample(jumped, lambda x: 1.0 - np.exp(-2.0 * x))
+        assert stat < ks_critical(jumped.size, alpha=0.01)
+
+    def test_driftless_bm_reaches_by_cap_as_reflection_says(self):
+        # P(T <= c) = 2 (1 - Phi(level / (sigma sqrt c))), and given T <= c the
+        # passage time has that law cut at c
+        n, level, cap = 4000, 1.0, 4.0
+        times, overshoots, drawn = event_passages(LevyTriplet(0.0, 1.0), level, n, seed=46, cap=cap)
+        reached = ~np.isnan(times)
+
+        def cdf(t):
+            return 2.0 * stats.norm.sf(level / np.sqrt(np.maximum(t, 1e-300)))
+
+        p = cdf(cap)
+        assert reached.mean() == pytest.approx(p, abs=3.0 * math.sqrt(p * (1 - p) / n))
+        assert np.all(overshoots[reached] == 0.0) and drawn == 0
+        stat = ks_one_sample(times[reached], lambda t: cdf(t) / p)
+        assert stat < ks_critical(int(reached.sum()), alpha=0.01)
+
+    def test_near_level_bridges_stay_inside_their_piece(self):
+        # an end value just below the level makes the inverse Gaussian's mean
+        # huge; the crossing time must stay in (0, tau], not collapse to 0
+        a = np.zeros(5)
+        b = 1.0 - np.array([1e-300, 1e-12, 1e-3, 0.0, -1e-12])
+        t = _bridge_hit_times(stream(47), a, b, 2.0, 1.0, 1.0)
+        assert np.all((t > 0.0) & (t <= 2.0))
+
+    @pytest.mark.parametrize("triplet", [
+        LevyTriplet(2.0), LevyTriplet(1.0, 1.0), DRIFT_CP, TWO_SIDED, UNIT_DOWN,
+        JUMP_DIFFUSION, SN_BM_CP,
+    ], ids=["drift", "bm", "drift_cp", "two_sided", "unit_down", "jump_diffusion", "sn_bm_cp"])
+    def test_finite_activity_builds_no_step_engine(self, triplet, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("StepEngine built for finite activity")
+
+        monkeypatch.setattr(StepEngine, "__init__", refuse)
+        assert first_passage(triplet, 2.0, seed=48).reached
+        assert overshoot_ensemble(triplet, 2.0, 20, seed=48).events_drawn is not None
+        assert stationary_overshoot(triplet, 20, seed=48, level=4.0)[0].n == 20
+
+    def test_jump_diffusion_ensembles_are_deterministic(self):
+        a = overshoot_ensemble(JUMP_DIFFUSION, 5.0, 500, seed=49)
+        b = overshoot_ensemble(JUMP_DIFFUSION, 5.0, 500, seed=49)
+        assert np.array_equal(a.samples, b.samples) and a.events_drawn == b.events_drawn > 0
+        assert not np.array_equal(a.samples, overshoot_ensemble(JUMP_DIFFUSION, 5.0, 500, seed=50).samples)
 
 
 class TestOvershootLaw:
