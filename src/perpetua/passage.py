@@ -9,11 +9,12 @@ crosses, Metwally & Atiya 2002).  The path first crosses the level either
 inside a piece (it creeps: overshoot zero) or at a jump (overshoot =
 post-jump value minus level).  No time grid is involved and dt is unused.
 
-Infinite activity is walked on the simulated dt skeleton: between jumps
-the path moves linearly (drift plus the step's Gaussian increment spread
-over the step), and every resolved jump is applied at its exact time, so a
-crossing is attributed to a continuous piece or to one specific jump in the
-same way.  Excursions between grid points are not bridged; that bias
+Infinite activity is walked on the knots of simulate.grid_knots, the grid
+path sample_path returns: a knot every dt and each resolved jump twice at
+its exact time, linear in between.  The first knot at or above the level
+ends the passage: reached along a piece of positive duration, the path
+crept over (overshoot zero); reached by a piece of zero duration, a jump
+took it over.  Excursions between knots are not bridged; that bias
 vanishes with dt.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import NotReachedError, PreconditionViolation
 from .rng import derive_seed, stream
-from .simulate import BATCH_EVENTS, StepEngine, batch_size, event_batch
+from .simulate import BATCH_EVENTS, StepEngine, batch_size, event_batch, grid_knots
 from .triplet import LevyTriplet
 
 __all__ = [
@@ -75,9 +76,9 @@ def first_passage(
     """Time and overshoot of the first crossing of the level from below.
 
     Finite activity is resolved exactly (dt unused); infinite activity is
-    scanned on the dt grid, with jumps above the measure's default cutoff
-    for dt resolved.  Not reached by time cap (default 10 level / mu) gives
-    passage_time None.
+    walked on the knots of its dt grid path, with the jumps above the
+    measure's default cutoff for dt at their exact times.  Not reached by
+    time cap (default 10 level / mu) gives passage_time None.
     """
     if not level > 0.0:
         raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
@@ -238,71 +239,32 @@ def _default_cap(triplet: LevyTriplet, level: float) -> float:
 
 
 def _scan_for_crossing(engine: StepEngine, rng, x0: float, level: float, n_total: int):
-    """Walk chunks of steps; resolve the first candidate step event-by-event.
+    """(time, value) at the first grid_knots knot at or above the level; None after n_total steps.
 
-    Returns (time, value at crossing) or None if n_total steps pass without
-    one.  The candidate filter uses the per-step upper bound
-    start + max(0, continuous increment) + (positive jump mass), which
-    dominates the in-step maximum, so no crossing can slip through.
+    Reached along a piece of positive duration, the path crept: the time is
+    interpolated and the value is the level.  Chunks hold the expected
+    steps to passage, padded, when the mean is finite and positive, else
+    the cap, each at most 65,536 steps.
     """
     dt = engine.dt
+    mean = engine.triplet.mean()
+    chunk = 65536
+    if mean.is_finite_positive:
+        chunk = int(min(chunk, max(256, 1.25 * (level - x0) / (mean.as_float() * dt))))
     x = x0
     done = 0
-    # expected steps to passage, padded; keeps most paths to one chunk
-    drift_scale = max(engine.drift_eff, 1e-3)
-    chunk = int(min(65536, max(256, 1.25 * (level - x0) / (drift_scale * dt))))
     while done < n_total:
         m = min(chunk, n_total - done)
-        cont, per_step, (jump_pos, sizes) = engine.draw(rng, m)
-        lin = engine.drift_eff * dt + cont
-        ends = x + np.cumsum(lin + per_step)
-        starts = np.concatenate(([x], ends[:-1]))
-
-        pos_jump = np.zeros(m)
-        if sizes.size:
-            np.add.at(pos_jump, jump_pos.astype(int), np.clip(sizes, 0.0, None))
-        bound = starts + np.maximum(lin, 0.0) + pos_jump
-        candidates = np.nonzero(bound >= level)[0]
-        for k in candidates:
-            hit = _resolve_step(
-                float(starts[k]), float(lin[k]), jump_pos, sizes, k, level
-            )
-            if hit is not None:
-                frac, value = hit
-                return (done + k + frac) * dt, value
-        x = float(ends[-1])
+        t, v = grid_knots(engine, rng, m, x)  # times from the chunk's start
+        i = int(np.argmax(v >= level))
+        if v[i] >= level:  # i > 0: each chunk starts below the level
+            if t[i] == t[i - 1]:  # a jump took it over
+                return done * dt + float(t[i]), float(v[i])
+            crept = (level - v[i - 1]) / (v[i] - v[i - 1])
+            return done * dt + float(t[i - 1] + crept * (t[i] - t[i - 1])), level
+        x = float(v[-1])
         done += m
     return None
-
-
-def _resolve_step(start: float, lin: float, jump_pos, sizes, k: int, level: float):
-    """Exact event order inside step k; returns (fraction of step, value) or None."""
-    in_step = (jump_pos >= k) & (jump_pos < k + 1)
-    phis = jump_pos[in_step] - k
-    jumps = sizes[in_step]
-
-    v = start
-    phi_prev = 0.0
-    for phi, s in zip(phis, jumps):
-        hit = _piece_crossing(v, lin, phi_prev, phi, level)
-        if hit is not None:
-            return hit
-        v = v + lin * (phi - phi_prev)
-        phi_prev = phi
-        v = v + s
-        if v >= level:
-            return phi, v
-    return _piece_crossing(v, lin, phi_prev, 1.0, level)
-
-
-def _piece_crossing(v: float, lin: float, phi_from: float, phi_to: float, level: float):
-    # linear piece v + lin * (phi - phi_from) on [phi_from, phi_to)
-    if lin <= 0.0 or v >= level:
-        return None
-    end = v + lin * (phi_to - phi_from)
-    if end < level:
-        return None
-    return phi_from + (level - v) / lin, level  # continuous crossing creeps
 
 
 def overshoot_ensemble(
@@ -321,9 +283,9 @@ def overshoot_ensemble(
     derive_seed(seed, "overshoot", i).  A path stalls when it has not
     crossed by time 10 level / mu.
     """
-    cap = _default_cap(triplet, level)
     if not level > 0.0:
         raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
+    cap = _default_cap(triplet, level)
     if triplet.levy_measure.is_finite_activity:
         rng = stream(derive_seed(seed, "overshoot"))
         times, out, drawn = _event_passages(triplet, level, np.zeros(n), cap, rng)

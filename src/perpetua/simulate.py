@@ -23,7 +23,9 @@ default_cutoff(dt): 0 for finite activity, so every jump is drawn exactly;
 for infinite activity it is chosen from dt so that about 0.5 jumps per step
 are resolved (StepEngine refuses more).
 
-The deterministic part of a grid path is drift_eff * times computed by
+grid_knots builds the knots of a grid path for sample_path and the grid
+first passage alike: a knot every dt, plus each jump twice at its exact time
+as on an event path.  Their drift part is drift_eff * times computed by
 multiplication, not by accumulation, so a pure drift path reproduces the
 time grid exactly.
 """
@@ -47,6 +49,7 @@ __all__ = [
     "event_driven",
     "batch_size",
     "event_batch",
+    "grid_knots",
     "sample_path",
     "perpetual_estimate",
     "local_time_field",
@@ -56,7 +59,9 @@ __all__ = [
 # jumps (event path) than this.  Paths are held in memory whole, so a tiny
 # dt or a dense jump rate is refused rather than ending in a MemoryError
 # halfway through a run; config validation holds every check's paths to it
-# (config._path_budget).  A precondition, not a setting.
+# (config._path_budget).  A grid path holds its steps plus two knots per
+# resolved jump: at rate*dt <= 0.5 that is at most about twice its steps on
+# average.  A precondition, not a setting.
 MAX_STEPS_PER_PATH = 2**24
 
 # events per batch of the event sampler, at most: the size of the largest
@@ -68,10 +73,10 @@ BATCH_EVENTS = 65_536
 class PathSample:
     """One simulated trajectory: values at non-decreasing knot times, linear in between.
 
-    A grid path has a knot every dt.  An event path (exact) is linear
-    between its knots by construction: its knots are 0, each jump time twice
-    (the value before the jump, then after) and the horizon, so a jump is a
-    piece of zero duration.
+    Each jump is two knots at its exact time (the value before the jump,
+    then after), a piece of zero duration.  A grid path has a knot every dt
+    besides.  An event path (exact) is linear between its knots by
+    construction: its other knots are 0 and the horizon.
     """
 
     times: np.ndarray
@@ -124,7 +129,7 @@ def event_batch(triplet: LevyTriplet, rng, t: np.ndarray, v: np.ndarray, m: int)
 
 
 class StepEngine:
-    """Per-step increment generator of the grid path and passage samplers.
+    """Per-step increment generator of grid paths (grid_knots).
 
     Owns the simulation constants of one (triplet, dt) pair: the jump cutoff
     (always the measure's default_cutoff(dt): 0 for finite activity, whose
@@ -155,7 +160,8 @@ class StepEngine:
         """n steps of randomness: (continuous part, step jump sums, jump detail).
 
         jump detail is (times within the n-step window in units of dt, sizes),
-        time-sorted; the continuous part excludes drift.
+        time-sorted, with a jump of step k at a time in [k, k + 1); the
+        continuous part excludes drift.
         """
         nu = self.triplet.levy_measure
         cont = self.sd_step * rng.standard_normal(n) if self.sd_step > 0.0 else np.zeros(n)
@@ -167,6 +173,8 @@ class StepEngine:
         offsets = rng.random(total)
         step_of = np.repeat(np.arange(n), counts)
         jump_pos = step_of + offsets  # in units of dt
+        # rounding can carry step + offset up to step + 1: keep it in its step
+        np.minimum(jump_pos, np.nextafter(step_of + 1.0, 0.0), out=jump_pos)
         order = np.argsort(jump_pos, kind="stable")
         per_step = np.zeros(n)
         np.add.at(per_step, step_of, sizes)
@@ -183,10 +191,10 @@ def sample_path(
     """Simulate one path on [0, horizon], started from x0, from stream(seed).
 
     An event_driven triplet gives the exact event path (dt unused); any
-    other a grid path with step dt, resolving the jumps above the measure's
-    default cutoff for dt (all of them for finite activity).  Deterministic
-    in (seed, horizon, dt): the same arguments always produce the identical
-    PathSample.
+    other the grid path of grid_knots with step dt, with the jumps above the
+    measure's default cutoff for dt (all of them for finite activity) at
+    their exact times.  Deterministic in (seed, horizon, dt): the same
+    arguments always produce the identical PathSample.
     """
     if not horizon > 0.0:
         raise PreconditionViolation("HORIZON_RANGE", "need horizon > 0")
@@ -195,14 +203,37 @@ def sample_path(
     if not dt <= horizon / 10.0:
         raise PreconditionViolation("DT_RANGE", "need dt <= horizon/10")
     engine = StepEngine(triplet, dt)
-    n = int(round(horizon / dt))
-    times = np.arange(n + 1) * dt
+    times, values = grid_knots(engine, stream(seed), int(round(horizon / dt)), x0)
+    return PathSample(times=times, values=values)
 
-    rng = stream(seed)
-    cont, per_step, _ = engine.draw(rng, n)
+
+def grid_knots(engine: StepEngine, rng, n: int, x0: float):
+    """(times, values) of n grid steps from x0 at time 0: a knot every dt, each jump twice.
+
+    Knot k every dt is x0 + drift_eff * time + the increments of the steps
+    before it.  Inside step k the path moves at the step's continuous slope,
+    so a jump at fraction phi of it leaves from knot k's value plus
+    (drift_eff dt + cont[k]) * phi plus the step's earlier jumps.
+    """
+    dt = engine.dt
+    cont, per_step, (jump_pos, sizes) = engine.draw(rng, n)
+    times = np.arange(n + 1) * dt
     values = x0 + engine.drift_eff * times
     values = values + np.concatenate(([0.0], np.cumsum(cont + per_step)))
-    return PathSample(times=times, values=values)
+    if not sizes.size:
+        return times, values
+    step = jump_pos.astype(np.intp)
+    earlier = np.cumsum(sizes) - sizes  # the jumps before each, in time order
+    earlier -= earlier[np.searchsorted(step, step)]  # ... within its own step
+    pre = values[step] + (engine.drift_eff * dt + cont[step]) * (jump_pos - step) + earlier
+    at = step + 2 * np.arange(sizes.size) + 1  # the pre-jump knots: after two per earlier jump
+    grid = np.ones(times.size + 2 * sizes.size, dtype=bool)
+    grid[at] = grid[at + 1] = False
+    knot_t, knot_v = np.empty(grid.size), np.empty(grid.size)
+    knot_t[grid], knot_v[grid] = times, values
+    knot_t[at] = knot_t[at + 1] = jump_pos * dt
+    knot_v[at], knot_v[at + 1] = pre, pre + sizes
+    return knot_t, knot_v
 
 
 def _event_path(triplet: LevyTriplet, horizon: float, x0: float, rng) -> PathSample:
@@ -323,8 +354,8 @@ def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeFie
     wholly in every closed window: v <= x + b at the upper end and v >= x - b
     at the lower end; likewise for [x_grid[0], x_grid[-1]] in t_covered.
 
-    A jump of an event path is a piece of zero duration: it adds no time,
-    and the pieces the field reads are the ones with positive duration.
+    A jump is a piece of zero duration: it adds no time, and the pieces the
+    field reads are the ones with positive duration.
 
     Bandwidth must stay above the floor _bandwidth_floor measures on those
     pieces, or window counts are noise.
@@ -337,7 +368,7 @@ def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeFie
 
     dt = np.diff(path.times)
     start, end = path.values[:-1], path.values[1:]
-    if path.exact:  # a jump takes no time: read the pieces with positive duration
+    if dt.min() == 0.0:  # a jump takes no time: read the pieces with positive duration
         moving = dt > 0.0
         dt, start, end = dt[moving], start[moving], end[moving]
     floor = _bandwidth_floor(dt, end - start)
@@ -377,10 +408,10 @@ def _bandwidth_floor(dt: np.ndarray, steps: np.ndarray) -> float:
     """A quarter of the typical diffusive move of a piece: 1.4826 MAD / 4 of the residuals.
 
     The residual of a piece is its move less the median slope times its
-    duration, so a regular grid measures the spread of its increments about
-    their median, jump steps do not inflate the floor, and the linear pieces
-    of an event path (all at the drift's slope) give a floor of rounding
-    size.
+    duration, so a grid measures the spread of its continuous increments
+    about their median (its jumps are the pieces of zero duration that
+    local_time_field drops), and the linear pieces of an event path (all at
+    the drift's slope) give a floor of rounding size.
     """
     resid = steps - np.median(steps / dt, overwrite_input=True) * dt
     return 1.4826 * float(np.median(np.abs(resid, out=resid), overwrite_input=True)) / 4.0

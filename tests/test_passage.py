@@ -83,7 +83,7 @@ class TestFirstPassage:
 
 
 def grid_passages(triplet, level, n, seed, dt=1e-2):
-    """Oracle: passage times and overshoots of n paths scanned on the dt grid."""
+    """Oracle: passage times and overshoots of n paths walked on their dt grid knots."""
     engine = StepEngine(triplet, dt)
     steps = int(math.ceil(10.0 * level / triplet.mean().as_float() / dt))
     hits = [
@@ -92,6 +92,19 @@ def grid_passages(triplet, level, n, seed, dt=1e-2):
     ]
     times = np.array([t for t, _ in hits])
     return times, np.array([v for _, v in hits]) - level
+
+
+def spy_on_draw(monkeypatch) -> list:
+    """The step counts StepEngine.draw is asked for, in call order."""
+    asked = []
+    draw = StepEngine.draw
+
+    def spy(engine, rng, n):
+        asked.append(n)
+        return draw(engine, rng, n)
+
+    monkeypatch.setattr(StepEngine, "draw", spy)
+    return asked
 
 
 def event_passages(triplet, level, n, seed, cap=None):
@@ -107,7 +120,7 @@ class TestEventPassage:
     )
     def test_matches_grid_scan(self, triplet):
         # between jumps the path is linear and the grid resolves every jump
-        # at its exact time, so the scan is an exact (slow) oracle in law;
+        # at its exact time, so the scan is an exact oracle in law;
         # with down-jumps a creep missed before a jump shows up as a later
         # passage time
         n = 600
@@ -131,6 +144,15 @@ class TestEventPassage:
         # a creep placed at the jump time or measured from the wrong start
         # breaks the integer offsets
         times, overshoots, _ = event_passages(UNIT_DOWN, 3.0, 400, seed=23)
+        offsets = times - 3.0
+        assert np.all(overshoots == 0.0)
+        assert np.allclose(offsets, np.round(offsets), atol=1e-9)
+        assert offsets.min() == pytest.approx(0.0, abs=1e-9)
+        assert offsets.max() >= 3.0
+
+    def test_grid_creep_time_is_exact(self):
+        # the grid knots hold each jump at its time: the same integer offsets
+        times, overshoots = grid_passages(UNIT_DOWN, 3.0, 400, seed=23)
         offsets = times - 3.0
         assert np.all(overshoots == 0.0)
         assert np.allclose(offsets, np.round(offsets), atol=1e-9)
@@ -175,6 +197,11 @@ class TestEventPassage:
     def test_level_range_guard(self):
         with pytest.raises(PreconditionViolation) as exc:
             overshoot_ensemble(DRIFT_CP, 0.0, 10, seed=0)
+        assert exc.value.reason == "LEVEL_RANGE"
+        # the level is checked before the cap that needs a positive mean, as
+        # first_passage does
+        with pytest.raises(PreconditionViolation) as exc:
+            overshoot_ensemble(LevyTriplet(0.0, 1.0), -1.0, 10)
         assert exc.value.reason == "LEVEL_RANGE"
 
     def test_row_blocks_and_batches_are_deterministic(self):
@@ -372,3 +399,19 @@ class TestStableOvershoot:
         assert dist.n == 100
         assert np.all(dist.samples >= 0.0)
         assert float(np.mean(dist.samples > 0.0)) > 0.2
+
+    def test_chunk_is_sized_from_the_mean(self, monkeypatch):
+        # mu = 3 but the compensated slope drift_eff is -7.6: about 670 steps
+        # to level 10 at dt 5e-3, where the cap allows 6,667
+        t = LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0, 1.0))
+        assert StepEngine(t, 5e-3).drift_eff < 0.0
+        asked = spy_on_draw(monkeypatch)
+        assert first_passage(t, 10.0, seed=17, dt=5e-3).reached
+        assert asked[0] == int(1.25 * 10.0 / (3.0 * 5e-3))
+
+    def test_undefined_mean_scans_to_the_cap(self, monkeypatch):
+        # alpha = 0.5 has no mean: the chunk is the whole cap, 500 steps
+        asked = spy_on_draw(monkeypatch)
+        first_passage(LevyTriplet(0.0, 0.0, StableLike(0.5, 1.0)), 1.0, seed=18, cap=5.0)
+        assert asked[0] == 500
+

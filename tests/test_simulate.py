@@ -1,5 +1,6 @@
 """Path sampler, running integral estimates, and the occupation field."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -28,13 +29,15 @@ from perpetua import (
     sample_path,
 )
 from perpetua.rng import derive_seed, stream
-from perpetua.simulate import PathSample, StepEngine, _bandwidth_floor, event_batch
+from perpetua.simulate import PathSample, StepEngine, _bandwidth_floor, event_batch, grid_knots
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
 # drift 0.1 plus rate-1 Exp(2) up-jumps: Laplace exponent psi(1) = 0.1 + 1 - 2/3
 DRIFT_CP = LevyTriplet(0.1, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
 # negative drift and two-sided jumps: pieces run downwards and cross 0
 DOWN_CP = LevyTriplet(-0.3, 0.0, CompoundPoisson(1.5, TwoSidedExponentialJump(1.0, 2.0, 0.6)))
+# a Gaussian part plus rate-1 Exp(2) up-jumps: a grid path with exact jumps
+JUMP_DIFFUSION = LevyTriplet(1.0, 1.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
 
 
 def dense_local_time_field(path, x_grid, bandwidth):
@@ -144,13 +147,22 @@ class TestSamplePath:
     def test_stable_increment_scaling(self):
         # alpha-stable increments over dt scale like dt^(1/alpha)
         t = LevyTriplet(0.0, 0.0, StableLike(1.5, 1.0, 0.0))
-        p = sample_path(t, 100.0, 0.01, seed=5)
-        steps = np.diff(p.values)
-        q_small = np.quantile(np.abs(steps), 0.9)
-        p2 = sample_path(t, 100.0, 0.08, seed=6)
-        q_big = np.quantile(np.abs(np.diff(p2.values)), 0.9)
+        # increments between grid times; the knots between them are jumps
+        def increments(path, dt):
+            return np.diff(path.at(np.arange(int(round(path.horizon / dt)) + 1) * dt))
+
+        q_small = np.quantile(np.abs(increments(sample_path(t, 100.0, 0.01, seed=5), 0.01)), 0.9)
+        q_big = np.quantile(np.abs(increments(sample_path(t, 100.0, 0.08, seed=6), 0.08)), 0.9)
         # 8x coarser steps: quantile ratio near 8^(2/3) ~ 4, far from drift's 8
         assert 2.0 < q_big / q_small < 7.0
+
+    def test_brownian_grid_path_is_pinned(self):
+        # a grid path without jumps: the knots every dt, bit for bit as before
+        # jumps were placed at their times
+        path = sample_path(LevyTriplet(1.0, 1.0), 256.0, 0.01, seed=20260815)
+        assert path.times.size == 25_601
+        digest = hashlib.sha256(path.times.tobytes() + path.values.tobytes()).hexdigest()
+        assert digest.startswith("b085d385a8dd95a5")
 
     def test_dt_precondition(self):
         with pytest.raises(PreconditionViolation) as exc:
@@ -173,6 +185,77 @@ class TestSamplePath:
         assert engine.cutoff == 0.0
         assert engine.rate == 1.0
         assert engine.drift_eff == 0.1  # finite-activity jumps are not compensated
+
+
+class TestGridKnots:
+    """A grid path's knots: one every dt, and each resolved jump twice at its time."""
+
+    @pytest.mark.parametrize("triplet", [JUMP_DIFFUSION, LevyTriplet(0.5, 0.0, StableLike(1.5, 1.0, 0.0))],
+                             ids=["jump_diffusion", "stable"])
+    def test_knots_are_the_grid_and_each_jump_twice(self, triplet):
+        dt, n, x0 = 0.01, 2000, 0.25
+        times, values = grid_knots(StepEngine(triplet, dt), stream(60), n, x0)
+        engine = StepEngine(triplet, dt)
+        cont, per_step, (jump_pos, sizes) = engine.draw(stream(60), n)
+        assert sizes.size > 10
+        assert times.size == values.size == n + 1 + 2 * sizes.size
+        assert np.all(np.diff(times) >= 0.0)
+        grid_t = np.arange(n + 1) * dt
+        assert np.array_equal(times, np.sort(np.concatenate((grid_t, np.repeat(jump_pos * dt, 2)))))
+
+        # grid knot i follows the two knots of every jump in the steps before it
+        steps = np.floor(jump_pos).astype(int)
+        grid = np.arange(n + 1) + 2 * np.searchsorted(steps, np.arange(n + 1))
+        expected = x0 + engine.drift_eff * grid_t + np.concatenate(([0.0], np.cumsum(cont + per_step)))
+        assert np.array_equal(times[grid], grid_t)
+        assert np.array_equal(values[grid], expected)
+
+        jump = np.setdiff1d(np.arange(times.size), grid)
+        pre, post = values[jump[0::2]], values[jump[1::2]]
+        assert np.array_equal(times[jump[0::2]], jump_pos * dt)
+        assert np.allclose(post - pre, sizes, rtol=0.0, atol=1e-9)
+        # the value before a jump: the step's start, its continuous move up to
+        # the jump, and the step's earlier jumps
+        lin = engine.drift_eff * dt + cont
+        oracle = [values[grid[k]] + lin[k] * (p - k) + sizes[:j][steps[:j] == k].sum()
+                  for j, (k, p) in enumerate(zip(steps, jump_pos))]
+        assert np.allclose(pre, oracle, rtol=0.0, atol=1e-9)
+
+    def test_jumps_late_in_a_step_stay_in_it(self):
+        # step + offset rounds up to step + 1 for offsets this close to 1;
+        # each jump must keep its own step, the last step's included
+        class LateOffsets:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def random(self, size):
+                return np.full(size, 1.0 - 2.0**-53)
+
+        # no drift and no Gaussian part: flat between jumps
+        engine = StepEngine(LevyTriplet(0.0, 0.0, CompoundPoisson(50.0, ConstantJump(1.0))), 0.01)
+        times, values = grid_knots(engine, LateOffsets(stream(63)), 400, 0.0)
+        assert times.size > 401 + 2 * 100
+        assert np.all(np.diff(times) >= 0.0)
+        assert np.all(np.diff(values)[np.diff(times) > 0.0] == 0.0)
+        assert values[-1] == (times.size - 401) / 2
+
+    def test_sample_path_is_the_knots(self):
+        path = sample_path(JUMP_DIFFUSION, 20.0, 0.01, x0=1.0, seed=61)
+        times, values = grid_knots(StepEngine(JUMP_DIFFUSION, 0.01), stream(61), 2000, 1.0)
+        assert not path.exact
+        assert np.array_equal(path.times, times) and np.array_equal(path.values, values)
+        assert path.times.size > 2001
+
+    def test_occupation_identity_with_jumps(self):
+        # the jumps take no time: the field's mass is still the time covered
+        path = sample_path(JUMP_DIFFUSION, 50.0, 0.01, seed=62)
+        grid = np.linspace(path.values.min() - 0.1, path.values.max() + 0.1, 1200)
+        fld = local_time_field(path, grid, 0.05)
+        assert fld.t_covered == pytest.approx(50.0, rel=1e-9)
+        assert float(np.trapezoid(fld.values, grid)) == pytest.approx(fld.t_covered, rel=0.03)
 
 
 def fine_trapezoid(path, f, checkpoints, sub=400):
