@@ -20,17 +20,12 @@ off the block sums, never from pointwise extrapolation.
 
 Memoization
 -----------
-Each cache is keyed on the one input its answer depends on.  The sup u
-factor of the expectation bound depends on the process only, the tail test
-on f only, yet every (triplet, f) pair asks for them.  _sup_bound is
-therefore memoized per triplet and tail_integral_test per test function;
-perpetual_verdict combines the cached answers without a cache of its own.
-Triplets, measures, jump laws and test functions are frozen dataclasses
-that hash by value (a Tabulated or SumOf built from lists stores tuples, so
-it hashes and shares the entry of its tuple-built twin).  Each cache keeps
-at most _MEMO_SIZE entries; a refused bound is cached as its error and
-raised afresh on every call.  Every input was checked when it was built, so
-no routine here validates it again.
+The sup u factor of the expectation bound depends on the process only, the
+tail test on f only, so _sup_bound is an lru_cache per triplet and
+tail_integral_test one per test function, each of _MEMO_SIZE entries.
+Inputs are frozen dataclasses that hash by value (a Tabulated or SumOf
+built from lists stores tuples).  A refused bound is not cached.  Every
+input was checked when it was built, so no routine here validates it again.
 
 The sup bound is one integral: sup u = u(0) = 1/(2 mu) + (1/pi) int_0^inf
 Re(1/Psi(r)) dr, plus 1/(2|d|) for finite variation without a Gaussian part
@@ -40,18 +35,16 @@ closed remainders (see expectation_upper_bound).
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     InversionUnstable,
     NonFiniteParameter,
-    PerpetuaError,
     PreconditionViolation,
     QuadratureFailure,
 )
@@ -98,38 +91,7 @@ REASON_IS_COMPOUND_POISSON = "IS_COMPOUND_POISSON"
 REASON_MEAN_NOT_FINITE_POSITIVE = "MEAN_NOT_FINITE_POSITIVE"
 REASON_NO_LOCAL_TIMES = "NO_LOCAL_TIMES"
 
-
-# -------------------------------------------------------------------------
-# memoization
-
-_MEMO_SIZE = 256
-
-
-def _memoized(fn):
-    """lru_cache(_MEMO_SIZE) on fn.
-
-    Arguments are bound to fn's signature first, so a keyword call and a
-    positional call with equal values share one cache entry.
-    """
-    cached = lru_cache(maxsize=_MEMO_SIZE)(fn)
-    signature = inspect.signature(fn)
-
-    @wraps(fn)
-    def call(*args, **kwargs):
-        if kwargs:  # about 5 us, so positional calls skip it
-            args = signature.bind(*args, **kwargs).args
-        return cached(*args)
-
-    call.cache_info = cached.cache_info
-    call.cache_clear = cached.cache_clear
-    return call
-
-
-def _fresh(exc: PerpetuaError) -> PerpetuaError:
-    """A new exception with exc's type, message and attributes, and no traceback."""
-    new = type(exc).__new__(type(exc), *exc.args)
-    new.__dict__.update(exc.__dict__)
-    return new
+_MEMO_SIZE = 256  # entries of each cache (see Memoization)
 
 
 # -------------------------------------------------------------------------
@@ -434,7 +396,7 @@ class ConvergenceDecision:
 _MAX_BLOCKS = 64
 
 
-@_memoized
+@lru_cache(maxsize=_MEMO_SIZE)
 def tail_integral_test(f: TestFunction) -> ConvergenceDecision:
     """Decide int_0^inf f(x) dx from the family's closed form.
 
@@ -558,39 +520,32 @@ def expectation_upper_bound(triplet: LevyTriplet, f: TestFunction) -> float:
             "TAIL_NOT_CONVERGENT",
             f"expectation bound needs CONVERGES, got {report.integral_decision.verdict.value}",
         )
-    sup = _sup_bound(triplet)
-    if isinstance(sup, PerpetuaError):
-        raise _fresh(sup)
-    return sup * f.integral_full()
+    return _sup_bound(triplet) * f.integral_full()
 
 
-@_memoized
-def _sup_bound(triplet: LevyTriplet) -> float | PerpetuaError:
-    """u(0) plus its slack (see expectation_upper_bound), or the error it was refused with."""
+@lru_cache(maxsize=_MEMO_SIZE)
+def _sup_bound(triplet: LevyTriplet) -> float:
+    """u(0) plus its slack (see expectation_upper_bound)."""
 
     def integrand(r: np.ndarray) -> np.ndarray:
         return (1.0 / triplet.char_exponent(r)).real
 
     # Toward 0 a stable law's integrand grows like r^(alpha-2), so the scan
     # goes down (at most 64 blocks) until the remainder is 1e-3 of the sum;
-    # finite variance stops within a few blocks, before the cancellation in
-    # Re Psi at small r turns into noise.
+    # finite variance stops within a few blocks.
     ends = (("r -> inf", range(int(math.log2(_R_MAX))), 0.0), ("r -> 0", range(-1, -65, -1), 1e-3))
-    try:
-        value, slack = 1.0 / (2.0 * triplet.mean().as_float()), 0.0
-        for end, ks, rtol in ends:
-            sums, residual, slope = _dyadic_blocks(integrand, ks, rtol)
-            if slope >= 0.0:
-                raise InversionUnstable(
-                    f"Re(1/Psi) blocks do not decay toward {end} (fitted ratio {2.0 ** slope:.3g})"
-                )
-            value += sum(sums) / math.pi
-            slack += (residual + _remainder(sums, slope)) / math.pi
-        if triplet.gaussian_coef == 0.0 and triplet.levy_measure.finite_variation:
-            d = abs(triplet.natural_drift())
-            if d < 1e-12:  # local times exist for any d != 0; a 1/(2d) past 5e11 is refused
-                raise InversionUnstable("vanishing pathwise drift in finite-variation sup bound")
-            value += 1.0 / (2.0 * d)
-    except PerpetuaError as exc:
-        return _fresh(exc)  # cached, so it must not hold the computation's frames
+    value, slack = 1.0 / (2.0 * triplet.mean().as_float()), 0.0
+    for end, ks, rtol in ends:
+        sums, residual, slope = _dyadic_blocks(integrand, ks, rtol)
+        if slope >= 0.0:
+            raise InversionUnstable(
+                f"Re(1/Psi) blocks do not decay toward {end} (fitted ratio {2.0 ** slope:.3g})"
+            )
+        value += sum(sums) / math.pi
+        slack += (residual + _remainder(sums, slope)) / math.pi
+    if triplet.gaussian_coef == 0.0 and triplet.levy_measure.finite_variation:
+        d = abs(triplet.natural_drift())
+        if d < 1e-12:  # local times exist for any d != 0; a 1/(2d) past 5e11 is refused
+            raise InversionUnstable("vanishing pathwise drift in finite-variation sup bound")
+        value += 1.0 / (2.0 * d)
     return value + slack

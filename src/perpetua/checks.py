@@ -11,7 +11,6 @@ so that anything rebinding a harness function also sees these calls.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,15 +25,14 @@ class Param:
     """One entry of check_params.<check>.
 
     kind is int, float, bool or list (a non-empty list of numbers).  Numbers
-    must lie in (low, high).  default is an immutable value, or a callable
-    (config, params resolved so far) -> value.
+    must be positive, and above the parameter named by above.  default is an
+    immutable value, or a callable (config, params resolved so far) -> value.
     """
 
     name: str
     kind: type
     default: object = None
-    low: float = 0.0
-    high: float = math.inf
+    above: str | None = None
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class Check:
     name: str  # the report's name
     params: tuple[Param, ...]
     run: Callable  # (config, params, threads, out, report) -> harness.CheckReport
-    path: Callable | None = None  # (config, params) -> (horizon, dt) of its paths, held to the budget
+    path: Callable | None = None  # (config, params) -> horizon of its paths, held to the budget
 
 
 def resolve(check: Check, config) -> dict:
@@ -62,6 +60,8 @@ def resolve(check: Check, config) -> dict:
 
 
 def _auto_level(config, p) -> float:
+    if not config.triplet.mean().is_finite_positive:
+        return 1.0  # the check itself refuses with MEAN_RANGE
     return max(harness.overshoot_recommended_z1(config.triplet), 1.0)
 
 
@@ -71,14 +71,10 @@ def _auto_lln_t0(config, p) -> float:
     return max(harness.lln_t0_floor(config.triplet), 10.0 * config.t0)
 
 
-def _invariance_path(config, p) -> tuple[float, float]:
+def _invariance_path(config, p) -> float:
     if not config.triplet.mean().is_finite_positive:
-        return 0.0, p["dt"]  # the check itself refuses with MEAN_RANGE
-    return harness.invariance_horizon(config.triplet, p["x_list"], p["dt"])[1], p["dt"]
-
-
-def _config_dt(config, p) -> float:
-    return config.dt
+        return 0.0  # the check itself refuses with MEAN_RANGE
+    return harness.invariance_horizon(config.triplet, p["x_list"], config.dt)[1]
 
 
 def _run_zero_one(config, p, threads, out, report):
@@ -107,21 +103,21 @@ def _run_overshoot(config, p, threads, out, report):
     return harness.overshoot_stationarity_check(
         config.triplet, p["z1"], p["z2"], p["n"],
         seed=derive_seed(config.master_seed, "overshoot-check"),
-        ks_alpha=config.thresholds["ks_alpha"], dt=p["dt"], artifact_dir=out,
+        ks_alpha=config.thresholds["ks_alpha"], dt=config.dt, artifact_dir=out,
     )
 
 
 def _run_invariance(config, p, threads, out, report):
     return harness.local_time_law_invariance_check(
         config.triplet, seed=derive_seed(config.master_seed, "invariance-check"),
-        threads=threads, **p,
+        dt=config.dt, ks_alpha=config.thresholds["ks_alpha"], threads=threads, **p,
     )
 
 
 def _run_lln(config, p, threads, out, report):
     return harness.lln_envelope_check(
         config.triplet, seed=derive_seed(config.master_seed, "lln-check"),
-        threads=threads, **p,
+        dt=config.dt, threads=threads, **p,
     )
 
 
@@ -134,24 +130,19 @@ CHECKS = {c.key: c for c in (
     ), _run_occupation),
     Check("overshoot", "overshoot_stationarity", (
         Param("z1", float, _auto_level),
-        Param("z2", float, lambda config, p: 2.0 * p["z1"]),
+        Param("z2", float, lambda config, p: 2.0 * p["z1"], above="z1"),
         Param("n", int, 400),
-        Param("dt", float, _config_dt),
     ), _run_overshoot),
     Check("invariance", "local_time_invariance", (
         Param("x_list", list, (1.0, 2.0, 5.0)),
         Param("n", int, 200),
         Param("bandwidth", float, 0.05),
-        Param("dt", float, _config_dt),
-        Param("threshold", float, None),  # None: max(0.05, KS critical value at n)
-        Param("ks_alpha", float, 0.01, high=1.0),
         Param("n_rho", int, 1000),
         Param("start_from_rho", bool, True),
     ), _run_invariance, path=_invariance_path),
     Check("lln", "lln_envelope", (
         Param("t0", float, _auto_lln_t0),
         Param("n", int, 200),
-        Param("dt", float, _config_dt),
-        Param("horizon", float, lambda config, p: 4.0 * p["t0"]),
-    ), _run_lln, path=lambda config, p: (p["horizon"], p["dt"])),
+        Param("horizon", float, lambda config, p: 4.0 * p["t0"], above="t0"),
+    ), _run_lln, path=lambda config, p: p["horizon"]),
 )}

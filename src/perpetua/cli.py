@@ -10,22 +10,23 @@ commands.
 
 verify runs the checks the config lists under "checks", always in the order
 below.  check_params.<check> sets a check's parameters; defaults in brackets,
-where dt and t0 without a prefix are the config's own:
+where t0 without a prefix is the config's own:
 
     zero_one    none (threshold: thresholds.delta_01)
     occupation  n_paths [50], bandwidth [0.05]
-    overshoot   z1 [max(20 sigma_eff/mu, 1)], z2 [2 z1], n [400], dt [dt]
-                (threshold: thresholds.ks_alpha)
-    invariance  x_list [[1, 2, 5]], n [200], bandwidth [0.05], dt [dt],
-                threshold [max(0.05, KS critical value at n)], ks_alpha [0.01],
-                n_rho [1000], start_from_rho [true]
-    lln         t0 [max(50 v/mu^2, 10 t0)], n [200], dt [dt],
-                horizon [4 t0 of lln]
+    overshoot   z1 [max(20 sigma_eff/mu, 1)], z2 [2 z1], n [400]
+                (threshold: KS critical value at n and thresholds.ks_alpha)
+    invariance  x_list [[1, 2, 5]], n [200], bandwidth [0.05], n_rho [1000],
+                start_from_rho [true]
+                (threshold: max(0.05, KS critical value at n and
+                thresholds.ks_alpha))
+    lln         t0 [max(50 v/mu^2, 10 t0)], n [200], horizon [4 t0 of lln]
                 (v = sigma^2 + int x^2 nu(dx) for compound Poisson, else
                 sigma_eff^2; t0 below 50 v/mu^2 is refused)
 
-Every dt is read only for processes with a Gaussian part or infinite
-activity: drift plus finite activity is simulated exactly, event by event.
+z2 must exceed z1, and lln's horizon its t0.  Every check runs on the
+config's dt, read only with a Gaussian part or infinite activity: drift
+plus finite activity is simulated exactly, event by event.
 
 Exit codes: 0 pass, 1 check failure (or an analysis error), 2 bad config.
 """

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checks import CHECKS, Check, resolve
 from .errors import ConfigError, NonFiniteParameter
-from .simulate import MAX_STEPS_PER_PATH, event_driven
+from .simulate import path_budget
 from .testfunctions import TestFunction, test_function_from_dict
 from .triplet import LevyTriplet
 from .validation import finite_real
@@ -113,7 +113,8 @@ class ExperimentConfig:
             horizon = t0 * 2.0 ** min(doublings, 1023)
             if math.isinf(horizon):
                 problems.append("horizon: t0 * 2^doublings overflows a float")
-            _path_budget("horizon", triplet, horizon, dt, problems)
+            if triplet is not None:  # the budget depends on the kind of path
+                _path_budget("horizon", triplet, horizon, dt, problems)
 
         master_seed = _as_int(d, "master_seed", problems)
         if master_seed is not None:
@@ -176,9 +177,11 @@ class ExperimentConfig:
         )
         for name in config.checks:
             check = CHECKS[name]
+            params = resolve(check, config)
+            problems += _order_problems(check, params)
             if check.path is not None:
-                horizon, path_dt = check.path(config, resolve(check, config))
-                _path_budget(f"check_params.{name}", triplet, horizon, path_dt, problems)
+                _path_budget(f"check_params.{name}", triplet, check.path(config, params),
+                             config.dt, problems)
         if problems:
             raise ConfigError(problems)
         return config
@@ -190,21 +193,10 @@ def _check_seed(key: str, seed: int, problems: list[str]) -> None:
 
 
 def _path_budget(key: str, triplet, horizon: float, dt: float, problems: list[str]) -> None:
-    """A path of this horizon within simulate.MAX_STEPS_PER_PATH.
-
-    An event path (simulate.event_driven) is held to EVENT_BUDGET, its
-    expected jumps rate * horizon, and never reads dt; a grid path to
-    STEP_BUDGET, horizon/dt.  Without a valid triplet the grid rule applies.
-    """
-    if triplet is not None and event_driven(triplet):
-        rate = triplet.levy_measure.rate_above(0.0)
-        events = rate * horizon if rate > 0.0 else 0.0
-        if not events <= MAX_STEPS_PER_PATH:
-            problems.append(f"{key}: {events:.3g} expected jumps per path exceed EVENT_BUDGET "
-                            f"{MAX_STEPS_PER_PATH} (rate*horizon)")
-    elif not horizon / dt <= MAX_STEPS_PER_PATH:
-        problems.append(f"{key}: {horizon / dt:.3g} steps per path exceed STEP_BUDGET "
-                        f"{MAX_STEPS_PER_PATH} (horizon/dt)")
+    """A path of this horizon within the budget of simulate.path_budget."""
+    over = path_budget(triplet, horizon, dt)
+    if over is not None:
+        problems.append(f"{key}: {over[1]}")
 
 
 def _check_names(d: dict, key: str, default: list, known: str, problems: list[str]) -> list:
@@ -222,6 +214,7 @@ def _check_params(check: Check, raw: dict, problems: list[str]) -> None:
     """Validate check_params.<check> against the check's row of the table."""
     prefix = f"check_params.{check.key}."
     schema = {p.name: p for p in check.params}
+    written: dict = {}
     for name in raw:
         p = schema.get(name)
         if p is None:
@@ -242,9 +235,19 @@ def _check_params(check: Check, raw: dict, problems: list[str]) -> None:
         else:
             parsed = [(_as_int if p.kind is int else _as_float)(raw, name, problems, prefix)]
         for val in parsed:
-            if val is not None and not p.low < val < p.high:
-                bound = f"> {p.low:g}" if p.high == math.inf else f"in ({p.low:g}, {p.high:g})"
-                problems.append(f"{prefix}{name}: must be {bound}, got {val!r}")
+            if val is not None and not val > 0.0:
+                problems.append(f"{prefix}{name}: must be > 0, got {val!r}")
+            elif val is not None and p.kind is not list:
+                written[name] = val
+    problems += _order_problems(check, written)
+
+
+def _order_problems(check: Check, values: dict) -> list[str]:
+    """Each parameter with an `above` rule against its partner, where values holds both."""
+    return [f"check_params.{check.key}.{p.name}: must be > {p.above} = {values[p.above]:g}, "
+            f"got {values[p.name]:g}"
+            for p in check.params
+            if p.above in values and p.name in values and not values[p.name] > values[p.above]]
 
 
 def _as_int(d: dict, key: str, problems: list[str], prefix: str = "") -> int | None:

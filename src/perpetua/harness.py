@@ -56,6 +56,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 TOL_ABS = 1e-3
 TOL_REL = 1e-2
 
+_MAX_CHUNKS = 64  # chunks an invariance path may take to escape its levels
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -286,7 +288,6 @@ def _local_time_proxy(
     dt: float,
     escape: float,
     chunk_horizon: float,
-    max_chunks: int = 64,
 ) -> np.ndarray:
     """Accumulated L(x) per level until the path has escaped the level range.
 
@@ -297,7 +298,7 @@ def _local_time_proxy(
     """
     totals = np.zeros(levels.size)
     x = x0
-    for c in range(max_chunks):
+    for c in range(_MAX_CHUNKS):
         path = sample_path(
             triplet, chunk_horizon, dt, x0=x, seed=derive_seed(seed, "chunk", c)
         )
@@ -438,6 +439,8 @@ def lln_envelope_check(
         )
     if horizon is None:
         horizon = 4.0 * t0
+    if not horizon > t0:
+        raise PreconditionViolation("HORIZON_RANGE", f"need horizon > t0 = {t0:g}, got {horizon:g}")
 
     def one_path(i: int) -> bool:
         path = sample_path(

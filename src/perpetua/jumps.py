@@ -1,13 +1,16 @@
 """Jump size laws for the compound Poisson family.
 
 Each law exposes the closed forms the rest of the package needs: the
-characteristic function, the mean, the second moment (whole and below a
-threshold, for the small-jump variance) and an exact sampler.  No law here
-has a heavy tail; means and second moments are always finite.
+characteristic function less one, E e^{i lam J} - 1 (char_minus_one,
+written so that it does not cancel at small lam), the mean, the second
+moment (whole and below a threshold, for the small-jump variance) and an
+exact sampler.  No law here has a heavy tail; means and second moments are
+always finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +51,8 @@ class ConstantJump(JumpLaw):
     def second_moment(self) -> float:
         return self.size ** 2
 
-    def char(self, lam):
-        return np.exp(1j * np.asarray(lam, dtype=float) * self.size)
+    def char_minus_one(self, lam):
+        return _expi_minus_one(np.asarray(lam, dtype=float) * self.size)
 
     def second_moment_abs_below(self, a: float) -> float:
         return self.size ** 2 if abs(self.size) <= a else 0.0
@@ -64,9 +67,27 @@ class ConstantJump(JumpLaw):
         return np.full(n, self.size)
 
 
-def _exp_char(theta, sign, lam):
-    """Characteristic function of sign * Exp(theta)."""
-    return theta / (theta - 1j * sign * np.asarray(lam, dtype=float))
+def _expi_minus_one(x):
+    """e^{ix} - 1 = -2 sin^2(x/2) + i sin x."""
+    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(x)
+
+
+# sin(x)/x - 1 = sum over k >= 1 of (-1)^k x^(2k) / (2k + 1)!, highest power first
+_SINC_SERIES = [(-1) ** k / math.factorial(2 * k + 1) for k in range(6, 0, -1)] + [0.0]
+
+
+def _sinc_minus_one(x):
+    """sin(x)/x - 1, by its Taylor series through x^12 where |x| < 0.5."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 0.5
+    safe = np.where(small, 1.0, x)
+    return np.where(small, np.polyval(_SINC_SERIES, x * x), np.sin(safe) / safe - 1.0)
+
+
+def _exp_char_minus_one(theta, sign, lam):
+    """E e^{i lam J} - 1 for J = sign * Exp(theta): i sign lam / (theta - i sign lam)."""
+    z = 1j * sign * np.asarray(lam, dtype=float)
+    return z / (theta - z)
 
 
 def _exp_second_moment_below(theta, a: float) -> float:
@@ -98,8 +119,8 @@ class ExponentialJump(JumpLaw):
     def second_moment(self) -> float:
         return 2.0 / self.theta ** 2
 
-    def char(self, lam):
-        return _exp_char(self.theta, self.sign, lam)
+    def char_minus_one(self, lam):
+        return _exp_char_minus_one(self.theta, self.sign, lam)
 
     def second_moment_abs_below(self, a: float) -> float:
         return _exp_second_moment_below(self.theta, a)
@@ -137,9 +158,9 @@ class TwoSidedExponentialJump(JumpLaw):
     def second_moment(self) -> float:
         return 2 * self.p_plus / self.theta_plus ** 2 + 2 * (1 - self.p_plus) / self.theta_minus ** 2
 
-    def char(self, lam):
-        return (self.p_plus * _exp_char(self.theta_plus, 1, lam)
-                + (1 - self.p_plus) * _exp_char(self.theta_minus, -1, lam))
+    def char_minus_one(self, lam):
+        return (self.p_plus * _exp_char_minus_one(self.theta_plus, 1, lam)
+                + (1 - self.p_plus) * _exp_char_minus_one(self.theta_minus, -1, lam))
 
     def second_moment_abs_below(self, a: float) -> float:
         return (self.p_plus * _exp_second_moment_below(self.theta_plus, a)
@@ -181,19 +202,12 @@ class UniformJump(JumpLaw):
     def second_moment(self) -> float:
         return (self.a ** 2 + self.a * self.b + self.b ** 2) / 3.0
 
-    def char(self, lam):
+    def char_minus_one(self, lam):
+        # E e^{i lam J} = e^{i lam m} sinc(lam h), m the midpoint and h the half-width
         lam = np.asarray(lam, dtype=float)
-        out = np.ones_like(lam, dtype=complex)
-        nz = np.abs(lam) > 1e-9
-        ln = lam[nz] if lam.ndim else (lam if nz else None)
-        if lam.ndim == 0:
-            if nz:
-                out = (np.exp(1j * lam * self.b) - np.exp(1j * lam * self.a)) / (1j * lam * (self.b - self.a))
-            else:
-                out = complex(1.0)
-            return out
-        out[nz] = (np.exp(1j * ln * self.b) - np.exp(1j * ln * self.a)) / (1j * ln * (self.b - self.a))
-        return out
+        shift = _expi_minus_one(lam * 0.5 * (self.a + self.b))
+        spread = _sinc_minus_one(lam * 0.5 * (self.b - self.a))
+        return shift + spread + shift * spread
 
     def second_moment_abs_below(self, c: float) -> float:
         # int x^2 dx / (b - a) over [-c, c] restricted to [a, b]

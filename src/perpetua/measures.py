@@ -145,7 +145,7 @@ class CompoundPoisson(Validated):
         return require_positive(self.rate, "rate", "RATE_POSITIVE")
 
     def char_integral(self, lam):
-        return self.rate * (1.0 - self.jump_law.char(lam))
+        return -self.rate * self.jump_law.char_minus_one(lam)
 
     def jump_mean(self) -> ExtendedReal:
         return ExtendedReal.finite(self.rate * self.jump_law.mean())
@@ -270,8 +270,10 @@ class TemperedStable(Validated):
     """Power-law density with exponential taper exp(-tempering * |x|).
 
     All moments are finite.  The characteristic integral uses the analytic
-    continuation (theta -+ i lam)^alpha with the principal branch; alpha = 1
-    is excluded (the closed form degenerates to logarithms there).
+    continuation (theta -+ i lam)^alpha with the principal branch, less
+    theta^alpha, written theta^alpha expm1(alpha log(1 -+ i lam/theta)) so
+    that it does not cancel at small lam; alpha = 1 is excluded (the closed
+    form degenerates to logarithms there).
     """
 
     alpha: float
@@ -301,8 +303,12 @@ class TemperedStable(Validated):
         a, th, s = self.alpha, self.tempering, self.scale
         p_plus, p_minus = _stable_sided_weights(self.skew)
         neg_gamma = -gamma_fn(-a)  # positive for a < 1, negative for a > 1
-        zp = (th - 1j * lam) ** a - th ** a
-        zm = (th + 1j * lam) ** a - th ** a
+        # log(1 -+ iy) = log|1 + iy| -+ i atan(y), with log|1 + iy| = log1p(y^2/(1 + |1 + iy|));
+        # numpy's complex log1p loses that real part at small y
+        y = lam / th
+        modulus, angle = np.log1p(y * (y / (1.0 + np.hypot(1.0, y)))), np.arctan(y)
+        zp = th ** a * np.expm1(a * (modulus - 1j * angle))
+        zm = th ** a * np.expm1(a * (modulus + 1j * angle))
         if a < 1.0:
             base = s * neg_gamma * (p_plus * zp + p_minus * zm)
             m1 = s * self.skew * th ** (a - 1.0) * lower_gamma(1.0 - a, th)

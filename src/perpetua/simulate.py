@@ -50,18 +50,20 @@ __all__ = [
     "batch_size",
     "event_batch",
     "grid_knots",
+    "path_budget",
     "sample_path",
     "perpetual_estimate",
     "local_time_field",
 ]
 
-# STEP_BUDGET: no path of any check may take more steps (grid) or expected
-# jumps (event path) than this.  Paths are held in memory whole, so a tiny
+# No path of any check may take more steps (grid) or expected jumps (event
+# path) than this (path_budget).  Paths are held in memory whole, so a tiny
 # dt or a dense jump rate is refused rather than ending in a MemoryError
-# halfway through a run; config validation holds every check's paths to it
-# (config._path_budget).  A grid path holds its steps plus two knots per
-# resolved jump: at rate*dt <= 0.5 that is at most about twice its steps on
-# average.  A precondition, not a setting.
+# halfway through a run: config validation holds every check's paths to it,
+# and sample_path refuses a path past it before allocating.  A grid path
+# holds its steps plus two knots per resolved jump: at rate*dt <= 0.5 that
+# is at most about twice its steps on average.  A precondition, not a
+# setting.
 MAX_STEPS_PER_PATH = 2**24
 
 # events per batch of the event sampler, at most: the size of the largest
@@ -194,14 +196,19 @@ def sample_path(
     other the grid path of grid_knots with step dt, with the jumps above the
     measure's default cutoff for dt (all of them for finite activity) at
     their exact times.  Deterministic in (seed, horizon, dt): the same
-    arguments always produce the identical PathSample.
+    arguments always produce the identical PathSample.  A path past
+    MAX_STEPS_PER_PATH is refused before anything is allocated.
     """
     if not horizon > 0.0:
         raise PreconditionViolation("HORIZON_RANGE", "need horizon > 0")
-    if event_driven(triplet):
+    event = event_driven(triplet)
+    if not (event or 0.0 < dt <= horizon / 10.0):
+        raise PreconditionViolation("DT_RANGE", "need 0 < dt <= horizon/10")
+    over = path_budget(triplet, horizon, dt)
+    if over is not None:
+        raise PreconditionViolation(*over)
+    if event:
         return _event_path(triplet, horizon, x0, stream(seed))
-    if not dt <= horizon / 10.0:
-        raise PreconditionViolation("DT_RANGE", "need dt <= horizon/10")
     engine = StepEngine(triplet, dt)
     times, values = grid_knots(engine, stream(seed), int(round(horizon / dt)), x0)
     return PathSample(times=times, values=values)
@@ -236,13 +243,26 @@ def grid_knots(engine: StepEngine, rng, n: int, x0: float):
     return knot_t, knot_v
 
 
+def path_budget(triplet: LevyTriplet, horizon: float, dt: float) -> tuple[str, str] | None:
+    """(budget, problem) when a path on [0, horizon] would pass MAX_STEPS_PER_PATH, else None.
+
+    An event path is held to EVENT_BUDGET, its expected jumps rate * horizon,
+    and never reads dt; a grid path to STEP_BUDGET, horizon/dt steps.
+    """
+    if event_driven(triplet):
+        rate = triplet.levy_measure.rate_above(0.0)
+        size = rate * horizon if rate > 0.0 else 0.0
+        name, what, rule = "EVENT_BUDGET", "expected jumps", "rate*horizon"
+    else:
+        size, name, what, rule = horizon / dt, "STEP_BUDGET", "steps", "horizon/dt"
+    if size <= MAX_STEPS_PER_PATH:
+        return None
+    return name, f"{size:.3g} {what} per path exceed {name} {MAX_STEPS_PER_PATH} ({rule})"
+
+
 def _event_path(triplet: LevyTriplet, horizon: float, x0: float, rng) -> PathSample:
     """The exact event path: event batches of batch_size(rate, horizon) until one passes the horizon."""
     rate = triplet.levy_measure.rate_above(0.0)
-    if rate * horizon > MAX_STEPS_PER_PATH:
-        raise PreconditionViolation(
-            "EVENT_BUDGET", f"{rate * horizon:.3g} expected jumps per path exceed "
-                           f"{MAX_STEPS_PER_PATH} (rate*horizon)")
     t, v = np.zeros(1), np.array([float(x0)])
     times, values = [t], [v]
     m = batch_size(rate, horizon)

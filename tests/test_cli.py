@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,15 @@ class TestExitCodes:
         ({"lln": 5}, "check_params.lln: must be an object"),
         ({"invariance": {"n": -3}}, "check_params.invariance.n: must be > 0"),
         ({"zero_one": {"x": 1}}, "check_params.zero_one.x: unknown parameter"),
+        # every check runs on the config's dt and reads thresholds.ks_alpha
+        ({"overshoot": {"dt": 0.01}}, "check_params.overshoot.dt: unknown parameter"),
+        ({"invariance": {"dt": 0.01}}, "check_params.invariance.dt: unknown parameter"),
+        ({"invariance": {"threshold": 0.1}}, "check_params.invariance.threshold: unknown parameter"),
+        ({"invariance": {"ks_alpha": 0.05}}, "check_params.invariance.ks_alpha: unknown parameter"),
+        ({"lln": {"dt": 0.01}}, "check_params.lln.dt: unknown parameter"),
+        # refused before any work, not by the check at run time
+        ({"lln": {"t0": 60, "horizon": 10}}, "check_params.lln.horizon: must be > t0 = 60, got 10"),
+        ({"overshoot": {"z1": 30, "z2": 20}}, "check_params.overshoot.z2: must be > z1 = 30, got 20"),
     ])
     def test_bad_check_params_exit_two(self, tmp_path, capsys, check_params, fragment):
         cfg = write_config(tmp_path, check_params=check_params)
@@ -347,10 +357,35 @@ def test_docs_list_every_check_parameter(where):
     listed = _param_lines(text, CHECKS)
     assert list(listed) == list(CHECKS)
     for key, check in CHECKS.items():
+        # exactly the table's parameters, in its order, each as "name [default]"
+        line = listed[key].split(None, 1)[1]
+        defaults = {m.group(1): _bracketed(line, m.end() - 1)
+                    for m in re.finditer(r"(\w+) \[", line)}
+        assert list(defaults) == [p.name for p in check.params], key
         for p in check.params:
-            assert f"{p.name} [" in listed[key], (key, p.name)
+            if not callable(p.default):
+                assert defaults[p.name] == _doc_value(p.default), (key, p.name)
         if not check.params:
-            assert "none" in listed[key]
+            assert line.startswith("none"), key
+
+
+def _bracketed(text: str, start: int) -> str:
+    """What the bracket opening at text[start] holds, nested brackets included."""
+    depth = 0
+    for end in range(start, len(text)):
+        depth += {"[": 1, "]": -1}.get(text[end], 0)
+        if depth == 0:
+            return text[start + 1:end]
+    raise AssertionError(f"unclosed bracket in {text!r}")
+
+
+def _doc_value(value) -> str:
+    """A default as the docs write it: true/false, [1, 2, 5], 0.05."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return "[" + ", ".join(_doc_value(v) for v in value) + "]"
+    return f"{value:g}"
 
 
 def test_readme_lists_every_family_and_its_fields():

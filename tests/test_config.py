@@ -7,7 +7,7 @@ import pytest
 
 from perpetua import ConfigError, ExperimentConfig, load_config
 from perpetua.checks import CHECKS
-from perpetua.config import MAX_STEPS_PER_PATH
+from perpetua.simulate import MAX_STEPS_PER_PATH
 
 
 def good_payload():
@@ -174,6 +174,53 @@ class TestFromDict:
             "check_params.lln.horizon: must be a finite number, got 'inf'",
         ]
 
+    def test_the_table_declares_each_parameter_once(self):
+        # dt, threshold and ks_alpha are the config's own settings, not a check's
+        assert {key: [p.name for p in check.params] for key, check in CHECKS.items()} == {
+            "zero_one": [],
+            "occupation": ["n_paths", "bandwidth"],
+            "overshoot": ["z1", "z2", "n"],
+            "invariance": ["x_list", "n", "bandwidth", "n_rho", "start_from_rho"],
+            "lln": ["t0", "n", "horizon"],
+        }
+
+    def test_reversed_pairs_are_reported_with_every_other_problem(self):
+        d = good_payload()
+        d["n_paths"] = 5
+        d["check_params"] = {"overshoot": {"z1": 30, "z2": 30},
+                             "lln": {"t0": 60, "horizon": 10}}
+        d["checks"] = ["zero_one"]  # written values are compared whether or not they run
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            "n_paths: must be >= 100, got 5",
+            "check_params.overshoot.z2: must be > z1 = 30, got 30",
+            "check_params.lln.horizon: must be > t0 = 60, got 10",
+        ]
+
+    def test_a_default_on_the_wrong_side_is_refused_for_checks_that_run(self):
+        # BM drift 1, sigma 1: z1 defaults to 20 sigma/mu = 20, lln's t0 to 50 v/mu^2 = 50
+        d = good_payload()
+        d["check_params"] = {"overshoot": {"z2": 10}, "lln": {"horizon": 40}}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            "check_params.overshoot.z2: must be > z1 = 20, got 10",
+            "check_params.lln.horizon: must be > t0 = 50, got 40",
+        ]
+        d["checks"] = ["zero_one", "occupation", "invariance"]
+        ExperimentConfig.from_dict(d)
+
+    def test_a_default_level_without_a_positive_mean_is_left_to_the_check(self):
+        d = good_payload()
+        d["triplet"]["drift"] = -1.0
+        d["check_params"] = {"overshoot": {"z2": 0.5}}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == ["check_params.overshoot.z2: must be > z1 = 1, got 0.5"]
+        d["check_params"] = {}
+        ExperimentConfig.from_dict(d)  # the check refuses with MEAN_RANGE when run
+
     def test_step_budget_refuses_a_tiny_dt(self):
         d = good_payload()
         d["dt"] = 1e-6
@@ -186,7 +233,7 @@ class TestFromDict:
 
     def test_step_budget_holds_the_lln_horizon(self):
         d = good_payload()
-        d["check_params"] = {"lln": {"t0": 1e4, "dt": 1e-3}}  # 4 t0 / dt = 4e7
+        d["check_params"] = {"lln": {"t0": 1e5}}  # 4 t0 / dt = 4e7
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
         assert exc.value.problems == [
@@ -211,7 +258,7 @@ class TestFromDict:
         # about 256 expected jumps per path; horizon/dt would be 2.56e8 steps
         d = event_payload()
         d["dt"] = 1e-6
-        d["check_params"] = {"lln": {"t0": 100.0, "dt": 1e-6}}  # 4e8 grid steps
+        d["check_params"] = {"lln": {"t0": 100.0}}  # 4 t0 / dt = 4e8 grid steps
         assert ExperimentConfig.from_dict(d).dt == 1e-6
 
     def test_event_budget_holds_the_horizon_when_validated(self):

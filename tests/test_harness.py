@@ -309,6 +309,13 @@ class TestLlnCheck:
         rep = lln_envelope_check(DRIFT_CP, t0=70.0, n=1, horizon=280.0)
         assert rep.statistic == 1.0 and not rep.passed
 
+    @pytest.mark.parametrize("horizon", [10.0, 60.0])
+    def test_horizon_must_exceed_t0(self, horizon, monkeypatch):
+        monkeypatch.setattr(harness, "sample_path", None)  # refused before any path
+        with pytest.raises(PreconditionViolation) as exc:
+            lln_envelope_check(BM_DRIFT, t0=60.0, n=4, horizon=horizon)
+        assert exc.value.reason == "HORIZON_RANGE"
+
     def test_pure_drift_always_inside(self):
         rep = lln_envelope_check(LevyTriplet(1.0), t0=1.0, n=20, seed=10)
         assert rep.passed

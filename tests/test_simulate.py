@@ -173,6 +173,20 @@ class TestSamplePath:
         with pytest.raises(PreconditionViolation):
             sample_path(BM_DRIFT, -1.0, 0.01, seed=0)
 
+    def test_step_budget_refused_before_allocation(self, monkeypatch):
+        from perpetua import simulate
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("the grid path was about to be drawn")
+
+        monkeypatch.setattr(simulate, "StepEngine", allocate)
+        budget = simulate.MAX_STEPS_PER_PATH
+        with pytest.raises(PreconditionViolation) as exc:
+            sample_path(BM_DRIFT, budget + 1.0, 1.0, seed=0)
+        assert exc.value.reason == "STEP_BUDGET"
+        with pytest.raises(AssertionError, match="about to be drawn"):
+            sample_path(BM_DRIFT, float(budget), 1.0, seed=0)  # at the budget: allowed
+
     def test_step_too_coarse_for_heavy_cutoff(self):
         t = LevyTriplet(0.0, 0.0, CompoundPoisson(100.0, ExponentialJump(2.0, 1)))
         with pytest.raises(StepTooCoarse):

@@ -100,10 +100,32 @@ class TestCharExponent:
         up, down = ExponentialJump(2.0, 1), ExponentialJump(3.0, -1)
         r = np.concatenate([np.linspace(2.0**k, 2.0**(k + 1), 65) for k in range(-64, 13)])
         for lam in (r, -r):
-            assert np.array_equal(law.char(lam), 0.4 * up.char(lam) + 0.6 * down.char(lam))
+            assert np.array_equal(law.char_minus_one(lam),
+                                  0.4 * up.char_minus_one(lam) + 0.6 * down.char_minus_one(lam))
         for a in (-1.0, 0.0, 1e-3, 0.5, 7.0):
             assert law.second_moment_abs_below(a) == (0.4 * up.second_moment_abs_below(a)
                                                       + 0.6 * down.second_moment_abs_below(a))
+
+    @pytest.mark.parametrize("law", [
+        ConstantJump(0.7), ConstantJump(-3.0), ExponentialJump(2.0, 1), ExponentialJump(0.5, -1),
+        TwoSidedExponentialJump(2.0, 3.0, 0.4), UniformJump(-1.0, 2.0), UniformJump(0.5, 0.6),
+    ])
+    def test_compound_poisson_small_r_does_not_cancel(self, law):
+        # Re Psi = rate (1 - E cos(rJ)) = rate E J^2 r^2 / 2 + O(r^4)
+        r = 1e-7
+        psi = CompoundPoisson(1.5, law).char_integral(np.array([r]))[0]
+        exact = 1.5 * law.second_moment() * r * r / 2.0
+        assert psi.real == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.2, 1.5, 1.9])
+    def test_tempered_stable_small_r_does_not_cancel(self, alpha):
+        # Re Psi = r^2/2 int x^2 nu(dx) + O(r^4), where
+        # int x^2 nu(dx) = scale Gamma(2 - alpha) theta^(alpha - 2)
+        r = 1e-7
+        nu = TemperedStable(alpha, 1.3, 2.0, 0.4)
+        psi = nu.char_integral(np.array([r]))[0]
+        second = 1.3 * math.gamma(2.0 - alpha) * 2.0 ** (alpha - 2.0)
+        assert psi.real == pytest.approx(second * r * r / 2.0, rel=1e-12, abs=0.0)
 
     def test_stable_half_closed_form(self):
         t = LevyTriplet(0.0, 0.0, StableLike(0.5, 1.0, 0.0))
