@@ -4,9 +4,9 @@ The verdict machinery turns a process triplet plus a test function into one of
 AS_FINITE / AS_INFINITE / UNDECIDED; UNDECIDED names the paper's hypothesis
 that fails.  Every question the verdict asks is answered exactly: the
 local-time hypothesis is read off the triplet's closed form, and every
-test-function family knows int_x^inf f in closed form, so the tail test
-reads its verdict from there, with the exact dyadic block sums as its
-certificate.  Quadrature is left only where the answer is a number: the sup
+test-function family states one closed form, int_a^b f with infinite ends
+allowed (integral_between), so the tail test reads its verdict from
+int_0^inf f, with the exact dyadic block sums as its certificate.  Quadrature is left only where the answer is a number: the sup
 u factor of the expectation bound and the potential density.
 
 Quadrature strategy

@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed from the config")
     verify.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results are identical for any value)")
+                        help="worker threads, at least 1 (results are identical for any value)")
     return parser
 
 
@@ -102,6 +102,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if getattr(args, "seed", None) is not None:
             config = config.with_seed(args.seed)
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError([f"--threads: must be >= 1, got {args.threads}"])
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import NotReachedError, PreconditionViolation
 from .rng import derive_seed, stream
 from .simulate import BATCH_EVENTS, StepEngine, batch_size, event_batch, grid_knots
+from .stats import ks_two_sample
 from .triplet import LevyTriplet
 
 __all__ = [
@@ -326,6 +327,4 @@ def stationary_overshoot(
         level = max(100.0 * sigma_eff / mu, 1.0)
     rho = overshoot_ensemble(triplet, level, n, seed=derive_seed(seed, "rho"), dt=dt)
     half = overshoot_ensemble(triplet, level / 2.0, n, seed=derive_seed(seed, "rho-half"), dt=dt)
-    from .stats import ks_two_sample
-
     return rho, ks_two_sample(rho.samples, half.samples), level

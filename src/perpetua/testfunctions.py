@@ -1,14 +1,16 @@
 """Nonnegative test functions f whose running integral along a path is studied.
 
 Every family is measurable, locally integrable and >= 0 on the whole line,
-which is all the theory asks of f.  On top of evaluation each family knows
-its integrals in closed form: ``integral_above(x)`` is the exact value of
-``int_x^inf f`` (inf when it diverges) and ``integral_between(a, b)`` that of
-``int_a^b f`` for a <= b (finite, also where the tail diverges), so the tail
-test reads its verdict and its block sums from the family and never
-extrapolates.  ``integral_between`` also takes numpy arrays of ends, so an
-exact path integrates all its linear pieces in one call; a call with plain
-numbers returns a float, computed with the math module's functions.
+which is all the theory asks of f.  On top of evaluation each family states
+one closed form, ``integral_between(a, b)``: the exact value of ``int_a^b f``
+for a <= b, where a may be -inf and b inf (inf when the integral diverges,
+finite on every finite piece).  The :class:`TestFunction` base class derives
+the rest from it once: ``integral_above(x)`` is ``int_x^inf f`` and
+``integral_full()`` is ``int f`` over the whole line.  So the tail test reads
+its verdict and its block sums from the family and never extrapolates.
+``integral_between`` also takes numpy arrays of ends, so an exact path
+integrates all its linear pieces in one call; a call with plain numbers
+returns a float, computed with the math module's functions.
 
 Families compose through :class:`Scaled` and :class:`SumOf`.  A value whose
 int_0^inf f is finite but past the float range is refused when built, since
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -69,6 +70,20 @@ def _power_integral(m, v, dv, p: float):
     return v ** (1.0 - p) * m.expm1((1.0 - p) * log_ratio) / (1.0 - p)
 
 
+class TestFunction(Validated):
+    """A test function: a family states __call__, validate and integral_between."""
+
+    __test__ = False  # not a pytest class, whatever its name
+
+    def integral_above(self, x):
+        """int_x^inf f, inf when it diverges."""
+        return self.integral_between(x, math.inf)
+
+    def integral_full(self) -> float:
+        """int f over the whole line, inf when it diverges."""
+        return self.integral_between(-math.inf, math.inf)
+
+
 def _even_integral(m, piece, a, b):
     """int_a^b f of an even f for a <= b, from piece(lo, hi) = int_lo^hi f on 0 <= lo <= hi.
 
@@ -79,7 +94,7 @@ def _even_integral(m, piece, a, b):
 
 
 @dataclass(frozen=True)
-class ExpDecay(Validated):
+class ExpDecay(TestFunction):
     """f(x) = exp(-rate * max(x, 0)) for x >= 0, constant left_level for x < 0.
 
     With the default left_level=1 this is the continuous bounded extension of
@@ -109,25 +124,20 @@ class ExpDecay(Validated):
         out = np.where(x < 0.0, self.left_level, np.exp(-self.rate * np.maximum(x, 0.0)))
         return out if out.ndim else float(out)
 
-    def integral_above(self, x: float) -> float:
-        if x >= 0.0:
-            return math.exp(-self.rate * x) / self.rate
-        return self.left_level * (-x) + 1.0 / self.rate
-
     def integral_between(self, a, b):
         # e^(-rate lo) (1 - e^(-rate (hi - lo))) / rate right of 0, with no
-        # cancellation on a narrow piece, plus the flat part left of 0
+        # cancellation on a narrow piece, plus the flat part left of 0, which
+        # a zero level leaves out: its width may be inf
         m, (a, b) = _lift(a, b)
         lo, hi = m.maximum(a, 0.0), m.maximum(b, 0.0)
-        return (m.exp(-self.rate * lo) * -m.expm1(-self.rate * (hi - lo)) / self.rate
-                + self.left_level * (m.minimum(b, 0.0) - m.minimum(a, 0.0)))
-
-    def integral_full(self) -> float:
-        return math.inf if self.left_level > 0.0 else 1.0 / self.rate
+        out = m.exp(-self.rate * lo) * -m.expm1(-self.rate * (hi - lo)) / self.rate
+        if self.left_level:
+            out = out + self.left_level * (m.minimum(b, 0.0) - m.minimum(a, 0.0))
+        return out
 
 
 @dataclass(frozen=True)
-class PowerTail(Validated):
+class PowerTail(TestFunction):
     """f(x) = 1 / (shift + |x|)**p.  Integrable tail iff p > 1."""
 
     p: float
@@ -151,27 +161,10 @@ class PowerTail(Validated):
         out = (self.shift + np.abs(x)) ** (-self.p)
         return out if out.ndim else float(out)
 
-    def integral_above(self, x: float) -> float:
-        # int_a^inf (shift+t)^-p dt for a >= 0, plus the reflected piece if x < 0.
-        if self.p <= 1.0:
-            return math.inf
-
-        def upper(a: float) -> float:
-            return (self.shift + a) ** (1.0 - self.p) / (self.p - 1.0)
-
-        if x >= 0.0:
-            return upper(x)
-        return 2.0 * upper(0.0) - upper(-x)
-
     def integral_between(self, a, b):
         m, (a, b) = _lift(a, b)
         return _even_integral(
             m, lambda lo, hi: _power_integral(m, self.shift + lo, hi - lo, self.p), a, b)
-
-    def integral_full(self) -> float:
-        if self.p <= 1.0:
-            return math.inf
-        return 2.0 * self.shift ** (1.0 - self.p) / (self.p - 1.0)
 
 
 # the largest p at which log(2)^(1 - p), a factor of f(0) and of every closed form, is a float
@@ -179,7 +172,7 @@ _LOG_POWER_P_MAX = 1 + math.floor(math.log(sys.float_info.max) / -math.log(math.
 
 
 @dataclass(frozen=True)
-class LogPower(Validated):
+class LogPower(TestFunction):
     """f(x) = 1 / ((2 + |x|) * log(2 + |x|)**p).
 
     The borderline family: tails thinner than any 1/(shift+|x|) yet the
@@ -205,17 +198,6 @@ class LogPower(Validated):
         out = 1.0 / (base * np.log(base) ** self.p)
         return out if out.ndim else float(out)
 
-    def integral_above(self, x: float) -> float:
-        if self.p <= 1.0:
-            return math.inf
-
-        def upper(a: float) -> float:
-            return math.log(2.0 + a) ** (1.0 - self.p) / (self.p - 1.0)
-
-        if x >= 0.0:
-            return upper(x)
-        return 2.0 * upper(0.0) - upper(-x)
-
     def integral_between(self, a, b):
         m, (a, b) = _lift(a, b)
 
@@ -225,12 +207,9 @@ class LogPower(Validated):
 
         return _even_integral(m, piece, a, b)
 
-    def integral_full(self) -> float:
-        return self.integral_above(0.0) * 2.0 if self.p > 1.0 else math.inf
-
 
 @dataclass(frozen=True)
-class Indicator(Validated):
+class Indicator(TestFunction):
     """Indicator of the closed interval [a, b]."""
 
     a: float
@@ -250,20 +229,13 @@ class Indicator(Validated):
         out = np.where((x >= self.a) & (x <= self.b), 1.0, 0.0)
         return out if out.ndim else float(out)
 
-    def integral_above(self, x: float) -> float:
-        lo = max(self.a, x)
-        return max(self.b - lo, 0.0)
-
     def integral_between(self, a, b):
         m, (a, b) = _lift(a, b)
         return m.maximum(m.minimum(b, self.b) - m.maximum(a, self.a), 0.0)
 
-    def integral_full(self) -> float:
-        return self.b - self.a
-
 
 @dataclass(frozen=True)
-class Tabulated(Validated):
+class Tabulated(TestFunction):
     """Piecewise-linear interpolant of (knots, values) with an explicit tail.
 
     Zero below the first knot.  Beyond the last knot the tail model takes
@@ -322,11 +294,11 @@ class Tabulated(Validated):
         v = np.asarray(self.values, dtype=float)
         out = np.interp(x, k, v, left=0.0, right=0.0)
         if self.tail_model == "exp":
-            tail = v[-1] * np.exp(-self.tail_rate * (x - k[-1]))
+            tail = v[-1] * np.exp(-self.tail_rate * np.maximum(x - k[-1], 0.0))
             out = np.where(x > k[-1], tail, out)
         return out if out.ndim else float(out)
 
-    def integral_above(self, x):
+    def _above(self, x):
         """int_x^inf f: the table's trapezoids from x on, then the tail's closed form."""
         k = np.asarray(self.knots, dtype=float)
         v = np.asarray(self.values, dtype=float)
@@ -338,29 +310,31 @@ class Tabulated(Validated):
         out = ahead[j] + (k[j] - a) * (self(a) + v[j]) / 2.0
         if self.tail_model == "exp":
             out = out + v[-1] * np.exp(-self.tail_rate * (np.maximum(xs, k[-1]) - k[-1])) / self.tail_rate
-        return out if out.ndim else float(out)
+        return out
 
     def integral_between(self, a, b):
         """int_a^b f.  A piece inside one table segment is its own trapezoid
         (b - a)(f(a) + f(b)) / 2, and one inside the exp tail its own closed
         form, so a narrow piece does not cancel; a piece across knots is
-        integral_above(a) - integral_above(b)."""
+        _above(a) - _above(b).  The trapezoid takes the ends clipped to the
+        table: that changes no piece it is used for, and keeps an infinite end
+        out of it."""
         k = np.asarray(self.knots, dtype=float)
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         seg = np.searchsorted(k, a, side="right")  # 0 below the table, k.size in the tail
         fa = self(a)
-        tail = fa * -np.expm1(-self.tail_rate * (b - a)) / self.tail_rate if self.tail_model == "exp" else 0.0
-        piece = np.select([seg == 0, seg == k.size], [0.0, tail], (b - a) * (fa + self(b)) / 2.0)
-        out = np.where(seg == np.searchsorted(k, b, side="left"), piece,
-                       self.integral_above(a) - self.integral_above(b))
+        # f is at most values[-1] in the tail, so the cap keeps every piece
+        # there and only stops the discarded ones from overflowing
+        tail = (np.minimum(fa, self.values[-1]) * -np.expm1(-self.tail_rate * (b - a)) / self.tail_rate
+                if self.tail_model == "exp" else 0.0)
+        lo, hi = np.clip(a, k[0], k[-1]), np.clip(b, k[0], k[-1])
+        piece = np.select([seg == 0, seg == k.size], [0.0, tail], (hi - lo) * (fa + self(hi)) / 2.0)
+        out = np.where(seg == np.searchsorted(k, b, side="left"), piece, self._above(a) - self._above(b))
         return out if out.ndim else float(out)
-
-    def integral_full(self) -> float:
-        return self.integral_above(float(self.knots[0]))
 
 
 @dataclass(frozen=True)
-class Scaled(Validated):
+class Scaled(TestFunction):
     """c * f for a constant c > 0."""
 
     factor: float
@@ -379,18 +353,12 @@ class Scaled(Validated):
     def __call__(self, x):
         return self.factor * self.inner(x)
 
-    def integral_above(self, x: float) -> float:
-        return self.factor * self.inner.integral_above(x)
-
-    def integral_between(self, a: float, b: float) -> float:
+    def integral_between(self, a, b):
         return self.factor * self.inner.integral_between(a, b)
-
-    def integral_full(self) -> float:
-        return self.factor * self.inner.integral_full()
 
 
 @dataclass(frozen=True)
-class SumOf(Validated):
+class SumOf(TestFunction):
     """Pointwise sum of finitely many test functions."""
 
     parts: tuple["TestFunction", ...]
@@ -415,24 +383,16 @@ class SumOf(Validated):
             out = out + part(x)
         return out if out.ndim else float(out)
 
-    def integral_above(self, x: float) -> float:
-        return sum(part.integral_above(x) for part in self.parts)
-
-    def integral_between(self, a: float, b: float) -> float:
+    def integral_between(self, a, b):
         return sum(part.integral_between(a, b) for part in self.parts)
-
-    def integral_full(self) -> float:
-        return sum(part.integral_full() for part in self.parts)
 
 
 def _overflows(parts, factor: float = 1.0) -> bool:
     """Whether each part's int_0^inf is a float but factor times their sum is not (parts built)."""
-    values = [part.integral_above(0.0) for part in parts if isinstance(part, Validated)]
+    values = [part.integral_above(0.0) for part in parts if isinstance(part, TestFunction)]
     return len(values) == len(parts) and all(map(math.isfinite, values)) \
         and math.isinf(factor * sum(values))
 
-
-TestFunction = Union[ExpDecay, PowerTail, LogPower, Indicator, Tabulated, Scaled, SumOf]
 
 _FAMILIES = {cls.kind: cls for cls in
              (ExpDecay, PowerTail, LogPower, Indicator, Tabulated, Scaled, SumOf)}

@@ -293,6 +293,18 @@ class TestExitCodes:
         assert f"config error: --seed: must fit in uint64, got {seed}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_are_a_config_error(self, tmp_path, capsys, monkeypatch, threads):
+        def no_run(*args, **kwargs):
+            raise AssertionError("verify ran")
+
+        monkeypatch.setattr("perpetua.cli.run_experiment", no_run)
+        out = tmp_path / "run"
+        argv = ["verify", "--config", write_config(tmp_path), "--out", str(out), "--threads", threads]
+        assert main(argv) == 2
+        assert f"config error: --threads: must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analysis_error_maps_to_one(self, tmp_path, capsys):
         # driftless symmetric BM has zero mean: the verdict's mean
         # precondition fails inside the analysis, not in the config

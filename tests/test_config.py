@@ -211,6 +211,36 @@ class TestFromDict:
         d["checks"] = ["zero_one", "occupation", "invariance"]
         ExperimentConfig.from_dict(d)
 
+    def test_a_default_on_the_wrong_side_is_reported_with_every_other_problem(self):
+        d = good_payload()
+        d["n_paths"] = 5
+        d["check_params"] = {"lln": {"horizon": 40}}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            "n_paths: must be >= 100, got 5",
+            "check_params.lln.horizon: must be > t0 = 50, got 40",
+        ]
+
+    def test_defaults_wait_for_the_fields_they_read(self):
+        # a check whose written parameters fail is not resolved, and no check
+        # is while the triplet, t0 or dt has failed
+        d = good_payload()
+        d["check_params"] = {"overshoot": {"z2": "x"}, "lln": {"horizon": 40}}
+        bad_z2 = "check_params.overshoot.z2: must be a finite number, got 'x'"
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [bad_z2, "check_params.lln.horizon: must be > t0 = 50, got 40"]
+        d["horizon"]["t0"] = -1.0
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == ["horizon.t0: must be positive, got -1.0",
+                                      "dt: must be <= t0/10 = -0.1, got 0.01", bad_z2]
+        d["horizon"]["t0"], d["triplet"]["drift"] = 2.0, "fast"
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems[1:] == [bad_z2]
+
     def test_a_default_level_without_a_positive_mean_is_left_to_the_check(self):
         d = good_payload()
         d["triplet"]["drift"] = -1.0
@@ -227,8 +257,11 @@ class TestFromDict:
         d["horizon"] = {"t0": 2.0, "doublings": 7}  # 2.56e8 steps per path
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
+        # the checks' own paths are over budget too, and are listed in the same run
         assert exc.value.problems == [
-            f"horizon: 2.56e+08 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)"
+            f"horizon: 2.56e+08 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)",
+            f"check_params.invariance: 2.1e+07 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)",
+            f"check_params.lln: 2e+08 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)",
         ]
 
     def test_step_budget_holds_the_lln_horizon(self):
@@ -267,7 +300,9 @@ class TestFromDict:
             ExperimentConfig.from_dict(d)
         assert exc.value.problems == [
             f"horizon: 2.56e+08 expected jumps per path exceed EVENT_BUDGET {MAX_STEPS_PER_PATH} "
-            "(rate*horizon)"
+            "(rate*horizon)",
+            f"check_params.lln: 8e+07 expected jumps per path exceed EVENT_BUDGET "
+            f"{MAX_STEPS_PER_PATH} (rate*horizon)",
         ]
 
     def test_event_budget_holds_the_lln_horizon(self):

@@ -118,6 +118,27 @@ class TestIntegrals:
         f = SumOf((PowerTail(1.0), Indicator(0.0, 1.0)))
         assert math.isinf(f.integral_above(0.0))
 
+    @pytest.mark.parametrize("f, exact", [
+        (ExpDecay(2.0, left_level=0.0), 0.5),
+        (ExpDecay(2.0), math.inf),
+        (PowerTail(1.5, shift=2.0), 2.0 * 2.0 ** -0.5 / 0.5),
+        (PowerTail(1.0), math.inf),
+        (PowerTail(0.5), math.inf),
+        (LogPower(2.0), 2.0 / math.log(2.0)),
+        (LogPower(1.0), math.inf),
+        (Indicator(-1.5, 4.0), 5.5),
+        # trapezoids 0.75 and 1.25, then the tail's 0.25 / 2
+        (Tabulated((0.0, 1.0, 3.0), (0.5, 1.0, 0.25), tail_model="exp", tail_rate=2.0), 2.125),
+        (Tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 0.0), tail_model="exp", tail_rate=2.0), 1.0),
+        (Scaled(3.0, ExpDecay(2.0, left_level=0.0)), 1.5),
+        (SumOf((Indicator(0.0, 2.0), ExpDecay(4.0, left_level=0.0))), 2.25),
+        (SumOf((Indicator(0.0, 2.0), LogPower(0.5))), math.inf),
+    ])
+    def test_whole_line_is_exact(self, f, exact):
+        # integral_full is integral_between(-inf, inf); a zero level or value
+        # times an infinite width must not turn into nan
+        assert f.integral_full() == f.integral_between(-math.inf, math.inf) == exact
+
 
 def support_end(f, x):
     """f has no mass above x and some just below it, by its closed forms."""
@@ -188,14 +209,18 @@ class TestClosedForms:
             for x in (0.5, 3.0, 1536.0, 1e6):
                 assert f.integral_between(0.0, x) + f.integral_above(x) == pytest.approx(
                     total, rel=1e-12), (f, x)
+            assert f.integral_between(-math.inf, 0.0) + total == pytest.approx(
+                f.integral_full(), rel=1e-12), f
 
     @pytest.mark.parametrize("kind", sorted(testfunctions._FAMILIES))
     def test_integral_between_takes_arrays(self, kind):
         # the ends straddle 0, knots and the supports' edges, and include
-        # empty pieces; a scalar call stays a float
+        # empty pieces and infinite ends; a scalar call stays a float
         rng = np.random.default_rng(7)
         a = np.concatenate((rng.uniform(-20.0, 20.0, 300), [0.0, -3.0, 2.0 ** 10, 5.0]))
         b = a + np.concatenate((rng.exponential(4.0, 300), [1.0, 8.0, 2.0 ** 10, 0.0]))
+        a = np.concatenate((a, [-np.inf, -np.inf, 3.0, 2.0 ** 11]))
+        b = np.concatenate((b, [5.0, np.inf, np.inf, np.inf]))
         for f in EXAMPLES[kind]:
             scalar = np.array([f.integral_between(float(x), float(y)) for x, y in zip(a, b)])
             assert isinstance(f.integral_between(float(a[0]), float(b[0])), float)
