@@ -8,6 +8,8 @@ Three layers share one triplet representation:
   harness     statistical checks wiring the two together, plus the CLI
 """
 
+__version__ = "0.1.0"  # set first: runner imports it while this package loads
+
 from .analysis import (
     Convergence,
     ConvergenceDecision,
@@ -81,8 +83,6 @@ from .testfunctions import (
     test_function_from_dict,
 )
 from .triplet import ClassificationFlags, LevyTriplet
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

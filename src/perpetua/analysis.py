@@ -216,6 +216,21 @@ def require_local_times(triplet: LevyTriplet, what: str) -> None:
         )
 
 
+def _pathwise_drift(triplet: LevyTriplet, what: str) -> float | None:
+    """The slope d of the path between jumps, where u jumps by 1/|d| at 0, else None.
+
+    Defined without a Gaussian part and with finite variation.  Local times
+    exist for any d != 0, but the closed forms divide by d: |d| < 1e-12 (a
+    1/(2d) past 5e11) raises InversionUnstable, naming what needed d.
+    """
+    if triplet.gaussian_coef != 0.0 or not triplet.levy_measure.finite_variation:
+        return None
+    d = triplet.natural_drift()
+    if abs(d) < 1e-12:
+        raise InversionUnstable(f"vanishing pathwise drift in finite-variation {what}")
+    return d
+
+
 # -------------------------------------------------------------------------
 # potential density by Fourier inversion
 
@@ -255,12 +270,7 @@ def potential_density(triplet: LevyTriplet, grid) -> PotentialDensity:
     if grid.size == 0 or np.any(np.diff(grid) <= 0.0):
         raise PreconditionViolation("GRID_ORDER", "grid must be non-empty strictly increasing")
 
-    slope = None
-    if triplet.gaussian_coef == 0.0 and triplet.levy_measure.finite_variation:
-        slope = triplet.natural_drift()
-        if abs(slope) < 1e-12:
-            # local times exist for any d != 0, but the subtraction below divides by d
-            raise InversionUnstable("vanishing pathwise drift in finite-variation inversion")
+    slope = _pathwise_drift(triplet, "inversion")
 
     def remainder(r: np.ndarray) -> np.ndarray:
         psi = triplet.char_exponent(r)
@@ -543,9 +553,7 @@ def _sup_bound(triplet: LevyTriplet) -> float:
             )
         value += sum(sums) / math.pi
         slack += (residual + _remainder(sums, slope)) / math.pi
-    if triplet.gaussian_coef == 0.0 and triplet.levy_measure.finite_variation:
-        d = abs(triplet.natural_drift())
-        if d < 1e-12:  # local times exist for any d != 0; a 1/(2d) past 5e11 is refused
-            raise InversionUnstable("vanishing pathwise drift in finite-variation sup bound")
-        value += 1.0 / (2.0 * d)
+    d = _pathwise_drift(triplet, "sup bound")
+    if d is not None:
+        value += 1.0 / (2.0 * abs(d))
     return value + slack

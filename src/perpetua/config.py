@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checks import CHECKS, Check, resolve
-from .errors import ConfigError, NonFiniteParameter
+from .errors import ConfigError, NonFiniteParameter, PreconditionViolation
 from .simulate import path_budget
 from .testfunctions import TestFunction, test_function_from_dict
 from .triplet import LevyTriplet
@@ -62,7 +62,7 @@ class ExperimentConfig:
     def with_seed(self, seed: int) -> "ExperimentConfig":
         """This config with another master seed, checked like master_seed."""
         problems: list[str] = []
-        _check_seed("--seed", seed, problems)
+        _number({"--seed": seed}, "--seed", int, problems, _uint64, "fit in uint64")
         if problems:
             raise ConfigError(problems)
         return dataclasses.replace(self, master_seed=seed)
@@ -87,30 +87,21 @@ class ExperimentConfig:
         except (NonFiniteParameter, TypeError, ValueError) as exc:
             problems.append(f"f: {exc}")
 
-        n_paths = _as_int(d, "n_paths", problems)
-        if n_paths is not None and n_paths < 100:
-            problems.append(f"n_paths: must be >= 100, got {n_paths}")
-
-        dt = _as_float(d, "dt", problems)
-        if dt is not None and not 0.0 < dt:
-            problems.append(f"dt: must be positive, got {dt}")
+        n_paths = _number(d, "n_paths", int, problems, lambda v: v >= 100, "be >= 100")
+        dt = _number(d, "dt", float, problems, _positive, "be positive")
 
         horizon = d.get("horizon")
         t0 = doublings = None
         if not isinstance(horizon, dict):
             problems.append("horizon: missing or not an object with t0/doublings")
         else:
-            t0 = _as_float(horizon, "t0", problems, prefix="horizon.")
-            doublings = _as_int(horizon, "doublings", problems, prefix="horizon.")
-            if t0 is not None and t0 <= 0.0:
-                problems.append(f"horizon.t0: must be positive, got {t0}")
-            if doublings is not None and doublings < 3:
-                problems.append(f"horizon.doublings: must be >= 3, got {doublings}")
-        # the checks' defaults and path budgets read the triplet, t0 and dt
-        timed = triplet is not None and None not in (t0, dt) and 0.0 < dt <= t0 / 10.0
-        if t0 is not None and dt is not None and dt > t0 / 10.0:
+            t0 = _number(horizon, "t0", float, problems, _positive, "be positive", "horizon.")
+            doublings = _number(horizon, "doublings", int, problems, lambda v: v >= 3,
+                                "be >= 3", "horizon.")
+        if None not in (t0, dt) and dt > t0 / 10.0:
             problems.append(f"dt: must be <= t0/10 = {t0 / 10.0:g}, got {dt}")
-        elif None not in (t0, dt, doublings) and dt > 0.0:
+            dt = None
+        if None not in (t0, dt, doublings):
             # 2.0**1023 is the largest power of two below the float range
             horizon = t0 * 2.0 ** min(doublings, 1023)
             if math.isinf(horizon):
@@ -118,9 +109,7 @@ class ExperimentConfig:
             if triplet is not None:  # the budget depends on the kind of path
                 _path_budget("horizon", triplet, horizon, dt, problems)
 
-        master_seed = _as_int(d, "master_seed", problems)
-        if master_seed is not None:
-            _check_seed("master_seed", master_seed, problems)
+        master_seed = _number(d, "master_seed", int, problems, _uint64, "fit in uint64")
 
         thresholds = dict(_DEFAULT_THRESHOLDS)
         raw_thr = d.get("thresholds", {})
@@ -131,12 +120,9 @@ class ExperimentConfig:
                 if key not in _DEFAULT_THRESHOLDS:
                     problems.append(f"thresholds.{key}: unknown threshold")
                     continue
-                val = _as_float(raw_thr, key, problems, prefix="thresholds.")
-                if val is None:
-                    continue
-                if not 0.0 < val < 1.0:
-                    problems.append(f"thresholds.{key}: must lie in (0, 1), got {val}")
-                else:
+                val = _number(raw_thr, key, float, problems, lambda v: 0.0 < v < 1.0,
+                              "lie in (0, 1)", "thresholds.")
+                if val is not None:
                     thresholds[key] = val
 
         known = f"(known: {', '.join(CHECKS)})"
@@ -178,23 +164,22 @@ class ExperimentConfig:
             check_params=check_params,
             expected_fail=tuple(expected_fail),
         )
-        for name in (config.checks if timed else ()):
+        # the checks' defaults and path budgets read the triplet, t0 and dt
+        for name in config.checks if None not in (triplet, t0, dt) else ():
             if name not in CHECKS or name in unsound:
                 continue
             check = CHECKS[name]
-            params = resolve(check, config)
+            try:
+                params = resolve(check, config)
+                path = None if check.path is None else check.path(config, params)
+            except PreconditionViolation:
+                continue  # a default that needs a mean in (0, inf): the check refuses when run
             problems += _order_problems(check, params)
-            if check.path is not None:
-                _path_budget(f"check_params.{name}", triplet, check.path(config, params),
-                             config.dt, problems)
+            if path is not None:
+                _path_budget(f"check_params.{name}", triplet, path, dt, problems)
         if problems:
             raise ConfigError(problems)
         return config
-
-
-def _check_seed(key: str, seed: int, problems: list[str]) -> None:
-    if not 0 <= seed < 2**64:
-        problems.append(f"{key}: must fit in uint64, got {seed}")
 
 
 def _path_budget(key: str, triplet, horizon: float, dt: float, problems: list[str]) -> None:
@@ -234,16 +219,14 @@ def _check_params(check: Check, raw: dict, problems: list[str]) -> bool:
         if p.kind is list:
             values = raw[name] if isinstance(raw[name], list) else []
             items = {f"{name}[{i}]": v for i, v in enumerate(values)}
-            parsed = [_as_float(items, key, problems, prefix) for key in items]
+            for key in items:
+                _number(items, key, float, problems, _positive, "be > 0", prefix)
             if not values:
                 problems.append(f"{prefix}{name}: must be a non-empty list of numbers, "
                                 f"got {raw[name]!r}")
         else:
-            parsed = [(_as_int if p.kind is int else _as_float)(raw, name, problems, prefix)]
-        for val in parsed:
-            if val is not None and not val > 0.0:
-                problems.append(f"{prefix}{name}: must be > 0, got {val!r}")
-            elif val is not None and p.kind is not list:
+            val = _number(raw, name, p.kind, problems, _positive, "be > 0", prefix)
+            if val is not None:
                 written[name] = val
     problems += _order_problems(check, written)
     return len(problems) > before
@@ -257,26 +240,37 @@ def _order_problems(check: Check, values: dict) -> list[str]:
             if p.above in values and p.name in values and not values[p.name] > values[p.above]]
 
 
-def _as_int(d: dict, key: str, problems: list[str], prefix: str = "") -> int | None:
+def _number(d: dict, key: str, kind: type, problems: list[str], ok, rule: str,
+            prefix: str = "") -> int | float | None:
+    """d[key] as an int, or a finite float (see validation.finite_real), for which ok holds.
+
+    Any failure adds one problem (missing, the wrong type, or "must {rule}") and gives None.
+    """
     if key not in d:
         problems.append(f"{prefix}{key}: missing")
         return None
     val = d[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        problems.append(f"{prefix}{key}: must be an integer, got {val!r}")
+    if kind is int:
+        if isinstance(val, bool) or not isinstance(val, int):
+            problems.append(f"{prefix}{key}: must be an integer, got {val!r}")
+            return None
+    else:
+        val = finite_real(val)
+        if val is None:
+            problems.append(f"{prefix}{key}: must be a finite number, got {d[key]!r}")
+            return None
+    if not ok(val):
+        problems.append(f"{prefix}{key}: must {rule}, got {val!r}")
         return None
     return val
 
 
-def _as_float(d: dict, key: str, problems: list[str], prefix: str = "") -> float | None:
-    """d[key] as a float when it is a finite number (see validation.finite_real)."""
-    if key not in d:
-        problems.append(f"{prefix}{key}: missing")
-        return None
-    out = finite_real(d[key])
-    if out is None:
-        problems.append(f"{prefix}{key}: must be a finite number, got {d[key]!r}")
-    return out
+def _positive(val) -> bool:
+    return val > 0
+
+
+def _uint64(val) -> bool:
+    return 0 <= val < 2**64
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -62,11 +62,14 @@ _MAX_CHUNKS = 64  # chunks an invariance path may take to escape its levels
 @dataclass(frozen=True)
 class CheckReport:
     name: str
-    passed: bool
     statistic: float
     threshold: float
     artifacts: tuple[str, ...] = ()
     notes: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.statistic <= self.threshold
 
     def to_dict(self) -> dict:
         return {
@@ -182,7 +185,6 @@ def zero_one_check(estimate: FinitenessEstimate, delta_01: float) -> CheckReport
     statistic = min(estimate.p_hat, 1.0 - estimate.p_hat)
     return CheckReport(
         name="zero_one",
-        passed=statistic <= delta_01,
         statistic=statistic,
         threshold=delta_01,
         notes=f"p_hat={estimate.p_hat:.4f}, inconclusive={estimate.inconclusive_fraction:.3f}",
@@ -216,11 +218,9 @@ def occupation_identity_check(
         return abs(space - direct) / max(abs(direct), 1e-12)
 
     gaps = np.asarray(_parallel_map(one_gap, n_paths, threads))
-    statistic = float(np.median(gaps))
     return CheckReport(
         name="occupation_identity",
-        passed=statistic <= 0.05,
-        statistic=statistic,
+        statistic=float(np.median(gaps)),
         threshold=0.05,
         notes=f"{n_paths} paths at T={horizon:g}, bandwidth {bandwidth:g}",
     )
@@ -271,7 +271,6 @@ def overshoot_stationarity_check(
     threshold = ks_critical(n, n, ks_alpha)
     return CheckReport(
         name="overshoot_stationarity",
-        passed=statistic <= threshold,
         statistic=statistic,
         threshold=threshold,
         artifacts=artifacts,
@@ -394,7 +393,6 @@ def local_time_law_invariance_check(
     statistic = max(stats) if stats else 0.0
     return CheckReport(
         name="local_time_invariance",
-        passed=statistic <= threshold,
         statistic=statistic,
         threshold=threshold,
         notes=notes,
@@ -407,7 +405,7 @@ def lln_t0_floor(triplet: LevyTriplet) -> float:
     v is sigma^2 + int x^2 nu(dx) for compound Poisson, where every jump
     counts, and sigma_eff^2 (jumps of size <= 1 only) for the other families.
     """
-    mu = triplet.positive_mean("LLN t0 floor")
+    mu = triplet.positive_mean("LLN envelope")
     nu = triplet.levy_measure
     if isinstance(nu, CompoundPoisson):
         v = triplet.gaussian_coef + nu.rate * nu.jump_law.second_moment()
@@ -455,7 +453,6 @@ def lln_envelope_check(
     fraction = float(np.mean(inside))
     return CheckReport(
         name="lln_envelope",
-        passed=(1.0 - fraction) <= 0.01,
         statistic=1.0 - fraction,
         threshold=0.01,
         notes=f"fraction {fraction:.4f} inside envelope for t in [{t0:g}, {horizon:g}]",

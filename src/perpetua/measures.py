@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gamma as gamma_fn, gammainc
+from scipy.special import exp1, gamma as gamma_fn, gammainc, gammaincc
 
 from .errors import NonFiniteParameter
 from .extended import ExtendedReal
@@ -58,7 +58,6 @@ def upper_gamma(s: float, x: float) -> float:
     if abs(s) < 1e-12:
         return float(exp1(x))
     if s > 0:
-        from scipy.special import gammaincc
         return float(gammaincc(s, x) * gamma_fn(s))
     return (upper_gamma(s + 1.0, x) - x ** s * math.exp(-x)) / s
 

@@ -1,7 +1,7 @@
 """Counter-based random number streams.
 
-Every stochastic routine in this package draws from a Philox generator keyed
-by a 128-bit (seed, stream_index) pair.  Streams are independent by
+Every stochastic routine in this package draws from a Philox generator whose
+128-bit key is (seed, 0).  Streams of distinct seeds are independent by
 construction, and results never depend on how work is split across threads:
 each stream is consumed by exactly one task, in a fixed documented order.
 A task is usually one path, whose stream is derived from the seed, a
@@ -40,7 +40,7 @@ def derive_seed(master_seed: int, *tags) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Generator for stream `index` of `seed`; key = (seed, index) verbatim."""
-    key = np.array([int(seed) & MASK64, int(index) & MASK64], dtype=_U64)
+def stream(seed: int) -> np.random.Generator:
+    """The generator of `seed`: Philox keyed by (seed, 0)."""
+    key = np.array([int(seed) & MASK64, 0], dtype=_U64)
     return np.random.Generator(np.random.Philox(key=key))

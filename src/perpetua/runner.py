@@ -14,10 +14,10 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import harness
+from . import __version__, harness
 from .checks import CHECKS, Check, resolve
 from .config import ExperimentConfig
-from .errors import PerpetuaError, PreconditionViolation
+from .errors import ConfigError, PerpetuaError, PreconditionViolation
 
 __all__ = ["run_experiment", "write_report", "simulate_paths"]
 
@@ -28,6 +28,8 @@ def run_experiment(
     threads: int = 1,
 ) -> tuple[dict, int]:
     """Run the checks the config lists and return (report, exit_code)."""
+    if threads < 1:
+        raise ConfigError([f"threads: must be >= 1, got {threads}"])
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -57,8 +59,6 @@ def run_experiment(
 
     exit_code = 0 if meets else 1
     if out is not None:
-        from . import __version__
-
         write_report(out, report)
         metadata = {
             "created_at": created_at,

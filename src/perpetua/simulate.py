@@ -327,7 +327,6 @@ class LocalTimeField:
     x_grid: np.ndarray
     bandwidth: float
     values: np.ndarray
-    t: float
     t_covered: float  # time the path spent inside [x_grid[0], x_grid[-1]]
 
 
@@ -419,7 +418,6 @@ def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeFie
         x_grid=x_grid,
         bandwidth=bandwidth,
         values=(upper[:-1] - lower[:-1]) / (2.0 * bandwidth),
-        t=path.horizon,
         t_covered=float(upper[-1] - lower[-1]),
     )
 

@@ -305,6 +305,19 @@ class TestExitCodes:
         assert f"config error: --threads: must be >= 1, got {threads}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_run_experiment_refuses_threads_below_one(self, tmp_path, monkeypatch, threads):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr("perpetua.runner._run_one", no_run)
+        config = perpetua.load_config(write_config(tmp_path))
+        out = tmp_path / "run"
+        with pytest.raises(perpetua.ConfigError) as exc:
+            perpetua.run_experiment(config, out_dir=out, threads=threads)
+        assert exc.value.problems == [f"threads: must be >= 1, got {threads}"]
+        assert not out.exists()
+
     def test_analysis_error_maps_to_one(self, tmp_path, capsys):
         # driftless symmetric BM has zero mean: the verdict's mean
         # precondition fails inside the analysis, not in the config
@@ -552,6 +565,24 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
         entry = json.loads((out / "report.json").read_text())["checks"][0]
         assert entry["precondition"] == "MEAN_RANGE"
+
+    @pytest.mark.parametrize("triplet, check_params, check, note", [
+        # lln's t0 defaults from mu, so horizon 5 is not compared with it
+        ({"drift": -1.0, "gaussian": 1.0}, {"lln": {"horizon": 5.0}}, "lln",
+         "LLN envelope needs mean in (0, inf)"),
+        # the invariance chunk horizon reads mu: no budget line, and the check refuses
+        ({"drift": 1.0, "gaussian": 1.0, "levy_measure": {
+            "family": "stable", "params": {"alpha": 0.5, "scale": 1.0, "skew": 0.0}}},
+         {}, "invariance", "invariance check needs mean in (0, inf)"),
+    ])
+    def test_a_default_that_needs_the_mean_is_left_to_the_check(
+            self, tmp_path, capsys, triplet, check_params, check, note):
+        cfg = write_config(tmp_path, triplet=triplet, checks=[check], check_params=check_params)
+        out = tmp_path / "run"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        entry = json.loads((out / "report.json").read_text())["checks"][0]
+        assert entry["precondition"] == "MEAN_RANGE"
+        assert entry["notes"] == f"precondition violated: MEAN_RANGE: {note}"
 
     def test_checks_run_in_table_order_and_are_timed(self, tmp_path, capsys):
         cfg = write_config(

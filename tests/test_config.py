@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from perpetua import ConfigError, ExperimentConfig, load_config
+from perpetua import ConfigError, ExperimentConfig, load_config, run_experiment
 from perpetua.checks import CHECKS
 from perpetua.simulate import MAX_STEPS_PER_PATH
 
@@ -169,7 +169,7 @@ class TestFromDict:
             "check_params.occupation.bandwidth: must be > 0, got 0.0",
             "check_params.occupation.n_paths: must be an integer, got 2.5",
             "check_params.invariance.x_list[1]: must be a finite number, got 'a'",
-            "check_params.invariance.x_list: must be > 0, got -2.0",
+            "check_params.invariance.x_list[2]: must be > 0, got -2.0",
             "check_params.invariance.start_from_rho: must be true or false, got 1",
             "check_params.lln.horizon: must be a finite number, got 'inf'",
         ]
@@ -234,22 +234,33 @@ class TestFromDict:
         d["horizon"]["t0"] = -1.0
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
-        assert exc.value.problems == ["horizon.t0: must be positive, got -1.0",
-                                      "dt: must be <= t0/10 = -0.1, got 0.01", bad_z2]
+        assert exc.value.problems == ["horizon.t0: must be positive, got -1.0", bad_z2]
         d["horizon"]["t0"], d["triplet"]["drift"] = 2.0, "fast"
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
         assert exc.value.problems[1:] == [bad_z2]
 
+    @pytest.mark.parametrize("t0", [0.0, -1.0])
+    def test_a_t0_out_of_range_is_its_only_problem(self, t0):
+        # dt <= t0/10 reads t0, so it waits for a valid t0
+        d = good_payload()
+        d["horizon"]["t0"] = t0
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [f"horizon.t0: must be positive, got {t0}"]
+
     def test_a_default_level_without_a_positive_mean_is_left_to_the_check(self):
+        # z1 defaults to 20 sigma/mu: without a mean in (0, inf) there is no
+        # default to compare z2 against, and the check refuses when run
         d = good_payload()
         d["triplet"]["drift"] = -1.0
         d["check_params"] = {"overshoot": {"z2": 0.5}}
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig.from_dict(d)
-        assert exc.value.problems == ["check_params.overshoot.z2: must be > z1 = 1, got 0.5"]
-        d["check_params"] = {}
-        ExperimentConfig.from_dict(d)  # the check refuses with MEAN_RANGE when run
+        d["checks"] = ["overshoot"]
+        report, code = run_experiment(ExperimentConfig.from_dict(d))
+        assert code == 1
+        assert report["checks"][0]["precondition"] == "MEAN_RANGE"
+        assert report["checks"][0]["notes"] == (
+            "precondition violated: MEAN_RANGE: overshoot check needs mean in (0, inf)")
 
     def test_step_budget_refuses_a_tiny_dt(self):
         d = good_payload()

@@ -1,4 +1,4 @@
-"""Every exported name resolves, and no submodule imports a name it never uses."""
+"""Every exported name resolves, and submodules import at module level only what they use."""
 
 import ast
 import importlib
@@ -52,3 +52,26 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_unused_import_check_sees_an_unused_name():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
     assert _unused_imports(tree) == ["os", "tau"]
+
+
+def _function_imports(tree: ast.Module) -> list[str]:
+    """'function:line' of each import statement inside a function body."""
+    return sorted({
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_no_module_imports_inside_a_function():
+    found = {}
+    for path in sorted(Path(perpetua.__file__).parent.glob("*.py")):
+        names = _function_imports(ast.parse(path.read_text()))
+        if names:
+            found[path.stem] = names
+    assert found == {}
+
+
+def test_function_import_check_sees_an_import_in_a_method():
+    tree = ast.parse("import os\nclass A:\n    def f(self):\n        from math import pi\n")
+    assert _function_imports(tree) == ["f:4"]

@@ -330,7 +330,7 @@ class TestLlnCheck:
 class TestCheckReportShape:
     def test_to_dict_round_trip_fields(self):
         rep = CheckReport(
-            name="demo", passed=True, statistic=0.01, threshold=0.05,
+            name="demo", statistic=0.01, threshold=0.05,
             artifacts=("a.csv",), notes="hi",
         )
         d = rep.to_dict()
