@@ -103,6 +103,12 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+# Points per call of a quadrature integrand, at most.  Its complex temporaries
+# then stay at 64 KB, below glibc's default mmap threshold (128 KB), so they
+# reuse the heap instead of faulting in fresh pages on every call.
+_BLOCK_POINTS = 4096
+
+
 def _block_integral(func, a: float, b: float) -> tuple[float, float]:
     """Integrate func over [a, b]; returns (value, residual of last refinement).
 
@@ -110,6 +116,7 @@ def _block_integral(func, a: float, b: float) -> tuple[float, float]:
     the block width so oscillations of O(1) wavelength are resolved before
     the convergence check can be fooled; panels then double until two
     consecutive refinements both move the value by less than ~1e-10 relative.
+    func is called on at most _BLOCK_POINTS points at a time.
     """
     width = b - a
     nodes, weights = _gl_nodes(16)
@@ -120,7 +127,9 @@ def _block_integral(func, a: float, b: float) -> tuple[float, float]:
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1] - edges[0])
         pts = (mid[:, None] + half * nodes[None, :]).ravel()
-        vals = np.asarray(func(pts), dtype=float)
+        vals = np.empty(pts.size)
+        for lo in range(0, pts.size, _BLOCK_POINTS):
+            vals[lo:lo + _BLOCK_POINTS] = func(pts[lo:lo + _BLOCK_POINTS])
         if not np.all(np.isfinite(vals)):
             raise QuadratureFailure(f"integrand non-finite on [{a:g}, {b:g}]")
         return float(half * np.sum(vals.reshape(p, -1) @ weights))

@@ -118,8 +118,10 @@ def write_partials_csv(path: Path, partials, checkpoints) -> None:
 
 
 def _parallel_map(fn, count: int, threads: int) -> list:
-    """Order-preserving map over range(count); identical output for any threads."""
-    if threads <= 1:
+    """Order-preserving map over range(count); identical output for any threads >= 1."""
+    if threads < 1:
+        raise PreconditionViolation("THREADS_RANGE", f"need threads >= 1, got {threads}")
+    if threads == 1:
         return [fn(i) for i in range(count)]
     out = [None] * count
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -444,9 +446,9 @@ def lln_envelope_check(
         path = sample_path(
             triplet, horizon, dt, seed=derive_seed(seed, "lln", i)
         )
-        later = path.times > t0
-        t = np.concatenate(([t0], path.times[later]))
-        v = np.concatenate(([path.at(t0)], path.values[later]))
+        later = int(np.searchsorted(path.times, t0, side="right"))
+        t = np.concatenate(([t0], path.times[later:]))
+        v = np.concatenate(([path.at(t0)], path.values[later:]))
         return bool(np.all((v > 0.5 * mu * t) & (v < 2.0 * mu * t)))
 
     inside = np.asarray(_parallel_map(one_path, n, threads))

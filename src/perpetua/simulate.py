@@ -163,12 +163,17 @@ class StepEngine:
 
         jump detail is (times within the n-step window in units of dt, sizes),
         time-sorted, with a jump of step k at a time in [k, k + 1); the
-        continuous part excludes drift.
+        continuous part excludes drift.  Without resolved jumps (rate 0) the
+        step jump sums are None.
         """
         nu = self.triplet.levy_measure
-        cont = self.sd_step * rng.standard_normal(n) if self.sd_step > 0.0 else np.zeros(n)
+        if self.sd_step > 0.0:
+            cont = rng.standard_normal(n)
+            cont *= self.sd_step
+        else:
+            cont = np.zeros(n)
         if self.rate <= 0.0:
-            return cont, np.zeros(n), (np.empty(0), np.empty(0))
+            return cont, None, (np.empty(0), np.empty(0))
         counts = rng.poisson(self.rate * self.dt, n)
         total = int(counts.sum())
         sizes = np.asarray(nu.sample_jumps_above(rng, self.cutoff, total), dtype=float)
@@ -224,9 +229,15 @@ def grid_knots(engine: StepEngine, rng, n: int, x0: float):
     """
     dt = engine.dt
     cont, per_step, (jump_pos, sizes) = engine.draw(rng, n)
-    times = np.arange(n + 1) * dt
-    values = x0 + engine.drift_eff * times
-    values = values + np.concatenate(([0.0], np.cumsum(cont + per_step)))
+    times = np.arange(n + 1, dtype=float) * dt
+    values = np.empty(n + 1)  # the increments so far, then plus the drift line
+    values[0] = 0.0
+    if per_step is None:
+        values[1:] = cont
+    else:
+        np.add(cont, per_step, out=values[1:])
+    np.cumsum(values, out=values)
+    values += x0 + engine.drift_eff * times
     if not sizes.size:
         return times, values
     step = jump_pos.astype(np.intp)
@@ -293,7 +304,12 @@ def perpetual_estimate(path: PathSample, f: TestFunction, checkpoints) -> np.nda
     t, v = path.times, path.values
     if not path.exact:
         fv = np.asarray(f(v), dtype=float)
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (fv[1:] + fv[:-1]) * np.diff(t))))
+        cum = np.empty(t.size)  # the trapezoids, then their running sum
+        cum[0] = 0.0
+        np.add(fv[1:], fv[:-1], out=cum[1:])
+        cum[1:] *= 0.5
+        cum[1:] *= np.diff(t)
+        np.cumsum(cum, out=cum)
         return np.interp(checkpoints, t, cum)
     cum = np.concatenate(([0.0], np.cumsum(_line_integrals(f, np.diff(t), v[:-1], v[1:]))))
     i = np.searchsorted(t, checkpoints, side="right") - 1  # the last knot at or before

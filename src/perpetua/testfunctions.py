@@ -121,7 +121,10 @@ class ExpDecay(TestFunction):
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x < 0.0, self.left_level, np.exp(-self.rate * np.maximum(x, 0.0)))
+        out = np.maximum(x, 0.0, out=np.empty(x.shape))
+        out *= -self.rate
+        np.exp(out, out=out)
+        np.putmask(out, x < 0.0, self.left_level)
         return out if out.ndim else float(out)
 
     def integral_between(self, a, b):

@@ -484,6 +484,51 @@ def stable_drift(alpha):
     return LevyTriplet(1.0, 0.0, StableLike(alpha, 1.0, 0.0))
 
 
+def _one_call_block_integral(func, a, b):
+    """_block_integral with every refinement's points in one call of func: the reference."""
+    nodes, weights = analysis._gl_nodes(16)
+    panels = int(min(4096, max(4, math.ceil((b - a) / 16.0))))
+
+    def evaluate(p):
+        edges = np.linspace(a, b, p + 1)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1] - edges[0])
+        vals = np.asarray(func((mid[:, None] + half * nodes[None, :]).ravel()), dtype=float)
+        return float(half * np.sum(vals.reshape(p, -1) @ weights))
+
+    value, agreed, resid = evaluate(panels), 0, math.inf
+    for _ in range(12):
+        panels *= 2
+        refined = evaluate(panels)
+        resid, value = abs(refined - value), refined
+        if resid <= 1e-10 * max(abs(value), 1e-12):
+            agreed += 1
+            if agreed >= 2:
+                break
+        else:
+            agreed = 0
+    return value, resid
+
+
+@pytest.mark.parametrize("t, k", [(stable_drift(1.5), 12), (DRIFT_CP, 13), (BM_DRIFT, 2)])
+def test_block_integral_calls_its_integrand_on_bounded_slices(t, k):
+    sizes = []
+
+    def integrand(r):
+        sizes.append(r.size)
+        return (1.0 / t.char_exponent(r)).real
+
+    value, resid = analysis._block_integral(integrand, 2.0 ** k, 2.0 ** (k + 1))
+    largest, points = max(sizes), sum(sizes)
+    assert largest <= analysis._BLOCK_POINTS
+    if k >= 12:  # these blocks take more points per refinement than one slice holds
+        assert largest == analysis._BLOCK_POINTS and points > 4 * largest
+    ref_value, ref_resid = _one_call_block_integral(integrand, 2.0 ** k, 2.0 ** (k + 1))
+    assert sum(sizes) == 2 * points  # the same refinements
+    assert abs(value - ref_value) <= 1e-15 * abs(ref_value)
+    assert abs(resid - ref_resid) <= 1e-15 * abs(ref_value)
+
+
 class TestSupBound:
     @pytest.mark.parametrize("t", [
         BM_DRIFT, SN_BM_CP, DRIFT_CP, PURE_DRIFT,

@@ -1,8 +1,12 @@
-"""Every exported name resolves, and submodules import at module level only what they use."""
+"""Every exported name resolves, submodules import at module level only what they use,
+and importing the package loads numpy but no scipy."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import perpetua
@@ -75,3 +79,13 @@ def test_no_module_imports_inside_a_function():
 def test_function_import_check_sees_an_import_in_a_method():
     tree = ast.parse("import os\nclass A:\n    def f(self):\n        from math import pi\n")
     assert _function_imports(tree) == ["f:4"]
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy():
+    src = str(Path(perpetua.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, perpetua, perpetua.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

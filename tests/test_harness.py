@@ -348,3 +348,20 @@ class TestCheckReportShape:
         ]
         for rep in reports:
             assert rep.passed == (rep.statistic <= rep.threshold)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_are_refused_before_any_path(threads, monkeypatch):
+    monkeypatch.setattr(harness, "sample_path", None)  # refused before any path
+    cfg = make_config(BM_DRIFT, ExpDecay(1.0))
+    calls = [
+        lambda: finiteness_probability(cfg, threads=threads),
+        lambda: occupation_identity_check(cfg, n_paths=4, threads=threads),
+        lambda: local_time_law_invariance_check(BM_DRIFT, [1.0, 2.0], n=4,
+                                                start_from_rho=False, threads=threads),
+        lambda: lln_envelope_check(BM_DRIFT, t0=60.0, n=4, threads=threads),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionViolation) as exc:
+            call()
+        assert exc.value.reason == "THREADS_RANGE"

@@ -7,6 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from perpetua import (
@@ -232,6 +233,47 @@ class TestMeasureIntegrals:
         assert cp.compensator(0.0) == NoJumps().compensator(0.0) == 0.0
         assert cp.jump_mean().as_float() == pytest.approx(2.0 * (0.4 - 0.6 / 3.0))
         assert NoJumps().jump_mean().as_float() == 0.0
+
+
+def _upper_gamma_oracle(s, x):
+    """Gamma(s, x) from scipy: gammaincc for s > 0, x^(1-n) E_n(x) at s = 1 - n <= 0,
+    otherwise x^s e^-x int_0^inf exp(s w - x expm1(w)) dw (t = x e^w) by quad."""
+    if s > 0.0:
+        return special.gammaincc(s, x) * special.gamma(s)
+    if s == round(s):
+        return x ** s * special.expn(1 - round(s), x)
+    body = quad(lambda w: math.exp(s * w - x * math.expm1(w)), 0.0, math.log1p(750.0 / x),
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return x ** s * math.exp(-x) * body
+
+
+class TestIncompleteGamma:
+    """upper_gamma and lower_gamma against scipy over the shapes the measures use and beyond."""
+
+    XS = np.geomspace(1e-10, 500.0, 40)
+    SHAPES = sorted({*np.linspace(-1.999, 3.0, 41).round(12), 0.0, -1.0, 1e-13, 1e-9, -1e-9,
+                     -1.0 + 1e-9, -1.0 - 1e-9, 1.0, 2.0, 3.0})
+
+    @pytest.mark.parametrize("s", SHAPES)
+    def test_upper_gamma_matches_scipy(self, s):
+        got = np.array([measures.upper_gamma(s, x) for x in self.XS])
+        want = np.array([_upper_gamma_oracle(s, x) for x in self.XS])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    @pytest.mark.parametrize("s", [s for s in SHAPES if s > 0.0])
+    def test_lower_gamma_matches_scipy(self, s):
+        got = np.array([measures.lower_gamma(s, x) for x in self.XS])
+        want = special.gammainc(s, self.XS) * special.gamma(s)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_refusals(self):
+        for x in (0.0, -1.0):
+            with pytest.raises(ValueError, match="upper_gamma needs x > 0"):
+                measures.upper_gamma(0.5, x)
+        for s in (0.0, -0.5):
+            with pytest.raises(ValueError, match="lower_gamma needs s > 0"):
+                measures.lower_gamma(s, 1.0)
+        assert measures.lower_gamma(0.5, 0.0) == measures.lower_gamma(0.5, -1.0) == 0.0
 
 
 class TestStructure:
