@@ -7,6 +7,10 @@ as their complements so the rule never flips direction.
 All randomness flows through per-path seeds derived from the master seed and
 a purpose tag, and aggregation is ordered by path index, so every check is
 reproducible bit-for-bit no matter how many worker threads run the paths.
+The invariance check hands the threads blocks of consecutive paths, sized
+by n and the chunk length alone (_block_paths), never by the thread count:
+the chunks of one block share one local-time pass per round, and each row
+of that pass is what its path gives alone.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import require_local_times
-from .errors import NotReachedError, PreconditionViolation
+from .errors import BandwidthTooSmall, NotReachedError, PreconditionViolation
 from .measures import CompoundPoisson
 from .rng import derive_seed, stream
-from .simulate import local_time_field, perpetual_estimate, sample_path
+from .simulate import event_driven, local_time_block, local_time_field, perpetual_estimate, sample_path
 from .passage import stationary_overshoot, overshoot_ensemble
 from .stats import ks_critical, ks_two_sample
 from .triplet import LevyTriplet
@@ -57,6 +61,10 @@ TOL_ABS = 1e-3
 TOL_REL = 1e-2
 
 _MAX_CHUNKS = 64  # chunks an invariance path may take to escape its levels
+
+# pieces in one round of an invariance block, about: the chunks of a block's
+# paths share one local_time_block pass, and this bounds the memory it holds
+_BLOCK_PIECES = 2**14
 
 
 @dataclass(frozen=True)
@@ -282,33 +290,63 @@ def overshoot_stationarity_check(
 
 def _local_time_proxy(
     triplet: LevyTriplet,
-    x0: float,
-    seed: int,
+    starts: list[float],
+    seeds: list[int],
     levels: np.ndarray,
     bandwidth: float,
     dt: float,
     escape: float,
     chunk_horizon: float,
 ) -> np.ndarray:
-    """Accumulated L(x) per level until the path has escaped the level range.
+    """Accumulated L(x) per level of a block of paths until each has escaped the level range.
 
-    Simulates in independent chunks (valid by stationary independent
-    increments) and stops once a whole chunk stays above the escape height;
-    a transient upward drift makes later returns negligible by design of the
-    escape margin.
+    Path r starts at starts[r] and simulates in independent chunks (valid by
+    stationary independent increments), chunk c from stream
+    derive_seed(seeds[r], "chunk", c); it stops once a whole chunk after
+    its first stays above the escape height; a transient upward drift makes
+    later returns negligible by design of the escape margin.  Each round
+    the chunks of the paths still running share one local_time_block pass.
+    Returns a (paths, levels) array, each row what the path gives alone.
+    A refusal is the one of the first path that fails alone: a block that
+    fails runs its paths again one at a time.
     """
-    totals = np.zeros(levels.size)
-    x = x0
-    for c in range(_MAX_CHUNKS):
-        path = sample_path(
-            triplet, chunk_horizon, dt, x0=x, seed=derive_seed(seed, "chunk", c)
-        )
-        fld = local_time_field(path, levels, bandwidth)
-        totals += fld.values
-        x = float(path.values[-1])
-        if float(path.values.min()) >= escape and c > 0:
-            return totals
-    raise NotReachedError(f"path from {x0:g} did not escape {escape:g}")
+    totals = np.zeros((len(starts), levels.size))
+    x = list(starts)
+    live = list(range(len(starts)))
+    try:
+        for c in range(_MAX_CHUNKS):
+            chunks = [
+                sample_path(triplet, chunk_horizon, dt, x0=x[r], seed=derive_seed(seeds[r], "chunk", c))
+                for r in live
+            ]
+            totals[live] += local_time_block(chunks, levels, bandwidth)[0]
+            for r, path in zip(live, chunks):
+                x[r] = float(path.values[-1])
+            if c > 0:
+                live = [r for r, path in zip(live, chunks) if float(path.values.min()) < escape]
+            if not live:
+                return totals
+        raise NotReachedError(f"path from {starts[live[0]]:g} did not escape {escape:g}")
+    except (BandwidthTooSmall, NotReachedError):
+        if len(starts) == 1:
+            raise
+    return np.vstack([
+        _local_time_proxy(triplet, [x0], [s], levels, bandwidth, dt, escape, chunk_horizon)
+        for x0, s in zip(starts, seeds)
+    ])
+
+
+def _block_paths(triplet: LevyTriplet, chunk_horizon: float, dt: float) -> int:
+    """Paths per invariance block: about _BLOCK_PIECES pieces per round, at least one path.
+
+    A grid chunk has chunk_horizon / dt steps; an event chunk one piece per
+    jump, rate * chunk_horizon on average.
+    """
+    if event_driven(triplet):
+        pieces = triplet.levy_measure.rate_above(0.0) * chunk_horizon
+    else:
+        pieces = chunk_horizon / dt
+    return max(1, int(_BLOCK_PIECES // max(pieces, 1.0)))
 
 
 def invariance_horizon(triplet: LevyTriplet, x_list, dt: float) -> tuple[float, float]:
@@ -372,20 +410,21 @@ def local_time_law_invariance_check(
     notes += f"n={n}, levels {levels.tolist()}, reference {reference:g}"
 
     escape, chunk_horizon = invariance_horizon(triplet, levels, dt)
+    block = _block_paths(triplet, chunk_horizon, dt)
 
-    def one_path(i: int) -> np.ndarray:
-        path_seed = derive_seed(seed, "linf", i)
+    def one_block(b: int) -> np.ndarray:
+        seeds = [derive_seed(seed, "linf", i) for i in range(b * block, min(n, (b + 1) * block))]
         if start_from_rho:
-            x0 = float(rho.draw(stream(derive_seed(path_seed, "start")), 1)[0])
+            starts = [float(rho.draw(stream(derive_seed(s, "start")), 1)[0]) for s in seeds]
         else:
-            x0 = 0.0
+            starts = [0.0] * len(seeds)
         return _local_time_proxy(
-            triplet, x0, path_seed, levels, bandwidth, dt, escape, chunk_horizon
+            triplet, starts, seeds, levels, bandwidth, dt, escape, chunk_horizon
         )
 
     if threshold is None:
         threshold = max(0.05, ks_critical(n, n, ks_alpha))
-    samples = np.asarray(_parallel_map(one_path, n, threads))  # (n, n_levels)
+    samples = np.vstack(_parallel_map(one_block, -(-n // block), threads))  # (n, n_levels)
     ref_idx = int(np.nonzero(levels == reference)[0][0])
     stats = [
         ks_two_sample(samples[:, j], samples[:, ref_idx])

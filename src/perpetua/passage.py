@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotReachedError, PreconditionViolation
 from .rng import derive_seed, stream
-from .simulate import BATCH_EVENTS, StepEngine, batch_size, event_batch, grid_knots
+from .simulate import BATCH_EVENTS, StepEngine, batch_size, event_batch, grid_knots, step_engine
 from .stats import ks_two_sample
 from .triplet import LevyTriplet
 
@@ -98,7 +98,7 @@ def first_passage(
             level=level, passage_time=float(times[0]), overshoot=float(overshoots[0])
         )
 
-    engine = StepEngine(triplet, dt)
+    engine = step_engine(triplet, dt)
     rng = stream(seed)
     n_total = int(math.ceil(cap / dt))
     crossed = _scan_for_crossing(engine, rng, x0, level, n_total)

@@ -27,13 +27,19 @@ grid_knots builds the knots of a grid path for sample_path and the grid
 first passage alike: a knot every dt, plus each jump twice at its exact time
 as on an event path.  Their drift part is drift_eff * times computed by
 multiplication, not by accumulation, so a pure drift path reproduces the
-time grid exactly.
+time grid exactly.  Paths of one (triplet, dt) share one StepEngine
+(step_engine), which keeps that line and the time grid per step count.
+
+local_time_block estimates the local-time fields of several paths on one
+level grid in one ramp-CDF pass, row by row; local_time_field is its
+one-path case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +52,7 @@ __all__ = [
     "PathSample",
     "LocalTimeField",
     "StepEngine",
+    "step_engine",
     "event_driven",
     "batch_size",
     "event_batch",
@@ -54,6 +61,7 @@ __all__ = [
     "sample_path",
     "perpetual_estimate",
     "local_time_field",
+    "local_time_block",
 ]
 
 # No path of any check may take more steps (grid) or expected jumps (event
@@ -69,6 +77,16 @@ MAX_STEPS_PER_PATH = 2**24
 # events per batch of the event sampler, at most: the size of the largest
 # grid chunk, so both samplers hold similar arrays
 BATCH_EVENTS = 65_536
+
+# (triplet, dt) pairs whose StepEngine step_engine keeps, and step counts
+# whose time grid and drift line one engine keeps, each of at most
+# BATCH_EVENTS steps: at most about 4 MB per engine
+_ENGINES = 8
+_LINES = 4
+
+# (piece, window edge) pairs that _ramp_cdf evaluates at once, at most, so
+# that paths with large jumps keep memory bounded
+_PAIR_BLOCK = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -138,7 +156,8 @@ class StepEngine:
     jumps are all drawn exactly), effective drift, per-step Gaussian
     deviation, and the Poisson rate of resolved jumps.  Draw order per
     request is fixed (normals, counts, jump sizes, jump offsets) so results
-    depend only on the generator state.
+    depend only on the generator state.  Paths share one engine per
+    (triplet, dt) through step_engine.
     """
 
     def __init__(self, triplet: LevyTriplet, dt: float):
@@ -157,6 +176,26 @@ class StepEngine:
             )
         self.drift_eff = triplet.drift - nu.compensator(cutoff)
         self.sd_step = math.sqrt((triplet.gaussian_coef + nu.small_jump_variance(cutoff)) * dt)
+        self._lines: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def line(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(times, drift_eff * times) at the n + 1 knots of n steps, read-only.
+
+        Kept for reuse up to BATCH_EVENTS steps.  Threads may share the
+        engine: two that miss at once both build the same line, and either
+        copy is exact.
+        """
+        got = self._lines.get(n)
+        if got is None:
+            times = np.arange(n + 1, dtype=float) * self.dt
+            drift = self.drift_eff * times
+            times.flags.writeable = drift.flags.writeable = False
+            got = (times, drift)
+            if n <= BATCH_EVENTS:
+                if len(self._lines) >= _LINES:
+                    self._lines.clear()
+                self._lines[n] = got
+        return got
 
     def draw(self, rng: np.random.Generator, n: int):
         """n steps of randomness: (continuous part, step jump sums, jump detail).
@@ -188,6 +227,16 @@ class StepEngine:
         return cont, per_step, (jump_pos[order], sizes[order])
 
 
+@lru_cache(maxsize=_ENGINES)
+def step_engine(triplet: LevyTriplet, dt: float) -> StepEngine:
+    """The StepEngine of (triplet, dt), built once and shared by every path that uses it.
+
+    Its constants depend on (triplet, dt) alone, and some cost incomplete
+    gamma functions (TemperedStable).  A refused pair raises every time.
+    """
+    return StepEngine(triplet, dt)
+
+
 def sample_path(
     triplet: LevyTriplet,
     horizon: float,
@@ -214,22 +263,22 @@ def sample_path(
         raise PreconditionViolation(*over)
     if event:
         return _event_path(triplet, horizon, x0, stream(seed))
-    engine = StepEngine(triplet, dt)
-    times, values = grid_knots(engine, stream(seed), int(round(horizon / dt)), x0)
+    times, values = grid_knots(step_engine(triplet, dt), stream(seed), int(round(horizon / dt)), x0)
     return PathSample(times=times, values=values)
 
 
 def grid_knots(engine: StepEngine, rng, n: int, x0: float):
     """(times, values) of n grid steps from x0 at time 0: a knot every dt, each jump twice.
 
-    Knot k every dt is x0 + drift_eff * time + the increments of the steps
-    before it.  Inside step k the path moves at the step's continuous slope,
-    so a jump at fraction phi of it leaves from knot k's value plus
-    (drift_eff dt + cont[k]) * phi plus the step's earlier jumps.
+    Knot k every dt is x0 + drift_eff * time (the engine's line) + the
+    increments of the steps before it.  Inside step k the path moves at the
+    step's continuous slope, so a jump at fraction phi of it leaves from knot
+    k's value plus (drift_eff dt + cont[k]) * phi plus the step's earlier
+    jumps.
     """
     dt = engine.dt
     cont, per_step, (jump_pos, sizes) = engine.draw(rng, n)
-    times = np.arange(n + 1, dtype=float) * dt
+    times, drift = engine.line(n)
     values = np.empty(n + 1)  # the increments so far, then plus the drift line
     values[0] = 0.0
     if per_step is None:
@@ -237,7 +286,7 @@ def grid_knots(engine: StepEngine, rng, n: int, x0: float):
     else:
         np.add(cont, per_step, out=values[1:])
     np.cumsum(values, out=values)
-    values += x0 + engine.drift_eff * times
+    values += x0 + drift
     if not sizes.size:
         return times, values
     step = jump_pos.astype(np.intp)
@@ -346,28 +395,40 @@ class LocalTimeField:
     t_covered: float  # time the path spent inside [x_grid[0], x_grid[-1]]
 
 
-def _ramp_cdf(q: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """F(q) = sum_i dt_i * clip((q - lo_i) / (hi_i - lo_i), 0, 1) at sorted queries q.
+def _ramp_cdf(q: np.ndarray, row: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              dt: np.ndarray, rows: int) -> np.ndarray:
+    """F_r(q) = sum_i dt_i * clip((q - lo_i) / (hi_i - lo_i), 0, 1) over the segments of row r.
 
-    A flat segment (lo == hi) counts wholly at every q >= its value.
-    Segments wholly below a query are binned by the first query at or above
-    their top and summed by one cumsum over the queries.  Each (segment,
-    query) pair with lo < q < hi adds its exact ramp value; the pairs are
-    processed in blocks of at most 4,000,000 so that paths with large jumps
-    keep memory bounded.  Every term is non-negative, so nothing cancels.
+    One row per r < rows, at the sorted queries q: a (rows, q.size) array.
+    Segments come grouped by row (row is non-decreasing).  A flat segment
+    (lo == hi) counts wholly at every q >= its value.  Segments wholly below
+    a query are binned by (row, first query at or above their top) in one
+    bincount and summed by one cumsum along each row.  Each (segment, query)
+    pair with lo < q < hi adds its exact ramp value; the pairs are processed
+    in blocks of at most _PAIR_BLOCK.  A block that runs into a later row
+    ends before that row unless it holds the whole row, so each row is
+    split, and summed, exactly as it would be alone.  Every term is
+    non-negative, so nothing cancels.
     """
+    size = q.size
     full_from = np.searchsorted(q, hi, side="left")
-    cdf = np.cumsum(np.bincount(full_from, weights=dt, minlength=q.size + 1)[: q.size])
     first = np.searchsorted(q, lo, side="right")
     count = np.maximum(full_from - first, 0)  # pairs per segment; 0 for flat ones
+    full_from += row * (size + 1)
+    binned = np.bincount(full_from, weights=dt, minlength=rows * (size + 1))
+    cdf = np.cumsum(binned.reshape(rows, size + 1)[:, :size], axis=1)
+    first += row * size  # pairs index the queries of all rows: q_rows[row * size + j] = q[j]
+    q_rows = np.tile(q, rows)
     ends = np.cumsum(count)
     start, done = 0, 0
     while done < ends[-1]:
-        stop = max(int(np.searchsorted(ends, done + 4_000_000, side="right")), start + 1)
+        stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), start + 1)
+        if stop < row.size and row[start] != row[stop - 1] == row[stop]:
+            stop = int(np.searchsorted(row, row[stop]))  # end before the row it would split
         seg = np.repeat(np.arange(start, stop), count[start:stop])
         j = first[seg] + np.arange(done, ends[stop - 1]) - (ends[seg] - count[seg])
-        ramp = dt[seg] * (q[j] - lo[seg]) / (hi[seg] - lo[seg])
-        cdf += np.bincount(j, weights=ramp, minlength=q.size)
+        ramp = dt[seg] * (q_rows[j] - lo[seg]) / (hi[seg] - lo[seg])
+        cdf += np.bincount(j, weights=ramp, minlength=rows * size).reshape(rows, size)
         start, done = stop, int(ends[stop - 1])
     return cdf
 
@@ -375,25 +436,43 @@ def _ramp_cdf(q: np.ndarray, lo: np.ndarray, hi: np.ndarray, dt: np.ndarray) -> 
 def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeField:
     """Occupation density estimate: time within bandwidth of each level / 2eps.
 
-    The path is linear between its knots, so each piece spreads its
-    duration dt uniformly over the levels the segment sweeps.  The time
-    spent at or below y is then the piecewise-linear ramp CDF
-    F(y) = sum_i dt_i * clip((y - lo_i) / span_i, 0, 1), and
-    L(x) = (F(x + b) - F(x - b)) / 2b exactly; t_covered is F at the two
-    ends of the grid.  All window edges are evaluated in one sorted query
-    array, so a window the path never enters gets exactly 0.  Cost is
-    O(n log G + G + crossings) for n segments, G levels and the number of
-    (segment, window edge) pairs a segment strictly straddles.
+    The one-path case of local_time_block, which describes the estimate.
+    """
+    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    values, t_covered = local_time_block([path], x_grid, bandwidth)
+    return LocalTimeField(
+        x_grid=x_grid, bandwidth=bandwidth, values=values[0], t_covered=float(t_covered[0])
+    )
 
-    A flat segment (a step with no movement) sits at one value v and counts
+
+def local_time_block(paths, x_grid, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """The local-time fields of several paths on one level grid, in one pass.
+
+    Returns (values, t_covered): row r of values is the field of paths[r]
+    and t_covered[r] the time it spent inside [x_grid[0], x_grid[-1]].  Row r
+    is the same, bit for bit, whatever the other paths are (local_time_field
+    is the one-path case).
+
+    A path is linear between its knots, so each piece spreads its duration
+    dt uniformly over the levels it sweeps.  The time spent at or below y is
+    then the piecewise-linear ramp CDF F(y) = sum_i dt_i * clip((y - lo_i) /
+    span_i, 0, 1), and L(x) = (F(x + b) - F(x - b)) / 2b exactly; t_covered
+    is F at the two ends of the grid.  All window edges are evaluated in one
+    sorted query array shared by every row, so a window a path never enters
+    (a path wholly above every window included) gets exactly 0.  Cost is
+    O(n log G + rows G + crossings) for n pieces, G levels and the number of
+    (piece, window edge) pairs a piece strictly straddles.
+
+    A flat piece (a step with no movement) sits at one value v and counts
     wholly in every closed window: v <= x + b at the upper end and v >= x - b
     at the lower end; likewise for [x_grid[0], x_grid[-1]] in t_covered.
 
     A jump is a piece of zero duration: it adds no time, and the pieces the
     field reads are the ones with positive duration.
 
-    Bandwidth must stay above the floor _bandwidth_floor measures on those
-    pieces, or window counts are noise.
+    Bandwidth must stay above the floor _bandwidth_floor measures on each
+    path's pieces, or window counts are noise: the first path below it
+    raises BandwidthTooSmall.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if x_grid.size < 2 or np.any(np.diff(x_grid) <= 0.0):
@@ -401,41 +480,40 @@ def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeFie
     if not bandwidth > 0.0:
         raise PreconditionViolation("BANDWIDTH_RANGE", "need bandwidth > 0")
 
-    dt = np.diff(path.times)
-    start, end = path.values[:-1], path.values[1:]
-    if dt.min() == 0.0:  # a jump takes no time: read the pieces with positive duration
-        moving = dt > 0.0
-        dt, start, end = dt[moving], start[moving], end[moving]
-    floor = _bandwidth_floor(dt, end - start)
-    if bandwidth < floor:
-        raise BandwidthTooSmall(f"bandwidth {bandwidth:g} below floor {floor:g} for this step size")
-
-    lo = np.minimum(start, end)
-    hi = np.maximum(start, end)
+    pieces = []
+    for path in paths:
+        dt = np.diff(path.times)
+        start, end = path.values[:-1], path.values[1:]
+        if dt.min() == 0.0:  # a jump takes no time: read the pieces with positive duration
+            moving = dt > 0.0
+            dt, start, end = dt[moving], start[moving], end[moving]
+        floor = _bandwidth_floor(dt, end - start)
+        if bandwidth < floor:
+            raise BandwidthTooSmall(f"bandwidth {bandwidth:g} below floor {floor:g} for this step size")
+        pieces.append((dt, np.minimum(start, end), np.maximum(start, end)))
+    rows = len(pieces)
+    row = np.repeat(np.arange(rows), [dt.size for dt, _, _ in pieces])
+    # one path's pieces are used as they are: a copy would only add memory
+    dt, lo, hi = pieces[0] if rows == 1 else (np.concatenate(part) for part in zip(*pieces))
 
     # lower edges (the G windows', then the grid's), upper edges likewise;
     # the stable sort merges these four sorted runs in linear time
     size = x_grid.size + 1
     edges = np.concatenate((x_grid - bandwidth, x_grid[:1], x_grid + bandwidth, x_grid[-1:]))
     order = np.argsort(edges, kind="stable")
-    cdf = np.empty(edges.size)
-    cdf[order] = _ramp_cdf(edges[order], lo, hi, dt)
+    cdf = np.empty((rows, edges.size))
+    cdf[:, order] = _ramp_cdf(edges[order], row, lo, hi, dt, rows)
 
-    # F counts a flat segment at q >= v; the lower edge of a closed window
+    # F counts a flat piece at q >= v; the lower edge of a closed window
     # wants q > v, so flats sitting exactly on a lower edge are taken back out
     flat = lo == hi
-    v, w = lo[flat], dt[flat]
-    lower = cdf[:size]
-    lower[:-1] -= _time_at(x_grid - bandwidth, v, w)
-    lower[-1] -= float(np.sum(w[v == x_grid[0]]))
-    upper = cdf[size:]
-
-    return LocalTimeField(
-        x_grid=x_grid,
-        bandwidth=bandwidth,
-        values=(upper[:-1] - lower[:-1]) / (2.0 * bandwidth),
-        t_covered=float(upper[-1] - lower[-1]),
-    )
+    r, v, w = row[flat], lo[flat], dt[flat]
+    lower = cdf[:, :size]
+    lower[:, :-1] -= _time_at(x_grid - bandwidth, r, v, w, rows)
+    bottom = v == x_grid[0]
+    lower[:, -1] -= np.bincount(r[bottom], weights=w[bottom], minlength=rows)
+    upper = cdf[:, size:]
+    return (upper[:, :-1] - lower[:, :-1]) / (2.0 * bandwidth), upper[:, -1] - lower[:, -1]
 
 
 def _bandwidth_floor(dt: np.ndarray, steps: np.ndarray) -> float:
@@ -444,15 +522,31 @@ def _bandwidth_floor(dt: np.ndarray, steps: np.ndarray) -> float:
     The residual of a piece is its move less the median slope times its
     duration, so a grid measures the spread of its continuous increments
     about their median (its jumps are the pieces of zero duration that
-    local_time_field drops), and the linear pieces of an event path (all at
+    local_time_block drops), and the linear pieces of an event path (all at
     the drift's slope) give a floor of rounding size.
     """
-    resid = steps - np.median(steps / dt, overwrite_input=True) * dt
-    return 1.4826 * float(np.median(np.abs(resid, out=resid), overwrite_input=True)) / 4.0
+    resid = steps - _median(steps / dt) * dt
+    return 1.4826 * float(_median(np.abs(resid, out=resid))) / 4.0
 
 
-def _time_at(points: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per sorted point, the total weight w of the values v equal to it."""
+def _median(a: np.ndarray) -> float:
+    """np.median of a finite array, bit for bit, by partitioning a in place.
+
+    The middle element, or (p[k-1] + p[k]) / 2 of the partitioned p for an
+    even size 2k: np.median's own rule, without its check for NaN.
+    """
+    k = a.size // 2
+    if a.size % 2:
+        a.partition(k)
+        return a[k]
+    a.partition((k - 1, k))
+    return (a[k - 1] + a[k]) / 2.0
+
+
+def _time_at(points: np.ndarray, row: np.ndarray, v: np.ndarray, w: np.ndarray,
+             rows: int) -> np.ndarray:
+    """Per row and sorted point, the total weight w of that row's values v equal to it."""
     k = np.minimum(np.searchsorted(points, v), points.size - 1)
     hit = points[k] == v
-    return np.bincount(k[hit], weights=w[hit], minlength=points.size)
+    cells = np.bincount(row[hit] * points.size + k[hit], weights=w[hit], minlength=rows * points.size)
+    return cells.reshape(rows, points.size)

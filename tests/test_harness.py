@@ -24,15 +24,20 @@ from perpetua import (
     zero_one_check,
 )
 from perpetua.checks import CHECKS, resolve
+from perpetua.errors import BandwidthTooSmall, NotReachedError
 from perpetua.harness import (FINITE_LIKE, INCONCLUSIVE, INFINITE_LIKE,
                               overshoot_recommended_z1)
 from perpetua import harness
+from perpetua.passage import stationary_overshoot
+from perpetua.rng import derive_seed, stream
 from perpetua.runner import _run_one
-from perpetua.simulate import PathSample
+from perpetua.simulate import PathSample, _bandwidth_floor, local_time_block, sample_path
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
 # drift 0.1 plus rate-1 Exp(2) up-jumps: mu = 0.6, sigma^2 + int x^2 nu = 0.5
 DRIFT_CP = LevyTriplet(0.1, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
+# a Gaussian part plus the same jumps: a grid path whose overshoots are not all 0
+BM_CP = LevyTriplet(1.0, 1.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
 
 
 def make_config(triplet, f, n_paths=16, dt=0.01, t0=1.0, doublings=3, master_seed=101):
@@ -270,6 +275,95 @@ class TestInvarianceCheck:
             BM_DRIFT, [1.0, 2.0], n=40, seed=9, n_rho=200
         )
         assert rep.threshold > 0.05
+
+
+class TestInvarianceBlocks:
+    """Paths run in blocks of consecutive indices: no number and no refusal changes."""
+
+    LEVELS = [1.0, 2.0]
+
+    @staticmethod
+    def horizon(triplet):
+        return harness.invariance_horizon(triplet, TestInvarianceBlocks.LEVELS, 0.01)
+
+    def block(self, triplet):
+        return harness._block_paths(triplet, self.horizon(triplet)[1], 0.01)
+
+    def test_block_rows_are_the_paths_alone(self):
+        escape, chunk_horizon = self.horizon(BM_CP)
+        levels = np.array(self.LEVELS)
+        starts = [0.0, 0.5, 1.5, 0.25, 3.0]
+        seeds = [derive_seed(3, "linf", i) for i in range(len(starts))]
+        args = (levels, 0.05, 0.01, escape, chunk_horizon)
+        block = harness._local_time_proxy(BM_CP, starts, seeds, *args)
+        alone = [harness._local_time_proxy(BM_CP, [x0], [s], *args) for x0, s in zip(starts, seeds)]
+        assert block.tobytes() == np.vstack(alone).tobytes()
+
+    @pytest.mark.parametrize("triplet", [BM_DRIFT, BM_CP], ids=["bm", "bm_cp"])
+    def test_identical_for_any_threads(self, triplet, monkeypatch):
+        n = 2 * self.block(triplet) + 3
+        samples = []
+        ks = harness.ks_two_sample
+        monkeypatch.setattr(harness, "ks_two_sample",
+                            lambda a, b: (samples.append(np.vstack((a, b)).tobytes()), ks(a, b))[1])
+        reports = [
+            local_time_law_invariance_check(triplet, self.LEVELS, n=n, seed=14, n_rho=200,
+                                            threads=threads).to_dict()
+            for threads in (1, 2, 3)
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert len(samples) == 3 and samples[0] == samples[1] == samples[2]
+
+    def test_one_field_pass_per_block_and_round(self, monkeypatch):
+        calls = []
+
+        def spy(paths, x_grid, bandwidth):
+            calls.append(len(paths))
+            return local_time_block(paths, x_grid, bandwidth)
+
+        monkeypatch.setattr(harness, "local_time_block", spy)
+        monkeypatch.setattr(harness, "local_time_field", None)  # never a field per chunk
+        n, block = 40, self.block(BM_DRIFT)
+        local_time_law_invariance_check(BM_DRIFT, self.LEVELS, n=n, seed=15, start_from_rho=False)
+        blocks = -(-n // block)
+        assert max(calls) == block
+        assert sum(calls) >= 2 * n  # every path takes at least two chunks
+        assert 2 * blocks <= len(calls) <= 3 * blocks  # a few rounds per block
+
+    def test_not_reached_is_the_first_paths(self, monkeypatch):
+        # one chunk: no path can escape, so every path fails; path 0's start
+        # tells its refusal from the others'
+        monkeypatch.setattr(harness, "_MAX_CHUNKS", 1)
+        seed, n = 2, self.block(BM_CP) + 4
+        rho = stationary_overshoot(BM_CP, 200, seed=derive_seed(seed, "rho-harvest"), dt=0.01)[0]
+        starts = [float(rho.draw(stream(derive_seed(derive_seed(seed, "linf", i), "start")), 1)[0])
+                  for i in range(n)]
+        assert f"{starts[0]:g}" not in {f"{x:g}" for x in starts[1:]}
+        with pytest.raises(NotReachedError) as exc:
+            local_time_law_invariance_check(BM_CP, self.LEVELS, n=n, seed=seed, n_rho=200, threads=2)
+        assert str(exc.value) == f"path from {starts[0]:g} did not escape {self.horizon(BM_CP)[0]:g}"
+
+    def test_bandwidth_refusal_is_the_first_paths(self):
+        # path 0 passes its first chunk's floor and fails its second; path 1
+        # fails its first, so it is the first to fail in the block's rounds
+        seed, dt, bandwidth = 12, 0.01, 0.025
+        chunk_horizon = self.horizon(BM_DRIFT)[1]
+
+        def floors(i):
+            path_seed, x0, out = derive_seed(seed, "linf", i), 0.0, []
+            for c in range(2):
+                chunk = sample_path(BM_DRIFT, chunk_horizon, dt, x0=x0,
+                                    seed=derive_seed(path_seed, "chunk", c))
+                out.append(_bandwidth_floor(np.diff(chunk.times), np.diff(chunk.values)))
+                x0 = float(chunk.values[-1])
+            return out
+
+        (f00, f01), (f10, _) = floors(0), floors(1)
+        assert f00 < bandwidth < min(f01, f10)
+        with pytest.raises(BandwidthTooSmall) as exc:
+            local_time_law_invariance_check(BM_DRIFT, self.LEVELS, n=12, seed=seed, bandwidth=bandwidth,
+                                            start_from_rho=False, threads=2)
+        assert str(exc.value) == f"bandwidth {bandwidth:g} below floor {f01:g} for this step size"
 
 
 class TestLlnCheck:

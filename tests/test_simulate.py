@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,8 +30,10 @@ from perpetua import (
     perpetual_estimate,
     sample_path,
 )
+from perpetua import simulate
 from perpetua.rng import derive_seed, stream
-from perpetua.simulate import PathSample, StepEngine, _bandwidth_floor, event_batch, grid_knots
+from perpetua.simulate import (PathSample, StepEngine, _bandwidth_floor, _median, event_batch,
+                               grid_knots, local_time_block, step_engine)
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
 # drift 0.1 plus rate-1 Exp(2) up-jumps: Laplace exponent psi(1) = 0.1 + 1 - 2/3
@@ -272,6 +276,73 @@ class TestGridKnots:
         assert float(np.trapezoid(fld.values, grid)) == pytest.approx(fld.t_covered, rel=0.03)
 
 
+class TestStepEngineSharing:
+    """Paths of one (triplet, dt) share one StepEngine and its time grid and drift line."""
+
+    def test_one_engine_per_triplet_and_dt(self, monkeypatch):
+        built = []
+
+        class Counted(StepEngine):
+            def __init__(self, triplet, dt):
+                built.append((triplet, dt))
+                super().__init__(triplet, dt)
+
+        monkeypatch.setattr(simulate, "StepEngine", Counted)
+        step_engine.cache_clear()
+        stable = LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0, 1.0))
+        for seed in range(3):
+            sample_path(stable, 5.0, 0.01, seed=seed)
+            first_passage(stable, 2.0, seed=seed)
+        assert built == [(stable, 0.01)]
+        equal = LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0, 1.0))
+        assert step_engine(equal, 0.01) is step_engine(stable, 0.01)
+        step_engine(stable, 0.02)
+        assert len(built) == 2
+        step_engine.cache_clear()
+
+    def test_line_is_read_only_and_the_grid(self):
+        engine = step_engine(BM_DRIFT, 0.01)
+        times, drift = engine.line(500)
+        assert engine.line(500)[0] is times
+        assert times.tobytes() == (np.arange(501, dtype=float) * 0.01).tobytes()
+        assert drift.tobytes() == (engine.drift_eff * times).tobytes()
+        with pytest.raises(ValueError):
+            times[0] = 1.0
+        path = sample_path(BM_DRIFT, 5.0, 0.01, seed=64)
+        with pytest.raises(ValueError):
+            path.times[0] = 1.0
+
+    def test_line_store_is_bounded(self):
+        engine = StepEngine(BM_DRIFT, 0.01)
+        for n in range(1, 3 * simulate._LINES):
+            engine.line(n)
+        assert len(engine._lines) <= simulate._LINES
+        long = engine.line(simulate.BATCH_EVENTS + 1)[0]
+        assert long.size == simulate.BATCH_EVENTS + 2 and simulate.BATCH_EVENTS + 1 not in engine._lines
+
+    def test_threads_sharing_an_engine_read_exact_lines(self):
+        # more workers than cores and frequent switches: a line stored or
+        # cleared by one thread while another reads must never be a wrong one
+        engine = StepEngine(BM_DRIFT, 0.01)
+
+        def read(worker):
+            for k in range(300):
+                n = 1 + (7 * k + worker) % (3 * simulate._LINES)
+                times, drift = engine.line(n)
+                if times.size != n + 1 or drift.tobytes() != (engine.drift_eff * times).tobytes():
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [f.result(timeout=60) for f in [pool.submit(read, w) for w in range(8)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * 8
+
+
 def fine_trapezoid(path, f, checkpoints, sub=400):
     """Test oracle: the trapezoid rule with each piece of positive duration cut in sub."""
     out = []
@@ -392,6 +463,13 @@ class TestEventPath:
         diffs = np.diff(path.values)
         spread = 1.4826 * np.median(np.abs(diffs - np.median(diffs))) / 4.0
         assert _bandwidth_floor(np.diff(path.times), diffs) == pytest.approx(spread, rel=1e-9)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8, 2100, 2101])
+    def test_median_is_numpys_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        for a in (rng.standard_normal(size), np.abs(rng.standard_normal(size)),
+                  rng.integers(-3, 4, size).astype(float)):  # the last with ties
+            assert _median(a.copy()).tobytes() == np.median(a).tobytes()
 
     def test_event_batch_is_the_passage_stream(self):
         # gaps, then sizes, per batch: the exact passage's first batch on a
@@ -539,3 +617,62 @@ class TestLocalTimeFieldAgainstDenseOracle:
         steps[::10] = 200.0 * (-1.0) ** np.arange(130)
         path = lattice_path(steps)
         self.assert_matches_oracle(path, np.linspace(0.0, 200.0, 20001), 0.05)
+
+
+class TestLocalTimeBlock:
+    """The fields of several paths in one pass: each row is local_time_field's, bit for bit."""
+
+    LEVELS = np.array([1.0, 2.0, 3.5])
+
+    @staticmethod
+    def assert_rows_are_the_fields(paths, grid, bandwidth):
+        values, t_covered = local_time_block(paths, grid, bandwidth)
+        assert values.shape == (len(paths), np.size(grid))
+        for row, covered, path in zip(values, t_covered, paths):
+            fld = local_time_field(path, grid, bandwidth)
+            assert row.tobytes() == fld.values.tobytes()
+            assert covered == fld.t_covered
+        return values
+
+    @pytest.mark.parametrize("triplet", [
+        BM_DRIFT, LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0, 1.0)), JUMP_DIFFUSION, DRIFT_CP,
+    ], ids=["bm", "stable", "bm_cp", "event"])
+    def test_rows_are_the_one_path_fields(self, triplet):
+        paths = [sample_path(triplet, 20.0, 0.01, x0=0.5 * i, seed=70 + i) for i in range(5)]
+        assert any(np.any(np.diff(p.times) == 0.0) for p in paths) == (triplet is not BM_DRIFT)
+        self.assert_rows_are_the_fields(paths, self.LEVELS, 0.05)
+        grid = _padded_grid(paths[0], 0.3, 400)
+        self.assert_rows_are_the_fields(paths, grid, 0.05)
+
+    def test_flat_pieces_and_ties(self):
+        # dyadic lattice paths: flat pieces, and values on window edges and grid ends
+        rng = np.random.default_rng(71)
+        paths = [lattice_path(rng.choice([-0.25, 0.0, 0.0, 0.125, 0.25], size=600)) for _ in range(4)]
+        grid = np.arange(-1.0, 1.25, 0.125)
+        self.assert_rows_are_the_fields(paths, grid, 0.25)
+
+    def test_a_path_above_every_window_is_an_exact_zero_row(self):
+        low = sample_path(BM_DRIFT, 10.0, 0.01, seed=72)
+        high = sample_path(BM_DRIFT, 10.0, 0.01, x0=100.0, seed=73)
+        assert high.values.min() > self.LEVELS[-1] + 0.05
+        values = self.assert_rows_are_the_fields([low, high, low], self.LEVELS, 0.05)
+        assert values[1].tobytes() == np.zeros(self.LEVELS.size).tobytes()
+        assert values[0].tobytes() == values[2].tobytes() and np.any(values[0] > 0.0)
+
+    def test_pair_blocks_split_each_row_as_alone(self, monkeypatch):
+        # with small pair blocks a block would otherwise end inside a later
+        # row and sum that row's ramps in another grouping
+        monkeypatch.setattr(simulate, "_PAIR_BLOCK", 700)
+        grid = np.linspace(-1.0, 4.0, 120)
+        paths = [sample_path(JUMP_DIFFUSION, 5.0, 0.01, seed=74 + i) for i in range(6)]
+        self.assert_rows_are_the_fields(paths, grid, 0.05)
+        self.assert_rows_are_the_fields(paths[::-1], grid, 0.05)
+
+    def test_the_first_path_below_its_floor_is_refused(self):
+        smooth = sample_path(LevyTriplet(1.0), 5.0, 0.01, seed=75)
+        rough = sample_path(BM_DRIFT, 5.0, 0.01, seed=76)
+        with pytest.raises(BandwidthTooSmall) as alone:
+            local_time_field(rough, self.LEVELS, 1e-4)
+        with pytest.raises(BandwidthTooSmall) as block:
+            local_time_block([smooth, rough, smooth], self.LEVELS, 1e-4)
+        assert str(block.value) == str(alone.value)
