@@ -35,7 +35,6 @@ from .errors import (
     PerpetuaError,
     PreconditionViolation,
     QuadratureFailure,
-    StepTooCoarse,
 )
 from .extended import ExtendedReal
 from .harness import (
@@ -114,5 +113,5 @@ __all__ = [
     # errors
     "PerpetuaError", "NonFiniteParameter", "PreconditionViolation",
     "QuadratureFailure", "InversionUnstable",
-    "StepTooCoarse", "BandwidthTooSmall", "NotReachedError", "ConfigError",
+    "BandwidthTooSmall", "NotReachedError", "ConfigError",
 ]

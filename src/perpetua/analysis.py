@@ -6,8 +6,10 @@ that fails.  Every question the verdict asks is answered exactly: the
 local-time hypothesis is read off the triplet's closed form, and every
 test-function family states one closed form, int_a^b f with infinite ends
 allowed (integral_between), so the tail test reads its verdict from
-int_0^inf f, with the exact dyadic block sums as its certificate.  Quadrature is left only where the answer is a number: the sup
-u factor of the expectation bound and the potential density.
+int_0^inf f, with the exact dyadic block sums as its certificate.
+
+Quadrature is left only where the answer is a number: the sup u factor of
+the expectation bound and the potential density.
 
 Quadrature strategy
 -------------------

@@ -2,8 +2,8 @@
 
 Five representative processes against four integrand families, plus two
 negative controls that must come back UNDECIDED for the right named reason.
-The matrix is frozen: tests and the verification CLI both read it from here,
-so a change in expectations is a deliberate, reviewable edit.
+The matrix is frozen: the tests and the benchmark's verdict sweep read it
+from here, so a change in expectations is a deliberate, reviewable edit.
 """
 
 from __future__ import annotations

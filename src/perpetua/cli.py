@@ -28,7 +28,8 @@ z2 must exceed z1, and lln's horizon its t0.  Every check runs on the
 config's dt, read only with a Gaussian part or infinite activity: drift
 plus finite activity is simulated exactly, event by event.
 
-Exit codes: 0 pass, 1 check failure (or an analysis error), 2 bad config.
+Exit codes: 0 pass, 1 check failure (or an analysis error), 2 bad config
+(or an --out that cannot be made a directory).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .analysis import local_time_criterion, perpetual_verdict
 from .config import load_config
@@ -104,6 +106,8 @@ def main(argv=None) -> int:
             config = config.with_seed(args.seed)
         if getattr(args, "threads", 1) < 1:
             raise ConfigError([f"--threads: must be >= 1, got {args.threads}"])
+        if getattr(args, "out", None) is not None:  # one that cannot be a directory is refused
+            Path(args.out).mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

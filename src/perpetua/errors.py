@@ -40,10 +40,6 @@ class InversionUnstable(PerpetuaError):
     """Fourier inversion error estimate exceeded the allowed fraction of the value."""
 
 
-class StepTooCoarse(PerpetuaError):
-    """Expected jump count per time step exceeds the resolvable budget."""
-
-
 class BandwidthTooSmall(PerpetuaError):
     """Local-time bandwidth is below the resolution floor set by dt."""
 

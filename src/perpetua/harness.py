@@ -26,7 +26,7 @@ from .analysis import require_local_times
 from .errors import BandwidthTooSmall, NotReachedError, PreconditionViolation
 from .measures import CompoundPoisson
 from .rng import derive_seed, stream
-from .simulate import event_driven, local_time_block, local_time_field, perpetual_estimate, sample_path
+from .simulate import local_time_block, local_time_field, path_pieces, perpetual_estimate, sample_path
 from .passage import stationary_overshoot, overshoot_ensemble
 from .stats import ks_critical, ks_two_sample
 from .triplet import LevyTriplet
@@ -337,16 +337,8 @@ def _local_time_proxy(
 
 
 def _block_paths(triplet: LevyTriplet, chunk_horizon: float, dt: float) -> int:
-    """Paths per invariance block: about _BLOCK_PIECES pieces per round, at least one path.
-
-    A grid chunk has chunk_horizon / dt steps; an event chunk one piece per
-    jump, rate * chunk_horizon on average.
-    """
-    if event_driven(triplet):
-        pieces = triplet.levy_measure.rate_above(0.0) * chunk_horizon
-    else:
-        pieces = chunk_horizon / dt
-    return max(1, int(_BLOCK_PIECES // max(pieces, 1.0)))
+    """Paths per invariance block: about _BLOCK_PIECES pieces (path_pieces) per round, at least one."""
+    return max(1, int(_BLOCK_PIECES // max(path_pieces(triplet, chunk_horizon, dt), 1.0)))
 
 
 def invariance_horizon(triplet: LevyTriplet, x_list, dt: float) -> tuple[float, float]:

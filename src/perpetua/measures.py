@@ -16,7 +16,8 @@ layers need:
 * ``small_jump_variance(eps)``: ``int_{|x|<=eps} x^2 nu(dx)``.
 * ``default_cutoff(dt)``, ``rate_above(eps)`` and ``sample_jumps_above``:
   the jumps a simulation at step dt resolves, their rate and an exact (or
-  rejection) sampler; the cutoff is 0 for finite activity.
+  rejection) sampler; the cutoff is 0 for finite activity, and infinite
+  activity has rate_above(0) = inf (a cutoff underflowed at a tiny dt).
 
 Power-law integrals against an exponential taper reduce to incomplete gamma
 functions, computed here on scalars in plain Python: the power series of
@@ -308,7 +309,7 @@ class StableLike(Validated):
         return self.scale * self.skew * (1.0 - eps ** p) / p
 
     def rate_above(self, eps: float) -> float:
-        return self.scale * eps ** (-self.alpha) / self.alpha
+        return self.scale * eps ** (-self.alpha) / self.alpha if eps > 0.0 else math.inf
 
     def sample_jumps_above(self, rng, eps: float, n: int):
         # magnitude is Pareto: P(|J| > y | |J| > eps) = (y/eps)^{-alpha}
@@ -403,7 +404,7 @@ class TemperedStable(Validated):
 
     def rate_above(self, eps: float) -> float:
         th, a = self.tempering, self.alpha
-        return self.scale * th ** a * upper_gamma(-a, th * eps)
+        return self.scale * th ** a * upper_gamma(-a, th * eps) if eps > 0.0 else math.inf
 
     def sample_jumps_above(self, rng, eps: float, n: int):
         """Rejection from the pure power tail with acceptance exp(-theta(x - eps))."""

@@ -245,11 +245,11 @@ def _scan_for_crossing(engine: StepEngine, rng, x0: float, level: float, n_total
     Reached along a piece of positive duration, the path crept: the time is
     interpolated and the value is the level.  Chunks hold the expected
     steps to passage, padded, when the mean is finite and positive, else
-    the cap, each at most 65,536 steps.
+    the cap, each at most BATCH_EVENTS steps.
     """
     dt = engine.dt
     mean = engine.triplet.mean()
-    chunk = 65536
+    chunk = BATCH_EVENTS
     if mean.is_finite_positive:
         chunk = int(min(chunk, max(256, 1.25 * (level - x0) / (mean.as_float() * dt))))
     x = x0

@@ -21,7 +21,7 @@ mean.  Finite-activity families are not compensated (their compensator is 0)
 and keep the drift as given.  The cutoff is always the measure's
 default_cutoff(dt): 0 for finite activity, so every jump is drawn exactly;
 for infinite activity it is chosen from dt so that about 0.5 jumps per step
-are resolved (StepEngine refuses more).
+are resolved.
 
 grid_knots builds the knots of a grid path for sample_path and the grid
 first passage alike: a knot every dt, plus each jump twice at its exact time
@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BandwidthTooSmall, PreconditionViolation, StepTooCoarse
+from .errors import BandwidthTooSmall, PreconditionViolation
 from .rng import stream
 from .testfunctions import TestFunction
 from .triplet import LevyTriplet
@@ -57,6 +57,7 @@ __all__ = [
     "batch_size",
     "event_batch",
     "grid_knots",
+    "path_pieces",
     "path_budget",
     "sample_path",
     "perpetual_estimate",
@@ -64,15 +65,13 @@ __all__ = [
     "local_time_block",
 ]
 
-# No path of any check may take more steps (grid) or expected jumps (event
-# path) than this (path_budget).  Paths are held in memory whole, so a tiny
-# dt or a dense jump rate is refused rather than ending in a MemoryError
-# halfway through a run: config validation holds every check's paths to it,
-# and sample_path refuses a path past it before allocating.  A grid path
-# holds its steps plus two knots per resolved jump: at rate*dt <= 0.5 that
-# is at most about twice its steps on average.  A precondition, not a
-# setting.
-MAX_STEPS_PER_PATH = 2**24
+# No path of any check may hold more expected pieces than this (path_budget,
+# path_pieces): a knot every dt on a grid and two per jump, on grid and event
+# paths alike.  Paths are held in memory whole, so a tiny dt or a dense jump
+# rate is refused rather than ending in a MemoryError halfway through a run:
+# config validation holds every check's paths to it, and sample_path refuses
+# a path past it before allocating.  A precondition, not a setting.
+MAX_PIECES_PER_PATH = 2**24
 
 # events per batch of the event sampler, at most: the size of the largest
 # grid chunk, so both samplers hold similar arrays
@@ -170,10 +169,6 @@ class StepEngine:
         self.dt = dt
         self.cutoff = cutoff
         self.rate = nu.rate_above(cutoff)
-        if self.rate * dt > 0.5 * (1.0 + 1e-9):
-            raise StepTooCoarse(
-                f"{self.rate * dt:.3g} expected jumps per step; need rate*dt <= 0.5"
-            )
         self.drift_eff = triplet.drift - nu.compensator(cutoff)
         self.sd_step = math.sqrt((triplet.gaussian_coef + nu.small_jump_variance(cutoff)) * dt)
         self._lines: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -251,7 +246,7 @@ def sample_path(
     measure's default cutoff for dt (all of them for finite activity) at
     their exact times.  Deterministic in (seed, horizon, dt): the same
     arguments always produce the identical PathSample.  A path past
-    MAX_STEPS_PER_PATH is refused before anything is allocated.
+    MAX_PIECES_PER_PATH is refused before anything is allocated.
     """
     if not horizon > 0.0:
         raise PreconditionViolation("HORIZON_RANGE", "need horizon > 0")
@@ -303,21 +298,31 @@ def grid_knots(engine: StepEngine, rng, n: int, x0: float):
     return knot_t, knot_v
 
 
-def path_budget(triplet: LevyTriplet, horizon: float, dt: float) -> tuple[str, str] | None:
-    """(budget, problem) when a path on [0, horizon] would pass MAX_STEPS_PER_PATH, else None.
+def path_pieces(triplet: LevyTriplet, horizon: float, dt: float) -> float:
+    """Expected pieces (knots - 1) of a path on [0, horizon]: the size path_budget holds.
 
-    An event path is held to EVENT_BUDGET, its expected jumps rate * horizon,
-    and never reads dt; a grid path to STEP_BUDGET, horizon/dt steps.
+    Each jump above the measure's default_cutoff(dt) (every jump for finite
+    activity, at any dt) is two knots.  A grid path adds its horizon/dt
+    steps; an event path its last piece, up to the horizon.
     """
-    if event_driven(triplet):
-        rate = triplet.levy_measure.rate_above(0.0)
-        size = rate * horizon if rate > 0.0 else 0.0
-        name, what, rule = "EVENT_BUDGET", "expected jumps", "rate*horizon"
-    else:
-        size, name, what, rule = horizon / dt, "STEP_BUDGET", "steps", "horizon/dt"
-    if size <= MAX_STEPS_PER_PATH:
+    rate = _jump_rate(triplet.levy_measure, dt)
+    jumps = 2.0 * rate * horizon if rate > 0.0 else 0.0
+    return jumps + (1.0 if event_driven(triplet) else horizon / dt)
+
+
+@lru_cache(maxsize=_ENGINES)
+def _jump_rate(nu, dt: float) -> float:
+    """The rate of the jumps a path with step dt draws: those above nu.default_cutoff(dt)."""
+    return nu.rate_above(nu.default_cutoff(dt))
+
+
+def path_budget(triplet: LevyTriplet, horizon: float, dt: float) -> tuple[str, str] | None:
+    """("PATH_BUDGET", problem) when path_pieces passes MAX_PIECES_PER_PATH, else None."""
+    pieces = path_pieces(triplet, horizon, dt)
+    if pieces <= MAX_PIECES_PER_PATH:
         return None
-    return name, f"{size:.3g} {what} per path exceed {name} {MAX_STEPS_PER_PATH} ({rule})"
+    return "PATH_BUDGET", (f"{pieces:.3g} expected pieces per path exceed PATH_BUDGET "
+                           f"{MAX_PIECES_PER_PATH} (a knot every dt on a grid, two per jump)")
 
 
 def _event_path(triplet: LevyTriplet, horizon: float, x0: float, rng) -> PathSample:

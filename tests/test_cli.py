@@ -305,6 +305,42 @@ class TestExitCodes:
         assert f"config error: --threads: must be >= 1, got {threads}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, runs", [("verify", "run_experiment"),
+                                               ("simulate", "simulate_paths")])
+    @pytest.mark.parametrize("out", ["a_file", "a_file/run"])
+    def test_out_that_cannot_be_a_directory_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, command, runs, out):
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"{command} ran")
+
+        monkeypatch.setattr(f"perpetua.cli.{runs}", no_run)
+        (tmp_path / "a_file").write_text("taken\n")
+        argv = [command, "--config", write_config(tmp_path), "--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [Errno ") and str(tmp_path / out) in err
+        assert (tmp_path / "a_file").read_text() == "taken\n"
+
+    def test_dense_grid_jumps_are_refused_with_every_other_problem(self, tmp_path, capsys):
+        # a Gaussian part and 1e6 jumps per unit time over 16: 3.2e7
+        # expected pieces per grid path, refused when the config is read
+        cfg = write_config(
+            tmp_path,
+            triplet={"drift": 1.0, "gaussian": 0.5, "levy_measure": {
+                "family": "compound_poisson",
+                "params": {"rate": 1e6,
+                           "jump_law": {"kind": "exponential", "theta": 2.0, "sign": 1}},
+            }},
+            horizon={"t0": 2.0, "doublings": 3},
+            n_paths=5,
+            checks=["zero_one"],
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "n_paths: must be >= 100, got 5" in err
+        assert "horizon: 3.2e+07 expected pieces per path exceed PATH_BUDGET 16777216" in err
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_run_experiment_refuses_threads_below_one(self, tmp_path, monkeypatch, threads):
         def no_run(*args, **kwargs):
@@ -497,9 +533,25 @@ class TestVerifyCommand:
         assert "FAILED" in capsys.readouterr().out
 
     def test_package_error_in_any_check_is_a_failed_entry(self, tmp_path, capsys):
-        # rate * dt = 1 jump per step on the grid (the Gaussian part rules out
-        # event paths): the sampler refuses with StepTooCoarse inside
-        # zero_one, and the run still goes on to lln
+        # a bandwidth far below the floor set by the steps of BM at dt 0.01:
+        # the field refuses with BandwidthTooSmall inside occupation, and the
+        # run still goes on to lln
+        cfg = write_config(
+            tmp_path,
+            checks=["occupation", "lln"],
+            check_params={"occupation": {"n_paths": 5, "bandwidth": 1e-4},
+                          "lln": {"n": 20, "t0": 60.0}},
+        )
+        out = tmp_path / "run"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert [e["check"] for e in report["checks"]] == ["occupation", "lln"]
+        assert report["checks"][0]["notes"].startswith("BandwidthTooSmall")
+        assert report["checks"][1]["passed"]
+
+    def test_one_grid_jump_per_step_runs(self, tmp_path, capsys):
+        # rate * dt = 1 expected jump per step on the grid (the Gaussian
+        # part rules out event paths): each jump is drawn at its exact time
         cfg = write_config(
             tmp_path,
             triplet={"drift": 1.0, "gaussian": 0.5, "levy_measure": {
@@ -510,10 +562,9 @@ class TestVerifyCommand:
             checks=["zero_one", "lln"],
         )
         out = tmp_path / "run"
-        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert [e["check"] for e in report["checks"]] == ["zero_one", "lln"]
-        assert report["checks"][0]["notes"].startswith("StepTooCoarse")
+        assert [e["passed"] for e in report["checks"]] == [True, True]
 
     def test_dense_compound_poisson_without_gaussian_part_runs_on_events(self, tmp_path, capsys):
         # the same rate without a Gaussian part: exact event paths have no

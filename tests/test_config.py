@@ -7,7 +7,9 @@ import pytest
 
 from perpetua import ConfigError, ExperimentConfig, load_config, run_experiment
 from perpetua.checks import CHECKS
-from perpetua.simulate import MAX_STEPS_PER_PATH
+from perpetua.simulate import MAX_PIECES_PER_PATH
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def good_payload():
@@ -37,6 +39,12 @@ def event_payload(rate=1.0):
     d["horizon"] = {"t0": 2.0, "doublings": 7}
     d["checks"] = ["zero_one", "overshoot", "lln"]
     return d
+
+
+def over_budget(key, pieces):
+    """The problem path_budget reports for a path of this many expected pieces."""
+    return (f"{key}: {pieces} expected pieces per path exceed PATH_BUDGET {MAX_PIECES_PER_PATH} "
+            "(a knot every dt on a grid, two per jump)")
 
 
 class TestFromDict:
@@ -270,9 +278,9 @@ class TestFromDict:
             ExperimentConfig.from_dict(d)
         # the checks' own paths are over budget too, and are listed in the same run
         assert exc.value.problems == [
-            f"horizon: 2.56e+08 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)",
-            f"check_params.invariance: 2.1e+07 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)",
-            f"check_params.lln: 2e+08 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)",
+            over_budget("horizon", "2.56e+08"),
+            over_budget("check_params.invariance", "2.1e+07"),
+            over_budget("check_params.lln", "2e+08"),
         ]
 
     def test_step_budget_holds_the_lln_horizon(self):
@@ -280,9 +288,7 @@ class TestFromDict:
         d["check_params"] = {"lln": {"t0": 1e5}}  # 4 t0 / dt = 4e7
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
-        assert exc.value.problems == [
-            f"check_params.lln: 4e+07 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)"
-        ]
+        assert exc.value.problems == [over_budget("check_params.lln", "4e+07")]
         d["checks"] = ["zero_one"]  # lln not run: its budget does not apply
         ExperimentConfig.from_dict(d)
 
@@ -292,42 +298,55 @@ class TestFromDict:
         d["check_params"] = {"invariance": {"x_list": [1e7]}}
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
-        assert exc.value.problems == [
-            f"check_params.invariance: 1.5e+09 steps per path exceed STEP_BUDGET {MAX_STEPS_PER_PATH} (horizon/dt)"
-        ]
+        assert exc.value.problems == [over_budget("check_params.invariance", "1.5e+09")]
         d["checks"] = ["zero_one"]  # invariance not run: its budget does not apply
         ExperimentConfig.from_dict(d)
 
     def test_event_paths_are_not_held_to_dt(self):
-        # about 256 expected jumps per path; horizon/dt would be 2.56e8 steps
+        # about 512 expected pieces per path; horizon/dt would be 2.56e8 steps
         d = event_payload()
         d["dt"] = 1e-6
         d["check_params"] = {"lln": {"t0": 100.0}}  # 4 t0 / dt = 4e8 grid steps
         assert ExperimentConfig.from_dict(d).dt == 1e-6
 
     def test_event_budget_holds_the_horizon_when_validated(self):
-        d = event_payload(rate=1e6)  # 256 time units at 1e6 jumps each
+        d = event_payload(rate=1e6)  # 256 time units at 1e6 jumps each, two pieces a jump
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
         assert exc.value.problems == [
-            f"horizon: 2.56e+08 expected jumps per path exceed EVENT_BUDGET {MAX_STEPS_PER_PATH} "
-            "(rate*horizon)",
-            f"check_params.lln: 8e+07 expected jumps per path exceed EVENT_BUDGET "
-            f"{MAX_STEPS_PER_PATH} (rate*horizon)",
+            over_budget("horizon", "5.12e+08"),
+            over_budget("check_params.lln", "1.6e+08"),
         ]
 
     def test_event_budget_holds_the_lln_horizon(self):
         d = event_payload(rate=1e5)
-        d["horizon"] = {"t0": 2.0, "doublings": 4}  # 3.2e6 expected jumps
+        d["horizon"] = {"t0": 2.0, "doublings": 4}  # 6.4e6 expected pieces
         d["check_params"] = {"lln": {"t0": 100.0, "horizon": 400.0}}
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
-        assert exc.value.problems == [
-            f"check_params.lln: 4e+07 expected jumps per path exceed EVENT_BUDGET "
-            f"{MAX_STEPS_PER_PATH} (rate*horizon)"
-        ]
+        assert exc.value.problems == [over_budget("check_params.lln", "8e+07")]
         d["checks"] = ["zero_one"]  # lln not run: its budget does not apply
         ExperimentConfig.from_dict(d)
+
+    def test_an_event_path_counts_two_pieces_per_jump(self):
+        # 8.4e6 expected jumps per path: under 2^24 as jumps, over it as pieces
+        d = event_payload(rate=8.4e6 / 256.0)
+        d["checks"] = ["zero_one"]
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [over_budget("horizon", "1.68e+07")]
+
+    def test_a_cutoff_that_underflows_is_over_budget(self):
+        # stable alpha 0.1 at dt 1e-40: the default cutoff is 0, where
+        # infinitely many jumps are resolved; refused, not raised
+        d = good_payload()
+        d["triplet"] = {"drift": 1.0, "gaussian": 0.0, "levy_measure": {
+            "family": "stable", "params": {"alpha": 0.1, "scale": 1.0}}}
+        d["dt"], d["horizon"] = 1e-40, {"t0": 1e-39, "doublings": 3}
+        d["checks"] = ["zero_one"]
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [over_budget("horizon", "inf")]
 
     def test_a_horizon_past_the_float_range_is_refused(self):
         # pure drift draws no events, so only the horizon itself can overflow
@@ -338,16 +357,18 @@ class TestFromDict:
             ExperimentConfig.from_dict(d)
         assert exc.value.problems == ["horizon: t0 * 2^doublings overflows a float"]
 
-    @pytest.mark.parametrize("name", ["bm_drift_exp_decay.json", "stable_half_control.json"])
-    def test_shipped_configs_validate(self, name):
-        load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    @pytest.mark.parametrize("path", [
+        p for pattern in ("configs/*.json", "perfbench/configs/*.json")
+        for p in sorted(ROOT.glob(pattern))], ids=lambda p: p.name)
+    def test_shipped_configs_validate(self, path):
+        load_config(path)
 
     def test_huge_doublings_is_refused_not_overflowed(self):
         d = good_payload()
         d["horizon"]["doublings"] = 5000
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
-        assert "STEP_BUDGET" in str(exc.value)
+        assert "PATH_BUDGET" in str(exc.value)
 
     def test_round_trip(self):
         cfg = ExperimentConfig.from_dict(good_payload())

@@ -1,5 +1,5 @@
 """Every exported name resolves, submodules import at module level only what they use,
-and importing the package loads numpy but no scipy."""
+every error type is raised somewhere, and importing the package loads numpy but no scipy."""
 
 import ast
 import importlib
@@ -79,6 +79,51 @@ def test_no_module_imports_inside_a_function():
 def test_function_import_check_sees_an_import_in_a_method():
     tree = ast.parse("import os\nclass A:\n    def f(self):\n        from math import pi\n")
     assert _function_imports(tree) == ["f:4"]
+
+
+def _leaf_errors(tree: ast.Module) -> list[str]:
+    """The PerpetuaError subclasses a module defines that no class there derives from."""
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for node in tree.body if isinstance(node, ast.ClassDef)}
+    errors = {"PerpetuaError"}
+    while True:
+        more = {name for name, of in bases.items() if of & errors} - errors
+        if not more:
+            break
+        errors |= more
+    derived_from = set().union(*bases.values())
+    return sorted(name for name in errors - {"PerpetuaError"} if name not in derived_from)
+
+
+def _raised_names(tree: ast.Module) -> set[str]:
+    """The names in a module's raise statements: raise X(...), raise X and raise m.X."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_type_is_raised_somewhere():
+    package = Path(perpetua.__file__).parent
+    leaves = _leaf_errors(ast.parse((package / "errors.py").read_text()))
+    raised = set().union(*(_raised_names(ast.parse(path.read_text()))
+                           for path in sorted(package.glob("*.py"))))
+    assert "BandwidthTooSmall" in leaves
+    assert [name for name in leaves if name not in raised] == []
+
+
+def test_error_check_sees_a_type_never_raised():
+    tree = ast.parse("class PerpetuaError(Exception): pass\n"
+                     "class A(PerpetuaError): pass\nclass B(A, ValueError): pass\n"
+                     "class C(PerpetuaError): pass\nclass D(Exception): pass\n")
+    assert _leaf_errors(tree) == ["B", "C"]
+    assert _raised_names(ast.parse("raise B('x')\nraise errors.C\ntry:\n    pass\n"
+                                   "except D:\n    raise\n")) == {"B", "C"}
 
 
 def test_importing_the_package_and_its_cli_loads_no_scipy():

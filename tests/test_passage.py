@@ -15,7 +15,6 @@ from perpetua import (
     NotReachedError,
     PreconditionViolation,
     StableLike,
-    StepTooCoarse,
     TwoSidedExponentialJump,
     first_passage,
     ks_critical,
@@ -220,11 +219,14 @@ class TestEventPassage:
         assert np.array_equal(t1, t2) and np.array_equal(o1, o2)
         assert np.all(np.abs(t1 - 1000.0) < 50.0) and np.all(o1 > 0.0)
 
-    def test_high_rate_needs_no_grid(self):
-        # 100 jumps per unit time at dt 0.01 is too coarse for the grid
+    def test_high_rate_needs_no_grid(self, monkeypatch):
+        # 100 jumps per unit time, one per step at dt 0.01: passage is exact
+        # events all the same, and builds no grid
+        def refuse(*args, **kwargs):
+            raise AssertionError("StepEngine built for finite activity")
+
+        monkeypatch.setattr(StepEngine, "__init__", refuse)
         triplet = LevyTriplet(0.5, 0.0, CompoundPoisson(100.0, ExponentialJump(50.0, 1)))
-        with pytest.raises(StepTooCoarse):
-            StepEngine(triplet, 0.01)
         dist = overshoot_ensemble(triplet, 5.0, 200, seed=30, dt=0.01)
         assert dist.n == 200 and np.all(dist.samples >= 0.0)
 

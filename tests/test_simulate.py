@@ -20,7 +20,6 @@ from perpetua import (
     PowerTail,
     PreconditionViolation,
     StableLike,
-    StepTooCoarse,
     SumOf,
     Tabulated,
     TwoSidedExponentialJump,
@@ -33,7 +32,7 @@ from perpetua import (
 from perpetua import simulate
 from perpetua.rng import derive_seed, stream
 from perpetua.simulate import (PathSample, StepEngine, _bandwidth_floor, _median, event_batch,
-                               grid_knots, local_time_block, step_engine)
+                               grid_knots, local_time_block, path_pieces, step_engine)
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
 # drift 0.1 plus rate-1 Exp(2) up-jumps: Laplace exponent psi(1) = 0.1 + 1 - 2/3
@@ -184,18 +183,28 @@ class TestSamplePath:
             raise AssertionError("the grid path was about to be drawn")
 
         monkeypatch.setattr(simulate, "StepEngine", allocate)
-        budget = simulate.MAX_STEPS_PER_PATH
+        budget = simulate.MAX_PIECES_PER_PATH
         with pytest.raises(PreconditionViolation) as exc:
             sample_path(BM_DRIFT, budget + 1.0, 1.0, seed=0)
-        assert exc.value.reason == "STEP_BUDGET"
+        assert exc.value.reason == "PATH_BUDGET"
+        # 1,600 steps, and two pieces for each of 1.6e7 expected jumps
+        dense = LevyTriplet(1.0, 0.5, CompoundPoisson(1e6, ExponentialJump(2.0, 1)))
+        with pytest.raises(PreconditionViolation) as exc:
+            sample_path(dense, 16.0, 0.01, seed=0)
+        assert exc.value.reason == "PATH_BUDGET"
         with pytest.raises(AssertionError, match="about to be drawn"):
             sample_path(BM_DRIFT, float(budget), 1.0, seed=0)  # at the budget: allowed
 
-    def test_step_too_coarse_for_heavy_cutoff(self):
-        t = LevyTriplet(0.0, 0.0, CompoundPoisson(100.0, ExponentialJump(2.0, 1)))
-        with pytest.raises(StepTooCoarse):
-            # cutoff 0 resolves every jump: one expected per step, past the budget
-            StepEngine(t, 0.01)
+    def test_one_jump_per_step_is_drawn_exactly(self):
+        # cutoff 0 resolves every jump: about one per step, a few in some
+        # steps, each at its exact time
+        t = LevyTriplet(0.0, 0.5, CompoundPoisson(100.0, ExponentialJump(2.0, 1)))
+        assert StepEngine(t, 0.01).rate * 0.01 == 1.0
+        path = sample_path(t, 10.0, 0.01, seed=3)
+        jumps = np.nonzero(np.diff(path.times) == 0.0)[0]
+        steps = np.floor(path.times[jumps] / 0.01)
+        assert np.max(np.unique(steps, return_counts=True)[1]) >= 3
+        assert np.all(path.values[jumps + 1] > path.values[jumps])  # up-jumps only
 
     def test_zero_cutoff_on_finite_activity_is_the_default(self):
         t = LevyTriplet(0.1, 0.5, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
@@ -203,6 +212,18 @@ class TestSamplePath:
         assert engine.cutoff == 0.0
         assert engine.rate == 1.0
         assert engine.drift_eff == 0.1  # finite-activity jumps are not compensated
+
+    @pytest.mark.parametrize("triplet, rate", [
+        (BM_DRIFT, 0.0), (JUMP_DIFFUSION, 1.0), (DRIFT_CP, 1.0),
+    ], ids=["bm", "bm_cp_grid", "drift_cp_events"])
+    def test_path_pieces_counts_the_knots_of_drawn_paths(self, triplet, rate):
+        # knots - 1 is 40,000 grid steps (or 1 on events) plus 2 N, N ~ Poisson(rate T)
+        horizon, dt, n = 400.0, 0.01, 20
+        pieces = [sample_path(triplet, horizon, dt, seed=derive_seed(54, i)).times.size - 1
+                  for i in range(n)]
+        expected = path_pieces(triplet, horizon, dt)
+        assert expected == (1.0 if triplet is DRIFT_CP else horizon / dt) + 2.0 * rate * horizon
+        assert abs(np.mean(pieces) - expected) <= 4.0 * 2.0 * math.sqrt(rate * horizon / n)
 
 
 class TestGridKnots:
@@ -393,7 +414,7 @@ class TestEventPath:
         dense = LevyTriplet(0.1, 0.0, CompoundPoisson(1e7, ExponentialJump(2.0, 1)))
         with pytest.raises(PreconditionViolation) as exc:
             sample_path(dense, 256.0, 0.01, seed=0)
-        assert exc.value.reason == "EVENT_BUDGET"
+        assert exc.value.reason == "PATH_BUDGET"
 
     def test_mean_integral_is_one_over_laplace_exponent(self):
         # E int_0^inf exp(-xi_s) ds = 1/psi(1) (Bertoin & Yor 2005); the rest
