@@ -24,9 +24,11 @@ where t0 without a prefix is the config's own:
                 (v = sigma^2 + int x^2 nu(dx) for compound Poisson, else
                 sigma_eff^2; t0 below 50 v/mu^2 is refused)
 
-z2 must exceed z1, and lln's horizon its t0.  Every check runs on the
-config's dt, read only with a Gaussian part or infinite activity: drift
-plus finite activity is simulated exactly, event by event.
+z2 must exceed z1, and lln's horizon its t0.  expected_fail lists the
+checks that must fail for the run to meet expectations, each one that runs
+(listed under "checks", or any check when "checks" is left out).  Every
+check runs on the config's dt, read only with a Gaussian part or infinite
+activity: drift plus finite activity is simulated exactly, event by event.
 
 Exit codes: 0 pass, 1 check failure (or an analysis error), 2 bad config
 (or an --out that cannot be made a directory).

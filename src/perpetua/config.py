@@ -128,6 +128,10 @@ class ExperimentConfig:
         known = f"(known: {', '.join(CHECKS)})"
         checks = _check_names(d, "checks", list(CHECKS), known, problems)
         expected_fail = _check_names(d, "expected_fail", [], known, problems)
+        for name in expected_fail:
+            if name in CHECKS and name not in checks:  # its expectation would never be read
+                problems.append(f"expected_fail: check {name!r} does not run "
+                                f"(checks: {', '.join(checks)})")
 
         check_params = d.get("check_params", {})
         if not isinstance(check_params, dict):

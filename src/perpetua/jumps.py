@@ -3,8 +3,9 @@
 Each law exposes the closed forms the rest of the package needs: the
 characteristic function less one, E e^{i lam J} - 1 (char_minus_one,
 written so that it does not cancel at small lam), the mean, the second
-moment (whole and below a threshold, for the small-jump variance) and an
-exact sampler.  No law here has a heavy tail; means and second moments are
+moment (whole and below a threshold, for the small-jump variance), an
+exact sampler and charges(sign): whether it puts mass on the side sign
+(+1 or -1) of 0.  No law here has a heavy tail; means and second moments are
 always finite.
 """
 
@@ -57,11 +58,8 @@ class ConstantJump(JumpLaw):
     def second_moment_abs_below(self, a: float) -> float:
         return self.size ** 2 if abs(self.size) <= a else 0.0
 
-    def positive_mass(self) -> bool:
-        return self.size > 0
-
-    def negative_mass(self) -> bool:
-        return self.size < 0
+    def charges(self, sign: int) -> bool:
+        return sign * self.size > 0
 
     def sample(self, rng, n: int):
         return np.full(n, self.size)
@@ -125,11 +123,8 @@ class ExponentialJump(JumpLaw):
     def second_moment_abs_below(self, a: float) -> float:
         return _exp_second_moment_below(self.theta, a)
 
-    def positive_mass(self) -> bool:
-        return self.sign > 0
-
-    def negative_mass(self) -> bool:
-        return self.sign < 0
+    def charges(self, sign: int) -> bool:
+        return sign * self.sign > 0
 
     def sample(self, rng, n: int):
         return self.sign * rng.exponential(1.0 / self.theta, n)
@@ -166,11 +161,8 @@ class TwoSidedExponentialJump(JumpLaw):
         return (self.p_plus * _exp_second_moment_below(self.theta_plus, a)
                 + (1 - self.p_plus) * _exp_second_moment_below(self.theta_minus, a))
 
-    def positive_mass(self) -> bool:
-        return self.p_plus > 0
-
-    def negative_mass(self) -> bool:
-        return self.p_plus < 1
+    def charges(self, sign: int) -> bool:
+        return self.p_plus > 0 if sign > 0 else self.p_plus < 1
 
     def sample(self, rng, n: int):
         signs = np.where(rng.random(n) < self.p_plus, 1.0, -1.0)
@@ -214,11 +206,8 @@ class UniformJump(JumpLaw):
         lo, hi = max(-c, self.a), min(c, self.b)
         return (hi ** 3 - lo ** 3) / (3 * (self.b - self.a)) if hi > lo else 0.0
 
-    def positive_mass(self) -> bool:
-        return self.b > 0
-
-    def negative_mass(self) -> bool:
-        return self.a < 0
+    def charges(self, sign: int) -> bool:
+        return self.b > 0 if sign > 0 else self.a < 0
 
     def sample(self, rng, n: int):
         return rng.uniform(self.a, self.b, n)

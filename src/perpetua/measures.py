@@ -1,7 +1,7 @@
 """Levy measure families.
 
-Each family carries closed forms for everything the analytic and Monte Carlo
-layers need:
+Each family is a LevyMeasure and carries closed forms for everything the
+analytic and Monte Carlo layers need:
 
 * ``char_integral(lam)``: the jump contribution to the characteristic
   exponent, under the package-wide drift convention (see triplet module):
@@ -11,13 +11,20 @@ layers need:
   an extended real: ``int x nu(dx)`` for finite activity, the tail mean
   ``int_{|x|>1} x nu(dx)`` for infinite activity.
 * ``compensator(eps)``: ``int_{eps<|x|<=1} x nu(dx)``, the drift a simulation
-  that cuts jumps below eps must take back out; 0 for the finite-activity
-  families, which are not compensated.
+  that cuts jumps below eps must take back out.
 * ``small_jump_variance(eps)``: ``int_{|x|<=eps} x^2 nu(dx)``.
 * ``default_cutoff(dt)``, ``rate_above(eps)`` and ``sample_jumps_above``:
   the jumps a simulation at step dt resolves, their rate and an exact (or
-  rejection) sampler; the cutoff is 0 for finite activity, and infinite
-  activity has rate_above(0) = inf (a cutoff underflowed at a tiny dt).
+  rejection) sampler; infinite activity has rate_above(0) = inf (a cutoff
+  underflowed at a tiny dt).
+* ``charges(sign)``: whether nu puts mass on the side sign (+1 or -1) of 0,
+  which the subordinator and spectrally-negative flags read.
+* ``is_finite_activity`` and ``finite_variation``.
+
+Two bases state once what their pair of families shares: _FiniteActivity
+(NoJumps, CompoundPoisson) both flags, compensator 0 and cutoff 0; _PowerLaw
+(StableLike, TemperedStable) the alpha < 1 variation rule, the cutoff, the
+sign drawn after each family's magnitudes, and charges.
 
 Power-law integrals against an exponential taper reduce to incomplete gamma
 functions, computed here on scalars in plain Python: the power series of
@@ -43,7 +50,7 @@ from .validation import (Issue, Validated, build, family_class, family_params, r
                          require_positive)
 
 __all__ = [
-    "LevyMeasureSpec",
+    "LevyMeasure",
     "NoJumps",
     "CompoundPoisson",
     "StableLike",
@@ -152,13 +159,28 @@ def _skew_issues(skew):
     return issues
 
 
+class LevyMeasure(Validated):
+    """A Levy measure: a family states its fields, validate and the closed forms above."""
+
+
+class _FiniteActivity(LevyMeasure):
+    """Finitely many jumps per unit time: uncompensated, every jump simulated exactly."""
+
+    is_finite_activity = True
+    finite_variation = True
+
+    def compensator(self, eps: float) -> float:
+        return 0.0
+
+    def default_cutoff(self, dt: float) -> float:
+        return 0.0
+
+
 @dataclass(frozen=True)
-class NoJumps(Validated):
+class NoJumps(_FiniteActivity):
     """Empty Levy measure: Brownian motion with drift, or pure drift."""
 
     kind = "none"
-    is_finite_activity = True
-    finite_variation = True
 
     def validate(self):
         return []
@@ -169,30 +191,18 @@ class NoJumps(Validated):
     def jump_mean(self) -> ExtendedReal:
         return ExtendedReal.finite(0.0)
 
-    def compensator(self, eps: float) -> float:
-        return 0.0
-
     def small_jump_variance(self, eps: float) -> float:
         return 0.0
 
     def rate_above(self, eps: float) -> float:
-        return 0.0
+        return 0.0  # so no path ever samples its jumps
 
-    def sample_jumps_above(self, rng, eps: float, n: int):
-        return np.zeros(n)
-
-    def default_cutoff(self, dt: float) -> float:
-        return 0.0
-
-    def has_positive_jumps(self) -> bool:
-        return False
-
-    def has_negative_jumps(self) -> bool:
+    def charges(self, sign: int) -> bool:
         return False
 
 
 @dataclass(frozen=True)
-class CompoundPoisson(Validated):
+class CompoundPoisson(_FiniteActivity):
     """Finitely many jumps per unit time: rate * law(dx).
 
     Enters the characteristic exponent uncompensated, so the companion drift
@@ -203,8 +213,6 @@ class CompoundPoisson(Validated):
     jump_law: JumpLaw
 
     kind = "compound_poisson"
-    is_finite_activity = True
-    finite_variation = True
 
     def validate(self):
         return require_positive(self.rate, "rate", "RATE_POSITIVE")
@@ -214,9 +222,6 @@ class CompoundPoisson(Validated):
 
     def jump_mean(self) -> ExtendedReal:
         return ExtendedReal.finite(self.rate * self.jump_law.mean())
-
-    def compensator(self, eps: float) -> float:
-        return 0.0
 
     def small_jump_variance(self, eps: float) -> float:
         return self.rate * self.jump_law.second_moment_abs_below(eps)
@@ -229,22 +234,37 @@ class CompoundPoisson(Validated):
             raise ValueError("compound Poisson jumps are simulated exactly; no cutoff")
         return self.jump_law.sample(rng, n)
 
+    def charges(self, sign: int) -> bool:
+        return self.jump_law.charges(sign)
+
+
+class _PowerLaw(LevyMeasure):
+    """scale * |x|^{-1-alpha} near 0, sides weighted p+- = (1 +- skew)/2: infinite activity."""
+
+    is_finite_activity = False
+
+    @property
+    def finite_variation(self) -> bool:
+        return self.alpha < 1.0
+
     def default_cutoff(self, dt: float) -> float:
-        return 0.0
+        # at most 0.5 simulated jumps per step at the untapered rate, which
+        # bounds a tapered one; never above 0.5
+        eps = (2.0 * self.scale * dt / self.alpha) ** (1.0 / self.alpha)
+        return min(eps, 0.5)
 
-    def has_positive_jumps(self) -> bool:
-        return self.jump_law.positive_mass()
+    def sample_jumps_above(self, rng, eps: float, n: int):
+        """n magnitudes above eps (the family's _magnitudes_above), then n signs."""
+        mags = self._magnitudes_above(rng, eps, n)
+        signs = np.where(rng.random(n) < 0.5 * (1.0 + self.skew), 1.0, -1.0)
+        return mags * signs
 
-    def has_negative_jumps(self) -> bool:
-        return self.jump_law.negative_mass()
-
-
-def _stable_sided_weights(skew: float):
-    return 0.5 * (1.0 + skew), 0.5 * (1.0 - skew)
+    def charges(self, sign: int) -> bool:
+        return sign * self.skew > -1.0  # that side weighs (1 + sign skew)/2 > 0
 
 
 @dataclass(frozen=True)
-class StableLike(Validated):
+class StableLike(_PowerLaw):
     """Pure power-law Levy density scale * |x|^{-1-alpha}, sides weighted by skew.
 
     nu(dx) = scale * (p+ 1_{x>0} + p- 1_{x<0}) |x|^{-1-alpha} dx,
@@ -264,7 +284,6 @@ class StableLike(Validated):
     skew: float = 0.0
 
     kind = "stable"
-    is_finite_activity = False
 
     def validate(self):
         issues = _alpha_issues(self.alpha)
@@ -274,10 +293,6 @@ class StableLike(Validated):
             issues.append(Issue("SKEW_ALPHA_ONE", "skew",
                                 "alpha = 1 supported only with skew = 0"))
         return issues
-
-    @property
-    def finite_variation(self) -> bool:
-        return self.alpha < 1.0
 
     def char_integral(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -311,27 +326,13 @@ class StableLike(Validated):
     def rate_above(self, eps: float) -> float:
         return self.scale * eps ** (-self.alpha) / self.alpha if eps > 0.0 else math.inf
 
-    def sample_jumps_above(self, rng, eps: float, n: int):
-        # magnitude is Pareto: P(|J| > y | |J| > eps) = (y/eps)^{-alpha}
-        mags = eps * rng.random(n) ** (-1.0 / self.alpha)
-        p_plus, _ = _stable_sided_weights(self.skew)
-        signs = np.where(rng.random(n) < p_plus, 1.0, -1.0)
-        return mags * signs
-
-    def default_cutoff(self, dt: float) -> float:
-        # budget of at most 0.5 simulated jumps per step, never above 0.5
-        eps = (2.0 * self.scale * dt / self.alpha) ** (1.0 / self.alpha)
-        return min(eps, 0.5)
-
-    def has_positive_jumps(self) -> bool:
-        return self.skew > -1.0
-
-    def has_negative_jumps(self) -> bool:
-        return self.skew < 1.0
+    def _magnitudes_above(self, rng, eps: float, n: int):
+        # Pareto: P(|J| > y | |J| > eps) = (y/eps)^{-alpha}
+        return eps * rng.random(n) ** (-1.0 / self.alpha)
 
 
 @dataclass(frozen=True)
-class TemperedStable(Validated):
+class TemperedStable(_PowerLaw):
     """Power-law density with exponential taper exp(-tempering * |x|).
 
     All moments are finite.  The characteristic integral uses the analytic
@@ -347,7 +348,6 @@ class TemperedStable(Validated):
     skew: float = 0.0
 
     kind = "tempered_stable"
-    is_finite_activity = False
 
     def validate(self):
         issues = _alpha_issues(self.alpha)
@@ -359,14 +359,10 @@ class TemperedStable(Validated):
         issues += _skew_issues(self.skew)
         return issues
 
-    @property
-    def finite_variation(self) -> bool:
-        return self.alpha < 1.0
-
     def char_integral(self, lam):
         lam = np.asarray(lam, dtype=float)
         a, th, s = self.alpha, self.tempering, self.scale
-        p_plus, p_minus = _stable_sided_weights(self.skew)
+        p_plus, p_minus = 0.5 * (1.0 + self.skew), 0.5 * (1.0 - self.skew)
         neg_gamma = -math.gamma(-a)  # positive for a < 1, negative for a > 1
         # log(1 -+ iy) = log|1 + iy| -+ i atan(y), with log|1 + iy| = log1p(y^2/(1 + |1 + iy|));
         # numpy's complex log1p loses that real part at small y
@@ -406,10 +402,9 @@ class TemperedStable(Validated):
         th, a = self.tempering, self.alpha
         return self.scale * th ** a * upper_gamma(-a, th * eps) if eps > 0.0 else math.inf
 
-    def sample_jumps_above(self, rng, eps: float, n: int):
+    def _magnitudes_above(self, rng, eps: float, n: int):
         """Rejection from the pure power tail with acceptance exp(-theta(x - eps))."""
         th, a = self.tempering, self.alpha
-        p_plus, _ = _stable_sided_weights(self.skew)
         out = np.empty(n)
         filled = 0
         guard = 0
@@ -424,27 +419,14 @@ class TemperedStable(Validated):
             take = min(len(keep), n - filled)
             out[filled:filled + take] = keep[:take]
             filled += take
-        signs = np.where(rng.random(n) < p_plus, 1.0, -1.0)
-        return out * signs
+        return out
 
-    def default_cutoff(self, dt: float) -> float:
-        # the untapered rate bounds the tapered one, so the stable budget works
-        return StableLike(self.alpha, self.scale, self.skew).default_cutoff(dt)
-
-    def has_positive_jumps(self) -> bool:
-        return self.skew > -1.0
-
-    def has_negative_jumps(self) -> bool:
-        return self.skew < 1.0
-
-
-LevyMeasureSpec = NoJumps | CompoundPoisson | StableLike | TemperedStable
 
 _FAMILIES = {cls.kind: cls for cls in
              (NoJumps, CompoundPoisson, StableLike, TemperedStable)}
 
 
-def measure_from_dict(d: dict) -> LevyMeasureSpec:
+def measure_from_dict(d: dict) -> LevyMeasure:
     """The measure {"family": ..., "params": {<fields>}} describes; every problem raised together."""
     family, params = family_params(d, "levy_measure")
     if family == "spectrally_negative_stable":

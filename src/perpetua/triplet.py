@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import NonFiniteParameter, PreconditionViolation
 from .extended import ExtendedReal
-from .measures import LevyMeasureSpec, NoJumps, measure_from_dict
+from .measures import LevyMeasure, NoJumps, measure_from_dict
 from .validation import Issue, Validated, build, json_object, require_finite
 
 __all__ = ["LevyTriplet", "ClassificationFlags"]
@@ -74,7 +74,7 @@ class ClassificationFlags:
 class LevyTriplet(Validated):
     drift: float
     gaussian_coef: float = field(default=0.0, metadata={"key": "gaussian"})
-    levy_measure: LevyMeasureSpec = NoJumps()
+    levy_measure: LevyMeasure = NoJumps()
 
     def validate(self) -> list[Issue]:
         """Problems of drift and gaussian_coef; the measure checked itself when built."""
@@ -133,12 +133,12 @@ class LevyTriplet(Validated):
             and nu.rate_above(0.0) > 0.0
         is_cp = pure_jump and self.drift == 0.0
 
-        if self.gaussian_coef > 0.0 or nu.has_negative_jumps() or not nu.finite_variation:
+        if self.gaussian_coef > 0.0 or nu.charges(-1) or not nu.finite_variation:
             is_sub = False
         else:
             is_sub = self.natural_drift() >= 0.0
 
-        is_sn = not nu.has_positive_jumps()
+        is_sn = not nu.charges(1)
         return ClassificationFlags(is_cp, is_sub, is_sn, mean)
 
     # ------------------------------------------------------------------

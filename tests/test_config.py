@@ -117,6 +117,20 @@ class TestFromDict:
             ExperimentConfig.from_dict(d)
         assert "expected_fail" in str(exc.value)
 
+    def test_expected_fail_of_a_check_that_does_not_run_rejected(self):
+        d = good_payload()
+        d["checks"], d["expected_fail"] = ["lln"], ["occupation", "lln"]
+        d["n_paths"] = 50  # listed with every other problem
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == ["n_paths: must be >= 100, got 50",
+                                      "expected_fail: check 'occupation' does not run (checks: lln)"]
+        d["n_paths"], d["expected_fail"] = 200, ["lln"]
+        assert ExperimentConfig.from_dict(d).expected_fail == ("lln",)
+        del d["checks"]  # every check runs
+        d["expected_fail"] = ["occupation"]
+        assert ExperimentConfig.from_dict(d).expected_fail == ("occupation",)
+
     def test_unknown_threshold_rejected(self):
         d = good_payload()
         d["thresholds"] = {"delta_02": 0.1}

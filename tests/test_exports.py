@@ -1,5 +1,6 @@
-"""Every exported name resolves, submodules import at module level only what they use,
-every error type is raised somewhere, and importing the package loads numpy but no scipy."""
+"""Every exported name resolves, every family subclasses its layer's base, submodules
+import at module level only what they use, every error type is raised somewhere, and
+importing the package loads numpy but no scipy."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import perpetua
+from perpetua import jumps, measures, testfunctions
 
 
 def test_every_exported_name_resolves():
@@ -24,6 +26,15 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_every_family_subclasses_its_layers_base():
+    layers = [(measures._FAMILIES, measures.LevyMeasure), (jumps._LAWS, jumps.JumpLaw),
+              (testfunctions._FAMILIES, testfunctions.TestFunction)]
+    assert all(registry for registry, _ in layers)
+    stray = [cls.__name__ for registry, base in layers for cls in registry.values()
+             if not issubclass(cls, base)]
+    assert stray == []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -316,6 +316,60 @@ class TestStructure:
         assert t.effective_volatility_sq() == pytest.approx(2.25)
 
 
+SIGN_LAWS = [
+    TwoSidedExponentialJump(1.0, 2.0, 0.0),
+    TwoSidedExponentialJump(1.0, 2.0, 0.5),
+    TwoSidedExponentialJump(1.0, 2.0, 1.0),
+    UniformJump(0.0, 1.0),
+    UniformJump(-1.0, 0.0),
+    UniformJump(-1.0, 1.0),
+    ConstantJump(1.0),
+    ConstantJump(-1.0),
+    ExponentialJump(2.0, 1),
+    ExponentialJump(2.0, -1),
+]
+
+SIGN_MEASURES = [
+    *(CompoundPoisson(1.5, law) for law in SIGN_LAWS),
+    *(StableLike(alpha, 1.0, skew) for alpha in (0.5, 1.5) for skew in (-1.0, 0.0, 1.0)),
+    StableLike(1.0, 1.0, 0.0),
+    *(TemperedStable(alpha, 1.0, 2.0, skew) for alpha in (0.5, 1.5) for skew in (-1.0, 0.0, 1.0)),
+    measures.measure_from_dict({"family": "spectrally_negative_stable",
+                                "params": {"alpha": 1.5, "scale": 1.0}}),
+]
+
+
+def _drawn_signs(values) -> set:
+    return set(np.sign(values[values != 0.0]).astype(int).tolist())
+
+
+class TestSigns:
+    """charges(sign) agrees with the signs each family's sampler draws."""
+
+    @pytest.mark.parametrize("law", SIGN_LAWS, ids=repr)
+    def test_jump_law_charges_the_signs_it_draws(self, law):
+        drawn = _drawn_signs(law.sample(np.random.default_rng(3), 10_000))
+        assert {s for s in (1, -1) if law.charges(s)} == drawn
+
+    @pytest.mark.parametrize("nu", SIGN_MEASURES, ids=repr)
+    def test_measure_charges_the_signs_it_draws(self, nu):
+        drawn = _drawn_signs(nu.sample_jumps_above(np.random.default_rng(3), nu.default_cutoff(0.01),
+                                                   10_000))
+        assert {s for s in (1, -1) if nu.charges(s)} == drawn
+
+    def test_no_jumps_charges_neither_side_and_draws_none(self):
+        nu = NoJumps()
+        assert not nu.charges(1) and not nu.charges(-1)
+        assert nu.rate_above(nu.default_cutoff(0.01)) == 0.0
+
+    @pytest.mark.parametrize("alpha,scale", [(0.3, 0.5), (0.8, 2.0), (1.2, 1.0), (1.7, 0.25)])
+    def test_tempered_cutoff_is_the_stable_formula_bit_for_bit(self, alpha, scale):
+        for dt in map(float, np.geomspace(1e-12, 1.0, 49)):
+            stable = min((2.0 * scale * dt / alpha) ** (1.0 / alpha), 0.5)
+            assert TemperedStable(alpha, scale, 3.0, 0.4).default_cutoff(dt) == stable
+            assert StableLike(alpha, scale, 0.4).default_cutoff(dt) == stable
+
+
 class TestValidation:
     # each case builds the invalid part itself: building it is what raises
     @pytest.mark.parametrize("bad, code", [
