@@ -4,7 +4,8 @@ Three layers share one triplet representation:
 
   analysis    analytic verdicts (local times, potential density, tail test)
   simulate /  exact-event path sampling, first passage, overshoot laws,
-  passage     occupation fields
+  passage /   occupation fields
+  localtime
   harness     statistical checks wiring the two together, plus the CLI
 """
 
@@ -48,6 +49,7 @@ from .harness import (
     zero_one_check,
 )
 from .jumps import ConstantJump, ExponentialJump, TwoSidedExponentialJump, UniformJump
+from .localtime import LocalTimeField, local_time_field
 from .measures import (
     CompoundPoisson,
     NoJumps,
@@ -62,13 +64,7 @@ from .passage import (
     stationary_overshoot,
 )
 from .runner import run_experiment, simulate_paths
-from .simulate import (
-    LocalTimeField,
-    PathSample,
-    local_time_field,
-    perpetual_estimate,
-    sample_path,
-)
+from .simulate import PathSample, perpetual_estimate, sample_path
 from .stats import ks_critical, ks_one_sample, ks_two_sample
 from .testfunctions import (
     ExpDecay,

@@ -42,6 +42,8 @@ class Check:
     params: tuple[Param, ...]
     run: Callable  # (config, params, threads, out, report) -> harness.CheckReport
     path: Callable | None = None  # (config, params) -> horizon of its paths, held to the budget
+    # (triplet, horizon, params) -> the LEVEL_BUDGET problem of its paths' level grids, or None
+    levels: Callable | None = None
 
 
 def resolve(check: Check, config) -> dict:
@@ -122,7 +124,8 @@ CHECKS = {c.key: c for c in (
     Check("occupation", "occupation_identity", (
         Param("n_paths", int, 50),
         Param("bandwidth", float, 0.05),
-    ), _run_occupation),
+    ), _run_occupation,
+        levels=lambda triplet, horizon, p: harness.level_budget(triplet, horizon, p["bandwidth"])),
     Check("overshoot", "overshoot_stationarity", (
         Param("z1", float, _auto_level),
         Param("z2", float, lambda config, p: 2.0 * p["z1"], above="z1"),

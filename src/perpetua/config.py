@@ -91,7 +91,7 @@ class ExperimentConfig:
         dt = _number(d, "dt", float, problems, _positive, "be positive")
 
         horizon = d.get("horizon")
-        t0 = doublings = None
+        t0 = doublings = end = None  # end: the last checkpoint, once it is a float
         if not isinstance(horizon, dict):
             problems.append("horizon: missing or not an object with t0/doublings")
         else:
@@ -106,6 +106,8 @@ class ExperimentConfig:
             horizon = t0 * 2.0 ** min(doublings, 1023)
             if math.isinf(horizon):
                 problems.append("horizon: t0 * 2^doublings overflows a float")
+            else:
+                end = horizon
             if triplet is not None:  # the budget depends on the kind of path
                 _path_budget("horizon", triplet, horizon, dt, problems)
 
@@ -168,7 +170,7 @@ class ExperimentConfig:
             check_params=check_params,
             expected_fail=tuple(expected_fail),
         )
-        # the checks' defaults and path budgets read the triplet, t0 and dt
+        # the checks' defaults, path budgets and level budgets read the triplet, t0 and dt
         for name in config.checks if None not in (triplet, t0, dt) else ():
             if name not in CHECKS or name in unsound:
                 continue
@@ -181,6 +183,9 @@ class ExperimentConfig:
             problems += _order_problems(check, params)
             if path is not None:
                 _path_budget(f"check_params.{name}", triplet, path, dt, problems)
+            over = None if check.levels is None or end is None else check.levels(triplet, end, params)
+            if over is not None:
+                problems.append(f"check_params.{name}: {over[1]}")
         if problems:
             raise ConfigError(problems)
         return config

@@ -7,10 +7,12 @@ as their complements so the rule never flips direction.
 All randomness flows through per-path seeds derived from the master seed and
 a purpose tag, and aggregation is ordered by path index, so every check is
 reproducible bit-for-bit no matter how many worker threads run the paths.
-The invariance check hands the threads blocks of consecutive paths, sized
-by n and the chunk length alone (_block_paths), never by the thread count:
-the chunks of one block share one local-time pass per round, and each row
-of that pass is what its path gives alone.
+The finiteness, invariance and LLN checks hand the threads blocks of
+consecutive paths, sized by the pieces of a path alone (_block_paths), never
+by the thread count.  Exact event paths of a block are drawn and integrated
+as the rows of one array (simulate.sample_paths), grid paths one at a time;
+the invariance chunks of one block share one local-time pass per round.
+Each row of such a pass is what its path gives alone.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from .analysis import require_local_times
 from .errors import BandwidthTooSmall, NotReachedError, PreconditionViolation
 from .measures import CompoundPoisson
 from .rng import derive_seed, stream
-from .simulate import local_time_block, local_time_field, path_pieces, perpetual_estimate, sample_path
+from .localtime import local_time_block, local_time_field
+from .simulate import (PathBlock, path_pieces, perpetual_estimate, perpetual_estimates, sample_path,
+                       sample_paths)
 from .passage import stationary_overshoot, overshoot_ensemble
 from .stats import ks_critical, ks_two_sample
 from .triplet import LevyTriplet
@@ -37,10 +41,13 @@ __all__ = [
     "FINITE_LIKE",
     "INFINITE_LIKE",
     "INCONCLUSIVE",
+    "MAX_LEVELS",
     "finiteness_path",
+    "finiteness_block",
     "finiteness_probability",
     "zero_one_check",
     "occupation_identity_check",
+    "level_budget",
     "overshoot_stationarity_check",
     "overshoot_recommended_z1",
     "invariance_horizon",
@@ -62,9 +69,17 @@ TOL_REL = 1e-2
 
 _MAX_CHUNKS = 64  # chunks an invariance path may take to escape its levels
 
-# pieces in one round of an invariance block, about: the chunks of a block's
-# paths share one local_time_block pass, and this bounds the memory it holds
+# pieces in one block of paths, about (_block_paths): the rows of a block of
+# event paths are one array, and the chunks of an invariance block's paths
+# share one local_time_block pass per round, so this bounds the memory a
+# block holds while giving each task enough work
 _BLOCK_PIECES = 2**14
+
+# levels of the occupation check's level grid, at most: the grid's edges and
+# the field's ramp CDF hold a few arrays of twice as many floats, so a path
+# sweeping a range of more than MAX_LEVELS bandwidths is refused rather than
+# ending in a MemoryError.  A precondition, not a setting.
+MAX_LEVELS = 2**22
 
 
 @dataclass(frozen=True)
@@ -117,37 +132,52 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 
 def write_partials_csv(path: Path, partials, checkpoints) -> None:
-    """Partial integrals, one row per (path, checkpoint).
+    """Partial integrals, one row per (path, checkpoint), as write_csv writes them.
 
-    The table of finiteness.csv (verify) and partial_integrals.csv (simulate).
+    The table of finiteness.csv (verify) and partial_integrals.csv
+    (simulate), formatted in one pass with each checkpoint's repr made once.
     """
-    write_csv(path, "path_id,checkpoint,partial_integral",
-              ((i, t, row[j]) for i, row in enumerate(partials) for j, t in enumerate(checkpoints)))
+    times = [repr(float(t)) for t in checkpoints]
+    lines = [f"{i},{t},{v!r}" for i, row in enumerate(np.asarray(partials, dtype=float).tolist())
+             for t, v in zip(times, row)]
+    Path(path).write_text("\n".join(["path_id,checkpoint,partial_integral"] + lines) + "\n")
 
 
-def _parallel_map(fn, count: int, threads: int) -> list:
-    """Order-preserving map over range(count); identical output for any threads >= 1."""
+def _parallel_map(fn, items, threads: int) -> list:
+    """Order-preserving map over items; identical output for any threads >= 1."""
     if threads < 1:
         raise PreconditionViolation("THREADS_RANGE", f"need threads >= 1, got {threads}")
     if threads == 1:
-        return [fn(i) for i in range(count)]
-    out = [None] * count
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, res in zip(range(count), pool.map(fn, range(count))):
-            out[i] = res
-    return out
+        return list(pool.map(fn, items))
+
+
+def _blocks(count: int, size: int) -> list[range]:
+    """range(count) cut into blocks of size consecutive indices, the last one shorter."""
+    return [range(first, min(count, first + size)) for first in range(0, count, size)]
+
+
+def _block_paths(triplet: LevyTriplet, horizon: float, dt: float) -> int:
+    """Paths per block: about _BLOCK_PIECES pieces (path_pieces) in all, at least one."""
+    return max(1, int(_BLOCK_PIECES // max(path_pieces(triplet, horizon, dt), 1.0)))
+
+
+def finiteness_block(config, paths: range) -> tuple[list[PathBlock], np.ndarray]:
+    """Paths of the finiteness ensemble (by index) and their partial integrals at the checkpoints.
+
+    Returns the blocks of sample_paths and a (paths, checkpoints) array.
+    """
+    checkpoints = np.asarray(config.checkpoints, dtype=float)
+    seeds = [derive_seed(config.master_seed, "finiteness", i) for i in paths]
+    blocks = sample_paths(config.triplet, float(checkpoints[-1]), config.dt, seeds)
+    return blocks, np.vstack([perpetual_estimates(b, config.f, checkpoints) for b in blocks])
 
 
 def finiteness_path(config, i: int):
-    """Path i of the finiteness ensemble and its partial integrals at the checkpoints."""
-    checkpoints = np.asarray(config.checkpoints, dtype=float)
-    path = sample_path(
-        config.triplet,
-        float(checkpoints[-1]),
-        config.dt,
-        seed=derive_seed(config.master_seed, "finiteness", i),
-    )
-    return path, perpetual_estimate(path, config.f, checkpoints)
+    """Path i of the finiteness ensemble and its partial integrals: finiteness_block's one-path case."""
+    blocks, partials = finiteness_block(config, range(i, i + 1))
+    return blocks[0].path(0), partials[0]
 
 
 def finiteness_probability(config, threads: int = 1) -> FinitenessEstimate:
@@ -160,8 +190,9 @@ def finiteness_probability(config, threads: int = 1) -> FinitenessEstimate:
     paths; the inconclusive remainder is reported and flagged above 10%.
     """
     checkpoints = np.asarray(config.checkpoints, dtype=float)
-    partials = np.asarray(_parallel_map(
-        lambda i: finiteness_path(config, i)[1], config.n_paths, threads
+    size = _block_paths(config.triplet, float(checkpoints[-1]), config.dt)
+    partials = np.vstack(_parallel_map(
+        lambda paths: finiteness_block(config, paths)[1], _blocks(config.n_paths, size), threads
     ))
     incr = np.diff(partials, axis=1)
     tol = TOL_ABS + TOL_REL * partials[:, -1]
@@ -207,7 +238,11 @@ def occupation_identity_check(
     bandwidth: float = 0.05,
     threads: int = 1,
 ) -> CheckReport:
-    """Median relative gap between the time and the space side of occupation."""
+    """Median relative gap between the time and the space side of occupation.
+
+    A path whose level grid would pass MAX_LEVELS is refused (LEVEL_BUDGET)
+    before the grid is built.
+    """
     require_local_times(config.triplet, "occupation identity")
     horizon = float(config.checkpoints[-1])
 
@@ -221,19 +256,47 @@ def occupation_identity_check(
         direct = float(perpetual_estimate(path, config.f, [horizon])[0])
         lo = float(path.values.min()) - bandwidth
         hi = float(path.values.max()) + bandwidth
-        step = min(bandwidth, max(bandwidth / 2.0, (hi - lo) / 2500.0))
+        step, levels = _level_grid(hi - lo, bandwidth)
+        if levels > MAX_LEVELS:
+            raise PreconditionViolation("LEVEL_BUDGET", _level_problem(levels, bandwidth))
         grid = np.arange(lo, hi + step, step)
         fld = local_time_field(path, grid, bandwidth)
         space = float(np.trapezoid(np.asarray(config.f(grid)) * fld.values, grid))
         return abs(space - direct) / max(abs(direct), 1e-12)
 
-    gaps = np.asarray(_parallel_map(one_gap, n_paths, threads))
+    gaps = np.asarray(_parallel_map(one_gap, range(n_paths), threads))
     return CheckReport(
         name="occupation_identity",
         statistic=float(np.median(gaps)),
         threshold=0.05,
         notes=f"{n_paths} paths at T={horizon:g}, bandwidth {bandwidth:g}",
     )
+
+
+def _level_grid(span: float, bandwidth: float) -> tuple[float, float]:
+    """(step, levels) of the occupation check's level grid over span (its margins included)."""
+    step = min(bandwidth, max(bandwidth / 2.0, span / 2500.0))
+    return step, span / step
+
+
+def _level_problem(levels: float, bandwidth: float) -> str:
+    return (f"{levels:.3g} occupation grid levels exceed LEVEL_BUDGET {MAX_LEVELS} "
+            f"(a level at least every bandwidth {bandwidth:g} across a path's range)")
+
+
+def level_budget(triplet: LevyTriplet, horizon: float, bandwidth: float) -> tuple[str, str] | None:
+    """("LEVEL_BUDGET", problem) when an occupation path's expected level grid passes MAX_LEVELS, else None.
+
+    A path on [0, horizon] ranges over |E xi_horizon| = |mean| * horizon at
+    least on average, so its grid holds at least the levels of that span.
+    A mean that is not finite bounds nothing: the check then refuses a path
+    whose own grid is too large.
+    """
+    mean = triplet.mean()
+    if not mean.is_finite:
+        return None
+    levels = _level_grid(abs(mean.as_float()) * horizon + 2.0 * bandwidth, bandwidth)[1]
+    return None if levels <= MAX_LEVELS else ("LEVEL_BUDGET", _level_problem(levels, bandwidth))
 
 
 def overshoot_recommended_z1(triplet: LevyTriplet) -> float:
@@ -315,10 +378,9 @@ def _local_time_proxy(
     live = list(range(len(starts)))
     try:
         for c in range(_MAX_CHUNKS):
-            chunks = [
-                sample_path(triplet, chunk_horizon, dt, x0=x[r], seed=derive_seed(seeds[r], "chunk", c))
-                for r in live
-            ]
+            chunk_seeds = [derive_seed(seeds[r], "chunk", c) for r in live]
+            blocks = sample_paths(triplet, chunk_horizon, dt, chunk_seeds, x0=[x[r] for r in live])
+            chunks = [b.path(j) for b in blocks for j in range(b.rows)]
             totals[live] += local_time_block(chunks, levels, bandwidth)[0]
             for r, path in zip(live, chunks):
                 x[r] = float(path.values[-1])
@@ -334,11 +396,6 @@ def _local_time_proxy(
         _local_time_proxy(triplet, [x0], [s], levels, bandwidth, dt, escape, chunk_horizon)
         for x0, s in zip(starts, seeds)
     ])
-
-
-def _block_paths(triplet: LevyTriplet, chunk_horizon: float, dt: float) -> int:
-    """Paths per invariance block: about _BLOCK_PIECES pieces (path_pieces) per round, at least one."""
-    return max(1, int(_BLOCK_PIECES // max(path_pieces(triplet, chunk_horizon, dt), 1.0)))
 
 
 def invariance_horizon(triplet: LevyTriplet, x_list, dt: float) -> tuple[float, float]:
@@ -404,8 +461,8 @@ def local_time_law_invariance_check(
     escape, chunk_horizon = invariance_horizon(triplet, levels, dt)
     block = _block_paths(triplet, chunk_horizon, dt)
 
-    def one_block(b: int) -> np.ndarray:
-        seeds = [derive_seed(seed, "linf", i) for i in range(b * block, min(n, (b + 1) * block))]
+    def one_block(paths: range) -> np.ndarray:
+        seeds = [derive_seed(seed, "linf", i) for i in paths]
         if start_from_rho:
             starts = [float(rho.draw(stream(derive_seed(s, "start")), 1)[0]) for s in seeds]
         else:
@@ -416,7 +473,7 @@ def local_time_law_invariance_check(
 
     if threshold is None:
         threshold = max(0.05, ks_critical(n, n, ks_alpha))
-    samples = np.vstack(_parallel_map(one_block, -(-n // block), threads))  # (n, n_levels)
+    samples = np.vstack(_parallel_map(one_block, _blocks(n, block), threads))  # (n, n_levels)
     ref_idx = int(np.nonzero(levels == reference)[0][0])
     stats = [
         ks_two_sample(samples[:, j], samples[:, ref_idx])
@@ -458,9 +515,9 @@ def lln_envelope_check(
 ) -> CheckReport:
     """Fraction of paths staying inside (mu t / 2, 2 mu t) for all t >= t0.
 
-    A path is read at t0 and at its knots in (t0, horizon].  Between knots
-    both the path and the envelope are linear, so this covers every t >= t0
-    (on a grid path t0 is a knot).
+    A path is read at t0 and at its knots in (t0, horizon] (_inside_envelope).
+    Between knots both the path and the envelope are linear, so this covers
+    every t >= t0 (on a grid path t0 is a knot).
     """
     mu = triplet.positive_mean("LLN envelope")
     floor = lln_t0_floor(triplet)
@@ -473,16 +530,13 @@ def lln_envelope_check(
     if not horizon > t0:
         raise PreconditionViolation("HORIZON_RANGE", f"need horizon > t0 = {t0:g}, got {horizon:g}")
 
-    def one_path(i: int) -> bool:
-        path = sample_path(
-            triplet, horizon, dt, seed=derive_seed(seed, "lln", i)
-        )
-        later = int(np.searchsorted(path.times, t0, side="right"))
-        t = np.concatenate(([t0], path.times[later:]))
-        v = np.concatenate(([path.at(t0)], path.values[later:]))
-        return bool(np.all((v > 0.5 * mu * t) & (v < 2.0 * mu * t)))
+    def one_block(paths: range) -> np.ndarray:
+        seeds = [derive_seed(seed, "lln", i) for i in paths]
+        blocks = sample_paths(triplet, horizon, dt, seeds)
+        return np.concatenate([_inside_envelope(b, t0, mu) for b in blocks])
 
-    inside = np.asarray(_parallel_map(one_path, n, threads))
+    size = _block_paths(triplet, horizon, dt)
+    inside = np.concatenate(_parallel_map(one_block, _blocks(n, size), threads))
     fraction = float(np.mean(inside))
     return CheckReport(
         name="lln_envelope",
@@ -490,3 +544,11 @@ def lln_envelope_check(
         threshold=0.01,
         notes=f"fraction {fraction:.4f} inside envelope for t in [{t0:g}, {horizon:g}]",
     )
+
+
+def _inside_envelope(block: PathBlock, t0: float, mu: float) -> np.ndarray:
+    """Per row, whether the path lies inside (mu t / 2, 2 mu t) at t0 and at each knot after t0."""
+    at = block.at([t0])
+    t, v = block.times, block.values
+    later = ((v > 0.5 * mu * t) & (v < 2.0 * mu * t)) | (t <= t0)
+    return (at[:, 0] > 0.5 * mu * t0) & (at[:, 0] < 2.0 * mu * t0) & later.all(axis=1)

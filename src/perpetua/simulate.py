@@ -2,13 +2,19 @@
 
 Drift plus finite activity with no Gaussian part (event_driven: drift plus
 compound Poisson, or pure drift) is simulated exactly: the path is the line
-x + drift * t between Exp(rate) jump times.
-event_batch draws the gaps and then the jump sizes of a batch of events;
-sample_path and the exact first passage (passage) both walk these batches,
-so finite activity has one event loop.  An event path's knots are 0, each
-jump time twice (the value before the jump, then after) and the horizon; a
-jump is a piece of zero duration.  dt is unused, and integrals along the
-path are exact (perpetual_estimate reads f.integral_between).
+x + drift * t between Exp(rate) jump times.  An event path's knots are 0,
+each jump time twice (the value before the jump, then after) and the
+horizon; a jump is a piece of zero duration.  dt is unused.
+event_block draws a block of event paths, each from its own stream, batch
+by batch (the gaps, then the jump sizes), and cumulates the rows still short
+of the horizon as one array (_event_knots); sample_path's event path is its
+one-row case, so finite activity has one event loop.  event_batch draws a
+batch of many paths from one stream for the exact first passage (passage),
+through the same cumulation.  A PathBlock holds paths as the rows of padded
+knot arrays; perpetual_estimates integrates f along every row of an exact
+block in one pass, exactly (f.integral_between), and perpetual_estimate is
+its one-path case.  sample_paths gives event paths as one block and grid
+paths as one-row blocks, one at a time.
 
 Every other process runs on a regular grid with exact jumps above a cutoff.
 Increments follow the usual splitting: linear drift, Brownian part, all jumps
@@ -30,9 +36,9 @@ multiplication, not by accumulation, so a pure drift path reproduces the
 time grid exactly.  Paths of one (triplet, dt) share one StepEngine
 (step_engine), which keeps that line and the time grid per step count.
 
-local_time_block estimates the local-time fields of several paths on one
-level grid in one ramp-CDF pass, row by row; local_time_field is its
-one-path case.
+The local-time fields of paths are computed in localtime, whose
+LocalTimeField, local_time_field and local_time_block this module exports
+too.
 """
 
 from __future__ import annotations
@@ -43,24 +49,30 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BandwidthTooSmall, PreconditionViolation
+from .errors import PreconditionViolation
+from .localtime import LocalTimeField, local_time_block, local_time_field
 from .rng import stream
 from .testfunctions import TestFunction
 from .triplet import LevyTriplet
 
 __all__ = [
     "PathSample",
-    "LocalTimeField",
+    "PathBlock",
     "StepEngine",
     "step_engine",
     "event_driven",
     "batch_size",
     "event_batch",
+    "event_block",
     "grid_knots",
     "path_pieces",
     "path_budget",
     "sample_path",
+    "sample_paths",
     "perpetual_estimate",
+    "perpetual_estimates",
+    # the local-time layer (localtime), exported here as well
+    "LocalTimeField",
     "local_time_field",
     "local_time_block",
 ]
@@ -82,10 +94,6 @@ BATCH_EVENTS = 65_536
 # BATCH_EVENTS steps: at most about 4 MB per engine
 _ENGINES = 8
 _LINES = 4
-
-# (piece, window edge) pairs that _ramp_cdf evaluates at once, at most, so
-# that paths with large jumps keep memory bounded
-_PAIR_BLOCK = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,54 @@ class PathSample:
         return np.interp(t, self.times, self.values)
 
 
+@dataclass(frozen=True)
+class PathBlock:
+    """Paths to one horizon as the rows of (rows, width) knot arrays.
+
+    Row r holds the knots[r] knots of its path, then its last knot repeated
+    up to width: pieces of zero duration at the horizon, which add nothing
+    to an integral and move no value.  An exact block holds event paths
+    (event_block); a grid path is a block of one row (PathBlock.of).
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    knots: np.ndarray
+    exact: bool = False
+
+    @classmethod
+    def of(cls, path: PathSample) -> PathBlock:
+        return cls(path.times[None], path.values[None], np.array([path.times.size]), path.exact)
+
+    @property
+    def rows(self) -> int:
+        return self.knots.size
+
+    def path(self, r: int) -> PathSample:
+        n = self.knots[r]
+        return PathSample(times=self.times[r, :n], values=self.values[r, :n], exact=self.exact)
+
+    def at(self, t) -> np.ndarray:
+        """Each row's values at times t in [0, horizon]: (rows, t.size), as PathSample.at gives them."""
+        return _interp_rows(self.times, self.values, np.asarray(t, dtype=float))[3]
+
+
+def _interp_rows(times: np.ndarray, values: np.ndarray, t: np.ndarray):
+    """(i, t_i, v_i, value) per row and time: knot i the last at or before it, value np.interp's.
+
+    Bit for bit np.interp's rule: at a knot, or past the last, the knot's
+    value; inside a piece slope * (t - t_i) + v_i, with slope
+    (v_{i+1} - v_i) / (t_{i+1} - t_i).
+    """
+    i = np.array([np.searchsorted(row, t, side="right") for row in times]) - 1
+    row = np.arange(times.shape[0])[:, None]
+    nxt = np.minimum(i + 1, times.shape[1] - 1)
+    ti, tn, vi, vn = times[row, i], times[row, nxt], values[row, i], values[row, nxt]
+    inside = (ti != t) & (tn > ti)
+    slope = np.divide(vn - vi, tn - ti, out=np.zeros(i.shape), where=inside)
+    return i, ti, vi, np.where(inside, slope * (t - ti) + vi, vi)
+
+
 def event_driven(triplet: LevyTriplet) -> bool:
     """True when paths are exact events: no Gaussian part, finite activity.
 
@@ -128,16 +184,24 @@ def event_batch(triplet: LevyTriplet, rng, t: np.ndarray, v: np.ndarray, m: int)
     """m more events of each path, from time t and value v: (jump times, pre-, post-jump values).
 
     Draws the (paths, m) Exp(rate) gaps row by row, then as many jump sizes,
-    in that order.  Each output is (paths, m).  Pre- and post-jump values
-    add the jumps so far to the same drift line, so with drift <= 0 a
-    pre-jump value never exceeds the post-jump value before it, even in
-    floating point.  Needs rate > 0.
+    in that order, all from rng; _event_knots cumulates them.  Needs rate > 0.
     """
     nu = triplet.levy_measure
-    # cumulated in place: at most four (paths, m) arrays are held at once
     elapsed = rng.exponential(1.0 / nu.rate_above(0.0), (t.size, m))
     summed = np.asarray(nu.sample_jumps_above(rng, 0.0, elapsed.size), dtype=float)
-    summed = summed.reshape(elapsed.shape)
+    return _event_knots(triplet, elapsed, summed.reshape(elapsed.shape), t, v)
+
+
+def _event_knots(triplet: LevyTriplet, elapsed: np.ndarray, summed: np.ndarray,
+                 t: np.ndarray, v: np.ndarray):
+    """(jump times, pre-, post-jump values) of (paths, m) gaps and jump sizes, from time t and value v.
+
+    Each output is (paths, m), cumulated along each row, which is what the
+    row gives alone.  Pre- and post-jump values add the jumps so far to the
+    same drift line, so with drift <= 0 a pre-jump value never exceeds the
+    post-jump value before it, even in floating point.
+    """
+    # cumulated in place: at most four (paths, m) arrays are held at once
     np.cumsum(elapsed, axis=1, out=elapsed)
     np.cumsum(summed, axis=1, out=summed)
     pre = v[:, None] + triplet.drift * elapsed
@@ -241,25 +305,46 @@ def sample_path(
 ) -> PathSample:
     """Simulate one path on [0, horizon], started from x0, from stream(seed).
 
-    An event_driven triplet gives the exact event path (dt unused); any
-    other the grid path of grid_knots with step dt, with the jumps above the
-    measure's default cutoff for dt (all of them for finite activity) at
-    their exact times.  Deterministic in (seed, horizon, dt): the same
-    arguments always produce the identical PathSample.  A path past
-    MAX_PIECES_PER_PATH is refused before anything is allocated.
+    An event_driven triplet gives the exact event path (dt unused), the
+    one-row case of event_block; any other the grid path of grid_knots with
+    step dt, with the jumps above the measure's default cutoff for dt (all
+    of them for finite activity) at their exact times.  Deterministic in
+    (seed, horizon, dt): the same arguments always produce the identical
+    PathSample.  A path past MAX_PIECES_PER_PATH is refused before anything
+    is allocated.
     """
+    event = event_driven(triplet)
+    _check_path(triplet, horizon, dt, event)
+    if event:
+        return event_block(triplet, horizon, [seed], x0).path(0)
+    times, values = grid_knots(step_engine(triplet, dt), stream(seed), int(round(horizon / dt)), x0)
+    return PathSample(times=times, values=values)
+
+
+def sample_paths(triplet: LevyTriplet, horizon: float, dt: float, seeds, x0=0.0) -> list[PathBlock]:
+    """The paths of sample_path for each seed in turn (x0 one start, or one per seed), as blocks.
+
+    Exact event paths come as one block of len(seeds) rows (event_block);
+    grid paths as one one-row block each, sampled one at a time, since a
+    padded block of long grid rows would no longer fit in cache.  Row for
+    row, the paths are those sample_path gives.
+    """
+    if not event_driven(triplet):
+        starts = x0 if np.ndim(x0) else [x0] * len(seeds)
+        return [PathBlock.of(sample_path(triplet, horizon, dt, x0=x, seed=s)) for x, s in zip(starts, seeds)]
+    _check_path(triplet, horizon, dt, True)
+    return [event_block(triplet, horizon, seeds, x0)]
+
+
+def _check_path(triplet: LevyTriplet, horizon: float, dt: float, event: bool) -> None:
+    """Refuse a path of this horizon and dt (an event path ignores dt), or past the path budget."""
     if not horizon > 0.0:
         raise PreconditionViolation("HORIZON_RANGE", "need horizon > 0")
-    event = event_driven(triplet)
     if not (event or 0.0 < dt <= horizon / 10.0):
         raise PreconditionViolation("DT_RANGE", "need 0 < dt <= horizon/10")
     over = path_budget(triplet, horizon, dt)
     if over is not None:
         raise PreconditionViolation(*over)
-    if event:
-        return _event_path(triplet, horizon, x0, stream(seed))
-    times, values = grid_knots(step_engine(triplet, dt), stream(seed), int(round(horizon / dt)), x0)
-    return PathSample(times=times, values=values)
 
 
 def grid_knots(engine: StepEngine, rng, n: int, x0: float):
@@ -325,49 +410,91 @@ def path_budget(triplet: LevyTriplet, horizon: float, dt: float) -> tuple[str, s
                            f"{MAX_PIECES_PER_PATH} (a knot every dt on a grid, two per jump)")
 
 
-def _event_path(triplet: LevyTriplet, horizon: float, x0: float, rng) -> PathSample:
-    """The exact event path: event batches of batch_size(rate, horizon) until one passes the horizon."""
-    rate = triplet.levy_measure.rate_above(0.0)
-    t, v = np.zeros(1), np.array([float(x0)])
-    times, values = [t], [v]
+def event_block(triplet: LevyTriplet, horizon: float, seeds, x0=0.0) -> PathBlock:
+    """The exact event paths on [0, horizon] of seeds, one row each, from x0 (one, or one per seed).
+
+    Row r draws from its own stream(seeds[r]) as it would alone: batches of
+    m = batch_size(rate, horizon) events, the gaps and then the jump sizes
+    of each, until a batch passes the horizon.  Each round the rows still
+    short of it are cumulated as one (rows, m) array (_event_knots).  The
+    knots are 0, each jump time twice (the value before the jump, then
+    after) and the horizon.
+    """
+    nu = triplet.levy_measure
+    rate = nu.rate_above(0.0)
+    rows = len(seeds)
+    rngs = [stream(s) for s in seeds]
+    start = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (rows,)))
     m = batch_size(rate, horizon)
-    while rate > 0.0:
-        at, pre, post = event_batch(triplet, rng, t, v, m)
-        k = int(np.searchsorted(at[0], horizon))  # the jumps before the horizon
-        times.append(np.repeat(at[0, :k], 2))
-        values.append(np.column_stack((pre[0, :k], post[0, :k])).ravel())
-        if k < m:
-            break
-        t, v = at[:, -1], post[:, -1]
-    times, values = np.concatenate(times), np.concatenate(values)
-    return PathSample(times=np.append(times, horizon),
-                      values=np.append(values, values[-1] + triplet.drift * (horizon - times[-1])),
-                      exact=True)
+    jumps = np.zeros(rows, dtype=np.intp)  # per row, the jumps before the horizon
+    batches = []  # (rows drawn, jump times, pre-, post-jump values) per round
+    live, t, v = np.arange(rows if rate > 0.0 else 0), np.zeros(rows), start
+    while live.size:
+        gaps, sizes = np.empty((live.size, m)), np.empty((live.size, m))
+        for j, r in enumerate(live):
+            gaps[j] = rngs[r].exponential(1.0 / rate, m)
+            sizes[j] = nu.sample_jumps_above(rngs[r], 0.0, m)
+        at, pre, post = _event_knots(triplet, gaps, sizes, t, v)
+        k = (at < horizon).sum(axis=1)
+        jumps[live] += k
+        batches.append((live, at, pre, post))
+        going = k == m
+        live, t, v = live[going], at[going, -1], post[going, -1]
+
+    width = 2 * int(jumps.max()) + 2
+    times, values = np.empty((rows, width)), np.empty((rows, width))
+    times[:, 0], values[:, 0] = 0.0, start
+    for b, (drawn, at, pre, post) in enumerate(batches):
+        first = 2 * b * m + 1  # the pre-jump knot of the batch's first jump
+        n = min(m, (width - first) // 2)  # its jumps that fit: the rest are padding
+        stop = first + 2 * n
+        times[drawn, first:stop:2] = times[drawn, first + 1:stop:2] = at[:, :n]
+        values[drawn, first:stop:2], values[drawn, first + 1:stop:2] = pre[:, :n], post[:, :n]
+    last = 2 * jumps  # each row's last jump, or its start
+    row = np.arange(rows)
+    end = values[row, last] + triplet.drift * (horizon - times[row, last])
+    pad = np.arange(width) > last[:, None]
+    np.copyto(times, horizon, where=pad)
+    np.copyto(values, end[:, None], where=pad)
+    return PathBlock(times=times, values=values, knots=last + 2, exact=True)
 
 
 def perpetual_estimate(path: PathSample, f: TestFunction, checkpoints) -> np.ndarray:
-    """Partial integrals of f along the path at each checkpoint.
+    """Partial integrals of f along the path at each checkpoint: the one-row case of perpetual_estimates."""
+    return perpetual_estimates(PathBlock.of(path), f, checkpoints)[0]
 
-    An exact path is integrated exactly, piece by piece, up to the partial
-    piece that ends at each checkpoint (_line_integrals); a grid path by the
-    trapezoid rule.
+
+def perpetual_estimates(block: PathBlock, f: TestFunction, checkpoints) -> np.ndarray:
+    """Partial integrals of f along each row of the block at each checkpoint: (rows, checkpoints).
+
+    An exact block is integrated exactly, piece by piece, up to the partial
+    piece that ends at each checkpoint (_line_integrals), all rows in one
+    pass; the running sums go along each row, so a row is what it gives
+    alone.  A grid row is integrated by the trapezoid rule.
     """
     checkpoints = np.atleast_1d(np.asarray(checkpoints, dtype=float))
-    if checkpoints.size and (checkpoints.min() < 0.0 or checkpoints.max() > path.horizon * (1 + 1e-12)):
+    t, v = block.times, block.values
+    if checkpoints.size and (checkpoints.min() < 0.0 or checkpoints.max() > t[0, -1] * (1 + 1e-12)):
         raise PreconditionViolation("CHECKPOINT_RANGE", "checkpoints must lie in [0, horizon]")
-    t, v = path.times, path.values
-    if not path.exact:
-        fv = np.asarray(f(v), dtype=float)
-        cum = np.empty(t.size)  # the trapezoids, then their running sum
-        cum[0] = 0.0
-        np.add(fv[1:], fv[:-1], out=cum[1:])
-        cum[1:] *= 0.5
-        cum[1:] *= np.diff(t)
-        np.cumsum(cum, out=cum)
-        return np.interp(checkpoints, t, cum)
-    cum = np.concatenate(([0.0], np.cumsum(_line_integrals(f, np.diff(t), v[:-1], v[1:]))))
-    i = np.searchsorted(t, checkpoints, side="right") - 1  # the last knot at or before
-    return cum[i] + _line_integrals(f, checkpoints - t[i], v[i], path.at(checkpoints))
+    if not block.exact:
+        return np.array([_trapezoids(block.path(r), f, checkpoints) for r in range(block.rows)])
+    cum = np.zeros(t.shape)  # the integral up to each knot
+    np.cumsum(_line_integrals(f, np.diff(t, axis=1), v[:, :-1], v[:, 1:]), axis=1, out=cum[:, 1:])
+    i, ti, vi, at = _interp_rows(t, v, checkpoints)
+    return cum[np.arange(block.rows)[:, None], i] + _line_integrals(f, checkpoints - ti, vi, at)
+
+
+def _trapezoids(path: PathSample, f: TestFunction, checkpoints: np.ndarray) -> np.ndarray:
+    """The trapezoid rule's partial integrals of f along a grid path at each checkpoint."""
+    t = path.times
+    fv = np.asarray(f(path.values), dtype=float)
+    cum = np.empty(t.size)  # the trapezoids, then their running sum
+    cum[0] = 0.0
+    np.add(fv[1:], fv[:-1], out=cum[1:])
+    cum[1:] *= 0.5
+    cum[1:] *= np.diff(t)
+    np.cumsum(cum, out=cum)
+    return np.interp(checkpoints, t, cum)
 
 
 def _line_integrals(f: TestFunction, gap: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -375,9 +502,11 @@ def _line_integrals(f: TestFunction, gap: np.ndarray, a: np.ndarray, b: np.ndarr
 
     That is (F(b) - F(a)) / d with slope d = (b - a) / gap, read as the mean
     of f over [min, max] (f.integral_between / width) times gap, and f(a)
-    times gap on a flat piece.  A piece of zero duration (a jump) adds 0.
+    times gap on a flat piece.  A piece of zero duration (a jump, or a
+    block's padding) adds 0, and f is evaluated on no such piece.  The
+    arrays share one shape, which the result has too.
     """
-    out = np.zeros(gap.size)
+    out = np.zeros(gap.shape)
     moving = gap > 0.0
     gap, a, b = gap[moving], a[moving], b[moving]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -388,170 +517,3 @@ def _line_integrals(f: TestFunction, gap: np.ndarray, a: np.ndarray, b: np.ndarr
     mean[slope] = f.integral_between(lo[slope], hi[slope]) / width[slope]
     out[moving] = mean * gap
     return out
-
-
-@dataclass(frozen=True)
-class LocalTimeField:
-    """Kernel estimate of local times L_t(x) on a level grid."""
-
-    x_grid: np.ndarray
-    bandwidth: float
-    values: np.ndarray
-    t_covered: float  # time the path spent inside [x_grid[0], x_grid[-1]]
-
-
-def _ramp_cdf(q: np.ndarray, row: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-              dt: np.ndarray, rows: int) -> np.ndarray:
-    """F_r(q) = sum_i dt_i * clip((q - lo_i) / (hi_i - lo_i), 0, 1) over the segments of row r.
-
-    One row per r < rows, at the sorted queries q: a (rows, q.size) array.
-    Segments come grouped by row (row is non-decreasing).  A flat segment
-    (lo == hi) counts wholly at every q >= its value.  Segments wholly below
-    a query are binned by (row, first query at or above their top) in one
-    bincount and summed by one cumsum along each row.  Each (segment, query)
-    pair with lo < q < hi adds its exact ramp value; the pairs are processed
-    in blocks of at most _PAIR_BLOCK.  A block that runs into a later row
-    ends before that row unless it holds the whole row, so each row is
-    split, and summed, exactly as it would be alone.  Every term is
-    non-negative, so nothing cancels.
-    """
-    size = q.size
-    full_from = np.searchsorted(q, hi, side="left")
-    first = np.searchsorted(q, lo, side="right")
-    count = np.maximum(full_from - first, 0)  # pairs per segment; 0 for flat ones
-    full_from += row * (size + 1)
-    binned = np.bincount(full_from, weights=dt, minlength=rows * (size + 1))
-    cdf = np.cumsum(binned.reshape(rows, size + 1)[:, :size], axis=1)
-    first += row * size  # pairs index the queries of all rows: q_rows[row * size + j] = q[j]
-    q_rows = np.tile(q, rows)
-    ends = np.cumsum(count)
-    start, done = 0, 0
-    while done < ends[-1]:
-        stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), start + 1)
-        if stop < row.size and row[start] != row[stop - 1] == row[stop]:
-            stop = int(np.searchsorted(row, row[stop]))  # end before the row it would split
-        seg = np.repeat(np.arange(start, stop), count[start:stop])
-        j = first[seg] + np.arange(done, ends[stop - 1]) - (ends[seg] - count[seg])
-        ramp = dt[seg] * (q_rows[j] - lo[seg]) / (hi[seg] - lo[seg])
-        cdf += np.bincount(j, weights=ramp, minlength=rows * size).reshape(rows, size)
-        start, done = stop, int(ends[stop - 1])
-    return cdf
-
-
-def local_time_field(path: PathSample, x_grid, bandwidth: float) -> LocalTimeField:
-    """Occupation density estimate: time within bandwidth of each level / 2eps.
-
-    The one-path case of local_time_block, which describes the estimate.
-    """
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    values, t_covered = local_time_block([path], x_grid, bandwidth)
-    return LocalTimeField(
-        x_grid=x_grid, bandwidth=bandwidth, values=values[0], t_covered=float(t_covered[0])
-    )
-
-
-def local_time_block(paths, x_grid, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    """The local-time fields of several paths on one level grid, in one pass.
-
-    Returns (values, t_covered): row r of values is the field of paths[r]
-    and t_covered[r] the time it spent inside [x_grid[0], x_grid[-1]].  Row r
-    is the same, bit for bit, whatever the other paths are (local_time_field
-    is the one-path case).
-
-    A path is linear between its knots, so each piece spreads its duration
-    dt uniformly over the levels it sweeps.  The time spent at or below y is
-    then the piecewise-linear ramp CDF F(y) = sum_i dt_i * clip((y - lo_i) /
-    span_i, 0, 1), and L(x) = (F(x + b) - F(x - b)) / 2b exactly; t_covered
-    is F at the two ends of the grid.  All window edges are evaluated in one
-    sorted query array shared by every row, so a window a path never enters
-    (a path wholly above every window included) gets exactly 0.  Cost is
-    O(n log G + rows G + crossings) for n pieces, G levels and the number of
-    (piece, window edge) pairs a piece strictly straddles.
-
-    A flat piece (a step with no movement) sits at one value v and counts
-    wholly in every closed window: v <= x + b at the upper end and v >= x - b
-    at the lower end; likewise for [x_grid[0], x_grid[-1]] in t_covered.
-
-    A jump is a piece of zero duration: it adds no time, and the pieces the
-    field reads are the ones with positive duration.
-
-    Bandwidth must stay above the floor _bandwidth_floor measures on each
-    path's pieces, or window counts are noise: the first path below it
-    raises BandwidthTooSmall.
-    """
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if x_grid.size < 2 or np.any(np.diff(x_grid) <= 0.0):
-        raise PreconditionViolation("GRID_ORDER", "x_grid must be strictly increasing")
-    if not bandwidth > 0.0:
-        raise PreconditionViolation("BANDWIDTH_RANGE", "need bandwidth > 0")
-
-    pieces = []
-    for path in paths:
-        dt = np.diff(path.times)
-        start, end = path.values[:-1], path.values[1:]
-        if dt.min() == 0.0:  # a jump takes no time: read the pieces with positive duration
-            moving = dt > 0.0
-            dt, start, end = dt[moving], start[moving], end[moving]
-        floor = _bandwidth_floor(dt, end - start)
-        if bandwidth < floor:
-            raise BandwidthTooSmall(f"bandwidth {bandwidth:g} below floor {floor:g} for this step size")
-        pieces.append((dt, np.minimum(start, end), np.maximum(start, end)))
-    rows = len(pieces)
-    row = np.repeat(np.arange(rows), [dt.size for dt, _, _ in pieces])
-    # one path's pieces are used as they are: a copy would only add memory
-    dt, lo, hi = pieces[0] if rows == 1 else (np.concatenate(part) for part in zip(*pieces))
-
-    # lower edges (the G windows', then the grid's), upper edges likewise;
-    # the stable sort merges these four sorted runs in linear time
-    size = x_grid.size + 1
-    edges = np.concatenate((x_grid - bandwidth, x_grid[:1], x_grid + bandwidth, x_grid[-1:]))
-    order = np.argsort(edges, kind="stable")
-    cdf = np.empty((rows, edges.size))
-    cdf[:, order] = _ramp_cdf(edges[order], row, lo, hi, dt, rows)
-
-    # F counts a flat piece at q >= v; the lower edge of a closed window
-    # wants q > v, so flats sitting exactly on a lower edge are taken back out
-    flat = lo == hi
-    r, v, w = row[flat], lo[flat], dt[flat]
-    lower = cdf[:, :size]
-    lower[:, :-1] -= _time_at(x_grid - bandwidth, r, v, w, rows)
-    bottom = v == x_grid[0]
-    lower[:, -1] -= np.bincount(r[bottom], weights=w[bottom], minlength=rows)
-    upper = cdf[:, size:]
-    return (upper[:, :-1] - lower[:, :-1]) / (2.0 * bandwidth), upper[:, -1] - lower[:, -1]
-
-
-def _bandwidth_floor(dt: np.ndarray, steps: np.ndarray) -> float:
-    """A quarter of the typical diffusive move of a piece: 1.4826 MAD / 4 of the residuals.
-
-    The residual of a piece is its move less the median slope times its
-    duration, so a grid measures the spread of its continuous increments
-    about their median (its jumps are the pieces of zero duration that
-    local_time_block drops), and the linear pieces of an event path (all at
-    the drift's slope) give a floor of rounding size.
-    """
-    resid = steps - _median(steps / dt) * dt
-    return 1.4826 * float(_median(np.abs(resid, out=resid))) / 4.0
-
-
-def _median(a: np.ndarray) -> float:
-    """np.median of a finite array, bit for bit, by partitioning a in place.
-
-    The middle element, or (p[k-1] + p[k]) / 2 of the partitioned p for an
-    even size 2k: np.median's own rule, without its check for NaN.
-    """
-    k = a.size // 2
-    if a.size % 2:
-        a.partition(k)
-        return a[k]
-    a.partition((k - 1, k))
-    return (a[k - 1] + a[k]) / 2.0
-
-
-def _time_at(points: np.ndarray, row: np.ndarray, v: np.ndarray, w: np.ndarray,
-             rows: int) -> np.ndarray:
-    """Per row and sorted point, the total weight w of that row's values v equal to it."""
-    k = np.minimum(np.searchsorted(points, v), points.size - 1)
-    hit = points[k] == v
-    cells = np.bincount(row[hit] * points.size + k[hit], weights=w[hit], minlength=rows * points.size)
-    return cells.reshape(rows, points.size)

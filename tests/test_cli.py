@@ -366,6 +366,25 @@ class TestExitCodes:
         assert code == 1
 
 
+def test_event_path_outputs_are_identical_for_any_threads(tmp_path):
+    # drift 0.1 plus rate-1 Exp(2) up-jumps: exact event paths in blocks of 31 and 20
+    cfg = write_config(
+        tmp_path,
+        triplet={"drift": 0.1, "gaussian": 0.0, "levy_measure": {"family": "compound_poisson", "params": {
+            "rate": 1.0, "jump_law": {"kind": "exponential", "theta": 2.0, "sign": 1}}}},
+        horizon={"t0": 2.0, "doublings": 7},
+        checks=["zero_one", "overshoot", "lln"],
+        check_params={"overshoot": {"z1": 10, "z2": 20, "n": 200}, "lln": {"n": 60, "t0": 100}},
+    )
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in
+                        ("report.json", "finiteness.csv", "overshoots_z1.csv", "overshoots_z2.csv")})
+    assert outputs[0] == outputs[1]
+
+
 class TestSimulateCommand:
     def test_writes_path_csvs(self, tmp_path, capsys):
         out = tmp_path / "artifacts"

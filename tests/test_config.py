@@ -7,6 +7,7 @@ import pytest
 
 from perpetua import ConfigError, ExperimentConfig, load_config, run_experiment
 from perpetua.checks import CHECKS
+from perpetua.harness import MAX_LEVELS
 from perpetua.simulate import MAX_PIECES_PER_PATH
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -314,6 +315,26 @@ class TestFromDict:
             ExperimentConfig.from_dict(d)
         assert exc.value.problems == [over_budget("check_params.invariance", "1.5e+09")]
         d["checks"] = ["zero_one"]  # invariance not run: its budget does not apply
+        ExperimentConfig.from_dict(d)
+
+    def test_level_budget_refuses_a_fast_occupation_path(self):
+        # drift 1e5 over horizon 256: a path spans about 2.56e7, 5.12e8 levels at bandwidth 0.05
+        d = json.loads((ROOT / "configs" / "bm_drift_exp_decay.json").read_text())
+        d["triplet"]["drift"] = 1e5
+        d["dt"] = "x"  # listed with every other problem
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert len(exc.value.problems) == 1 and exc.value.problems[0].startswith("dt:")
+        d["dt"] = 0.01
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            f"check_params.occupation: 5.12e+08 occupation grid levels exceed LEVEL_BUDGET {MAX_LEVELS} "
+            "(a level at least every bandwidth 0.05 across a path's range)"]
+        d["check_params"]["occupation"]["bandwidth"] = 10.0  # 2.56e6 levels
+        ExperimentConfig.from_dict(d)
+        d["check_params"]["occupation"]["bandwidth"] = 0.05
+        d["checks"] = ["zero_one", "lln"]  # occupation not run: its budget does not apply
         ExperimentConfig.from_dict(d)
 
     def test_event_paths_are_not_held_to_dt(self):

@@ -31,7 +31,8 @@ from perpetua import harness
 from perpetua.passage import stationary_overshoot
 from perpetua.rng import derive_seed, stream
 from perpetua.runner import _run_one
-from perpetua.simulate import PathSample, _bandwidth_floor, local_time_block, sample_path
+from perpetua.localtime import _bandwidth_floor, local_time_block
+from perpetua.simulate import PathBlock, PathSample, sample_path
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
 # drift 0.1 plus rate-1 Exp(2) up-jumps: mu = 0.6, sigma^2 + int x^2 nu = 0.5
@@ -171,6 +172,29 @@ class TestOccupationCheck:
         )
         with pytest.raises(PreconditionViolation):
             occupation_identity_check(cfg, n_paths=4)
+
+    def test_level_grid_past_the_budget_is_refused_before_it_is_built(self, monkeypatch):
+        class NoGrid:  # numpy, except that no level grid may be built
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def arange(self, *args, **kwargs):
+                raise AssertionError("a level grid was built")
+
+        monkeypatch.setattr(harness, "np", NoGrid())
+        # drift 1e5 over horizon 8: a path spans about 8e5, 1.6e7 levels at bandwidth 0.05
+        cfg = make_config(LevyTriplet(1e5, 1.0), ExpDecay(1.0), t0=1.0, doublings=3)
+        with pytest.raises(PreconditionViolation) as exc:
+            occupation_identity_check(cfg, n_paths=2)
+        assert exc.value.reason == "LEVEL_BUDGET"
+        assert str(exc.value).startswith("LEVEL_BUDGET: 1.6e+07 occupation grid levels exceed LEVEL_BUDGET")
+
+    def test_level_budget_reads_the_mean(self):
+        assert harness.level_budget(BM_DRIFT, 256.0, 0.05) is None
+        assert harness.level_budget(LevyTriplet(1e5, 1.0), 256.0, 0.05)[0] == "LEVEL_BUDGET"
+        assert harness.level_budget(LevyTriplet(1e5, 1.0), 256.0, 10.0) is None  # 2.56e6 levels
+        # no finite mean bounds nothing: the check refuses such a path itself
+        assert harness.level_budget(LevyTriplet(0.0, 0.0, StableLike(0.9, 1.0, 1.0)), 1e9, 0.05) is None
 
 
 class TestOvershootCheck:
@@ -366,6 +390,57 @@ class TestInvarianceBlocks:
         assert str(exc.value) == f"bandwidth {bandwidth:g} below floor {f01:g} for this step size"
 
 
+class TestEventBlocks:
+    """The finiteness and LLN ensembles run in blocks of consecutive paths, sized by pieces alone."""
+
+    def test_blocks_do_not_depend_on_threads(self, monkeypatch):
+        handed = []
+        parallel_map = harness._parallel_map
+
+        def spy(fn, items, threads):
+            handed.append(list(items))
+            return parallel_map(fn, items, threads)
+
+        monkeypatch.setattr(harness, "_parallel_map", spy)
+        cfg = make_config(DRIFT_CP, ExpDecay(1.0), n_paths=100, t0=2.0, doublings=7)
+        runs = []
+        for threads in (1, 2, 3):
+            handed.clear()
+            partials = finiteness_probability(cfg, threads=threads).partials
+            report = lln_envelope_check(DRIFT_CP, t0=100.0, n=50, seed=4, threads=threads).to_dict()
+            runs.append((list(handed), partials.tobytes(), report))
+        assert runs[0] == runs[1] == runs[2]
+        # 513 expected pieces per path on [0, 256] and 801 on [0, 400]
+        zero_one, lln = runs[0][0]
+        assert [len(b) for b in zero_one] == [31, 31, 31, 7] and zero_one[0] == range(31)
+        assert [len(b) for b in lln] == [20, 20, 10]
+
+    def test_shipped_grid_ensembles_run_one_path_per_block(self):
+        assert harness._block_paths(BM_DRIFT, 256.0, 0.01) == 1
+        assert harness._block_paths(BM_DRIFT, 240.0, 0.01) == 1
+
+    def test_block_rows_are_the_paths_alone(self):
+        cfg = make_config(DRIFT_CP, ExpDecay(1.0), n_paths=40, t0=2.0, doublings=5)
+        blocks, partials = harness.finiteness_block(cfg, range(3, 40))
+        assert [b.rows for b in blocks] == [37]
+        for r, i in enumerate(range(3, 40)):
+            path, alone = harness.finiteness_path(cfg, i)
+            assert blocks[0].path(r).values.tobytes() == path.values.tobytes()
+            assert partials[r].tobytes() == alone.tobytes()
+
+
+def test_partials_csv_is_what_write_csv_writes(tmp_path):
+    partials = [np.array([-0.0, 5e-324, np.inf, 2.0]), np.array([1.0, 1e300, -np.inf, 0.1 + 0.2])]
+    checkpoints = [1.0, 2.0, 4.0, 8.0]
+    rows = ((i, t, row[j]) for i, row in enumerate(partials) for j, t in enumerate(checkpoints))
+    harness.write_csv(tmp_path / "rows.csv", "path_id,checkpoint,partial_integral", rows)
+    expected = (tmp_path / "rows.csv").read_bytes()
+    for table in (partials, np.vstack(partials)):
+        harness.write_partials_csv(tmp_path / "table.csv", table, np.array(checkpoints))
+        assert (tmp_path / "table.csv").read_bytes() == expected
+    assert b"\n0,1.0,-0.0\n0,2.0,5e-324\n0,4.0,inf\n0,8.0,2.0\n" in expected
+
+
 class TestLlnCheck:
     def test_mean_range_fast_fail(self):
         with pytest.raises(PreconditionViolation) as exc:
@@ -399,13 +474,13 @@ class TestLlnCheck:
         # knots after it, and linear between them
         path = PathSample(times=np.array([0.0, 69.0, 71.0, 280.0]),
                           values=np.array([0.0, 10.0, 30.0, 168.0]), exact=True)
-        monkeypatch.setattr(harness, "sample_path", lambda *args, **kwargs: path)
+        monkeypatch.setattr(harness, "sample_paths", lambda *args, **kwargs: [PathBlock.of(path)])
         rep = lln_envelope_check(DRIFT_CP, t0=70.0, n=1, horizon=280.0)
         assert rep.statistic == 1.0 and not rep.passed
 
     @pytest.mark.parametrize("horizon", [10.0, 60.0])
     def test_horizon_must_exceed_t0(self, horizon, monkeypatch):
-        monkeypatch.setattr(harness, "sample_path", None)  # refused before any path
+        monkeypatch.setattr(harness, "sample_paths", None)  # refused before any path
         with pytest.raises(PreconditionViolation) as exc:
             lln_envelope_check(BM_DRIFT, t0=60.0, n=4, horizon=horizon)
         assert exc.value.reason == "HORIZON_RANGE"
@@ -446,7 +521,8 @@ class TestCheckReportShape:
 
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_one_are_refused_before_any_path(threads, monkeypatch):
-    monkeypatch.setattr(harness, "sample_path", None)  # refused before any path
+    for sampler in ("sample_path", "sample_paths"):  # refused before any path
+        monkeypatch.setattr(harness, sampler, None)
     cfg = make_config(BM_DRIFT, ExpDecay(1.0))
     calls = [
         lambda: finiteness_probability(cfg, threads=threads),

@@ -29,14 +29,17 @@ from perpetua import (
     perpetual_estimate,
     sample_path,
 )
-from perpetua import simulate
+from perpetua import localtime, simulate
+from perpetua.localtime import _bandwidth_floor, _median, local_time_block
 from perpetua.rng import derive_seed, stream
-from perpetua.simulate import (PathSample, StepEngine, _bandwidth_floor, _median, event_batch,
-                               grid_knots, local_time_block, path_pieces, step_engine)
+from perpetua.simulate import (PathBlock, PathSample, StepEngine, event_batch, event_block, grid_knots,
+                               path_pieces, perpetual_estimates, step_engine)
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
 # drift 0.1 plus rate-1 Exp(2) up-jumps: Laplace exponent psi(1) = 0.1 + 1 - 2/3
 DRIFT_CP = LevyTriplet(0.1, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
+# the same jumps without drift: every piece between jumps is flat
+CP_ONLY = LevyTriplet(0.0, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
 # negative drift and two-sided jumps: pieces run downwards and cross 0
 DOWN_CP = LevyTriplet(-0.3, 0.0, CompoundPoisson(1.5, TwoSidedExponentialJump(1.0, 2.0, 0.6)))
 # a Gaussian part plus rate-1 Exp(2) up-jumps: a grid path with exact jumps
@@ -503,6 +506,132 @@ class TestEventPath:
         assert np.allclose(post - pre, sizes, rtol=0.0, atol=1e-12)
 
 
+def event_path_oracle(triplet, horizon, x0, seed):
+    """Test oracle: one event path, batch after batch of event_batch on its own stream.
+
+    The one-path loop event_block replaced: each batch's jumps before the
+    horizon are appended as knots, then the last piece runs to the horizon.
+    """
+    rng, rate = stream(seed), triplet.levy_measure.rate_above(0.0)
+    t, v = np.zeros(1), np.array([float(x0)])
+    times, values = [t], [v]
+    m = simulate.batch_size(rate, horizon)
+    while rate > 0.0:
+        at, pre, post = event_batch(triplet, rng, t, v, m)
+        k = int(np.searchsorted(at[0], horizon))
+        times.append(np.repeat(at[0, :k], 2))
+        values.append(np.column_stack((pre[0, :k], post[0, :k])).ravel())
+        if k < m:
+            break
+        t, v = at[:, -1], post[:, -1]
+    times, values = np.concatenate(times), np.concatenate(values)
+    return (np.append(times, horizon),
+            np.append(values, values[-1] + triplet.drift * (horizon - times[-1])))
+
+
+def exact_partials_oracle(times, values, f, checkpoints):
+    """Test oracle: the one-path exact integral perpetual_estimates replaced."""
+    checkpoints = np.asarray(checkpoints, dtype=float)
+    cum = np.concatenate(([0.0], np.cumsum(simulate._line_integrals(f, np.diff(times), values[:-1],
+                                                                     values[1:]))))
+    i = np.searchsorted(times, checkpoints, side="right") - 1
+    at = np.interp(checkpoints, times, values)
+    return cum[i] + simulate._line_integrals(f, checkpoints - times[i], values[i], at)
+
+
+class TestEventBlock:
+    """A block of event paths: each row is, bit for bit, the path and the partial integrals alone."""
+
+    HORIZON = 32.0
+    CHECKPOINTS = [0.0, 1.5, 4.0, 9.75, 16.0, 32.0]
+    F = SumOf((ExpDecay(0.3), Indicator(-1.0, 2.0)))
+
+    def assert_rows_are_alone(self, triplet, x0=0.0, n=9):
+        seeds = [derive_seed(80, i) for i in range(n)]
+        starts = np.broadcast_to(np.asarray(x0, dtype=float), (n,))
+        block = event_block(triplet, self.HORIZON, seeds, x0)
+        partials = perpetual_estimates(block, self.F, self.CHECKPOINTS)
+        assert partials.shape == (n, len(self.CHECKPOINTS))
+        for r, (seed, start) in enumerate(zip(seeds, starts)):
+            row, path = block.path(r), sample_path(triplet, self.HORIZON, 0.01, x0=float(start), seed=seed)
+            times, values = event_path_oracle(triplet, self.HORIZON, float(start), seed)
+            for a in (row, path):
+                assert a.exact
+                assert a.times.tobytes() == times.tobytes() and a.values.tobytes() == values.tobytes()
+            expected = exact_partials_oracle(times, values, self.F, self.CHECKPOINTS).tobytes()
+            assert partials[r].tobytes() == expected
+            assert perpetual_estimate(path, self.F, self.CHECKPOINTS).tobytes() == expected
+        return block
+
+    @pytest.mark.parametrize("triplet", [
+        DRIFT_CP,
+        CP_ONLY,
+        LevyTriplet(-0.2, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1))),
+        DOWN_CP,
+        LevyTriplet(0.3, 0.0, CompoundPoisson(2.0, TwoSidedExponentialJump(1.5, 3.0, 0.6))),
+        LevyTriplet(0.4),
+    ], ids=["drift_cp", "cp_only", "down_drift_up_jumps", "down_cp", "two_sided", "pure_drift"])
+    def test_rows_are_the_paths_alone(self, triplet):
+        block = self.assert_rows_are_alone(triplet)
+        # shorter rows are padded with their last knot, at the horizon
+        assert block.times.shape[1] == block.knots.max() and np.all(block.times[:, -1] == self.HORIZON)
+
+    def test_cp_only_pieces_are_flat(self):
+        # drift 0: every piece of positive duration takes _line_integrals' flat branch
+        block = self.assert_rows_are_alone(CP_ONLY)
+        moving = np.diff(block.times, axis=1) > 0.0
+        assert moving.any() and np.all(np.diff(block.values, axis=1)[moving] == 0.0)
+
+    @pytest.mark.parametrize("x0", [2.5, [0.5 * i - 1.0 for i in range(9)]], ids=["one", "per_row"])
+    def test_rows_start_from_x0(self, x0):
+        block = self.assert_rows_are_alone(DOWN_CP, x0=x0)
+        assert block.values[:, 0].tolist() == np.broadcast_to(x0, (9,)).tolist()
+
+    @pytest.mark.parametrize("triplet", [DRIFT_CP, DOWN_CP], ids=["drift_cp", "down_cp"])
+    def test_rows_that_need_more_batches(self, triplet, monkeypatch):
+        # three events per batch: every row takes many batches, and rows stop in different ones
+        monkeypatch.setattr(simulate, "batch_size", lambda rate, duration: 3)
+        block = self.assert_rows_are_alone(triplet, x0=[0.1 * i for i in range(9)])
+        last_batch = (block.knots - 2) // 2 // 3  # the batch each row's last jump came in
+        assert last_batch.min() >= 1 and len(set(last_batch)) > 1
+
+    def test_at_is_np_interp_row_by_row(self):
+        block = event_block(DOWN_CP, self.HORIZON, [derive_seed(81, i) for i in range(5)], 1.0)
+        jumps = np.unique(block.times[0, 1:-1])
+        t = np.concatenate(([0.0, 3.3, 31.999], jumps, jumps + 1e-9, np.nextafter(jumps, 0.0)))
+        t = np.append(np.clip(t, 0.0, self.HORIZON), self.HORIZON)
+        at = block.at(t)
+        for r in range(block.rows):
+            assert at[r].tobytes() == block.path(r).at(t).tobytes()
+
+    def test_a_grid_path_is_a_one_row_block(self):
+        path = sample_path(JUMP_DIFFUSION, 10.0, 0.01, x0=1.0, seed=82)
+        block = PathBlock.of(path)
+        assert block.rows == 1 and not block.exact
+        assert block.path(0).times.tobytes() == path.times.tobytes()
+        t = np.array([0.0, 2.345, 5.0, 10.0])
+        assert block.at(t)[0].tobytes() == path.at(t).tobytes()
+        assert perpetual_estimates(block, self.F, [1.0, 10.0])[0].tobytes() == \
+            perpetual_estimate(path, self.F, [1.0, 10.0]).tobytes()
+
+    def test_sample_paths_gives_event_rows_in_one_block_and_grid_paths_alone(self):
+        seeds = [derive_seed(83, i) for i in range(4)]
+        event = simulate.sample_paths(DRIFT_CP, 20.0, 0.01, seeds, x0=[0.0, 1.0, 2.0, 3.0])
+        grid = simulate.sample_paths(JUMP_DIFFUSION, 20.0, 0.01, seeds, x0=[0.0, 1.0, 2.0, 3.0])
+        assert [b.rows for b in event] == [4] and [b.rows for b in grid] == [1, 1, 1, 1]
+        for blocks, triplet in ((event, DRIFT_CP), (grid, JUMP_DIFFUSION)):
+            rows = [b.path(r) for b in blocks for r in range(b.rows)]
+            for i, (row, seed) in enumerate(zip(rows, seeds)):
+                path = sample_path(triplet, 20.0, 0.01, x0=float(i), seed=seed)
+                assert row.values.tobytes() == path.values.tobytes()
+
+    def test_a_block_is_refused_as_its_paths_are(self):
+        dense = LevyTriplet(0.1, 0.0, CompoundPoisson(1e7, ExponentialJump(2.0, 1)))
+        with pytest.raises(PreconditionViolation) as exc:
+            simulate.sample_paths(dense, 256.0, 0.01, [1, 2])
+        assert exc.value.reason == "PATH_BUDGET"
+
+
 class TestPerpetualEstimate:
     def test_constant_function_gives_time(self):
         path = sample_path(BM_DRIFT, 8.0, 0.01, seed=10)
@@ -683,7 +812,7 @@ class TestLocalTimeBlock:
     def test_pair_blocks_split_each_row_as_alone(self, monkeypatch):
         # with small pair blocks a block would otherwise end inside a later
         # row and sum that row's ramps in another grouping
-        monkeypatch.setattr(simulate, "_PAIR_BLOCK", 700)
+        monkeypatch.setattr(localtime, "_PAIR_BLOCK", 700)
         grid = np.linspace(-1.0, 4.0, 120)
         paths = [sample_path(JUMP_DIFFUSION, 5.0, 0.01, seed=74 + i) for i in range(6)]
         self.assert_rows_are_the_fields(paths, grid, 0.05)
