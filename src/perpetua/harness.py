@@ -120,15 +120,20 @@ class FinitenessEstimate:
         return sum(v != INCONCLUSIVE for v in self.per_path_verdicts)
 
 
-def write_csv(path: Path, header: str, rows) -> None:
-    """The one CSV writer: a header line, then one line per row.
+def write_csv(path: Path, header: str, *columns) -> None:
+    """The one CSV writer: a header line, then one line per row of the equal-length columns.
 
-    Integers are written as they are and every other value as repr(float),
-    which round-trips exactly.
+    An integer column is written as its integers and any other column as
+    repr(float) of each value, which round-trips exactly; each column is
+    converted to Python numbers once, and each line joined once.
     """
-    lines = [header] + [",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
-                        for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    cells = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind in "iu":
+            cells.append(map(str, column.tolist()))
+        else:
+            cells.append(map(repr, column.astype(float, copy=False).tolist()))
+    Path(path).write_text("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 def write_partials_csv(path: Path, partials, checkpoints) -> None:
@@ -339,7 +344,7 @@ def overshoot_stationarity_check(
         out.mkdir(parents=True, exist_ok=True)
         artifacts = ("overshoots_z1.csv", "overshoots_z2.csv")
         for name, ens in zip(artifacts, (e1, e2)):
-            write_csv(out / name, "overshoot", ((s,) for s in ens.samples))
+            write_csv(out / name, "overshoot", ens.samples)
     statistic = ks_two_sample(e1.samples, e2.samples)
     threshold = ks_critical(n, n, ks_alpha)
     return CheckReport(

@@ -1,7 +1,10 @@
 """Counter-based random number streams.
 
 Every stochastic routine in this package draws from a Philox generator whose
-128-bit key is (seed, 0).  Streams of distinct seeds are independent by
+128-bit key is (seed, 0), started at counter 0: the key alone fixes every
+draw.  stream builds it from that key directly, without a SeedSequence and
+without OS entropy, which matters where an ensemble builds one stream per
+path.  Streams of distinct seeds are independent by
 construction, and results never depend on how work is split across threads:
 each stream is consumed by exactly one task, in a fixed documented order.
 A task is usually one path, whose stream is derived from the seed, a
@@ -24,6 +27,7 @@ together with a short purpose tag, so ensembles do not share randomness.
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _U64 = np.uint64
 MASK64 = (1 << 64) - 1
@@ -40,7 +44,24 @@ def derive_seed(master_seed: int, *tags) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+class _Key(ISeedSequence):
+    """The Philox key (seed, 0) in the form Philox reads a seed sequence in.
+
+    Philox(key=...) would first build, then discard, an entropy-seeded
+    SeedSequence; handed this instead, Philox takes its key from
+    generate_state(2, uint64) and its counter is 0 as with key=.
+    """
+
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: int):
+        self.seed = int(seed) & MASK64
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        """The key words: Philox asks for 2 of uint64, and nothing else does."""
+        return np.array([self.seed, 0], dtype=_U64)
+
+
 def stream(seed: int) -> np.random.Generator:
-    """The generator of `seed`: Philox keyed by (seed, 0)."""
-    key = np.array([int(seed) & MASK64, 0], dtype=_U64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The generator of `seed`: Philox keyed by (seed, 0), at counter 0."""
+    return np.random.Generator(np.random.Philox(_Key(seed)))

@@ -104,7 +104,7 @@ def simulate_paths(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
         path, partial = harness.finiteness_path(config, i)
         partials.append(partial)
         csv_path = out / f"path_{i:04d}.csv"
-        harness.write_csv(csv_path, "time,value", zip(path.times, path.values))
+        harness.write_csv(csv_path, "time,value", path.times, path.values)
         written.append(csv_path)
 
     table = out / "partial_integrals.csv"

@@ -470,7 +470,10 @@ def perpetual_estimates(block: PathBlock, f: TestFunction, checkpoints) -> np.nd
     An exact block is integrated exactly, piece by piece, up to the partial
     piece that ends at each checkpoint (_line_integrals), all rows in one
     pass; the running sums go along each row, so a row is what it gives
-    alone.  A grid row is integrated by the trapezoid rule.
+    alone.  Jump pieces are skipped: on an event block every odd piece (a
+    jump, or padding) has zero duration and adds exactly 0.0, so f is
+    evaluated on the even pieces only, whenever the block's times show that
+    layout.  A grid row is integrated by the trapezoid rule.
     """
     checkpoints = np.atleast_1d(np.asarray(checkpoints, dtype=float))
     t, v = block.times, block.values
@@ -478,8 +481,12 @@ def perpetual_estimates(block: PathBlock, f: TestFunction, checkpoints) -> np.nd
         raise PreconditionViolation("CHECKPOINT_RANGE", "checkpoints must lie in [0, horizon]")
     if not block.exact:
         return np.array([_trapezoids(block.path(r), f, checkpoints) for r in range(block.rows)])
+    # 2 when every odd piece has zero duration: the even pieces alone, and 0.0 between
+    step = 2 if np.array_equal(t[:, 1:-1:2], t[:, 2::2]) else 1
+    pieces = np.zeros((block.rows, t.shape[1] - 1))
+    pieces[:, ::step] = _line_integrals(f, t[:, 1::step] - t[:, :-1:step], v[:, :-1:step], v[:, 1::step])
     cum = np.zeros(t.shape)  # the integral up to each knot
-    np.cumsum(_line_integrals(f, np.diff(t, axis=1), v[:, :-1], v[:, 1:]), axis=1, out=cum[:, 1:])
+    np.cumsum(pieces, axis=1, out=cum[:, 1:])
     i, ti, vi, at = _interp_rows(t, v, checkpoints)
     return cum[np.arange(block.rows)[:, None], i] + _line_integrals(f, checkpoints - ti, vi, at)
 

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output shapes, seed override."""
 
+import hashlib
 import json
 import os
 import re
@@ -367,7 +368,8 @@ class TestExitCodes:
 
 
 def test_event_path_outputs_are_identical_for_any_threads(tmp_path):
-    # drift 0.1 plus rate-1 Exp(2) up-jumps: exact event paths in blocks of 31 and 20
+    # drift 0.1 plus rate-1 Exp(2) up-jumps: exact event paths in blocks of 31 and 20.
+    # The bundle's sha256 is pinned: a faster stream, sampler or integral must not move a bit.
     cfg = write_config(
         tmp_path,
         triplet={"drift": 0.1, "gaussian": 0.0, "levy_measure": {"family": "compound_poisson", "params": {
@@ -380,9 +382,10 @@ def test_event_path_outputs_are_identical_for_any_threads(tmp_path):
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
         assert main(["verify", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 0
-        outputs.append({name: (out / name).read_bytes() for name in
-                        ("report.json", "finiteness.csv", "overshoots_z1.csv", "overshoots_z2.csv")})
-    assert outputs[0] == outputs[1]
+        bundle = b"".join((out / name).read_bytes() for name in
+                          ("report.json", "finiteness.csv", "overshoots_z1.csv", "overshoots_z2.csv"))
+        outputs.append(hashlib.sha256(bundle).hexdigest())
+    assert outputs == ["e5583bed94378d740c07917d02ce56ca040e939cb140db02ef864a3e239d1976"] * 2
 
 
 class TestSimulateCommand:

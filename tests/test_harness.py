@@ -429,11 +429,31 @@ class TestEventBlocks:
             assert partials[r].tobytes() == alone.tobytes()
 
 
+def csv_oracle(header, rows):
+    """Test oracle: the row-by-row writer write_csv replaced, ints as str and the rest as repr(float)."""
+    lines = [header] + [",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_write_csv_is_the_row_by_row_writer(tmp_path):
+    ids = [0, 1, 2, 3, 2**40, -7]
+    floats = np.array([-0.0, 5e-324, np.inf, -np.inf, 0.1 + 0.2, 1e300])
+    singles = np.array([0.1, -2.5, 3e38, 1e-45, 7.0, -0.0], dtype=np.float32)
+    harness.write_csv(tmp_path / "a.csv", "id,x,y,z", ids, floats, singles, [1, 2.5, 3, 4, 5, 6])
+    rows = zip(ids, floats, singles, [1.0, 2.5, 3.0, 4.0, 5.0, 6.0])
+    assert (tmp_path / "a.csv").read_bytes() == csv_oracle("id,x,y,z", rows)
+    harness.write_csv(tmp_path / "b.csv", "overshoot", floats)
+    assert (tmp_path / "b.csv").read_bytes() == csv_oracle("overshoot", ((v,) for v in floats))
+    harness.write_csv(tmp_path / "c.csv", "overshoot", [])
+    assert (tmp_path / "c.csv").read_bytes() == b"overshoot\n"
+
+
 def test_partials_csv_is_what_write_csv_writes(tmp_path):
     partials = [np.array([-0.0, 5e-324, np.inf, 2.0]), np.array([1.0, 1e300, -np.inf, 0.1 + 0.2])]
     checkpoints = [1.0, 2.0, 4.0, 8.0]
-    rows = ((i, t, row[j]) for i, row in enumerate(partials) for j, t in enumerate(checkpoints))
-    harness.write_csv(tmp_path / "rows.csv", "path_id,checkpoint,partial_integral", rows)
+    ids = [i for i in range(len(partials)) for _ in checkpoints]
+    harness.write_csv(tmp_path / "rows.csv", "path_id,checkpoint,partial_integral",
+                      ids, checkpoints * len(partials), np.concatenate(partials))
     expected = (tmp_path / "rows.csv").read_bytes()
     for table in (partials, np.vstack(partials)):
         harness.write_partials_csv(tmp_path / "table.csv", table, np.array(checkpoints))

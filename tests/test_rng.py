@@ -1,0 +1,27 @@
+"""Random streams: Philox keyed by (seed, 0) at counter 0."""
+
+import numpy as np
+import pytest
+
+from perpetua.rng import MASK64, derive_seed, stream
+
+
+def philox_oracle(seed):
+    """Test oracle: the stream as Philox(key=...) builds it, through a throwaway SeedSequence."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed & MASK64, 0], dtype=np.uint64)))
+
+
+def key_and_counter(rng):
+    state = rng.bit_generator.state["state"]
+    return state["key"].tolist(), state["counter"].tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -1, derive_seed(7, "finiteness", 3)],
+                         ids=["0", "1", "2^63", "2^64-1", "-1", "derived"])
+def test_stream_is_the_philox_of_key_seed_and_zero(seed):
+    got, want = stream(seed), philox_oracle(seed)
+    assert key_and_counter(got) == key_and_counter(want) == ([seed & MASK64, 0], [0, 0, 0, 0])
+    assert got.standard_normal(257).tobytes() == want.standard_normal(257).tobytes()
+    assert got.random(100).tobytes() == want.random(100).tobytes()
+    assert got.exponential(2.5, (3, 41)).tobytes() == want.exponential(2.5, (3, 41)).tobytes()
+    assert key_and_counter(got) == key_and_counter(want)

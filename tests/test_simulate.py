@@ -561,6 +561,9 @@ class TestEventBlock:
             expected = exact_partials_oracle(times, values, self.F, self.CHECKPOINTS).tobytes()
             assert partials[r].tobytes() == expected
             assert perpetual_estimate(path, self.F, self.CHECKPOINTS).tobytes() == expected
+        # every odd piece is a jump or padding, of zero duration: the layout that
+        # lets perpetual_estimates integrate the even pieces alone
+        assert np.array_equal(block.times[:, 1:-1:2], block.times[:, 2::2])
         return block
 
     @pytest.mark.parametrize("triplet", [
@@ -586,6 +589,19 @@ class TestEventBlock:
     def test_rows_start_from_x0(self, x0):
         block = self.assert_rows_are_alone(DOWN_CP, x0=x0)
         assert block.values[:, 0].tolist() == np.broadcast_to(x0, (9,)).tolist()
+
+    def test_rows_without_jumps(self):
+        # rate 0.02 over 32: about half the rows have no jump, a line from 0 to the horizon
+        block = self.assert_rows_are_alone(LevyTriplet(0.2, 0.0, CompoundPoisson(0.02, ExponentialJump(2.0, 1))),
+                                           x0=[0.5 * i - 2.0 for i in range(9)])
+        assert 2 in block.knots and block.knots.max() > 2
+
+    def test_an_exact_path_whose_odd_pieces_move_is_integrated_whole(self):
+        # linear between knots at 0, 11, 13 and 32, with no jump: pieces 1 and 3 move
+        times, values = np.array([0.0, 11.0, 13.0, 32.0]), np.array([-1.5, 0.5, 1.0, 3.0])
+        got = perpetual_estimate(PathSample(times=times, values=values, exact=True), self.F, self.CHECKPOINTS)
+        assert got.tobytes() == exact_partials_oracle(times, values, self.F, self.CHECKPOINTS).tobytes()
+        assert got[-1] > got[-2] > got[-3]
 
     @pytest.mark.parametrize("triplet", [DRIFT_CP, DOWN_CP], ids=["drift_cp", "down_cp"])
     def test_rows_that_need_more_batches(self, triplet, monkeypatch):
