@@ -9,10 +9,10 @@ a purpose tag, and aggregation is ordered by path index, so every check is
 reproducible bit-for-bit no matter how many worker threads run the paths.
 The finiteness, invariance and LLN checks hand the threads blocks of
 consecutive paths, sized by the pieces of a path alone (_block_paths), never
-by the thread count.  Exact event paths of a block are drawn and integrated
-as the rows of one array (simulate.sample_paths), grid paths one at a time;
-the invariance chunks of one block share one local-time pass per round.
-Each row of such a pass is what its path gives alone.
+by the thread count.  A block's paths are the rows of one PathBlock
+(simulate.sample_paths), integrated in one pass; the invariance chunks of
+one block share one local-time pass per round.  Each row of such a pass is
+what its path gives alone.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "INFINITE_LIKE",
     "INCONCLUSIVE",
     "MAX_LEVELS",
-    "finiteness_path",
     "finiteness_block",
     "finiteness_probability",
     "zero_one_check",
@@ -121,7 +120,7 @@ class FinitenessEstimate:
 
 
 def write_csv(path: Path, header: str, *columns) -> None:
-    """The one CSV writer: a header line, then one line per row of the equal-length columns.
+    """Write a header line, then one line per row of the equal-length columns.
 
     An integer column is written as its integers and any other column as
     repr(float) of each value, which round-trips exactly; each column is
@@ -168,21 +167,12 @@ def _block_paths(triplet: LevyTriplet, horizon: float, dt: float) -> int:
     return max(1, int(_BLOCK_PIECES // max(path_pieces(triplet, horizon, dt), 1.0)))
 
 
-def finiteness_block(config, paths: range) -> tuple[list[PathBlock], np.ndarray]:
-    """Paths of the finiteness ensemble (by index) and their partial integrals at the checkpoints.
-
-    Returns the blocks of sample_paths and a (paths, checkpoints) array.
-    """
+def finiteness_block(config, paths: range) -> tuple[PathBlock, np.ndarray]:
+    """The finiteness ensemble's paths (by index) as one block, and their (paths, checkpoints) partials."""
     checkpoints = np.asarray(config.checkpoints, dtype=float)
     seeds = [derive_seed(config.master_seed, "finiteness", i) for i in paths]
-    blocks = sample_paths(config.triplet, float(checkpoints[-1]), config.dt, seeds)
-    return blocks, np.vstack([perpetual_estimates(b, config.f, checkpoints) for b in blocks])
-
-
-def finiteness_path(config, i: int):
-    """Path i of the finiteness ensemble and its partial integrals: finiteness_block's one-path case."""
-    blocks, partials = finiteness_block(config, range(i, i + 1))
-    return blocks[0].path(0), partials[0]
+    block = sample_paths(config.triplet, float(checkpoints[-1]), config.dt, seeds)
+    return block, perpetual_estimates(block, config.f, checkpoints)
 
 
 def finiteness_probability(config, threads: int = 1) -> FinitenessEstimate:
@@ -379,19 +369,17 @@ def _local_time_proxy(
     fails runs its paths again one at a time.
     """
     totals = np.zeros((len(starts), levels.size))
-    x = list(starts)
-    live = list(range(len(starts)))
+    x = np.array(starts, dtype=float)
+    live = np.arange(len(starts))
     try:
         for c in range(_MAX_CHUNKS):
             chunk_seeds = [derive_seed(seeds[r], "chunk", c) for r in live]
-            blocks = sample_paths(triplet, chunk_horizon, dt, chunk_seeds, x0=[x[r] for r in live])
-            chunks = [b.path(j) for b in blocks for j in range(b.rows)]
-            totals[live] += local_time_block(chunks, levels, bandwidth)[0]
-            for r, path in zip(live, chunks):
-                x[r] = float(path.values[-1])
+            chunks = sample_paths(triplet, chunk_horizon, dt, chunk_seeds, x0=x[live])
+            totals[live] += local_time_block(chunks.times, chunks.values, levels, bandwidth)[0]
+            x[live] = chunks.values[:, -1]
             if c > 0:
-                live = [r for r, path in zip(live, chunks) if float(path.values.min()) < escape]
-            if not live:
+                live = live[chunks.values.min(axis=1) < escape]
+            if not live.size:
                 return totals
         raise NotReachedError(f"path from {starts[live[0]]:g} did not escape {escape:g}")
     except (BandwidthTooSmall, NotReachedError):
@@ -537,8 +525,7 @@ def lln_envelope_check(
 
     def one_block(paths: range) -> np.ndarray:
         seeds = [derive_seed(seed, "lln", i) for i in paths]
-        blocks = sample_paths(triplet, horizon, dt, seeds)
-        return np.concatenate([_inside_envelope(b, t0, mu) for b in blocks])
+        return _inside_envelope(sample_paths(triplet, horizon, dt, seeds), t0, mu)
 
     size = _block_paths(triplet, horizon, dt)
     inside = np.concatenate(_parallel_map(one_block, _blocks(n, size), threads))

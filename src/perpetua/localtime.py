@@ -1,11 +1,11 @@
 """Local-time fields of simulated paths: the occupation density on a level grid.
 
-A path (simulate.PathSample) is linear between its knots, so each piece
-spreads its duration uniformly over the levels it sweeps, and the time spent
-at or below a level is a piecewise-linear ramp CDF.  local_time_block
-evaluates that CDF for several paths on one level grid in one pass, row by
-row; local_time_field is its one-path case.  A jump is a piece of zero
-duration and adds no time.
+A path is linear between its knots, so each piece spreads its duration
+uniformly over the levels it sweeps, and the time spent at or below a level
+is a piecewise-linear ramp CDF.  local_time_block evaluates that CDF on one
+level grid for every row of a block's padded (rows, knots) arrays (those of
+a simulate.PathBlock) in one pass; local_time_field is its one-path case.  A
+jump, or a row's padding, is a piece of zero duration and adds no time.
 """
 
 from __future__ import annotations
@@ -77,18 +77,19 @@ def local_time_field(path, x_grid, bandwidth: float) -> LocalTimeField:
     The one-path case of local_time_block, which describes the estimate.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    values, t_covered = local_time_block([path], x_grid, bandwidth)
+    values, t_covered = local_time_block(path.times[None], path.values[None], x_grid, bandwidth)
     return LocalTimeField(
         x_grid=x_grid, bandwidth=bandwidth, values=values[0], t_covered=float(t_covered[0])
     )
 
 
-def local_time_block(paths, x_grid, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    """The local-time fields of several paths on one level grid, in one pass.
+def local_time_block(times, values, x_grid, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """The local-time fields of the rows of (rows, knots) times and values on one level grid, in one pass.
 
-    Returns (values, t_covered): row r of values is the field of paths[r]
-    and t_covered[r] the time it spent inside [x_grid[0], x_grid[-1]].  Row r
-    is the same, bit for bit, whatever the other paths are (local_time_field
+    Row r is a path's knots, then (padding) its last knot repeated.  Returns
+    (field, t_covered): row r of field is the field of path r and
+    t_covered[r] the time it spent inside [x_grid[0], x_grid[-1]].  Row r
+    is the same, bit for bit, whatever the other rows are (local_time_field
     is the one-path case).
 
     A path is linear between its knots, so each piece spreads its duration
@@ -105,12 +106,12 @@ def local_time_block(paths, x_grid, bandwidth: float) -> tuple[np.ndarray, np.nd
     wholly in every closed window: v <= x + b at the upper end and v >= x - b
     at the lower end; likewise for [x_grid[0], x_grid[-1]] in t_covered.
 
-    A jump is a piece of zero duration: it adds no time, and the pieces the
-    field reads are the ones with positive duration.
+    A jump, or a row's padding, is a piece of zero duration: it adds no
+    time, and the pieces the field reads are the ones with positive duration.
 
     Bandwidth must stay above the floor _bandwidth_floor measures on each
-    path's pieces, or window counts are noise: the first path below it
-    raises BandwidthTooSmall.
+    row's pieces, or window counts are noise: the first row below it raises
+    BandwidthTooSmall.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if x_grid.size < 2 or np.any(np.diff(x_grid) <= 0.0):
@@ -118,21 +119,22 @@ def local_time_block(paths, x_grid, bandwidth: float) -> tuple[np.ndarray, np.nd
     if not bandwidth > 0.0:
         raise PreconditionViolation("BANDWIDTH_RANGE", "need bandwidth > 0")
 
-    pieces = []
-    for path in paths:
-        dt = np.diff(path.times)
-        start, end = path.values[:-1], path.values[1:]
-        if dt.min() == 0.0:  # a jump takes no time: read the pieces with positive duration
-            moving = dt > 0.0
-            dt, start, end = dt[moving], start[moving], end[moving]
-        floor = _bandwidth_floor(dt, end - start)
+    dt = np.diff(times, axis=1)
+    start, end = values[:, :-1], values[:, 1:]
+    moving = dt > 0.0  # the pieces read: a jump or padding takes no time
+    rows = dt.shape[0]
+    for r in range(rows):
+        read = slice(None) if moving[r].all() else moving[r]
+        floor = _bandwidth_floor(dt[r, read], (end[r] - start[r])[read])
         if bandwidth < floor:
             raise BandwidthTooSmall(f"bandwidth {bandwidth:g} below floor {floor:g} for this step size")
-        pieces.append((dt, np.minimum(start, end), np.maximum(start, end)))
-    rows = len(pieces)
-    row = np.repeat(np.arange(rows), [dt.size for dt, _, _ in pieces])
-    # one path's pieces are used as they are: a copy would only add memory
-    dt, lo, hi = pieces[0] if rows == 1 else (np.concatenate(part) for part in zip(*pieces))
+    row = np.repeat(np.arange(rows), moving.sum(axis=1))
+    lo, hi = np.minimum(start, end), np.maximum(start, end)
+    if moving.all():  # the pieces are used as they are: a copy would only add memory
+        dt, lo, hi = dt.ravel(), lo.ravel(), hi.ravel()
+    else:
+        dt, lo, hi = dt[moving], lo[moving], hi[moving]
+    del moving  # nor is the mask held through the pass
 
     # lower edges (the G windows', then the grid's), upper edges likewise;
     # the stable sort merges these four sorted runs in linear time

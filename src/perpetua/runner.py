@@ -101,8 +101,9 @@ def simulate_paths(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
     partials = []
     for i in range(config.n_paths):
-        path, partial = harness.finiteness_path(config, i)
-        partials.append(partial)
+        block, partial = harness.finiteness_block(config, range(i, i + 1))
+        partials.append(partial[0])
+        path = block.path(0)
         csv_path = out / f"path_{i:04d}.csv"
         harness.write_csv(csv_path, "time,value", path.times, path.values)
         written.append(csv_path)

@@ -7,14 +7,15 @@ each jump time twice (the value before the jump, then after) and the
 horizon; a jump is a piece of zero duration.  dt is unused.
 event_block draws a block of event paths, each from its own stream, batch
 by batch (the gaps, then the jump sizes), and cumulates the rows still short
-of the horizon as one array (_event_knots); sample_path's event path is its
-one-row case, so finite activity has one event loop.  event_batch draws a
-batch of many paths from one stream for the exact first passage (passage),
-through the same cumulation.  A PathBlock holds paths as the rows of padded
-knot arrays; perpetual_estimates integrates f along every row of an exact
-block in one pass, exactly (f.integral_between), and perpetual_estimate is
-its one-path case.  sample_paths gives event paths as one block and grid
-paths as one-row blocks, one at a time.
+of the horizon as one array (_event_knots).  event_batch draws a batch of
+many paths from one stream for the exact first passage (passage), through
+the same cumulation.
+
+sample_paths gives the paths of any triplet as one PathBlock, the rows of
+padded knot arrays, and sample_path is its one-row case.
+perpetual_estimates integrates f along every row of a block in one pass
+(exactly, by f.integral_between, on an event block), and
+perpetual_estimate is its one-path case.
 
 Every other process runs on a regular grid with exact jumps above a cutoff.
 Increments follow the usual splitting: linear drift, Brownian part, all jumps
@@ -29,7 +30,7 @@ default_cutoff(dt): 0 for finite activity, so every jump is drawn exactly;
 for infinite activity it is chosen from dt so that about 0.5 jumps per step
 are resolved.
 
-grid_knots builds the knots of a grid path for sample_path and the grid
+grid_knots builds the knots of a grid path for sample_paths and the grid
 first passage alike: a knot every dt, plus each jump twice at its exact time
 as on an event path.  Their drift part is drift_eff * times computed by
 multiplication, not by accumulation, so a pure drift path reproduces the
@@ -81,7 +82,7 @@ __all__ = [
 # path_pieces): a knot every dt on a grid and two per jump, on grid and event
 # paths alike.  Paths are held in memory whole, so a tiny dt or a dense jump
 # rate is refused rather than ending in a MemoryError halfway through a run:
-# config validation holds every check's paths to it, and sample_path refuses
+# config validation holds every check's paths to it, and sample_paths refuses
 # a path past it before allocating.  A precondition, not a setting.
 MAX_PIECES_PER_PATH = 2**24
 
@@ -126,7 +127,7 @@ class PathBlock:
     Row r holds the knots[r] knots of its path, then its last knot repeated
     up to width: pieces of zero duration at the horizon, which add nothing
     to an integral and move no value.  An exact block holds event paths
-    (event_block); a grid path is a block of one row (PathBlock.of).
+    (event_block), any other grid paths (sample_paths).
     """
 
     times: np.ndarray
@@ -147,7 +148,7 @@ class PathBlock:
         return PathSample(times=self.times[r, :n], values=self.values[r, :n], exact=self.exact)
 
     def at(self, t) -> np.ndarray:
-        """Each row's values at times t in [0, horizon]: (rows, t.size), as PathSample.at gives them."""
+        """Each row's values at times t: (rows, t.size), as PathSample.at gives them."""
         return _interp_rows(self.times, self.values, np.asarray(t, dtype=float))[3]
 
 
@@ -155,14 +156,15 @@ def _interp_rows(times: np.ndarray, values: np.ndarray, t: np.ndarray):
     """(i, t_i, v_i, value) per row and time: knot i the last at or before it, value np.interp's.
 
     Bit for bit np.interp's rule: at a knot, or past the last, the knot's
-    value; inside a piece slope * (t - t_i) + v_i, with slope
-    (v_{i+1} - v_i) / (t_{i+1} - t_i).
+    value, and before the first the first's (i = 0); inside a piece
+    slope * (t - t_i) + v_i, with slope (v_{i+1} - v_i) / (t_{i+1} - t_i).
     """
-    i = np.array([np.searchsorted(row, t, side="right") for row in times]) - 1
+    # before the first knot (i = -1) its value, as np.interp gives it
+    i = np.maximum(np.array([np.searchsorted(row, t, side="right") for row in times]) - 1, 0)
     row = np.arange(times.shape[0])[:, None]
     nxt = np.minimum(i + 1, times.shape[1] - 1)
     ti, tn, vi, vn = times[row, i], times[row, nxt], values[row, i], values[row, nxt]
-    inside = (ti != t) & (tn > ti)
+    inside = (t > ti) & (tn > ti)
     slope = np.divide(vn - vi, tn - ti, out=np.zeros(i.shape), where=inside)
     return i, ti, vi, np.where(inside, slope * (t - ti) + vi, vi)
 
@@ -303,41 +305,22 @@ def sample_path(
     x0: float = 0.0,
     seed: int = 0,
 ) -> PathSample:
-    """Simulate one path on [0, horizon], started from x0, from stream(seed).
+    """Simulate one path on [0, horizon], started from x0, from stream(seed): sample_paths' one-row case."""
+    return sample_paths(triplet, horizon, dt, [seed], x0).path(0)
 
-    An event_driven triplet gives the exact event path (dt unused), the
-    one-row case of event_block; any other the grid path of grid_knots with
-    step dt, with the jumps above the measure's default cutoff for dt (all
-    of them for finite activity) at their exact times.  Deterministic in
-    (seed, horizon, dt): the same arguments always produce the identical
-    PathSample.  A path past MAX_PIECES_PER_PATH is refused before anything
-    is allocated.
+
+def sample_paths(triplet: LevyTriplet, horizon: float, dt: float, seeds, x0=0.0) -> PathBlock:
+    """The paths on [0, horizon] of seeds, one row each, from x0 (one start, or one per seed).
+
+    An event_driven triplet gives exact event paths (event_block; dt
+    unused); any other grid paths (grid_knots) with step dt, the jumps above
+    the measure's default cutoff for dt (all of them for finite activity) at
+    their exact times, each row drawn alone and padded with its last knot.
+    Row r depends on (seeds[r], its start, horizon, dt) alone; a block of
+    one grid row is a view of grid_knots' arrays.  A path past
+    MAX_PIECES_PER_PATH is refused before anything is allocated.
     """
     event = event_driven(triplet)
-    _check_path(triplet, horizon, dt, event)
-    if event:
-        return event_block(triplet, horizon, [seed], x0).path(0)
-    times, values = grid_knots(step_engine(triplet, dt), stream(seed), int(round(horizon / dt)), x0)
-    return PathSample(times=times, values=values)
-
-
-def sample_paths(triplet: LevyTriplet, horizon: float, dt: float, seeds, x0=0.0) -> list[PathBlock]:
-    """The paths of sample_path for each seed in turn (x0 one start, or one per seed), as blocks.
-
-    Exact event paths come as one block of len(seeds) rows (event_block);
-    grid paths as one one-row block each, sampled one at a time, since a
-    padded block of long grid rows would no longer fit in cache.  Row for
-    row, the paths are those sample_path gives.
-    """
-    if not event_driven(triplet):
-        starts = x0 if np.ndim(x0) else [x0] * len(seeds)
-        return [PathBlock.of(sample_path(triplet, horizon, dt, x0=x, seed=s)) for x, s in zip(starts, seeds)]
-    _check_path(triplet, horizon, dt, True)
-    return [event_block(triplet, horizon, seeds, x0)]
-
-
-def _check_path(triplet: LevyTriplet, horizon: float, dt: float, event: bool) -> None:
-    """Refuse a path of this horizon and dt (an event path ignores dt), or past the path budget."""
     if not horizon > 0.0:
         raise PreconditionViolation("HORIZON_RANGE", "need horizon > 0")
     if not (event or 0.0 < dt <= horizon / 10.0):
@@ -345,6 +328,18 @@ def _check_path(triplet: LevyTriplet, horizon: float, dt: float, event: bool) ->
     over = path_budget(triplet, horizon, dt)
     if over is not None:
         raise PreconditionViolation(*over)
+    if event:
+        return event_block(triplet, horizon, seeds, x0)
+    engine, n = step_engine(triplet, dt), int(round(horizon / dt))
+    starts = np.broadcast_to(np.asarray(x0, dtype=float), (len(seeds),))
+    rows = [grid_knots(engine, stream(s), n, x) for s, x in zip(seeds, starts)]
+    knots = np.array([t.size for t, _ in rows])
+    if len(rows) == 1:
+        return PathBlock(rows[0][0][None], rows[0][1][None], knots)
+    both = np.empty((2, len(rows), knots.max()))  # the times, then the values
+    for r, (t, v) in enumerate(rows):
+        both[:, r, :t.size], both[:, r, t.size:] = (t, v), [[t[-1]], [v[-1]]]
+    return PathBlock(both[0], both[1], knots)
 
 
 def grid_knots(engine: StepEngine, rng, n: int, x0: float):
@@ -467,41 +462,35 @@ def perpetual_estimate(path: PathSample, f: TestFunction, checkpoints) -> np.nda
 def perpetual_estimates(block: PathBlock, f: TestFunction, checkpoints) -> np.ndarray:
     """Partial integrals of f along each row of the block at each checkpoint: (rows, checkpoints).
 
-    An exact block is integrated exactly, piece by piece, up to the partial
-    piece that ends at each checkpoint (_line_integrals), all rows in one
-    pass; the running sums go along each row, so a row is what it gives
-    alone.  Jump pieces are skipped: on an event block every odd piece (a
-    jump, or padding) has zero duration and adds exactly 0.0, so f is
-    evaluated on the even pieces only, whenever the block's times show that
-    layout.  A grid row is integrated by the trapezoid rule.
+    All rows in one pass: each piece's integral, then the running sums
+    along each row, so a row is what it gives alone.  A grid row is
+    integrated by the trapezoid rule and read at a checkpoint as np.interp
+    reads its running sums.  An exact row is integrated exactly
+    (_line_integrals), up to the partial piece that ends at each
+    checkpoint; when every odd piece has zero duration (a jump, or padding:
+    every event_block), f is evaluated on the even pieces only.
     """
     checkpoints = np.atleast_1d(np.asarray(checkpoints, dtype=float))
     t, v = block.times, block.values
     if checkpoints.size and (checkpoints.min() < 0.0 or checkpoints.max() > t[0, -1] * (1 + 1e-12)):
         raise PreconditionViolation("CHECKPOINT_RANGE", "checkpoints must lie in [0, horizon]")
+    cum = np.empty(t.shape)  # 0, then each piece's integral; then their running sums
+    cum[:, 0] = 0.0
+    pieces = cum[:, 1:]
+    if block.exact:
+        step = 2 if np.array_equal(t[:, 1:-1:2], t[:, 2::2]) else 1
+        pieces[:, 1::2] = 0.0  # with step 2, the zero-duration pieces
+        pieces[:, ::step] = _line_integrals(f, t[:, 1::step] - t[:, :-1:step], v[:, :-1:step], v[:, 1::step])
+    else:
+        fv = np.asarray(f(v), dtype=float)
+        np.add(fv[:, 1:], fv[:, :-1], out=pieces)
+        pieces *= 0.5
+        pieces *= np.diff(t, axis=1)
+    np.cumsum(cum, axis=1, out=cum)
     if not block.exact:
-        return np.array([_trapezoids(block.path(r), f, checkpoints) for r in range(block.rows)])
-    # 2 when every odd piece has zero duration: the even pieces alone, and 0.0 between
-    step = 2 if np.array_equal(t[:, 1:-1:2], t[:, 2::2]) else 1
-    pieces = np.zeros((block.rows, t.shape[1] - 1))
-    pieces[:, ::step] = _line_integrals(f, t[:, 1::step] - t[:, :-1:step], v[:, :-1:step], v[:, 1::step])
-    cum = np.zeros(t.shape)  # the integral up to each knot
-    np.cumsum(pieces, axis=1, out=cum[:, 1:])
+        return np.array([np.interp(checkpoints, row, sums) for row, sums in zip(t, cum)])
     i, ti, vi, at = _interp_rows(t, v, checkpoints)
     return cum[np.arange(block.rows)[:, None], i] + _line_integrals(f, checkpoints - ti, vi, at)
-
-
-def _trapezoids(path: PathSample, f: TestFunction, checkpoints: np.ndarray) -> np.ndarray:
-    """The trapezoid rule's partial integrals of f along a grid path at each checkpoint."""
-    t = path.times
-    fv = np.asarray(f(path.values), dtype=float)
-    cum = np.empty(t.size)  # the trapezoids, then their running sum
-    cum[0] = 0.0
-    np.add(fv[1:], fv[:-1], out=cum[1:])
-    cum[1:] *= 0.5
-    cum[1:] *= np.diff(t)
-    np.cumsum(cum, out=cum)
-    return np.interp(checkpoints, t, cum)
 
 
 def _line_integrals(f: TestFunction, gap: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -388,6 +388,29 @@ def test_event_path_outputs_are_identical_for_any_threads(tmp_path):
     assert outputs == ["e5583bed94378d740c07917d02ce56ca040e939cb140db02ef864a3e239d1976"] * 2
 
 
+def test_grid_path_outputs_are_identical_for_any_threads(tmp_path):
+    # BM with drift plus rate-1 Exp(2) up-jumps: grid paths whose rows carry different
+    # jump counts, so the zero_one and invariance blocks are padded.  The bundle's
+    # sha256 is pinned, one perpetua simulate path file included.
+    cfg = write_config(
+        tmp_path,
+        triplet={"drift": 1.0, "gaussian": 1.0, "levy_measure": {"family": "compound_poisson", "params": {
+            "rate": 1.0, "jump_law": {"kind": "exponential", "theta": 2.0, "sign": 1}}}},
+        horizon={"t0": 2.0, "doublings": 5},
+        checks=["zero_one", "invariance", "lln"],
+        check_params={"invariance": {"n": 40, "n_rho": 200}, "lln": {"n": 20}},
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+    path_csv = (tmp_path / "sim" / "path_0003.csv").read_bytes()
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 0
+        bundle = b"".join((out / name).read_bytes() for name in ("report.json", "finiteness.csv")) + path_csv
+        outputs.append(hashlib.sha256(bundle).hexdigest())
+    assert outputs == ["bf42cf4717bc9f3c99547a181c4e6c9e0f19b8982c8f72d1def5ea0f6a016730"] * 2
+
+
 class TestSimulateCommand:
     def test_writes_path_csvs(self, tmp_path, capsys):
         out = tmp_path / "artifacts"

@@ -31,7 +31,7 @@ from perpetua import harness
 from perpetua.passage import stationary_overshoot
 from perpetua.rng import derive_seed, stream
 from perpetua.runner import _run_one
-from perpetua.localtime import _bandwidth_floor, local_time_block
+from perpetua.localtime import _bandwidth_floor, local_time_block, local_time_field
 from perpetua.simulate import PathBlock, PathSample, sample_path
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
@@ -323,6 +323,23 @@ class TestInvarianceBlocks:
         alone = [harness._local_time_proxy(BM_CP, [x0], [s], *args) for x0, s in zip(starts, seeds)]
         assert block.tobytes() == np.vstack(alone).tobytes()
 
+    def test_each_chunk_starts_where_the_last_ended(self):
+        # oracle: chunk by chunk alone, until a whole chunk after the first stays above the escape
+        # height; chunks of one time unit, so paths cross the levels over several of them
+        escape, chunk_horizon = self.horizon(BM_CP)[0], 1.0
+        levels, starts = np.array(self.LEVELS), [-2.0, 0.0, 0.5, 1.5, -0.75]
+        seeds = [derive_seed(3, "linf", i) for i in range(len(starts))]
+        block = harness._local_time_proxy(BM_CP, starts, seeds, levels, 0.05, 0.01, escape, chunk_horizon)
+        for row, x, s in zip(block, starts, seeds):
+            total = np.zeros(levels.size)
+            for c in range(harness._MAX_CHUNKS):
+                chunk = sample_path(BM_CP, chunk_horizon, 0.01, x0=x, seed=derive_seed(s, "chunk", c))
+                total += local_time_field(chunk, levels, 0.05).values
+                x = float(chunk.values[-1])
+                if c > 0 and chunk.values.min() >= escape:
+                    break
+            assert row.tobytes() == total.tobytes()
+
     @pytest.mark.parametrize("triplet", [BM_DRIFT, BM_CP], ids=["bm", "bm_cp"])
     def test_identical_for_any_threads(self, triplet, monkeypatch):
         n = 2 * self.block(triplet) + 3
@@ -341,9 +358,9 @@ class TestInvarianceBlocks:
     def test_one_field_pass_per_block_and_round(self, monkeypatch):
         calls = []
 
-        def spy(paths, x_grid, bandwidth):
-            calls.append(len(paths))
-            return local_time_block(paths, x_grid, bandwidth)
+        def spy(times, values, x_grid, bandwidth):
+            calls.append(times.shape[0])
+            return local_time_block(times, values, x_grid, bandwidth)
 
         monkeypatch.setattr(harness, "local_time_block", spy)
         monkeypatch.setattr(harness, "local_time_field", None)  # never a field per chunk
@@ -421,12 +438,12 @@ class TestEventBlocks:
 
     def test_block_rows_are_the_paths_alone(self):
         cfg = make_config(DRIFT_CP, ExpDecay(1.0), n_paths=40, t0=2.0, doublings=5)
-        blocks, partials = harness.finiteness_block(cfg, range(3, 40))
-        assert [b.rows for b in blocks] == [37]
+        block, partials = harness.finiteness_block(cfg, range(3, 40))
+        assert block.rows == 37
         for r, i in enumerate(range(3, 40)):
-            path, alone = harness.finiteness_path(cfg, i)
-            assert blocks[0].path(r).values.tobytes() == path.values.tobytes()
-            assert partials[r].tobytes() == alone.tobytes()
+            path, alone = harness.finiteness_block(cfg, range(i, i + 1))
+            assert block.path(r).values.tobytes() == path.path(0).values.tobytes()
+            assert partials[r].tobytes() == alone[0].tobytes()
 
 
 def csv_oracle(header, rows):
@@ -494,7 +511,7 @@ class TestLlnCheck:
         # knots after it, and linear between them
         path = PathSample(times=np.array([0.0, 69.0, 71.0, 280.0]),
                           values=np.array([0.0, 10.0, 30.0, 168.0]), exact=True)
-        monkeypatch.setattr(harness, "sample_paths", lambda *args, **kwargs: [PathBlock.of(path)])
+        monkeypatch.setattr(harness, "sample_paths", lambda *args, **kwargs: PathBlock.of(path))
         rep = lln_envelope_check(DRIFT_CP, t0=70.0, n=1, horizon=280.0)
         assert rep.statistic == 1.0 and not rep.passed
 

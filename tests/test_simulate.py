@@ -94,6 +94,13 @@ def event_jumps(path):
     return path.times[at], path.values[at + 1] - path.values[at]
 
 
+def padded(paths):
+    """(times, values) of paths as the rows of a block: each row padded with its last knot."""
+    width = max(p.times.size for p in paths)
+    return tuple(np.array([np.pad(a, (0, width - a.size), mode="edge") for a in arrays])
+                 for arrays in ([p.times for p in paths], [p.values for p in paths]))
+
+
 def lattice_path(steps, dt=0.01):
     """A path through the given increments from 0, stored exactly."""
     values = np.concatenate(([0.0], np.cumsum(steps)))
@@ -529,6 +536,18 @@ def event_path_oracle(triplet, horizon, x0, seed):
             np.append(values, values[-1] + triplet.drift * (horizon - times[-1])))
 
 
+def trapezoids_oracle(times, values, f, checkpoints):
+    """Test oracle: the one-path trapezoid rule perpetual_estimates replaced on grid paths."""
+    fv = np.asarray(f(values), dtype=float)
+    cum = np.empty(times.size)  # the trapezoids, then their running sum
+    cum[0] = 0.0
+    np.add(fv[1:], fv[:-1], out=cum[1:])
+    cum[1:] *= 0.5
+    cum[1:] *= np.diff(times)
+    np.cumsum(cum, out=cum)
+    return np.interp(checkpoints, times, cum)
+
+
 def exact_partials_oracle(times, values, f, checkpoints):
     """Test oracle: the one-path exact integral perpetual_estimates replaced."""
     checkpoints = np.asarray(checkpoints, dtype=float)
@@ -540,7 +559,7 @@ def exact_partials_oracle(times, values, f, checkpoints):
 
 
 class TestEventBlock:
-    """A block of event paths: each row is, bit for bit, the path and the partial integrals alone."""
+    """A block of event or grid paths: each row is, bit for bit, the path and the partial integrals alone."""
 
     HORIZON = 32.0
     CHECKPOINTS = [0.0, 1.5, 4.0, 9.75, 16.0, 32.0]
@@ -615,7 +634,8 @@ class TestEventBlock:
         block = event_block(DOWN_CP, self.HORIZON, [derive_seed(81, i) for i in range(5)], 1.0)
         jumps = np.unique(block.times[0, 1:-1])
         t = np.concatenate(([0.0, 3.3, 31.999], jumps, jumps + 1e-9, np.nextafter(jumps, 0.0)))
-        t = np.append(np.clip(t, 0.0, self.HORIZON), self.HORIZON)
+        # before 0 the start value and past the horizon the end value, as np.interp gives them
+        t = np.concatenate((np.clip(t, 0.0, self.HORIZON), [self.HORIZON, -1.0, -0.0, self.HORIZON + 0.5]))
         at = block.at(t)
         for r in range(block.rows):
             assert at[r].tobytes() == block.path(r).at(t).tobytes()
@@ -630,16 +650,38 @@ class TestEventBlock:
         assert perpetual_estimates(block, self.F, [1.0, 10.0])[0].tobytes() == \
             perpetual_estimate(path, self.F, [1.0, 10.0]).tobytes()
 
-    def test_sample_paths_gives_event_rows_in_one_block_and_grid_paths_alone(self):
+    def test_sample_paths_gives_one_block_of_event_or_grid_rows(self):
         seeds = [derive_seed(83, i) for i in range(4)]
         event = simulate.sample_paths(DRIFT_CP, 20.0, 0.01, seeds, x0=[0.0, 1.0, 2.0, 3.0])
         grid = simulate.sample_paths(JUMP_DIFFUSION, 20.0, 0.01, seeds, x0=[0.0, 1.0, 2.0, 3.0])
-        assert [b.rows for b in event] == [4] and [b.rows for b in grid] == [1, 1, 1, 1]
-        for blocks, triplet in ((event, DRIFT_CP), (grid, JUMP_DIFFUSION)):
-            rows = [b.path(r) for b in blocks for r in range(b.rows)]
-            for i, (row, seed) in enumerate(zip(rows, seeds)):
+        assert (event.rows, event.exact) == (4, True) and (grid.rows, grid.exact) == (4, False)
+        for block, triplet in ((event, DRIFT_CP), (grid, JUMP_DIFFUSION)):
+            for i, seed in enumerate(seeds):
                 path = sample_path(triplet, 20.0, 0.01, x0=float(i), seed=seed)
-                assert row.values.tobytes() == path.values.tobytes()
+                assert block.path(i).values.tobytes() == path.values.tobytes()
+
+    def test_a_padded_grid_block_is_its_paths_alone(self):
+        # jumps at exact times: rows of different knot counts, padded with their last knot
+        seeds, starts = [derive_seed(84, i) for i in range(6)], [0.5 * i - 1.0 for i in range(6)]
+        block = simulate.sample_paths(JUMP_DIFFUSION, 8.0, 0.01, seeds, x0=starts)
+        assert not block.exact and len(set(block.knots.tolist())) > 1
+        assert block.times.shape[1] == block.knots.max() and np.all(block.times[:, -1] == 8.0)
+        checkpoints, t = [0.0, 1.0, 2.5, 4.0, 8.0], np.array([-1.0, 0.0, 0.013, 3.3, 7.999, 8.0, 9.0])
+        partials, at = perpetual_estimates(block, self.F, checkpoints), block.at(t)
+        grid = _padded_grid(block, 0.3, 300)
+        field, covered = local_time_block(block.times, block.values, grid, 0.05)
+        for r, (seed, start) in enumerate(zip(seeds, starts)):
+            path = sample_path(JUMP_DIFFUSION, 8.0, 0.01, x0=start, seed=seed)
+            row = block.path(r)
+            assert row.times.tobytes() == path.times.tobytes()
+            assert row.values.tobytes() == path.values.tobytes()
+            assert np.all(block.values[r, block.knots[r]:] == path.values[-1])
+            expected = trapezoids_oracle(path.times, path.values, self.F, checkpoints).tobytes()
+            assert partials[r].tobytes() == expected
+            assert perpetual_estimate(path, self.F, checkpoints).tobytes() == expected
+            assert at[r].tobytes() == path.at(t).tobytes()
+            fld = local_time_field(path, grid, 0.05)
+            assert field[r].tobytes() == fld.values.tobytes() and covered[r] == fld.t_covered
 
     def test_a_block_is_refused_as_its_paths_are(self):
         dense = LevyTriplet(0.1, 0.0, CompoundPoisson(1e7, ExponentialJump(2.0, 1)))
@@ -792,7 +834,7 @@ class TestLocalTimeBlock:
 
     @staticmethod
     def assert_rows_are_the_fields(paths, grid, bandwidth):
-        values, t_covered = local_time_block(paths, grid, bandwidth)
+        values, t_covered = local_time_block(*padded(paths), grid, bandwidth)
         assert values.shape == (len(paths), np.size(grid))
         for row, covered, path in zip(values, t_covered, paths):
             fld = local_time_field(path, grid, bandwidth)
@@ -840,5 +882,5 @@ class TestLocalTimeBlock:
         with pytest.raises(BandwidthTooSmall) as alone:
             local_time_field(rough, self.LEVELS, 1e-4)
         with pytest.raises(BandwidthTooSmall) as block:
-            local_time_block([smooth, rough, smooth], self.LEVELS, 1e-4)
+            local_time_block(*padded([smooth, rough, smooth]), self.LEVELS, 1e-4)
         assert str(block.value) == str(alone.value)
