@@ -1,8 +1,8 @@
 """The check table: one row per Monte Carlo check.
 
-A row gives the config key, the report name, the parameter schema and the
-adapter that calls the harness.  Config validation reads the schema and the
-runner reads the adapters, so adding a check means adding one row.
+A row gives the config key, the report name, the parameter schema, the
+refusal hook that config validation reads and the adapter that calls the
+harness for the runner, so adding a check means adding one row.
 
 Adapters call the harness through its module (``harness.lln_envelope_check``)
 so that anything rebinding a harness function also sees these calls.
@@ -16,6 +16,7 @@ from typing import Callable
 
 from . import harness
 from .rng import derive_seed
+from .simulate import path_refusal
 
 __all__ = ["Param", "Check", "CHECKS", "resolve"]
 
@@ -41,9 +42,7 @@ class Check:
     name: str  # the report's name
     params: tuple[Param, ...]
     run: Callable  # (config, params, threads, out, report) -> harness.CheckReport
-    path: Callable | None = None  # (config, params) -> horizon of its paths, held to the budget
-    # (triplet, horizon, params) -> the LEVEL_BUDGET problem of its paths' level grids, or None
-    levels: Callable | None = None
+    refusal: Callable | None = None  # (config, params) -> the (reason, problem) run would raise, or None
 
 
 def resolve(check: Check, config) -> dict:
@@ -70,8 +69,18 @@ def _auto_lln_t0(config, p) -> float:
     return max(harness.lln_t0_floor(config.triplet), 10.0 * config.t0)
 
 
-def _invariance_path(config, p) -> float:
-    return harness.invariance_horizon(config.triplet, p["x_list"], config.dt)[1]
+def _invariance_refusal(config, p):
+    chunk = harness.invariance_horizon(config.triplet, p["x_list"], config.dt)[1]
+    return path_refusal(config.triplet, chunk, config.dt)
+
+
+def _occupation_refusal(config, p):
+    return harness.level_budget(config.triplet, config.horizon, p["bandwidth"])
+
+
+def _lln_refusal(config, p):
+    return (harness.lln_t0_refusal(config.triplet, p["t0"])
+            or path_refusal(config.triplet, p["horizon"], config.dt))
 
 
 def _run_zero_one(config, p, threads, out, report):
@@ -124,8 +133,7 @@ CHECKS = {c.key: c for c in (
     Check("occupation", "occupation_identity", (
         Param("n_paths", int, 50),
         Param("bandwidth", float, 0.05),
-    ), _run_occupation,
-        levels=lambda triplet, horizon, p: harness.level_budget(triplet, horizon, p["bandwidth"])),
+    ), _run_occupation, _occupation_refusal),
     Check("overshoot", "overshoot_stationarity", (
         Param("z1", float, _auto_level),
         Param("z2", float, lambda config, p: 2.0 * p["z1"], above="z1"),
@@ -137,10 +145,10 @@ CHECKS = {c.key: c for c in (
         Param("bandwidth", float, 0.05),
         Param("n_rho", int, 1000),
         Param("start_from_rho", bool, True),
-    ), _run_invariance, path=_invariance_path),
+    ), _run_invariance, _invariance_refusal),
     Check("lln", "lln_envelope", (
         Param("t0", float, _auto_lln_t0),
         Param("n", int, 200),
         Param("horizon", float, lambda config, p: 4.0 * p["t0"], above="t0"),
-    ), _run_lln, path=lambda config, p: p["horizon"]),
+    ), _run_lln, _lln_refusal),
 )}

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checks import CHECKS, Check, resolve
 from .errors import ConfigError, NonFiniteParameter, PreconditionViolation
-from .simulate import path_budget
+from .simulate import path_refusal
 from .testfunctions import TestFunction, test_function_from_dict
 from .triplet import LevyTriplet
 from .validation import finite_real
@@ -39,11 +39,11 @@ class ExperimentConfig:
 
     @property
     def checkpoints(self) -> list[float]:
-        return [self.t0 * 2.0**k for k in range(self.doublings + 1)]
+        return [math.ldexp(self.t0, k) for k in range(self.doublings + 1)]
 
     @property
     def horizon(self) -> float:
-        return self.t0 * 2.0**self.doublings
+        return _last_checkpoint(self.t0, self.doublings)
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +91,7 @@ class ExperimentConfig:
         dt = _number(d, "dt", float, problems, _positive, "be positive")
 
         horizon = d.get("horizon")
-        t0 = doublings = end = None  # end: the last checkpoint, once it is a float
+        t0 = doublings = None
         if not isinstance(horizon, dict):
             problems.append("horizon: missing or not an object with t0/doublings")
         else:
@@ -102,14 +102,12 @@ class ExperimentConfig:
             problems.append(f"dt: must be <= t0/10 = {t0 / 10.0:g}, got {dt}")
             dt = None
         if None not in (t0, dt, doublings):
-            # 2.0**1023 is the largest power of two below the float range
-            horizon = t0 * 2.0 ** min(doublings, 1023)
+            horizon = _last_checkpoint(t0, doublings)
             if math.isinf(horizon):
                 problems.append("horizon: t0 * 2^doublings overflows a float")
-            else:
-                end = horizon
-            if triplet is not None:  # the budget depends on the kind of path
-                _path_budget("horizon", triplet, horizon, dt, problems)
+            over = None if triplet is None else path_refusal(triplet, horizon, dt)
+            if over is not None:  # the zero_one and occupation paths
+                problems.append(f"horizon: {over[1]}")
 
         master_seed = _number(d, "master_seed", int, problems, _uint64, "fit in uint64")
 
@@ -170,20 +168,17 @@ class ExperimentConfig:
             check_params=check_params,
             expected_fail=tuple(expected_fail),
         )
-        # the checks' defaults, path budgets and level budgets read the triplet, t0 and dt
-        for name in config.checks if None not in (triplet, t0, dt) else ():
+        # the checks' defaults and refusal hooks read the triplet, t0, doublings and dt
+        for name in config.checks if None not in (triplet, t0, doublings, dt) else ():
             if name not in CHECKS or name in unsound:
                 continue
             check = CHECKS[name]
             try:
                 params = resolve(check, config)
-                path = None if check.path is None else check.path(config, params)
+                over = None if check.refusal is None else check.refusal(config, params)
             except PreconditionViolation:
                 continue  # a default that needs a mean in (0, inf): the check refuses when run
             problems += _order_problems(check, params)
-            if path is not None:
-                _path_budget(f"check_params.{name}", triplet, path, dt, problems)
-            over = None if check.levels is None or end is None else check.levels(triplet, end, params)
             if over is not None:
                 problems.append(f"check_params.{name}: {over[1]}")
         if problems:
@@ -191,11 +186,12 @@ class ExperimentConfig:
         return config
 
 
-def _path_budget(key: str, triplet, horizon: float, dt: float, problems: list[str]) -> None:
-    """A path of this horizon within the budget of simulate.path_budget."""
-    over = path_budget(triplet, horizon, dt)
-    if over is not None:
-        problems.append(f"{key}: {over[1]}")
+def _last_checkpoint(t0: float, doublings: int) -> float:
+    """t0 * 2^doublings, exactly; inf past the float range."""
+    try:
+        return math.ldexp(t0, doublings)
+    except OverflowError:
+        return math.inf
 
 
 def _check_names(d: dict, key: str, default: list, known: str, problems: list[str]) -> list:

@@ -52,6 +52,7 @@ __all__ = [
     "invariance_horizon",
     "local_time_law_invariance_check",
     "lln_t0_floor",
+    "lln_t0_refusal",
     "lln_envelope_check",
     "write_csv",
     "write_partials_csv",
@@ -120,7 +121,7 @@ class FinitenessEstimate:
 
 
 def write_csv(path: Path, header: str, *columns) -> None:
-    """Write a header line, then one line per row of the equal-length columns.
+    """The one writer of every CSV file: a header line, then a line per row of the equal-length columns.
 
     An integer column is written as its integers and any other column as
     repr(float) of each value, which round-trips exactly; each column is
@@ -136,15 +137,14 @@ def write_csv(path: Path, header: str, *columns) -> None:
 
 
 def write_partials_csv(path: Path, partials, checkpoints) -> None:
-    """Partial integrals, one row per (path, checkpoint), as write_csv writes them.
+    """Partial integrals (paths, checkpoints) through write_csv, one row per (path, checkpoint).
 
-    The table of finiteness.csv (verify) and partial_integrals.csv
-    (simulate), formatted in one pass with each checkpoint's repr made once.
+    The table of finiteness.csv (verify) and partial_integrals.csv (simulate).
     """
-    times = [repr(float(t)) for t in checkpoints]
-    lines = [f"{i},{t},{v!r}" for i, row in enumerate(np.asarray(partials, dtype=float).tolist())
-             for t, v in zip(times, row)]
-    Path(path).write_text("\n".join(["path_id,checkpoint,partial_integral"] + lines) + "\n")
+    partials = np.asarray(partials, dtype=float)
+    paths, width = partials.shape
+    write_csv(path, "path_id,checkpoint,partial_integral", np.repeat(np.arange(paths), width),
+              np.tile(np.asarray(checkpoints, dtype=float), paths), partials.ravel())
 
 
 def _parallel_map(fn, items, threads: int) -> list:
@@ -284,11 +284,11 @@ def level_budget(triplet: LevyTriplet, horizon: float, bandwidth: float) -> tupl
 
     A path on [0, horizon] ranges over |E xi_horizon| = |mean| * horizon at
     least on average, so its grid holds at least the levels of that span.
-    A mean that is not finite bounds nothing: the check then refuses a path
-    whose own grid is too large.
+    A mean or a horizon that is not finite bounds nothing: the check then
+    refuses a path whose own grid is too large.
     """
     mean = triplet.mean()
-    if not mean.is_finite:
+    if not (mean.is_finite and math.isfinite(horizon)):
         return None
     levels = _level_grid(abs(mean.as_float()) * horizon + 2.0 * bandwidth, bandwidth)[1]
     return None if levels <= MAX_LEVELS else ("LEVEL_BUDGET", _level_problem(levels, bandwidth))
@@ -497,6 +497,12 @@ def lln_t0_floor(triplet: LevyTriplet) -> float:
     return 50.0 * v / (mu * mu)
 
 
+def lln_t0_refusal(triplet: LevyTriplet, t0: float) -> tuple[str, str] | None:
+    """("T0_RANGE", problem) when t0 lies below lln_t0_floor; no floor without a mean in (0, inf)."""
+    floor = lln_t0_floor(triplet) if triplet.mean().is_finite_positive else 0.0
+    return None if t0 >= floor else ("T0_RANGE", f"need t0 >= 50 v/mu^2 = {floor:g}, got {t0:g}")
+
+
 def lln_envelope_check(
     triplet: LevyTriplet,
     t0: float,
@@ -513,11 +519,9 @@ def lln_envelope_check(
     every t >= t0 (on a grid path t0 is a knot).
     """
     mu = triplet.positive_mean("LLN envelope")
-    floor = lln_t0_floor(triplet)
-    if t0 < floor:
-        raise PreconditionViolation(
-            "T0_RANGE", f"need t0 >= 50 v/mu^2 = {floor:g}, got {t0:g}"
-        )
+    over = lln_t0_refusal(triplet, t0)
+    if over is not None:
+        raise PreconditionViolation(*over)
     if horizon is None:
         horizon = 4.0 * t0
     if not horizon > t0:

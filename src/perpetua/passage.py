@@ -78,34 +78,35 @@ def first_passage(
 
     Finite activity is resolved exactly (dt unused); infinite activity is
     walked on the knots of its dt grid path, with the jumps above the
-    measure's default cutoff for dt at their exact times.  Not reached by
-    time cap (default 10 level / mu) gives passage_time None.
+    measure's default cutoff for dt at their exact times: the one-path case
+    of _event_passages or _grid_passages.  Not reached by time cap (default
+    10 level / mu) gives passage_time None.
     """
-    if not level > 0.0:
-        raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
-    if cap is None:
-        cap = _default_cap(triplet, level)
-    if not math.isfinite(cap):
-        raise PreconditionViolation("CAP_RANGE", f"need a finite cap, got {cap}")
+    cap = _passage_cap(triplet, level, cap)
     if x0 >= level:
         return FirstPassageSample(level=level, passage_time=0.0, overshoot=x0 - level)
-
     if triplet.levy_measure.is_finite_activity:
         times, overshoots, _ = _event_passages(triplet, level, np.array([x0]), cap, stream(seed))
-        if math.isnan(times[0]):
-            return FirstPassageSample(level=level, passage_time=None, overshoot=None)
-        return FirstPassageSample(
-            level=level, passage_time=float(times[0]), overshoot=float(overshoots[0])
-        )
+    else:
+        times, overshoots = _grid_passages(triplet, level, [seed], x0, cap, dt)
+    if math.isnan(times[0]):
+        return FirstPassageSample(level, None, None)
+    return FirstPassageSample(level, float(times[0]), float(overshoots[0]))
 
+
+def _grid_passages(triplet: LevyTriplet, level: float, seeds, x0: float, cap: float, dt: float):
+    """(passage times, overshoots) of a dt grid path from x0 < level per seed, NaN if not by cap.
+
+    The grid twin of _event_passages: path k is scanned from stream(seeds[k]).
+    """
     engine = step_engine(triplet, dt)
-    rng = stream(seed)
     n_total = int(math.ceil(cap / dt))
-    crossed = _scan_for_crossing(engine, rng, x0, level, n_total)
-    if crossed is None:
-        return FirstPassageSample(level=level, passage_time=None, overshoot=None)
-    t_cross, value = crossed
-    return FirstPassageSample(level=level, passage_time=t_cross, overshoot=value - level)
+    times, overshoots = np.full(len(seeds), np.nan), np.full(len(seeds), np.nan)
+    for k, seed in enumerate(seeds):
+        crossed = _scan_for_crossing(engine, stream(seed), x0, level, n_total)
+        if crossed is not None:
+            times[k], overshoots[k] = crossed[0], crossed[1] - level
+    return times, overshoots
 
 
 def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: float, rng):
@@ -234,9 +235,15 @@ def _bridge_hit_times(rng, a, b, tau, level: float, var: float) -> np.ndarray:
     return tau / (1.0 + inv_y)
 
 
-def _default_cap(triplet: LevyTriplet, level: float) -> float:
-    """10 level / mu: a passage not seen by then counts as not reached."""
-    return 10.0 * level / triplet.positive_mean("passage cap")
+def _passage_cap(triplet: LevyTriplet, level: float, cap: float | None = None) -> float:
+    """The finite cap (default 10 level / mu) of a passage over level > 0: not reached by then."""
+    if not level > 0.0:
+        raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
+    if cap is None:
+        cap = 10.0 * level / triplet.positive_mean("passage cap")
+    if not math.isfinite(cap):
+        raise PreconditionViolation("CAP_RANGE", f"need a finite cap, got {cap}")
+    return cap
 
 
 def _scan_for_crossing(engine: StepEngine, rng, x0: float, level: float, n_total: int):
@@ -281,30 +288,21 @@ def overshoot_ensemble(
     derive_seed(seed, "overshoot") in the order _event_passages documents,
     and reports the events drawn (0 without jumps); dt is unused.  Infinite
     activity scans path i on the dt grid from stream
-    derive_seed(seed, "overshoot", i).  A path stalls when it has not
-    crossed by time 10 level / mu.
+    derive_seed(seed, "overshoot", i) (_grid_passages).  A path stalls when
+    it has not crossed by time 10 level / mu.
     """
-    if not level > 0.0:
-        raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
-    cap = _default_cap(triplet, level)
+    cap = _passage_cap(triplet, level)
     if triplet.levy_measure.is_finite_activity:
         rng = stream(derive_seed(seed, "overshoot"))
         times, out, drawn = _event_passages(triplet, level, np.zeros(n), cap, rng)
-        stalled = np.nonzero(np.isnan(times))[0]
-        if stalled.size:
-            raise NotReachedError(
-                f"path {stalled[0]} failed to reach {level:g} within cap {cap:g}"
-            )
-        out.sort()
-        return EmpiricalDistribution(samples=out, n=n, events_drawn=drawn)
-    out = np.empty(n)
-    for i in range(n):
-        fp = first_passage(triplet, level, seed=derive_seed(seed, "overshoot", i), cap=cap, dt=dt)
-        if not fp.reached:
-            raise NotReachedError(f"path {i} failed to reach {level:g} within cap {cap:g}")
-        out[i] = fp.overshoot
+    else:
+        seeds = [derive_seed(seed, "overshoot", i) for i in range(n)]
+        (times, out), drawn = _grid_passages(triplet, level, seeds, 0.0, cap, dt), None
+    stalled = np.nonzero(np.isnan(times))[0]
+    if stalled.size:
+        raise NotReachedError(f"path {stalled[0]} failed to reach {level:g} within cap {cap:g}")
     out.sort()
-    return EmpiricalDistribution(samples=out, n=n)
+    return EmpiricalDistribution(samples=out, n=n, events_drawn=drawn)
 
 
 def stationary_overshoot(

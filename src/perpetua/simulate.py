@@ -67,7 +67,7 @@ __all__ = [
     "event_block",
     "grid_knots",
     "path_pieces",
-    "path_budget",
+    "path_refusal",
     "sample_path",
     "sample_paths",
     "perpetual_estimate",
@@ -78,7 +78,7 @@ __all__ = [
     "local_time_block",
 ]
 
-# No path of any check may hold more expected pieces than this (path_budget,
+# No path of any check may hold more expected pieces than this (path_refusal,
 # path_pieces): a knot every dt on a grid and two per jump, on grid and event
 # paths alike.  Paths are held in memory whole, so a tiny dt or a dense jump
 # rate is refused rather than ending in a MemoryError halfway through a run:
@@ -317,18 +317,13 @@ def sample_paths(triplet: LevyTriplet, horizon: float, dt: float, seeds, x0=0.0)
     the measure's default cutoff for dt (all of them for finite activity) at
     their exact times, each row drawn alone and padded with its last knot.
     Row r depends on (seeds[r], its start, horizon, dt) alone; a block of
-    one grid row is a view of grid_knots' arrays.  A path past
-    MAX_PIECES_PER_PATH is refused before anything is allocated.
+    one grid row is a view of grid_knots' arrays.  A path that path_refusal
+    refuses is refused before anything is allocated.
     """
-    event = event_driven(triplet)
-    if not horizon > 0.0:
-        raise PreconditionViolation("HORIZON_RANGE", "need horizon > 0")
-    if not (event or 0.0 < dt <= horizon / 10.0):
-        raise PreconditionViolation("DT_RANGE", "need 0 < dt <= horizon/10")
-    over = path_budget(triplet, horizon, dt)
+    over = path_refusal(triplet, horizon, dt)
     if over is not None:
         raise PreconditionViolation(*over)
-    if event:
+    if event_driven(triplet):
         return event_block(triplet, horizon, seeds, x0)
     engine, n = step_engine(triplet, dt), int(round(horizon / dt))
     starts = np.broadcast_to(np.asarray(x0, dtype=float), (len(seeds),))
@@ -379,7 +374,7 @@ def grid_knots(engine: StepEngine, rng, n: int, x0: float):
 
 
 def path_pieces(triplet: LevyTriplet, horizon: float, dt: float) -> float:
-    """Expected pieces (knots - 1) of a path on [0, horizon]: the size path_budget holds.
+    """Expected pieces (knots - 1) of a path on [0, horizon]: the size path_refusal holds.
 
     Each jump above the measure's default_cutoff(dt) (every jump for finite
     activity, at any dt) is two knots.  A grid path adds its horizon/dt
@@ -396,8 +391,12 @@ def _jump_rate(nu, dt: float) -> float:
     return nu.rate_above(nu.default_cutoff(dt))
 
 
-def path_budget(triplet: LevyTriplet, horizon: float, dt: float) -> tuple[str, str] | None:
-    """("PATH_BUDGET", problem) when path_pieces passes MAX_PIECES_PER_PATH, else None."""
+def path_refusal(triplet: LevyTriplet, horizon: float, dt: float) -> tuple[str, str] | None:
+    """(reason, problem) of the first of HORIZON_RANGE, DT_RANGE (grid only), PATH_BUDGET broken, or None."""
+    if not horizon > 0.0:
+        return "HORIZON_RANGE", f"need horizon > 0, got {horizon:g}"
+    if not (event_driven(triplet) or 0.0 < dt <= horizon / 10.0):
+        return "DT_RANGE", f"need 0 < dt <= horizon/10 = {horizon / 10.0:g}, got {dt:g}"
     pieces = path_pieces(triplet, horizon, dt)
     if pieces <= MAX_PIECES_PER_PATH:
         return None

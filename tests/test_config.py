@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from perpetua import ConfigError, ExperimentConfig, load_config, run_experiment
+from perpetua import ConfigError, ExperimentConfig, LevyTriplet, harness, load_config, run_experiment, simulate
 from perpetua.checks import CHECKS
-from perpetua.harness import MAX_LEVELS
+from perpetua.cli import main
+from perpetua.harness import MAX_LEVELS, lln_t0_floor
 from perpetua.simulate import MAX_PIECES_PER_PATH
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,7 +44,7 @@ def event_payload(rate=1.0):
 
 
 def over_budget(key, pieces):
-    """The problem path_budget reports for a path of this many expected pieces."""
+    """The problem path_refusal reports for a path of this many expected pieces."""
     return (f"{key}: {pieces} expected pieces per path exceed PATH_BUDGET {MAX_PIECES_PER_PATH} "
             "(a knot every dt on a grid, two per jump)")
 
@@ -430,3 +431,207 @@ class TestLoadConfig:
         p.write_text("[1, 2, 3]")
         with pytest.raises(ConfigError):
             load_config(p)
+
+
+def shipped(name):
+    return json.loads((ROOT / "configs" / name).read_text())
+
+
+def t0_probe():
+    """The shipped BM config with lln t0 10, below its floor 50 v/mu^2 = 50."""
+    d = shipped("bm_drift_exp_decay.json")
+    d["check_params"]["lln"]["t0"] = 10.0
+    return d
+
+
+def dt_probe():
+    """The shipped BM config at dt 50 (t0 500), with an lln horizon of 60 < 10 dt."""
+    d = shipped("bm_drift_exp_decay.json")
+    d["dt"], d["horizon"]["t0"] = 50.0, 500.0
+    d["check_params"]["lln"] = {"n": 300, "t0": 50.0, "horizon": 60.0}
+    return d
+
+
+PROBES = {
+    "t0": (t0_probe, "check_params.lln: need t0 >= 50 v/mu^2 = 50, got 10"),
+    "dt": (dt_probe, "check_params.lln: need 0 < dt <= horizon/10 = 6, got 50"),
+}
+
+
+class TestRefusedBeforeAnyWork:
+    """Rules that only the config decides are config errors, not run-time refusals."""
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_each_probe_is_one_lln_problem(self, probe):
+        payload, problem = PROBES[probe]
+        d = payload()
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [problem]
+        d["master_seed"] = -1  # listed with every other problem of the file
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == ["master_seed: must fit in uint64, got -1", problem]
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_the_cli_exits_two_on_each_probe(self, probe, tmp_path, capsys):
+        payload, problem = PROBES[probe]
+        cfg = tmp_path / "probe.json"
+        cfg.write_text(json.dumps(payload()))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert problem in err and "Traceback" not in err
+
+    def test_the_dt_probe_holds_no_event_path(self):
+        # drift 1 plus rate 1 Exp(2) up-jumps: exact event paths never read dt,
+        # and the floor 50 * 0.5 / 1.5^2 = 11.1 lies below t0 = 50
+        d = dt_probe()
+        d["triplet"] = {"drift": 1.0, "gaussian": 0.0, "levy_measure": {
+            "family": "compound_poisson", "params": {
+                "rate": 1.0, "jump_law": {"kind": "exponential", "theta": 2.0, "sign": 1}}}}
+        assert ExperimentConfig.from_dict(d).dt == 50.0
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_neither_probe_applies_without_lln(self, probe):
+        d = PROBES[probe][0]()
+        d["checks"] = [key for key in CHECKS if key != "lln"]
+        assert ExperimentConfig.from_dict(d).checks == tuple(d["checks"])
+
+
+# run-time refusals that config validation must have listed before any work
+CONFIG_REASONS = {"HORIZON_RANGE", "DT_RANGE", "PATH_BUDGET", "LEVEL_BUDGET", "T0_RANGE"}
+
+# Small budgets, so that a path or level grid at the edge costs little to run.
+# Both sides read the same module constants, so config and run see the same budget.
+PIECES, LEVELS = 4096, 3300
+
+
+def bm(dt=0.0625, checks=(), **check_params):
+    """BM with drift 1 at step dt (t0 = 32 dt, horizon 512 dt), running the checks given."""
+    d = good_payload()
+    d["dt"], d["horizon"] = dt, {"t0": 32.0 * dt, "doublings": 4}
+    d["checks"] = list(checks or check_params)
+    d["check_params"] = check_params
+    return d
+
+
+def at_floor(payload):
+    """The payload with lln t0 at its triplet's floor 50 v/mu^2."""
+    t0 = lln_t0_floor(LevyTriplet.from_dict(payload["triplet"]))
+    payload["checks"], payload["check_params"] = ["lln"], {"lln": {"t0": t0, "n": 4}}
+    return payload
+
+
+def fast_bm(bandwidth):
+    """Drift 100 over horizon 32: a path spans 3,200 give or take about 6, so
+    at bandwidth 1 its level grid holds about 3,202 levels, under LEVELS by 3%."""
+    d = good_payload()
+    d["triplet"]["drift"] = 100.0
+    d["checks"] = ["occupation"]
+    d["check_params"] = {"occupation": {"n_paths": 2, "bandwidth": bandwidth}}
+    return d
+
+
+# payloads at the edge of a rule that config and run both hold, each with its budgets
+EDGES = {
+    "lln_t0_at_the_floor_bm": (lambda: at_floor(good_payload()), {}),
+    "lln_t0_at_the_floor_event": (lambda: at_floor(event_payload()), {}),
+    # dt 6 = horizon 60 / 10 exactly (config t0 = 192 >= 10 dt)
+    "lln_horizon_at_10_dt": (lambda: bm(6.0, lln={"t0": 54.0, "horizon": 60.0, "n": 4}), {}),
+    # 256 / 0.0625 = 4096 steps: at the budget
+    "lln_path_at_the_budget": (lambda: bm(lln={"t0": 64.0, "horizon": 256.0, "n": 4}),
+                               {"MAX_PIECES_PER_PATH": PIECES}),
+    # chunks of 1.5 (161 + 5 + 4) = 255 time units: 4,080 steps
+    "invariance_chunks_under_the_budget": (
+        lambda: bm(invariance={"x_list": [1.0, 161.0], "n": 4, "bandwidth": 0.5,
+                               "start_from_rho": False}),
+        {"MAX_PIECES_PER_PATH": PIECES}),
+    "occupation_levels_under_the_budget": (lambda: fast_bm(1.0), {"MAX_LEVELS": LEVELS}),
+}
+
+# for each check with a refusal hook, a payload it refuses, with its budgets
+REFUSED = {
+    "lln": (lambda: bm(lln={"t0": 64.0, "horizon": 256.0625, "n": 4}),
+            {"MAX_PIECES_PER_PATH": PIECES}, "4.1e+03 expected pieces per path exceed PATH_BUDGET"),
+    "invariance": (lambda: bm(invariance={"x_list": [171.0], "n": 4}),
+                   {"MAX_PIECES_PER_PATH": PIECES}, "4.32e+03 expected pieces per path exceed PATH_BUDGET"),
+    "occupation": (lambda: fast_bm(0.97), {"MAX_LEVELS": LEVELS},
+                   "3.3e+03 occupation grid levels exceed LEVEL_BUDGET"),
+}
+
+
+def set_budgets(monkeypatch, budgets):
+    for name, value in budgets.items():
+        monkeypatch.setattr(simulate if name == "MAX_PIECES_PER_PATH" else harness, name, value)
+
+
+class TestConfigAndRunAgree:
+    """What config accepts, no check refuses at run time for a reason config holds."""
+
+    @pytest.mark.parametrize("case", [
+        *(("shipped", p) for pattern in ("configs/*.json", "perfbench/configs/*.json")
+          for p in sorted(ROOT.glob(pattern))),
+        *(("edge", name) for name in EDGES),
+    ], ids=lambda case: case[1].name if case[0] == "shipped" else case[1])
+    def test_an_accepted_config_is_not_refused_when_run(self, case, monkeypatch):
+        kind, which = case
+        if kind == "shipped":
+            config = load_config(which)
+        else:
+            payload, budgets = EDGES[which]
+            set_budgets(monkeypatch, budgets)
+            config = ExperimentConfig.from_dict(payload())
+        report, _ = run_experiment(config)
+        assert [c["check"] for c in report["checks"]] == [k for k in CHECKS if k in config.checks]
+        refused = {c["check"]: c["precondition"] for c in report["checks"]
+                   if c.get("precondition") in CONFIG_REASONS}
+        assert refused == {}
+        if kind == "edge":  # each edge case draws its paths and passes its rules
+            assert all("precondition" not in c for c in report["checks"])
+
+    def test_every_refusal_hook_refuses_a_payload(self):
+        assert set(REFUSED) == {key for key, check in CHECKS.items() if check.refusal is not None}
+
+    @pytest.mark.parametrize("key", REFUSED)
+    def test_a_refused_payload_fails_to_load(self, key, monkeypatch):
+        payload, budgets, fragment = REFUSED[key]
+        set_budgets(monkeypatch, budgets)
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(payload())
+        assert len(exc.value.problems) == 1
+        assert exc.value.problems[0].startswith(f"check_params.{key}: {fragment}")
+        d = payload()
+        d["checks"] = []  # not run: not refused
+        ExperimentConfig.from_dict(d)
+
+
+class TestLastCheckpoint:
+    @pytest.mark.parametrize("lln_t0, lln_problem", [
+        (1e5, over_budget("check_params.lln", "4e+07")),
+        (10.0, "check_params.lln: need t0 >= 50 v/mu^2 = 50, got 10"),
+    ])
+    def test_the_checks_refusals_are_still_listed(self, lln_t0, lln_problem):
+        # t0 * 2^5000 is past the float range: the occupation level grid
+        # bounds nothing, while the lln and invariance checks are held as ever
+        d = good_payload()
+        d["horizon"]["doublings"] = 5000
+        d["check_params"] = {"lln": {"t0": lln_t0}, "invariance": {"x_list": [1e7]}}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            "horizon: t0 * 2^doublings overflows a float",
+            over_budget("horizon", "inf"),
+            over_budget("check_params.invariance", "1.5e+09"),
+            lln_problem,
+        ]
+
+    def test_a_last_checkpoint_past_2_to_the_1023_is_a_float(self):
+        # 1e-300 * 2^1100 = 1.36e31 is a float, though 2^1100 is not
+        d = good_payload()
+        d["triplet"] = {"drift": 1.0}
+        d["dt"], d["horizon"] = 1e-301, {"t0": 1e-300, "doublings": 1100}
+        d["checks"] = ["zero_one"]
+        config = ExperimentConfig.from_dict(d)
+        assert config.horizon == config.checkpoints[-1] == pytest.approx(1.3583e31, rel=1e-4)
+        report, _ = run_experiment(config)
+        assert "precondition" not in report["checks"][0]
