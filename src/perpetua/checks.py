@@ -60,7 +60,8 @@ def resolve(check: Check, config) -> dict:
     return out
 
 
-# These three need a mean in (0, inf); without one they raise the check's own MEAN_RANGE.
+# These three need a mean in (0, inf), the invariance hook once past its level rule;
+# without one they raise the check's own MEAN_RANGE.
 def _auto_level(config, p) -> float:
     return max(harness.overshoot_recommended_z1(config.triplet), 1.0)
 
@@ -70,8 +71,8 @@ def _auto_lln_t0(config, p) -> float:
 
 
 def _invariance_refusal(config, p):
-    chunk = harness.invariance_horizon(config.triplet, p["x_list"], config.dt)[1]
-    return path_refusal(config.triplet, chunk, config.dt)
+    return harness.invariance_level_refusal(p["x_list"]) or path_refusal(
+        config.triplet, harness.invariance_horizon(config.triplet, p["x_list"], config.dt)[1], config.dt)
 
 
 def _occupation_refusal(config, p):

@@ -7,12 +7,12 @@ as their complements so the rule never flips direction.
 All randomness flows through per-path seeds derived from the master seed and
 a purpose tag, and aggregation is ordered by path index, so every check is
 reproducible bit-for-bit no matter how many worker threads run the paths.
-The finiteness, invariance and LLN checks hand the threads blocks of
-consecutive paths, sized by the pieces of a path alone (_block_paths), never
-by the thread count.  A block's paths are the rows of one PathBlock
-(simulate.sample_paths), integrated in one pass; the invariance chunks of
-one block share one local-time pass per round.  Each row of such a pass is
-what its path gives alone.
+The four path checks (finiteness, occupation, invariance, LLN) hand their
+paths to one runner, _ensemble, which gives the threads blocks of
+consecutive paths sized by the pieces of a path alone, never by the thread
+count.  A finiteness or LLN block is one PathBlock (simulate.sample_paths)
+integrated in one pass, and an invariance block's chunks share one
+local-time pass per round: each row is what its path gives alone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import require_local_times
-from .errors import BandwidthTooSmall, NotReachedError, PreconditionViolation
+from .errors import NotReachedError, PerpetuaError, PreconditionViolation
 from .measures import CompoundPoisson
 from .rng import derive_seed, stream
 from .localtime import local_time_block, local_time_field
@@ -49,6 +49,7 @@ __all__ = [
     "level_budget",
     "overshoot_stationarity_check",
     "overshoot_recommended_z1",
+    "invariance_level_refusal",
     "invariance_horizon",
     "local_time_law_invariance_check",
     "lln_t0_floor",
@@ -69,7 +70,7 @@ TOL_REL = 1e-2
 
 _MAX_CHUNKS = 64  # chunks an invariance path may take to escape its levels
 
-# pieces in one block of paths, about (_block_paths): the rows of a block of
+# pieces in one block of paths, about (_ensemble): the rows of a block of
 # event paths are one array, and the chunks of an invariance block's paths
 # share one local_time_block pass per round, so this bounds the memory a
 # block holds while giving each task enough work
@@ -147,32 +148,41 @@ def write_partials_csv(path: Path, partials, checkpoints) -> None:
               np.tile(np.asarray(checkpoints, dtype=float), paths), partials.ravel())
 
 
-def _parallel_map(fn, items, threads: int) -> list:
-    """Order-preserving map over items; identical output for any threads >= 1."""
+def _ensemble(work, seed: int, tag: str, n: int, pieces: float, threads: int) -> np.ndarray:
+    """Rows of paths 0..n-1 in path order, path i seeded derive_seed(seed, tag, i), alike for any threads.
+
+    work maps the seeds of consecutive paths to one row each.  A block holds
+    about _BLOCK_PIECES pieces in all (pieces per path), at least one path,
+    and runs inline at one thread or in one pool; a block that raises a
+    PerpetuaError runs its paths again one by one, so a refusal is the one
+    of the lowest path index that fails alone.
+    """
     if threads < 1:
         raise PreconditionViolation("THREADS_RANGE", f"need threads >= 1, got {threads}")
+    if n < 1:
+        raise PreconditionViolation("SAMPLE_SIZE", f"need n >= 1 paths, got {n}")
+    seeds = [derive_seed(seed, tag, i) for i in range(n)]
+    size = max(1, int(_BLOCK_PIECES // pieces))
+    blocks = [seeds[first:first + size] for first in range(0, n, size)]
+
+    def run(block: list[int]) -> np.ndarray:
+        try:
+            return work(block)
+        except PerpetuaError:
+            if len(block) == 1:
+                raise
+        return np.concatenate([work([s]) for s in block])
+
     if threads == 1:
-        return [fn(item) for item in items]
+        return np.concatenate([run(block) for block in blocks])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return np.concatenate(list(pool.map(run, blocks)))
 
 
-def _blocks(count: int, size: int) -> list[range]:
-    """range(count) cut into blocks of size consecutive indices, the last one shorter."""
-    return [range(first, min(count, first + size)) for first in range(0, count, size)]
-
-
-def _block_paths(triplet: LevyTriplet, horizon: float, dt: float) -> int:
-    """Paths per block: about _BLOCK_PIECES pieces (path_pieces) in all, at least one."""
-    return max(1, int(_BLOCK_PIECES // max(path_pieces(triplet, horizon, dt), 1.0)))
-
-
-def finiteness_block(config, paths: range) -> tuple[PathBlock, np.ndarray]:
-    """The finiteness ensemble's paths (by index) as one block, and their (paths, checkpoints) partials."""
-    checkpoints = np.asarray(config.checkpoints, dtype=float)
-    seeds = [derive_seed(config.master_seed, "finiteness", i) for i in paths]
-    block = sample_paths(config.triplet, float(checkpoints[-1]), config.dt, seeds)
-    return block, perpetual_estimates(block, config.f, checkpoints)
+def finiteness_block(config, seeds) -> tuple[PathBlock, np.ndarray]:
+    """The finiteness paths of the given seeds as one block, and their (paths, checkpoints) partials."""
+    block = sample_paths(config.triplet, config.horizon, config.dt, seeds)
+    return block, perpetual_estimates(block, config.f, config.checkpoints)
 
 
 def finiteness_probability(config, threads: int = 1) -> FinitenessEstimate:
@@ -184,11 +194,9 @@ def finiteness_probability(config, threads: int = 1) -> FinitenessEstimate:
     so the finite rule wins).  p_hat is the FINITE_LIKE share of classified
     paths; the inconclusive remainder is reported and flagged above 10%.
     """
-    checkpoints = np.asarray(config.checkpoints, dtype=float)
-    size = _block_paths(config.triplet, float(checkpoints[-1]), config.dt)
-    partials = np.vstack(_parallel_map(
-        lambda paths: finiteness_block(config, paths)[1], _blocks(config.n_paths, size), threads
-    ))
+    partials = _ensemble(lambda seeds: finiteness_block(config, seeds)[1], config.master_seed,
+                         "finiteness", config.n_paths,
+                         path_pieces(config.triplet, config.horizon, config.dt), threads)
     incr = np.diff(partials, axis=1)
     tol = TOL_ABS + TOL_REL * partials[:, -1]
     finite = (incr[:, -1] < tol) & (incr[:, -2] < tol)
@@ -205,7 +213,7 @@ def finiteness_probability(config, threads: int = 1) -> FinitenessEstimate:
         p_hat=p_hat,
         per_path_verdicts=verdicts,
         growth_curve=partials.mean(axis=0),
-        checkpoints=checkpoints,
+        checkpoints=np.asarray(config.checkpoints, dtype=float),
         partials=partials,
         inconclusive_fraction=inconclusive,
         flagged=inconclusive > 0.10,
@@ -239,15 +247,10 @@ def occupation_identity_check(
     before the grid is built.
     """
     require_local_times(config.triplet, "occupation identity")
-    horizon = float(config.checkpoints[-1])
+    horizon = config.horizon
 
-    def one_gap(i: int) -> float:
-        path = sample_path(
-            config.triplet,
-            horizon,
-            config.dt,
-            seed=derive_seed(config.master_seed, "occupation", i),
-        )
+    def one_gap(seed: int) -> float:
+        path = sample_path(config.triplet, horizon, config.dt, seed=seed)
         direct = float(perpetual_estimate(path, config.f, [horizon])[0])
         lo = float(path.values.min()) - bandwidth
         hi = float(path.values.max()) + bandwidth
@@ -259,7 +262,8 @@ def occupation_identity_check(
         space = float(np.trapezoid(np.asarray(config.f(grid)) * fld.values, grid))
         return abs(space - direct) / max(abs(direct), 1e-12)
 
-    gaps = np.asarray(_parallel_map(one_gap, range(n_paths), threads))
+    gaps = _ensemble(lambda seeds: np.array([one_gap(s) for s in seeds]), config.master_seed,
+                     "occupation", n_paths, path_pieces(config.triplet, horizon, config.dt), threads)
     return CheckReport(
         name="occupation_identity",
         statistic=float(np.median(gaps)),
@@ -365,30 +369,28 @@ def _local_time_proxy(
     later returns negligible by design of the escape margin.  Each round
     the chunks of the paths still running share one local_time_block pass.
     Returns a (paths, levels) array, each row what the path gives alone.
-    A refusal is the one of the first path that fails alone: a block that
-    fails runs its paths again one at a time.
     """
     totals = np.zeros((len(starts), levels.size))
     x = np.array(starts, dtype=float)
     live = np.arange(len(starts))
-    try:
-        for c in range(_MAX_CHUNKS):
-            chunk_seeds = [derive_seed(seeds[r], "chunk", c) for r in live]
-            chunks = sample_paths(triplet, chunk_horizon, dt, chunk_seeds, x0=x[live])
-            totals[live] += local_time_block(chunks.times, chunks.values, levels, bandwidth)[0]
-            x[live] = chunks.values[:, -1]
-            if c > 0:
-                live = live[chunks.values.min(axis=1) < escape]
-            if not live.size:
-                return totals
-        raise NotReachedError(f"path from {starts[live[0]]:g} did not escape {escape:g}")
-    except (BandwidthTooSmall, NotReachedError):
-        if len(starts) == 1:
-            raise
-    return np.vstack([
-        _local_time_proxy(triplet, [x0], [s], levels, bandwidth, dt, escape, chunk_horizon)
-        for x0, s in zip(starts, seeds)
-    ])
+    for c in range(_MAX_CHUNKS):
+        chunk_seeds = [derive_seed(seeds[r], "chunk", c) for r in live]
+        chunks = sample_paths(triplet, chunk_horizon, dt, chunk_seeds, x0=x[live])
+        totals[live] += local_time_block(chunks.times, chunks.values, levels, bandwidth)[0]
+        x[live] = chunks.values[:, -1]
+        if c > 0:
+            live = live[chunks.values.min(axis=1) < escape]
+        if not live.size:
+            return totals
+    raise NotReachedError(f"path from {starts[live[0]]:g} did not escape {escape:g}")
+
+
+def invariance_level_refusal(x_list) -> tuple[str, str] | None:
+    """("LEVEL_RANGE", problem) unless x_list holds two or more distinct levels, all positive."""
+    levels = sorted(set(float(x) for x in x_list))
+    if len(levels) > 1 and levels[0] > 0.0:
+        return None
+    return "LEVEL_RANGE", f"need two or more distinct positive levels, got {[float(x) for x in x_list]}"
 
 
 def invariance_horizon(triplet: LevyTriplet, x_list, dt: float) -> tuple[float, float]:
@@ -432,9 +434,10 @@ def local_time_law_invariance_check(
     require_local_times(triplet, "invariance check")
     triplet.positive_mean("invariance check")
 
+    over = invariance_level_refusal(x_list)
+    if over is not None:
+        raise PreconditionViolation(*over)
     levels = np.asarray(sorted(set(float(x) for x in x_list)), dtype=float)
-    if levels.size == 0 or levels[0] <= 0.0:
-        raise PreconditionViolation("LEVEL_RANGE", "levels must be positive")
     reference = 1.0 if 1.0 in levels else float(levels[0])
 
     notes = ""
@@ -452,21 +455,17 @@ def local_time_law_invariance_check(
     notes += f"n={n}, levels {levels.tolist()}, reference {reference:g}"
 
     escape, chunk_horizon = invariance_horizon(triplet, levels, dt)
-    block = _block_paths(triplet, chunk_horizon, dt)
 
-    def one_block(paths: range) -> np.ndarray:
-        seeds = [derive_seed(seed, "linf", i) for i in paths]
+    def one_block(seeds: list[int]) -> np.ndarray:
         if start_from_rho:
             starts = [float(rho.draw(stream(derive_seed(s, "start")), 1)[0]) for s in seeds]
         else:
             starts = [0.0] * len(seeds)
-        return _local_time_proxy(
-            triplet, starts, seeds, levels, bandwidth, dt, escape, chunk_horizon
-        )
+        return _local_time_proxy(triplet, starts, seeds, levels, bandwidth, dt, escape, chunk_horizon)
 
+    samples = _ensemble(one_block, seed, "linf", n, path_pieces(triplet, chunk_horizon, dt), threads)
     if threshold is None:
         threshold = max(0.05, ks_critical(n, n, ks_alpha))
-    samples = np.vstack(_parallel_map(one_block, _blocks(n, block), threads))  # (n, n_levels)
     ref_idx = int(np.nonzero(levels == reference)[0][0])
     stats = [
         ks_two_sample(samples[:, j], samples[:, ref_idx])
@@ -527,12 +526,8 @@ def lln_envelope_check(
     if not horizon > t0:
         raise PreconditionViolation("HORIZON_RANGE", f"need horizon > t0 = {t0:g}, got {horizon:g}")
 
-    def one_block(paths: range) -> np.ndarray:
-        seeds = [derive_seed(seed, "lln", i) for i in paths]
-        return _inside_envelope(sample_paths(triplet, horizon, dt, seeds), t0, mu)
-
-    size = _block_paths(triplet, horizon, dt)
-    inside = np.concatenate(_parallel_map(one_block, _blocks(n, size), threads))
+    inside = _ensemble(lambda seeds: _inside_envelope(sample_paths(triplet, horizon, dt, seeds), t0, mu),
+                       seed, "lln", n, path_pieces(triplet, horizon, dt), threads)
     fraction = float(np.mean(inside))
     return CheckReport(
         name="lln_envelope",

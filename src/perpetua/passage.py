@@ -291,6 +291,8 @@ def overshoot_ensemble(
     derive_seed(seed, "overshoot", i) (_grid_passages).  A path stalls when
     it has not crossed by time 10 level / mu.
     """
+    if n < 1:
+        raise PreconditionViolation("SAMPLE_SIZE", f"need n >= 1 paths, got {n}")
     cap = _passage_cap(triplet, level)
     if triplet.levy_measure.is_finite_activity:
         rng = stream(derive_seed(seed, "overshoot"))

@@ -7,8 +7,9 @@ without OS entropy, which matters where an ensemble builds one stream per
 path.  Streams of distinct seeds are independent by
 construction, and results never depend on how work is split across threads:
 each stream is consumed by exactly one task, in a fixed documented order.
-A task is usually one path, whose stream is derived from the seed, a
-purpose tag and the path index: a grid path draws its steps from it, and an
+A path's stream is derived from the seed, a purpose tag and the path
+index, and harness._ensemble hands each task a block of consecutive paths,
+so a stream never crosses tasks: a grid path draws its steps from it, and an
 exact event path (drift plus finite activity) its batches of jump gaps and
 sizes, through the same event loop as exact first passage.  The exact
 overshoot ensemble of a finite-activity process (drift, Gaussian part and

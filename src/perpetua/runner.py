@@ -18,6 +18,7 @@ from . import __version__, harness
 from .checks import CHECKS, Check, resolve
 from .config import ExperimentConfig
 from .errors import ConfigError, PerpetuaError, PreconditionViolation
+from .rng import derive_seed
 
 __all__ = ["run_experiment", "write_report", "simulate_paths"]
 
@@ -101,7 +102,7 @@ def simulate_paths(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
     partials = []
     for i in range(config.n_paths):
-        block, partial = harness.finiteness_block(config, range(i, i + 1))
+        block, partial = harness.finiteness_block(config, [derive_seed(config.master_seed, "finiteness", i)])
         partials.append(partial[0])
         path = block.path(0)
         csv_path = out / f"path_{i:04d}.csv"

@@ -130,6 +130,10 @@ class TestExitCodes:
         # refused before any work, not by the check at run time
         ({"lln": {"t0": 60, "horizon": 10}}, "check_params.lln.horizon: must be > t0 = 60, got 10"),
         ({"overshoot": {"z1": 30, "z2": 20}}, "check_params.overshoot.z2: must be > z1 = 30, got 20"),
+        ({"invariance": {"x_list": [2.0, 2.0]}},
+         "check_params.invariance: need two or more distinct positive levels, got [2.0, 2.0]"),
+        ({"invariance": {"x_list": [161.0]}},
+         "check_params.invariance: need two or more distinct positive levels, got [161.0]"),
     ])
     def test_bad_check_params_exit_two(self, tmp_path, capsys, check_params, fragment):
         cfg = write_config(tmp_path, check_params=check_params)

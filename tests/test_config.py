@@ -308,10 +308,23 @@ class TestFromDict:
         d["checks"] = ["zero_one"]  # lln not run: its budget does not apply
         ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("drift", [1.0, -1.0], ids=["mean", "no_positive_mean"])
+    def test_invariance_needs_two_distinct_levels(self, drift):
+        # the level rule needs no mean: it is listed before the chunk horizon is read
+        d = good_payload()
+        d["triplet"]["drift"] = drift
+        d["check_params"] = {"invariance": {"x_list": [2.0, 2.0]}}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(d)
+        assert exc.value.problems == [
+            "check_params.invariance: need two or more distinct positive levels, got [2.0, 2.0]"]
+        d["check_params"]["invariance"]["x_list"] = [2.0, 3.0]
+        ExperimentConfig.from_dict(d)
+
     def test_step_budget_holds_the_invariance_chunks(self):
         # BM drift 1 at dt 0.01: chunks of 1.5 (1e7 + 5 + 4) time units
         d = good_payload()
-        d["check_params"] = {"invariance": {"x_list": [1e7]}}
+        d["check_params"] = {"invariance": {"x_list": [1.0, 1e7]}}
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
         assert exc.value.problems == [over_budget("check_params.invariance", "1.5e+09")]
@@ -499,7 +512,7 @@ class TestRefusedBeforeAnyWork:
 
 
 # run-time refusals that config validation must have listed before any work
-CONFIG_REASONS = {"HORIZON_RANGE", "DT_RANGE", "PATH_BUDGET", "LEVEL_BUDGET", "T0_RANGE"}
+CONFIG_REASONS = {"HORIZON_RANGE", "DT_RANGE", "PATH_BUDGET", "LEVEL_BUDGET", "T0_RANGE", "LEVEL_RANGE"}
 
 # Small budgets, so that a path or level grid at the edge costs little to run.
 # Both sides read the same module constants, so config and run see the same budget.
@@ -553,7 +566,7 @@ EDGES = {
 REFUSED = {
     "lln": (lambda: bm(lln={"t0": 64.0, "horizon": 256.0625, "n": 4}),
             {"MAX_PIECES_PER_PATH": PIECES}, "4.1e+03 expected pieces per path exceed PATH_BUDGET"),
-    "invariance": (lambda: bm(invariance={"x_list": [171.0], "n": 4}),
+    "invariance": (lambda: bm(invariance={"x_list": [1.0, 171.0], "n": 4}),
                    {"MAX_PIECES_PER_PATH": PIECES}, "4.32e+03 expected pieces per path exceed PATH_BUDGET"),
     "occupation": (lambda: fast_bm(0.97), {"MAX_LEVELS": LEVELS},
                    "3.3e+03 occupation grid levels exceed LEVEL_BUDGET"),
@@ -615,7 +628,7 @@ class TestLastCheckpoint:
         # bounds nothing, while the lln and invariance checks are held as ever
         d = good_payload()
         d["horizon"]["doublings"] = 5000
-        d["check_params"] = {"lln": {"t0": lln_t0}, "invariance": {"x_list": [1e7]}}
+        d["check_params"] = {"lln": {"t0": lln_t0}, "invariance": {"x_list": [1.0, 1e7]}}
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(d)
         assert exc.value.problems == [

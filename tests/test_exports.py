@@ -1,6 +1,6 @@
 """Every exported name resolves, every family subclasses its layer's base, submodules
-import at module level only what they use, every error type is raised somewhere, and
-importing the package loads numpy but no scipy."""
+import at module level only what they use, one function builds the thread pool, every
+error type is raised somewhere, and importing the package loads numpy but no scipy."""
 
 import ast
 import importlib
@@ -67,6 +67,42 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_unused_import_check_sees_an_unused_name():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
     assert _unused_imports(tree) == ["os", "tau"]
+
+
+def _pool_builders(tree: ast.Module) -> list[str]:
+    """The innermost function around each ThreadPoolExecutor(...) call, by name or as an
+    attribute; '<module>' for a call outside every function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                fn = child.func
+                if getattr(fn, "id", getattr(fn, "attr", None)) == "ThreadPoolExecutor":
+                    found.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_function_builds_the_thread_pool():
+    # every path check inherits the runner's seeding, blocks and refusal rule
+    builders = [f"{path.stem}.{where}"
+                for path in sorted(Path(perpetua.__file__).parent.glob("*.py"))
+                for where in _pool_builders(ast.parse(path.read_text()))]
+    assert builders == ["harness._ensemble"]
+
+
+def test_pool_check_sees_every_builder():
+    tree = ast.parse("import concurrent.futures as cf\nfrom concurrent.futures import ThreadPoolExecutor\n"
+                     "def f():\n    def g():\n        return cf.ThreadPoolExecutor(2)\n"
+                     "    with ThreadPoolExecutor() as pool:\n        pass\n"
+                     "pool = ThreadPoolExecutor(1)\n")
+    assert _pool_builders(tree) == ["g", "f", "<module>"]
 
 
 def _function_imports(tree: ast.Module) -> list[str]:

@@ -32,7 +32,7 @@ from perpetua.passage import stationary_overshoot
 from perpetua.rng import derive_seed, stream
 from perpetua.runner import _run_one
 from perpetua.localtime import _bandwidth_floor, local_time_block, local_time_field
-from perpetua.simulate import PathBlock, PathSample, sample_path
+from perpetua.simulate import PathBlock, PathSample, path_pieces, sample_path
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
 # drift 0.1 plus rate-1 Exp(2) up-jumps: mu = 0.6, sigma^2 + int x^2 nu = 0.5
@@ -46,6 +46,35 @@ def make_config(triplet, f, n_paths=16, dt=0.01, t0=1.0, doublings=3, master_see
         triplet=triplet, f=f, n_paths=n_paths, dt=dt, t0=t0,
         doublings=doublings, master_seed=master_seed,
     )
+
+
+def block_sizes(n, pieces):
+    """The sizes of the blocks _ensemble hands its work, in order, for n paths of the given pieces each."""
+    sizes = []
+    harness._ensemble(lambda seeds: (sizes.append(len(seeds)), np.zeros(len(seeds)))[1], 0, "sizes", n,
+                      pieces, 1)
+    return sizes
+
+
+def spy_ensemble(monkeypatch):
+    """Per _ensemble call, the path index ranges of the blocks handed its work (by first path) and its rows."""
+    calls = []
+    ensemble = harness._ensemble
+
+    def spy(work, seed, tag, n, pieces, threads):
+        index = {derive_seed(seed, tag, i): i for i in range(n)}
+        blocks = []
+
+        def recording(seeds):
+            blocks.append(range(index[seeds[0]], index[seeds[-1]] + 1))
+            return work(seeds)
+
+        rows = ensemble(recording, seed, tag, n, pieces, threads)
+        calls.append((sorted(blocks, key=lambda b: b.start), rows.tobytes()))
+        return rows
+
+    monkeypatch.setattr(harness, "_ensemble", spy)
+    return calls
 
 
 def synthetic_estimate(p_hat, n_classified, n_total=None):
@@ -267,6 +296,13 @@ class TestInvarianceCheck:
             local_time_law_invariance_check(BM_DRIFT, [-1.0, 2.0], n=10)
         assert exc.value.reason == "LEVEL_RANGE"
 
+    @pytest.mark.parametrize("x_list", [[2.0, 2.0], [161.0]])
+    def test_two_distinct_levels_are_needed_before_the_harvest(self, x_list, monkeypatch):
+        monkeypatch.setattr(harness, "stationary_overshoot", None)  # never harvested
+        with pytest.raises(PreconditionViolation) as exc:
+            local_time_law_invariance_check(BM_DRIFT, x_list, n=10)
+        assert str(exc.value) == f"LEVEL_RANGE: need two or more distinct positive levels, got {x_list}"
+
     def test_rho_harvest_gated_by_self_check(self):
         # lattice jumps at a low harvest level: the overshoot law still
         # depends on the level, so the proxy must refuse to pose as rho
@@ -311,7 +347,7 @@ class TestInvarianceBlocks:
         return harness.invariance_horizon(triplet, TestInvarianceBlocks.LEVELS, 0.01)
 
     def block(self, triplet):
-        return harness._block_paths(triplet, self.horizon(triplet)[1], 0.01)
+        return block_sizes(harness._BLOCK_PIECES, path_pieces(triplet, self.horizon(triplet)[1], 0.01))[0]
 
     def test_block_rows_are_the_paths_alone(self):
         escape, chunk_horizon = self.horizon(BM_CP)
@@ -411,21 +447,14 @@ class TestEventBlocks:
     """The finiteness and LLN ensembles run in blocks of consecutive paths, sized by pieces alone."""
 
     def test_blocks_do_not_depend_on_threads(self, monkeypatch):
-        handed = []
-        parallel_map = harness._parallel_map
-
-        def spy(fn, items, threads):
-            handed.append(list(items))
-            return parallel_map(fn, items, threads)
-
-        monkeypatch.setattr(harness, "_parallel_map", spy)
+        calls = spy_ensemble(monkeypatch)
         cfg = make_config(DRIFT_CP, ExpDecay(1.0), n_paths=100, t0=2.0, doublings=7)
         runs = []
         for threads in (1, 2, 3):
-            handed.clear()
+            calls.clear()
             partials = finiteness_probability(cfg, threads=threads).partials
             report = lln_envelope_check(DRIFT_CP, t0=100.0, n=50, seed=4, threads=threads).to_dict()
-            runs.append((list(handed), partials.tobytes(), report))
+            runs.append(([blocks for blocks, _ in calls], partials.tobytes(), report))
         assert runs[0] == runs[1] == runs[2]
         # 513 expected pieces per path on [0, 256] and 801 on [0, 400]
         zero_one, lln = runs[0][0]
@@ -433,17 +462,70 @@ class TestEventBlocks:
         assert [len(b) for b in lln] == [20, 20, 10]
 
     def test_shipped_grid_ensembles_run_one_path_per_block(self):
-        assert harness._block_paths(BM_DRIFT, 256.0, 0.01) == 1
-        assert harness._block_paths(BM_DRIFT, 240.0, 0.01) == 1
+        assert block_sizes(3, path_pieces(BM_DRIFT, 256.0, 0.01)) == [1, 1, 1]
+        assert block_sizes(3, path_pieces(BM_DRIFT, 240.0, 0.01)) == [1, 1, 1]
 
     def test_block_rows_are_the_paths_alone(self):
         cfg = make_config(DRIFT_CP, ExpDecay(1.0), n_paths=40, t0=2.0, doublings=5)
-        block, partials = harness.finiteness_block(cfg, range(3, 40))
+        seeds = [derive_seed(cfg.master_seed, "finiteness", i) for i in range(3, 40)]
+        block, partials = harness.finiteness_block(cfg, seeds)
         assert block.rows == 37
-        for r, i in enumerate(range(3, 40)):
-            path, alone = harness.finiteness_block(cfg, range(i, i + 1))
+        for r, seed in enumerate(seeds):
+            path, alone = harness.finiteness_block(cfg, [seed])
             assert block.path(r).values.tobytes() == path.path(0).values.tobytes()
             assert partials[r].tobytes() == alone[0].tobytes()
+
+
+class TestOccupationBlocks:
+    """Occupation paths run in blocks too: T = 16 at dt = 0.01 is 1,600 pieces, 10 paths a block."""
+
+    CONFIG = make_config(BM_DRIFT, ExpDecay(1.0), t0=2.0, doublings=3)
+
+    def test_gaps_and_blocks_do_not_depend_on_threads(self, monkeypatch):
+        calls = spy_ensemble(monkeypatch)
+        runs = []
+        for threads in (1, 2, 3):
+            calls.clear()
+            report = occupation_identity_check(self.CONFIG, n_paths=25, threads=threads).to_dict()
+            runs.append((list(calls), report))
+        assert runs[0] == runs[1] == runs[2]
+        [(blocks, _)] = runs[0][0]
+        assert [len(b) for b in blocks] == [10, 10, 5] and blocks[0] == range(10)
+
+    def test_level_refusal_is_the_first_paths(self, monkeypatch):
+        # a level budget at path 0's own grid: several later paths fail, in
+        # two blocks, and the lowest index among them is the one refused
+        bandwidth = 0.05
+
+        def levels(i):
+            path = sample_path(BM_DRIFT, 16.0, 0.01, seed=derive_seed(self.CONFIG.master_seed, "occupation", i))
+            span = float(path.values.max()) - float(path.values.min()) + 2.0 * bandwidth
+            return harness._level_grid(span, bandwidth)[1]
+
+        counts = [levels(i) for i in range(25)]
+        failing = [i for i, c in enumerate(counts) if c > counts[0]]
+        first = failing[0]
+        assert len({i // 10 for i in failing}) > 1
+        assert f"{counts[first]:.3g}" not in {f"{counts[i]:.3g}" for i in failing[1:]}
+        monkeypatch.setattr(harness, "MAX_LEVELS", counts[0])
+        with pytest.raises(PreconditionViolation) as exc:
+            occupation_identity_check(self.CONFIG, n_paths=25, bandwidth=bandwidth, threads=2)
+        assert str(exc.value) == f"LEVEL_BUDGET: {harness._level_problem(counts[first], bandwidth)}"
+
+
+@pytest.mark.parametrize("check", ["zero_one", "occupation", "overshoot", "invariance", "lln"])
+def test_every_path_ensemble_refuses_no_paths(check):
+    run = {
+        "zero_one": lambda: finiteness_probability(make_config(BM_DRIFT, ExpDecay(1.0), n_paths=0)),
+        "occupation": lambda: occupation_identity_check(make_config(BM_DRIFT, ExpDecay(1.0)), n_paths=0),
+        "overshoot": lambda: overshoot_stationarity_check(BM_DRIFT, 1.0, 2.0, n=0),
+        "invariance": lambda: local_time_law_invariance_check(BM_DRIFT, [1.0, 2.0], n=0,
+                                                              start_from_rho=False),
+        "lln": lambda: lln_envelope_check(BM_DRIFT, t0=50.0, n=0),
+    }[check]
+    with pytest.raises(PreconditionViolation) as exc:
+        run()
+    assert str(exc.value) == "SAMPLE_SIZE: need n >= 1 paths, got 0"
 
 
 def csv_oracle(header, rows):
