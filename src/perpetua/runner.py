@@ -18,7 +18,7 @@ from . import __version__, harness
 from .checks import CHECKS, Check, resolve
 from .config import ExperimentConfig
 from .errors import ConfigError, PerpetuaError, PreconditionViolation
-from .rng import derive_seed
+from .simulate import path_pieces
 
 __all__ = ["run_experiment", "write_report", "simulate_paths"]
 
@@ -96,19 +96,28 @@ def write_report(out_dir: Path, report: dict) -> Path:
 
 
 def simulate_paths(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
-    """Write per-path time,value CSV dumps plus the partial-integral table."""
+    """Write zero_one's ensemble: a time,value CSV per path, then the partial-integral table.
+
+    The paths are drawn through harness._ensemble at one thread, in its
+    blocks and with its seeds, so each path and its partials are the
+    finiteness check's.  A block's files are written once finiteness_block
+    returns, so a block that _ensemble runs again path by path still writes
+    them in path order.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    partials = []
-    for i in range(config.n_paths):
-        block, partial = harness.finiteness_block(config, [derive_seed(config.master_seed, "finiteness", i)])
-        partials.append(partial[0])
-        path = block.path(0)
-        csv_path = out / f"path_{i:04d}.csv"
-        harness.write_csv(csv_path, "time,value", path.times, path.values)
-        written.append(csv_path)
 
+    def work(seeds):
+        block, partials = harness.finiteness_block(config, seeds)
+        for r in range(block.rows):
+            path, csv_path = block.path(r), out / f"path_{len(written):04d}.csv"
+            harness.write_csv(csv_path, "time,value", path.times, path.values)
+            written.append(csv_path)
+        return partials
+
+    partials = harness._ensemble(work, config.master_seed, "finiteness", config.n_paths,
+                                 path_pieces(config.triplet, config.horizon, config.dt), 1)
     table = out / "partial_integrals.csv"
     harness.write_partials_csv(table, partials, config.checkpoints)
     written.append(table)

@@ -12,7 +12,8 @@ many paths from one stream for the exact first passage (passage), through
 the same cumulation.
 
 sample_paths gives the paths of any triplet as one PathBlock, the rows of
-padded knot arrays, and sample_path is its one-row case.
+padded knot arrays, and sample_path is its one-row case.  Every path is
+read by np.interp, row by row (PathBlock.at, PathSample.at).
 perpetual_estimates integrates f along every row of a block in one pass
 (exactly, by f.integral_between, on an event block), and
 perpetual_estimate is its one-path case.
@@ -148,25 +149,8 @@ class PathBlock:
         return PathSample(times=self.times[r, :n], values=self.values[r, :n], exact=self.exact)
 
     def at(self, t) -> np.ndarray:
-        """Each row's values at times t: (rows, t.size), as PathSample.at gives them."""
-        return _interp_rows(self.times, self.values, np.asarray(t, dtype=float))[3]
-
-
-def _interp_rows(times: np.ndarray, values: np.ndarray, t: np.ndarray):
-    """(i, t_i, v_i, value) per row and time: knot i the last at or before it, value np.interp's.
-
-    Bit for bit np.interp's rule: at a knot, or past the last, the knot's
-    value, and before the first the first's (i = 0); inside a piece
-    slope * (t - t_i) + v_i, with slope (v_{i+1} - v_i) / (t_{i+1} - t_i).
-    """
-    # before the first knot (i = -1) its value, as np.interp gives it
-    i = np.maximum(np.array([np.searchsorted(row, t, side="right") for row in times]) - 1, 0)
-    row = np.arange(times.shape[0])[:, None]
-    nxt = np.minimum(i + 1, times.shape[1] - 1)
-    ti, tn, vi, vn = times[row, i], times[row, nxt], values[row, i], values[row, nxt]
-    inside = (t > ti) & (tn > ti)
-    slope = np.divide(vn - vi, tn - ti, out=np.zeros(i.shape), where=inside)
-    return i, ti, vi, np.where(inside, slope * (t - ti) + vi, vi)
+        """Each row's values at times t by np.interp, row by row: (rows, t.size), or (rows,) at a scalar t."""
+        return np.array([np.interp(t, times, values) for times, values in zip(self.times, self.values)])
 
 
 def event_driven(triplet: LevyTriplet) -> bool:
@@ -488,8 +472,12 @@ def perpetual_estimates(block: PathBlock, f: TestFunction, checkpoints) -> np.nd
     np.cumsum(cum, axis=1, out=cum)
     if not block.exact:
         return np.array([np.interp(checkpoints, row, sums) for row, sums in zip(t, cum)])
-    i, ti, vi, at = _interp_rows(t, v, checkpoints)
-    return cum[np.arange(block.rows)[:, None], i] + _line_integrals(f, checkpoints - ti, vi, at)
+    # knot i the last at or before each checkpoint, row by row: one search over
+    # row-offset times is not exact, since an offset can round two knot times to one
+    i = np.maximum(np.array([np.searchsorted(row, checkpoints, side="right") for row in t]) - 1, 0)
+    row = np.arange(block.rows)[:, None]
+    ti, vi = t[row, i], v[row, i]
+    return cum[row, i] + _line_integrals(f, checkpoints - ti, vi, block.at(checkpoints))
 
 
 def _line_integrals(f: TestFunction, gap: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import perpetua
-from perpetua import jumps, measures, testfunctions
+from perpetua import harness, jumps, measures, testfunctions
 from perpetua.cli import main
+from perpetua.rng import derive_seed
 
 
 def write_config(tmp_path, **overrides):
@@ -371,10 +372,9 @@ class TestExitCodes:
         assert code == 1
 
 
-def test_event_path_outputs_are_identical_for_any_threads(tmp_path):
-    # drift 0.1 plus rate-1 Exp(2) up-jumps: exact event paths in blocks of 31 and 20.
-    # The bundle's sha256 is pinned: a faster stream, sampler or integral must not move a bit.
-    cfg = write_config(
+def event_config(tmp_path):
+    """drift 0.1 plus rate-1 Exp(2) up-jumps: exact event paths in blocks of 31 and 20."""
+    return write_config(
         tmp_path,
         triplet={"drift": 0.1, "gaussian": 0.0, "levy_measure": {"family": "compound_poisson", "params": {
             "rate": 1.0, "jump_law": {"kind": "exponential", "theta": 2.0, "sign": 1}}}},
@@ -382,6 +382,11 @@ def test_event_path_outputs_are_identical_for_any_threads(tmp_path):
         checks=["zero_one", "overshoot", "lln"],
         check_params={"overshoot": {"z1": 10, "z2": 20, "n": 200}, "lln": {"n": 60, "t0": 100}},
     )
+
+
+def test_event_path_outputs_are_identical_for_any_threads(tmp_path):
+    # The bundle's sha256 is pinned: a faster stream, sampler or integral must not move a bit.
+    cfg = event_config(tmp_path)
     outputs = []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
@@ -390,6 +395,17 @@ def test_event_path_outputs_are_identical_for_any_threads(tmp_path):
                           ("report.json", "finiteness.csv", "overshoots_z1.csv", "overshoots_z2.csv"))
         outputs.append(hashlib.sha256(bundle).hexdigest())
     assert outputs == ["e5583bed94378d740c07917d02ce56ca040e939cb140db02ef864a3e239d1976"] * 2
+
+
+def test_event_path_simulate_bundle_is_pinned(tmp_path):
+    # perpetua simulate on the same config: every path file in name order, then the
+    # partial-integral table.  The sha256 is pinned: drawing in blocks must not move a bit.
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", event_config(tmp_path), "--out", str(out)]) == 0
+    names = sorted(p.name for p in out.glob("path_*.csv"))
+    assert len(names) == 120
+    bundle = b"".join((out / name).read_bytes() for name in [*names, "partial_integrals.csv"])
+    assert hashlib.sha256(bundle).hexdigest() == "44ab4df31f3f3ff0dd2e14357bc9cf26f12ae961e4565815247eb0e8b16e6b78"
 
 
 def test_grid_path_outputs_are_identical_for_any_threads(tmp_path):
@@ -426,6 +442,24 @@ class TestSimulateCommand:
         assert "path_0000.csv" in files
         header = (out / "path_0000.csv").read_text().splitlines()[0]
         assert header == "time,value"
+
+    def test_draws_in_the_ensembles_blocks(self, tmp_path, monkeypatch):
+        # zero_one's ensemble as _ensemble cuts it: an event path of 513 expected pieces
+        # on [0, 256] makes blocks of 31, a Brownian path of 25,600 pieces one a block
+        calls = []
+        block = harness.finiteness_block
+        monkeypatch.setattr(harness, "finiteness_block",
+                            lambda config, seeds: (calls.append(list(seeds)), block(config, seeds))[1])
+        root = Path(__file__).resolve().parents[1]
+        config = perpetua.load_config(root / "perfbench" / "configs" / "verify_cp.json")
+        perpetua.simulate_paths(config, tmp_path / "cp")
+        assert [len(seeds) for seeds in calls] == [31] * 16 + [4]
+        assert sum(calls, []) == [derive_seed(config.master_seed, "finiteness", i) for i in range(500)]
+        calls.clear()
+        bm = perpetua.ExperimentConfig(triplet=perpetua.LevyTriplet(1.0, 1.0), f=perpetua.ExpDecay(1.0),
+                                       n_paths=3, dt=0.01, t0=2.0, doublings=7, master_seed=7)
+        perpetua.simulate_paths(bm, tmp_path / "bm")
+        assert [len(seeds) for seeds in calls] == [1, 1, 1]
 
     def test_seed_override_changes_paths(self, tmp_path):
         cfg = write_config(tmp_path, n_paths=100)

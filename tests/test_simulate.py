@@ -640,6 +640,22 @@ class TestEventBlock:
         for r in range(block.rows):
             assert at[r].tobytes() == block.path(r).at(t).tobytes()
 
+    @pytest.mark.parametrize("triplet", [
+        DRIFT_CP,
+        LevyTriplet(0.2, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, -1))),
+    ], ids=["up_jumps", "down_jumps"])
+    def test_checkpoints_on_jump_times(self, triplet):
+        # every row's jump times: a knot pair of its own row, inside a piece of the others
+        block = event_block(triplet, self.HORIZON, [derive_seed(85, i) for i in range(5)])
+        jumps = np.unique(np.concatenate([block.path(r).times[1:-1] for r in range(block.rows)]))
+        checkpoints = np.concatenate(([0.0], jumps, [self.HORIZON]))
+        partials, at = perpetual_estimates(block, self.F, checkpoints), block.at(checkpoints)
+        for r in range(block.rows):
+            path = block.path(r)
+            expected = exact_partials_oracle(path.times, path.values, self.F, checkpoints)
+            assert partials[r].tobytes() == expected.tobytes()
+            assert at[r].tobytes() == np.interp(checkpoints, path.times, path.values).tobytes()
+
     def test_a_grid_path_is_a_one_row_block(self):
         path = sample_path(JUMP_DIFFUSION, 10.0, 0.01, x0=1.0, seed=82)
         block = PathBlock.of(path)
