@@ -6,7 +6,7 @@ Three layers share one triplet representation:
   simulate /  exact-event path sampling, first passage, overshoot laws,
   passage /   occupation fields
   localtime
-  harness     statistical checks wiring the two together, plus the CLI
+  harness     statistical checks wiring the two together (cli.py is the CLI)
 """
 
 __version__ = "0.1.0"  # set first: runner imports it while this package loads

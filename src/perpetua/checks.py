@@ -110,7 +110,7 @@ def _run_overshoot(config, p, threads, out, report):
     return harness.overshoot_stationarity_check(
         config.triplet, p["z1"], p["z2"], p["n"],
         seed=derive_seed(config.master_seed, "overshoot-check"),
-        ks_alpha=config.thresholds["ks_alpha"], dt=config.dt, artifact_dir=out,
+        ks_alpha=config.thresholds["ks_alpha"], dt=config.dt, artifact_dir=out, threads=threads,
     )
 
 

@@ -84,6 +84,8 @@ class ExperimentConfig:
             f = test_function_from_dict(d["f"])
         except KeyError:
             problems.append("f: missing")
+        except RecursionError:
+            problems.append("f: nested too deeply")
         except (NonFiniteParameter, TypeError, ValueError) as exc:
             problems.append(f"f: {exc}")
 
@@ -279,10 +281,9 @@ def _uint64(val) -> bool:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise ConfigError([f"json: {exc}"]) from exc
     if not isinstance(payload, dict):
         raise ConfigError(["json: top level must be an object"])

@@ -7,27 +7,26 @@ as their complements so the rule never flips direction.
 All randomness flows through per-path seeds derived from the master seed and
 a purpose tag, and aggregation is ordered by path index, so every check is
 reproducible bit-for-bit no matter how many worker threads run the paths.
-The four path checks (finiteness, occupation, invariance, LLN) hand their
-paths to one runner, _ensemble, which gives the threads blocks of
-consecutive paths sized by the pieces of a path alone, never by the thread
-count.  A finiteness or LLN block is one PathBlock (simulate.sample_paths)
-integrated in one pass, and an invariance block's chunks share one
-local-time pass per round: each row is what its path gives alone.
+Every ensemble of paths, the overshoot check's grid ones included, runs
+through rng.ensemble, which gives the threads blocks of consecutive paths
+sized by the pieces of a path alone, never by the thread count.  A
+finiteness or LLN block is one PathBlock (simulate.sample_paths) integrated
+in one pass, and an invariance block's chunks share one local-time pass per
+round: each row is what its path gives alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import require_local_times
-from .errors import NotReachedError, PerpetuaError, PreconditionViolation
+from .errors import NotReachedError, PreconditionViolation
 from .measures import CompoundPoisson
-from .rng import derive_seed, stream
+from .rng import derive_seed, ensemble, stream
 from .localtime import local_time_block, local_time_field
 from .simulate import (PathBlock, path_pieces, perpetual_estimate, perpetual_estimates, sample_path,
                        sample_paths)
@@ -69,12 +68,6 @@ TOL_ABS = 1e-3
 TOL_REL = 1e-2
 
 _MAX_CHUNKS = 64  # chunks an invariance path may take to escape its levels
-
-# pieces in one block of paths, about (_ensemble): the rows of a block of
-# event paths are one array, and the chunks of an invariance block's paths
-# share one local_time_block pass per round, so this bounds the memory a
-# block holds while giving each task enough work
-_BLOCK_PIECES = 2**14
 
 # levels of the occupation check's level grid, at most: the grid's edges and
 # the field's ramp CDF hold a few arrays of twice as many floats, so a path
@@ -148,37 +141,6 @@ def write_partials_csv(path: Path, partials, checkpoints) -> None:
               np.tile(np.asarray(checkpoints, dtype=float), paths), partials.ravel())
 
 
-def _ensemble(work, seed: int, tag: str, n: int, pieces: float, threads: int) -> np.ndarray:
-    """Rows of paths 0..n-1 in path order, path i seeded derive_seed(seed, tag, i), alike for any threads.
-
-    work maps the seeds of consecutive paths to one row each.  A block holds
-    about _BLOCK_PIECES pieces in all (pieces per path), at least one path,
-    and runs inline at one thread or in one pool; a block that raises a
-    PerpetuaError runs its paths again one by one, so a refusal is the one
-    of the lowest path index that fails alone.
-    """
-    if threads < 1:
-        raise PreconditionViolation("THREADS_RANGE", f"need threads >= 1, got {threads}")
-    if n < 1:
-        raise PreconditionViolation("SAMPLE_SIZE", f"need n >= 1 paths, got {n}")
-    seeds = [derive_seed(seed, tag, i) for i in range(n)]
-    size = max(1, int(_BLOCK_PIECES // pieces))
-    blocks = [seeds[first:first + size] for first in range(0, n, size)]
-
-    def run(block: list[int]) -> np.ndarray:
-        try:
-            return work(block)
-        except PerpetuaError:
-            if len(block) == 1:
-                raise
-        return np.concatenate([work([s]) for s in block])
-
-    if threads == 1:
-        return np.concatenate([run(block) for block in blocks])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(run, blocks)))
-
-
 def finiteness_block(config, seeds) -> tuple[PathBlock, np.ndarray]:
     """The finiteness paths of the given seeds as one block, and their (paths, checkpoints) partials."""
     block = sample_paths(config.triplet, config.horizon, config.dt, seeds)
@@ -194,9 +156,9 @@ def finiteness_probability(config, threads: int = 1) -> FinitenessEstimate:
     so the finite rule wins).  p_hat is the FINITE_LIKE share of classified
     paths; the inconclusive remainder is reported and flagged above 10%.
     """
-    partials = _ensemble(lambda seeds: finiteness_block(config, seeds)[1], config.master_seed,
-                         "finiteness", config.n_paths,
-                         path_pieces(config.triplet, config.horizon, config.dt), threads)
+    partials = ensemble(lambda seeds: finiteness_block(config, seeds)[1], config.master_seed,
+                        "finiteness", config.n_paths,
+                        path_pieces(config.triplet, config.horizon, config.dt), threads)
     incr = np.diff(partials, axis=1)
     tol = TOL_ABS + TOL_REL * partials[:, -1]
     finite = (incr[:, -1] < tol) & (incr[:, -2] < tol)
@@ -262,8 +224,8 @@ def occupation_identity_check(
         space = float(np.trapezoid(np.asarray(config.f(grid)) * fld.values, grid))
         return abs(space - direct) / max(abs(direct), 1e-12)
 
-    gaps = _ensemble(lambda seeds: np.array([one_gap(s) for s in seeds]), config.master_seed,
-                     "occupation", n_paths, path_pieces(config.triplet, horizon, config.dt), threads)
+    gaps = ensemble(lambda seeds: np.array([one_gap(s) for s in seeds]), config.master_seed,
+                    "occupation", n_paths, path_pieces(config.triplet, horizon, config.dt), threads)
     return CheckReport(
         name="occupation_identity",
         statistic=float(np.median(gaps)),
@@ -313,6 +275,7 @@ def overshoot_stationarity_check(
     ks_alpha: float = 0.01,
     dt: float = 1e-2,
     artifact_dir=None,
+    threads: int = 1,
 ) -> CheckReport:
     """Two-sample KS between overshoot ensembles at two levels.
 
@@ -326,8 +289,8 @@ def overshoot_stationarity_check(
     if z1 < recommended:
         notes += f"; z1 below recommended {recommended:.3g}, pre-asymptotic failure is expected"
 
-    e1 = overshoot_ensemble(triplet, z1, n, seed=derive_seed(seed, "os", 1), dt=dt)
-    e2 = overshoot_ensemble(triplet, z2, n, seed=derive_seed(seed, "os", 2), dt=dt)
+    e1 = overshoot_ensemble(triplet, z1, n, seed=derive_seed(seed, "os", 1), dt=dt, threads=threads)
+    e2 = overshoot_ensemble(triplet, z2, n, seed=derive_seed(seed, "os", 2), dt=dt, threads=threads)
     if e1.events_drawn is None:
         notes += f"; passage: grid dt={dt:g}"
     else:
@@ -443,7 +406,7 @@ def local_time_law_invariance_check(
     notes = ""
     if start_from_rho:
         rho, self_ks, rho_level = stationary_overshoot(
-            triplet, n_rho, seed=derive_seed(seed, "rho-harvest"), dt=dt
+            triplet, n_rho, seed=derive_seed(seed, "rho-harvest"), dt=dt, threads=threads
         )
         gate = ks_critical(n_rho, n_rho, 0.01)
         if self_ks > gate:
@@ -463,7 +426,7 @@ def local_time_law_invariance_check(
             starts = [0.0] * len(seeds)
         return _local_time_proxy(triplet, starts, seeds, levels, bandwidth, dt, escape, chunk_horizon)
 
-    samples = _ensemble(one_block, seed, "linf", n, path_pieces(triplet, chunk_horizon, dt), threads)
+    samples = ensemble(one_block, seed, "linf", n, path_pieces(triplet, chunk_horizon, dt), threads)
     if threshold is None:
         threshold = max(0.05, ks_critical(n, n, ks_alpha))
     ref_idx = int(np.nonzero(levels == reference)[0][0])
@@ -526,8 +489,8 @@ def lln_envelope_check(
     if not horizon > t0:
         raise PreconditionViolation("HORIZON_RANGE", f"need horizon > t0 = {t0:g}, got {horizon:g}")
 
-    inside = _ensemble(lambda seeds: _inside_envelope(sample_paths(triplet, horizon, dt, seeds), t0, mu),
-                       seed, "lln", n, path_pieces(triplet, horizon, dt), threads)
+    inside = ensemble(lambda seeds: _inside_envelope(sample_paths(triplet, horizon, dt, seeds), t0, mu),
+                      seed, "lln", n, path_pieces(triplet, horizon, dt), threads)
     fraction = float(np.mean(inside))
     return CheckReport(
         name="lln_envelope",

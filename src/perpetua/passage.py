@@ -15,7 +15,8 @@ its exact time, linear in between.  The first knot at or above the level
 ends the passage: reached along a piece of positive duration, the path
 crept over (overshoot zero); reached by a piece of zero duration, a jump
 took it over.  Excursions between knots are not bridged; that bias
-vanishes with dt.
+vanishes with dt.  A grid overshoot ensemble scans its paths, one stream
+each, through rng.ensemble; an exact one draws from one stream, inline.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotReachedError, PreconditionViolation
-from .rng import derive_seed, stream
-from .simulate import BATCH_EVENTS, StepEngine, batch_size, event_batch, grid_knots, step_engine
+from .rng import derive_seed, ensemble, stream
+from .simulate import BATCH_EVENTS, StepEngine, batch_size, event_batch, grid_knots, path_pieces, step_engine
 from .stats import ks_two_sample
 from .triplet import LevyTriplet
 
@@ -79,34 +80,19 @@ def first_passage(
     Finite activity is resolved exactly (dt unused); infinite activity is
     walked on the knots of its dt grid path, with the jumps above the
     measure's default cutoff for dt at their exact times: the one-path case
-    of _event_passages or _grid_passages.  Not reached by time cap (default
-    10 level / mu) gives passage_time None.
+    of _event_passages, or _scan_for_crossing.  Not reached by time cap
+    (default 10 level / mu) gives passage_time None.
     """
     cap = _passage_cap(triplet, level, cap)
     if x0 >= level:
         return FirstPassageSample(level=level, passage_time=0.0, overshoot=x0 - level)
     if triplet.levy_measure.is_finite_activity:
-        times, overshoots, _ = _event_passages(triplet, level, np.array([x0]), cap, stream(seed))
+        (time,), (overshoot,), _ = _event_passages(triplet, level, np.array([x0]), cap, stream(seed))
     else:
-        times, overshoots = _grid_passages(triplet, level, [seed], x0, cap, dt)
-    if math.isnan(times[0]):
+        time, overshoot = _scan_for_crossing(step_engine(triplet, dt), stream(seed), x0, level, cap)
+    if math.isnan(time):
         return FirstPassageSample(level, None, None)
-    return FirstPassageSample(level, float(times[0]), float(overshoots[0]))
-
-
-def _grid_passages(triplet: LevyTriplet, level: float, seeds, x0: float, cap: float, dt: float):
-    """(passage times, overshoots) of a dt grid path from x0 < level per seed, NaN if not by cap.
-
-    The grid twin of _event_passages: path k is scanned from stream(seeds[k]).
-    """
-    engine = step_engine(triplet, dt)
-    n_total = int(math.ceil(cap / dt))
-    times, overshoots = np.full(len(seeds), np.nan), np.full(len(seeds), np.nan)
-    for k, seed in enumerate(seeds):
-        crossed = _scan_for_crossing(engine, stream(seed), x0, level, n_total)
-        if crossed is not None:
-            times[k], overshoots[k] = crossed[0], crossed[1] - level
-    return times, overshoots
+    return FirstPassageSample(level, float(time), float(overshoot))
 
 
 def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: float, rng):
@@ -246,15 +232,16 @@ def _passage_cap(triplet: LevyTriplet, level: float, cap: float | None = None) -
     return cap
 
 
-def _scan_for_crossing(engine: StepEngine, rng, x0: float, level: float, n_total: int):
-    """(time, value) at the first grid_knots knot at or above the level; None after n_total steps.
+def _scan_for_crossing(engine: StepEngine, rng, x0: float, level: float, cap: float):
+    """(time, overshoot) at the first grid_knots knot at or above the level; NaNs if not by time cap.
 
     Reached along a piece of positive duration, the path crept: the time is
-    interpolated and the value is the level.  Chunks hold the expected
-    steps to passage, padded, when the mean is finite and positive, else
-    the cap, each at most BATCH_EVENTS steps.
+    interpolated and the overshoot is 0.  Chunks hold the expected steps to
+    passage, padded, when the mean is finite and positive, else the cap,
+    each at most BATCH_EVENTS steps.
     """
     dt = engine.dt
+    n_total = int(math.ceil(cap / dt))
     mean = engine.triplet.mean()
     chunk = BATCH_EVENTS
     if mean.is_finite_positive:
@@ -267,12 +254,12 @@ def _scan_for_crossing(engine: StepEngine, rng, x0: float, level: float, n_total
         i = int(np.argmax(v >= level))
         if v[i] >= level:  # i > 0: each chunk starts below the level
             if t[i] == t[i - 1]:  # a jump took it over
-                return done * dt + float(t[i]), float(v[i])
+                return done * dt + float(t[i]), float(v[i]) - level
             crept = (level - v[i - 1]) / (v[i] - v[i - 1])
-            return done * dt + float(t[i - 1] + crept * (t[i] - t[i - 1])), level
+            return done * dt + float(t[i - 1] + crept * (t[i] - t[i - 1])), 0.0
         x = float(v[-1])
         done += m
-    return None
+    return math.nan, math.nan
 
 
 def overshoot_ensemble(
@@ -281,15 +268,16 @@ def overshoot_ensemble(
     n: int,
     seed: int = 0,
     dt: float = 1e-2,
+    threads: int = 1,
 ) -> EmpiricalDistribution:
     """n independent overshoots at the level; error if any path stalls.
 
-    Finite activity runs all n paths exactly, from the one stream
+    Finite activity runs all n paths exactly, inline, from the one stream
     derive_seed(seed, "overshoot") in the order _event_passages documents,
-    and reports the events drawn (0 without jumps); dt is unused.  Infinite
-    activity scans path i on the dt grid from stream
-    derive_seed(seed, "overshoot", i) (_grid_passages).  A path stalls when
-    it has not crossed by time 10 level / mu.
+    and reports the events drawn (0 without jumps); dt and threads are unused.
+    Infinite activity scans path i on the dt grid (_scan_for_crossing) from
+    stream derive_seed(seed, "overshoot", i), through rng.ensemble.  A path
+    stalls when it has not crossed by time 10 level / mu.
     """
     if n < 1:
         raise PreconditionViolation("SAMPLE_SIZE", f"need n >= 1 paths, got {n}")
@@ -298,13 +286,14 @@ def overshoot_ensemble(
         rng = stream(derive_seed(seed, "overshoot"))
         times, out, drawn = _event_passages(triplet, level, np.zeros(n), cap, rng)
     else:
-        seeds = [derive_seed(seed, "overshoot", i) for i in range(n)]
-        (times, out), drawn = _grid_passages(triplet, level, seeds, 0.0, cap, dt), None
+        engine, drawn = step_engine(triplet, dt), None
+        times, out = ensemble(lambda seeds: np.array([_scan_for_crossing(engine, stream(s), 0.0, level, cap)
+                                                      for s in seeds]),
+                              seed, "overshoot", n, path_pieces(triplet, cap, dt), threads).T
     stalled = np.nonzero(np.isnan(times))[0]
     if stalled.size:
         raise NotReachedError(f"path {stalled[0]} failed to reach {level:g} within cap {cap:g}")
-    out.sort()
-    return EmpiricalDistribution(samples=out, n=n, events_drawn=drawn)
+    return EmpiricalDistribution(samples=np.sort(out), n=n, events_drawn=drawn)
 
 
 def stationary_overshoot(
@@ -313,6 +302,7 @@ def stationary_overshoot(
     seed: int = 0,
     level: float | None = None,
     dt: float = 1e-2,
+    threads: int = 1,
 ) -> tuple[EmpiricalDistribution, float, float]:
     """Harvest the stationary overshoot proxy at a high level.
 
@@ -325,6 +315,6 @@ def stationary_overshoot(
     if level is None:
         sigma_eff = math.sqrt(triplet.effective_volatility_sq())
         level = max(100.0 * sigma_eff / mu, 1.0)
-    rho = overshoot_ensemble(triplet, level, n, seed=derive_seed(seed, "rho"), dt=dt)
-    half = overshoot_ensemble(triplet, level / 2.0, n, seed=derive_seed(seed, "rho-half"), dt=dt)
+    rho, half = (overshoot_ensemble(triplet, z, n, seed=derive_seed(seed, tag), dt=dt, threads=threads)
+                 for z, tag in ((level, "rho"), (level / 2.0, "rho-half")))
     return rho, ks_two_sample(rho.samples, half.samples), level

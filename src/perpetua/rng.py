@@ -1,24 +1,26 @@
-"""Counter-based random number streams.
+"""Counter-based random number streams, and the one runner of per-path streams.
 
 Every stochastic routine in this package draws from a Philox generator whose
 128-bit key is (seed, 0), started at counter 0: the key alone fixes every
 draw.  stream builds it from that key directly, without a SeedSequence and
 without OS entropy, which matters where an ensemble builds one stream per
-path.  Streams of distinct seeds are independent by
-construction, and results never depend on how work is split across threads:
-each stream is consumed by exactly one task, in a fixed documented order.
-A path's stream is derived from the seed, a purpose tag and the path
-index, and harness._ensemble hands each task a block of consecutive paths,
-so a stream never crosses tasks: a grid path draws its steps from it, and an
-exact event path (drift plus finite activity) its batches of jump gaps and
-sizes, through the same event loop as exact first passage.  The exact
-overshoot ensemble of a finite-activity process (drift, Gaussian part and
-compound Poisson jumps) is the exception: it draws all its paths from one
-stream, in row blocks whose size follows from the triplet, the level and n,
-and in the order passage._event_passages documents (per batch the jump gaps
-and sizes, then with a Gaussian part the normals and uniforms of the bridge
-pieces, then the crossing times), so a path's draws depend on the ensemble
-it belongs to (n included) but never on the thread count.
+path.  Streams of distinct seeds are independent by construction, and
+results never depend on how work is split across threads: each stream is
+consumed by exactly one task, in a fixed documented order.  A path's stream
+is derived from the seed, a purpose tag and the path index, and ensemble
+hands each task a block of consecutive paths, so a stream never crosses
+tasks.  Every ensemble of per-path streams runs through ensemble: the path
+checks, perpetua simulate and the grid overshoot ensembles.  A grid path
+draws its steps from its stream, and an exact event path (drift plus finite
+activity) its batches of jump gaps and sizes, through the same event loop
+as exact first passage.  The exact overshoot ensemble of a finite-activity
+process (drift, Gaussian part and compound Poisson jumps) is the exception:
+it draws all its paths from one stream, inline, in row blocks whose size
+follows from the triplet, the level and n, and in the order
+passage._event_passages documents (per batch the jump gaps and sizes, then
+with a Gaussian part the normals and uniforms of the bridge pieces, then
+the crossing times), so a path's draws depend on the ensemble it belongs to
+(n included) but never on the thread count.
 
 Where one experiment needs several unrelated ensembles (say overshoot
 harvests at two levels), sub-seeds are derived by hashing the master seed
@@ -26,12 +28,21 @@ together with a short purpose tag, so ensembles do not share randomness.
 """
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .errors import PerpetuaError, PreconditionViolation
+
 _U64 = np.uint64
 MASK64 = (1 << 64) - 1
+
+# pieces in one block of paths, about (ensemble): the rows of a block of
+# event paths are one array, and the chunks of an invariance block's paths
+# share one local_time_block pass per round, so this bounds the memory a
+# block holds while giving each task enough work
+_BLOCK_PIECES = 2**14
 
 
 def derive_seed(master_seed: int, *tags) -> int:
@@ -66,3 +77,34 @@ class _Key(ISeedSequence):
 def stream(seed: int) -> np.random.Generator:
     """The generator of `seed`: Philox keyed by (seed, 0), at counter 0."""
     return np.random.Generator(np.random.Philox(_Key(seed)))
+
+
+def ensemble(work, seed: int, tag: str, n: int, pieces: float, threads: int) -> np.ndarray:
+    """Rows of paths 0..n-1 in path order, path i seeded derive_seed(seed, tag, i), alike for any threads.
+
+    work maps the seeds of consecutive paths to one row each.  A block holds
+    about _BLOCK_PIECES pieces in all (pieces per path), at least one path,
+    and runs inline at one thread or in one pool; a block that raises a
+    PerpetuaError runs its paths again one by one, so a refusal is the one
+    of the lowest path index that fails alone.
+    """
+    if threads < 1:
+        raise PreconditionViolation("THREADS_RANGE", f"need threads >= 1, got {threads}")
+    if n < 1:
+        raise PreconditionViolation("SAMPLE_SIZE", f"need n >= 1 paths, got {n}")
+    seeds = [derive_seed(seed, tag, i) for i in range(n)]
+    size = max(1, int(_BLOCK_PIECES // pieces))
+    blocks = [seeds[first:first + size] for first in range(0, n, size)]
+
+    def run(block: list[int]) -> np.ndarray:
+        try:
+            return work(block)
+        except PerpetuaError:
+            if len(block) == 1:
+                raise
+        return np.concatenate([work([s]) for s in block])
+
+    if threads == 1:
+        return np.concatenate([run(block) for block in blocks])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(run, blocks)))

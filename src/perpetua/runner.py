@@ -1,10 +1,10 @@
 """Experiment runner: configuration in, deterministic report bundle out.
 
-report.json is byte-identical for a fixed config and master seed no matter
-how many worker threads are used; anything time- or host-dependent lives in
-metadata.json next to it.  Exit semantics: 0 when every check meets its
-expectation (checks listed under expected_fail must fail), 1 otherwise, 2
-for configuration errors (raised as ConfigError before any work starts).
+report.json is byte-identical for a fixed config and master seed at any
+number of threads (every ensemble runs through rng.ensemble); anything
+time- or host-dependent lives in metadata.json.  Exit semantics: 0 when
+every check meets its expectation (checks under expected_fail must fail),
+1 otherwise, 2 for configuration errors (ConfigError, before any work).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from . import __version__, harness
 from .checks import CHECKS, Check, resolve
 from .config import ExperimentConfig
 from .errors import ConfigError, PerpetuaError, PreconditionViolation
+from .rng import ensemble
 from .simulate import path_pieces
 
 __all__ = ["run_experiment", "write_report", "simulate_paths"]
@@ -98,11 +99,11 @@ def write_report(out_dir: Path, report: dict) -> Path:
 def simulate_paths(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     """Write zero_one's ensemble: a time,value CSV per path, then the partial-integral table.
 
-    The paths are drawn through harness._ensemble at one thread, in its
-    blocks and with its seeds, so each path and its partials are the
-    finiteness check's.  A block's files are written once finiteness_block
-    returns, so a block that _ensemble runs again path by path still writes
-    them in path order.
+    The paths are drawn through rng.ensemble at one thread, in its blocks
+    and with its seeds, so each path and its partials are the finiteness
+    check's.  A block's files are written once finiteness_block returns, so
+    a block that ensemble runs again path by path still writes them in path
+    order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -116,8 +117,8 @@ def simulate_paths(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
             written.append(csv_path)
         return partials
 
-    partials = harness._ensemble(work, config.master_seed, "finiteness", config.n_paths,
-                                 path_pieces(config.triplet, config.horizon, config.dt), 1)
+    partials = ensemble(work, config.master_seed, "finiteness", config.n_paths,
+                        path_pieces(config.triplet, config.horizon, config.dt), 1)
     table = out / "partial_integrals.csv"
     harness.write_partials_csv(table, partials, config.checkpoints)
     written.append(table)

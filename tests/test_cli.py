@@ -431,6 +431,26 @@ def test_grid_path_outputs_are_identical_for_any_threads(tmp_path):
     assert outputs == ["bf42cf4717bc9f3c99547a181c4e6c9e0f19b8982c8f72d1def5ea0f6a016730"] * 2
 
 
+def test_grid_passage_outputs_are_identical_for_any_threads(tmp_path):
+    # Tempered-stable jumps: infinite activity, so the overshoot check and the rho
+    # harvest scan grid paths through rng.ensemble.  The bundle's sha256 is pinned.
+    cfg = write_config(
+        tmp_path,
+        triplet={"drift": 1.0, "gaussian": 0.0, "levy_measure": {"family": "tempered_stable", "params": {
+            "alpha": 1.5, "scale": 1.0, "tempering": 1.0}}},
+        checks=["overshoot", "invariance"],
+        check_params={"overshoot": {"z1": 5, "z2": 10, "n": 200}, "invariance": {"n": 40, "n_rho": 300}},
+    )
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 0
+        bundle = b"".join((out / name).read_bytes() for name in
+                          ("report.json", "overshoots_z1.csv", "overshoots_z2.csv"))
+        outputs.append(hashlib.sha256(bundle).hexdigest())
+    assert outputs == ["78d8cb5f34de65b2dff7c83bd7f2f8408e4d2f92b7dd7a3c9cccc83c92cec9ff"] * 2
+
+
 class TestSimulateCommand:
     def test_writes_path_csvs(self, tmp_path, capsys):
         out = tmp_path / "artifacts"
@@ -444,7 +464,7 @@ class TestSimulateCommand:
         assert header == "time,value"
 
     def test_draws_in_the_ensembles_blocks(self, tmp_path, monkeypatch):
-        # zero_one's ensemble as _ensemble cuts it: an event path of 513 expected pieces
+        # zero_one's ensemble as rng.ensemble cuts it: an event path of 513 expected pieces
         # on [0, 256] makes blocks of 31, a Brownian path of 25,600 pieces one a block
         calls = []
         block = harness.finiteness_block

@@ -446,6 +446,47 @@ class TestLoadConfig:
             load_config(p)
 
 
+def scaled_nest(depth):
+    """exp_decay inside depth nested scaled families."""
+    f = {"family": "exp_decay", "params": {"rate": 1.0}}
+    for _ in range(depth):
+        f = {"family": "scaled", "params": {"factor": 1.0, "inner": f}}
+    return f
+
+
+class TestNoTraceback:
+    """A file that is not UTF-8, or nested past the recursion limit, is one config error (exit 2)."""
+
+    @staticmethod
+    def problem(tmp_path, capsys, data: bytes) -> str:
+        p = tmp_path / "cfg.json"
+        p.write_bytes(data)
+        assert main(["verdict", "--config", str(p)]) == 2
+        assert main(["verify", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        verdict, verify = capsys.readouterr().err.splitlines()
+        assert verdict == verify and verdict.startswith("config error: ")
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        [problem] = exc.value.problems
+        return problem
+
+    def test_utf16_file(self, tmp_path, capsys):
+        problem = self.problem(tmp_path, capsys, json.dumps(good_payload()).encode("utf-16"))
+        assert problem.startswith("json: 'utf-8' codec can't decode")
+
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        data = ('{"a": ' * 1400 + "1" + "}" * 1400).encode()
+        problem = self.problem(tmp_path, capsys, data)
+        assert problem.startswith("json: maximum recursion depth exceeded")
+
+    def test_function_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        problem = self.problem(tmp_path, capsys, json.dumps({**good_payload(), "f": scaled_nest(450)}).encode())
+        assert problem == "f: nested too deeply"
+        ok = tmp_path / "ok.json"
+        ok.write_text(json.dumps({**good_payload(), "f": scaled_nest(300)}))
+        assert load_config(ok).f(0.5) > 0.0
+
+
 def shipped(name):
     return json.loads((ROOT / "configs" / name).read_text())
 

@@ -1,6 +1,7 @@
 """Every exported name resolves, every family subclasses its layer's base, submodules
-import at module level only what they use, one function builds the thread pool, every
-error type is raised somewhere, and importing the package loads numpy but no scipy."""
+import at module level only what they use and read no other module's private names, one
+function builds the thread pool, every error type is raised somewhere, and importing the
+package loads numpy but no scipy."""
 
 import ast
 import importlib
@@ -90,11 +91,11 @@ def _pool_builders(tree: ast.Module) -> list[str]:
 
 
 def test_one_function_builds_the_thread_pool():
-    # every path check inherits the runner's seeding, blocks and refusal rule
+    # every path ensemble inherits the runner's seeding, blocks and refusal rule
     builders = [f"{path.stem}.{where}"
                 for path in sorted(Path(perpetua.__file__).parent.glob("*.py"))
                 for where in _pool_builders(ast.parse(path.read_text()))]
-    assert builders == ["harness._ensemble"]
+    assert builders == ["rng.ensemble"]
 
 
 def test_pool_check_sees_every_builder():
@@ -103,6 +104,44 @@ def test_pool_check_sees_every_builder():
                      "    with ThreadPoolExecutor() as pool:\n        pass\n"
                      "pool = ThreadPoolExecutor(1)\n")
     assert _pool_builders(tree) == ["g", "f", "<module>"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads(tree: ast.Module) -> list[str]:
+    """Each private name a module reads from another: 'from x import _name' as 'x:_name', and
+    'name._attr' on a name the module imports as 'name._attr'.  Dunder names are public."""
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{'.' * node.level}{node.module or ''}:{alias.name}"
+                      for alias in node.names if _private(alias.name)]
+            imported |= {alias.asname or alias.name for alias in node.names}
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in imported and _private(node.attr)]
+    return found
+
+
+def test_no_module_reads_another_modules_private_name():
+    found = {}
+    for path in sorted(Path(perpetua.__file__).parent.glob("*.py")):
+        names = _private_reads(ast.parse(path.read_text()))
+        if names:
+            found[path.stem] = names
+    assert found == {}
+
+
+def test_private_read_check_sees_every_read():
+    tree = ast.parse("import os.path as p\nimport json\nfrom . import harness, __version__\n"
+                     "from .rng import _Key, stream\n_own = 1\n"
+                     "def f(self):\n    return harness._ensemble, stream._x, p._y, json.__name__, "
+                     "self._z, _own\n")
+    assert _private_reads(tree) == [".rng:_Key", "harness._ensemble", "stream._x", "p._y"]
 
 
 def _function_imports(tree: ast.Module) -> list[str]:

@@ -16,6 +16,7 @@ from perpetua import (
     PowerTail,
     PreconditionViolation,
     StableLike,
+    TemperedStable,
     finiteness_probability,
     lln_envelope_check,
     local_time_law_invariance_check,
@@ -27,7 +28,7 @@ from perpetua.checks import CHECKS, resolve
 from perpetua.errors import BandwidthTooSmall, NotReachedError
 from perpetua.harness import (FINITE_LIKE, INCONCLUSIVE, INFINITE_LIKE,
                               overshoot_recommended_z1)
-from perpetua import harness
+from perpetua import harness, passage, rng
 from perpetua.passage import stationary_overshoot
 from perpetua.rng import derive_seed, stream
 from perpetua.runner import _run_one
@@ -49,17 +50,17 @@ def make_config(triplet, f, n_paths=16, dt=0.01, t0=1.0, doublings=3, master_see
 
 
 def block_sizes(n, pieces):
-    """The sizes of the blocks _ensemble hands its work, in order, for n paths of the given pieces each."""
+    """The sizes of the blocks rng.ensemble hands its work, in order, for n paths of the given pieces each."""
     sizes = []
-    harness._ensemble(lambda seeds: (sizes.append(len(seeds)), np.zeros(len(seeds)))[1], 0, "sizes", n,
-                      pieces, 1)
+    rng.ensemble(lambda seeds: (sizes.append(len(seeds)), np.zeros(len(seeds)))[1], 0, "sizes", n,
+                 pieces, 1)
     return sizes
 
 
 def spy_ensemble(monkeypatch):
-    """Per _ensemble call, the path index ranges of the blocks handed its work (by first path) and its rows."""
+    """Per ensemble call, the path index ranges of the blocks handed its work (by first path) and its rows."""
     calls = []
-    ensemble = harness._ensemble
+    ensemble = rng.ensemble
 
     def spy(work, seed, tag, n, pieces, threads):
         index = {derive_seed(seed, tag, i): i for i in range(n)}
@@ -73,7 +74,7 @@ def spy_ensemble(monkeypatch):
         calls.append((sorted(blocks, key=lambda b: b.start), rows.tobytes()))
         return rows
 
-    monkeypatch.setattr(harness, "_ensemble", spy)
+    monkeypatch.setattr(harness, "ensemble", spy)
     return calls
 
 
@@ -347,7 +348,7 @@ class TestInvarianceBlocks:
         return harness.invariance_horizon(triplet, TestInvarianceBlocks.LEVELS, 0.01)
 
     def block(self, triplet):
-        return block_sizes(harness._BLOCK_PIECES, path_pieces(triplet, self.horizon(triplet)[1], 0.01))[0]
+        return block_sizes(rng._BLOCK_PIECES, path_pieces(triplet, self.horizon(triplet)[1], 0.01))[0]
 
     def test_block_rows_are_the_paths_alone(self):
         escape, chunk_horizon = self.horizon(BM_CP)
@@ -526,6 +527,24 @@ def test_every_path_ensemble_refuses_no_paths(check):
     with pytest.raises(PreconditionViolation) as exc:
         run()
     assert str(exc.value) == "SAMPLE_SIZE: need n >= 1 paths, got 0"
+
+
+@pytest.mark.parametrize("check", ["overshoot", "invariance"])
+def test_grid_overshoot_ensembles_run_on_the_checks_threads(monkeypatch, check):
+    # the overshoot check's two ensembles and the invariance check's rho harvest
+    # scan grid paths through rng.ensemble, on the threads the check table hands them
+    seen = []
+    ensemble = rng.ensemble
+
+    def spy(work, seed, tag, n, pieces, threads):
+        seen.append((tag, n, threads))
+        return ensemble(work, seed, tag, n, pieces, threads)
+
+    monkeypatch.setattr(passage, "ensemble", spy)
+    cfg = make_config(LevyTriplet(1.0, 0.0, TemperedStable(1.5, 1.0, 1.0)), ExpDecay(1.0))
+    small = {"overshoot": {"z1": 5.0, "z2": 10.0, "n": 20}, "invariance": {"n": 10, "n_rho": 30}}[check]
+    CHECKS[check].run(cfg, {**resolve(CHECKS[check], cfg), **small}, 2, None, {})
+    assert seen == [("overshoot", small.get("n_rho", small["n"]), 2)] * 2
 
 
 def csv_oracle(header, rows):

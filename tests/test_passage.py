@@ -1,5 +1,6 @@
 """First passage times, overshoot laws, and the stationary overshoot law."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -84,13 +85,13 @@ class TestFirstPassage:
 def grid_passages(triplet, level, n, seed, dt=1e-2):
     """Oracle: passage times and overshoots of n paths walked on their dt grid knots."""
     engine = StepEngine(triplet, dt)
-    steps = int(math.ceil(10.0 * level / triplet.mean().as_float() / dt))
+    cap = 10.0 * level / triplet.mean().as_float()
     hits = [
-        _scan_for_crossing(engine, stream(derive_seed(seed, "grid", i)), 0.0, level, steps)
+        _scan_for_crossing(engine, stream(derive_seed(seed, "grid", i)), 0.0, level, cap)
         for i in range(n)
     ]
     times = np.array([t for t, _ in hits])
-    return times, np.array([v for _, v in hits]) - level
+    return times, np.array([o for _, o in hits])
 
 
 def spy_on_draw(monkeypatch) -> list:
@@ -234,6 +235,16 @@ class TestEventPassage:
         # only infinite activity is scanned on the grid
         triplet = LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0, 1.0))
         assert overshoot_ensemble(triplet, 2.0, 5, seed=31, dt=5e-3).events_drawn is None
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_grid_ensemble_is_pinned_for_any_threads(self, threads):
+        # path i scans its own stream, whatever block or thread runs it: the
+        # samples' sha256 is pinned, so no thread count may move a bit
+        triplet = LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0, 0.0))
+        dist = overshoot_ensemble(triplet, 5.0, 60, seed=7, threads=threads)
+        assert np.count_nonzero(dist.samples) > 10
+        assert hashlib.sha256(dist.samples.tobytes()).hexdigest() == \
+            "baeb89a6c6d02d69db625ef9139c9b8ee31979e20ef8dd2ea6593c5ab377ebb2"
 
 
 # Drift 1, sigma 1 plus rate-1 Exp(2) up-jumps: mu = 1.5.  Its Lévy exponent
