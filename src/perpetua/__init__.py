@@ -28,7 +28,6 @@ from .analysis import (
 from .benchmarks import BenchmarkCase, benchmark_matrix
 from .config import ExperimentConfig, load_config
 from .errors import (
-    BandwidthTooSmall,
     ConfigError,
     InversionUnstable,
     NonFiniteParameter,
@@ -108,6 +107,5 @@ __all__ = [
     "BenchmarkCase", "benchmark_matrix",
     # errors
     "PerpetuaError", "NonFiniteParameter", "PreconditionViolation",
-    "QuadratureFailure", "InversionUnstable",
-    "BandwidthTooSmall", "NotReachedError", "ConfigError",
+    "QuadratureFailure", "InversionUnstable", "NotReachedError", "ConfigError",
 ]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import harness
+from .passage import passage_cap_refusal
 from .rng import derive_seed
 from .simulate import path_refusal
 
@@ -60,7 +61,7 @@ def resolve(check: Check, config) -> dict:
     return out
 
 
-# These three need a mean in (0, inf), the invariance hook once past its level rule;
+# These four need a mean in (0, inf), the invariance hook once past its level rule;
 # without one they raise the check's own MEAN_RANGE.
 def _auto_level(config, p) -> float:
     return max(harness.overshoot_recommended_z1(config.triplet), 1.0)
@@ -70,13 +71,19 @@ def _auto_lln_t0(config, p) -> float:
     return max(harness.lln_t0_floor(config.triplet), 10.0 * config.t0)
 
 
+def _overshoot_refusal(config, p):
+    return passage_cap_refusal(config.triplet, p["z2"])
+
+
 def _invariance_refusal(config, p):
     return harness.invariance_level_refusal(p["x_list"]) or path_refusal(
-        config.triplet, harness.invariance_horizon(config.triplet, p["x_list"], config.dt)[1], config.dt)
+        config.triplet, harness.invariance_horizon(config.triplet, p["x_list"], config.dt)[1], config.dt
+    ) or harness.bandwidth_refusal(config.triplet, config.dt, p["bandwidth"])
 
 
 def _occupation_refusal(config, p):
-    return harness.level_budget(config.triplet, config.horizon, p["bandwidth"])
+    return (harness.level_budget(config.triplet, config.horizon, p["bandwidth"])
+            or harness.bandwidth_refusal(config.triplet, config.dt, p["bandwidth"]))
 
 
 def _lln_refusal(config, p):
@@ -139,7 +146,7 @@ CHECKS = {c.key: c for c in (
         Param("z1", float, _auto_level),
         Param("z2", float, lambda config, p: 2.0 * p["z1"], above="z1"),
         Param("n", int, 400),
-    ), _run_overshoot),
+    ), _run_overshoot, _overshoot_refusal),
     Check("invariance", "local_time_invariance", (
         Param("x_list", list, (1.0, 2.0, 5.0)),
         Param("n", int, 200),

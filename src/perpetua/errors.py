@@ -40,10 +40,6 @@ class InversionUnstable(PerpetuaError):
     """Fourier inversion error estimate exceeded the allowed fraction of the value."""
 
 
-class BandwidthTooSmall(PerpetuaError):
-    """Local-time bandwidth is below the resolution floor set by dt."""
-
-
 class NotReachedError(PerpetuaError):
     """A first-passage simulation exhausted its horizon cap before crossing."""
 

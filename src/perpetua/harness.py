@@ -13,6 +13,10 @@ sized by the pieces of a path alone, never by the thread count.  A
 finiteness or LLN block is one PathBlock (simulate.sample_paths) integrated
 in one pass, and an invariance block's chunks share one local-time pass per
 round: each row is what its path gives alone.
+
+The rules a check's parameters alone decide (bandwidth_refusal,
+invariance_level_refusal, lln_t0_refusal) return (reason, problem) or None:
+config lists what they return, and the check raises it before any draw.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from .errors import NotReachedError, PreconditionViolation
 from .measures import CompoundPoisson
 from .rng import derive_seed, ensemble, stream
 from .localtime import local_time_block, local_time_field
-from .simulate import (PathBlock, path_pieces, perpetual_estimate, perpetual_estimates, sample_path,
-                       sample_paths)
+from .simulate import (PathBlock, event_driven, path_pieces, perpetual_estimate, perpetual_estimates,
+                       sample_path, sample_paths, step_engine)
 from .passage import stationary_overshoot, overshoot_ensemble
 from .stats import ks_critical, ks_two_sample
 from .triplet import LevyTriplet
@@ -46,6 +50,7 @@ __all__ = [
     "zero_one_check",
     "occupation_identity_check",
     "level_budget",
+    "bandwidth_refusal",
     "overshoot_stationarity_check",
     "overshoot_recommended_z1",
     "invariance_level_refusal",
@@ -205,10 +210,13 @@ def occupation_identity_check(
 ) -> CheckReport:
     """Median relative gap between the time and the space side of occupation.
 
-    A path whose level grid would pass MAX_LEVELS is refused (LEVEL_BUDGET)
-    before the grid is built.
+    A bandwidth below its floor (bandwidth_refusal) is refused before any draw,
+    and a path whose level grid would pass MAX_LEVELS before the grid is built.
     """
     require_local_times(config.triplet, "occupation identity")
+    over = bandwidth_refusal(config.triplet, config.dt, bandwidth)
+    if over is not None:
+        raise PreconditionViolation(*over)
     horizon = config.horizon
 
     def one_gap(seed: int) -> float:
@@ -258,6 +266,18 @@ def level_budget(triplet: LevyTriplet, horizon: float, bandwidth: float) -> tupl
         return None
     levels = _level_grid(abs(mean.as_float()) * horizon + 2.0 * bandwidth, bandwidth)[1]
     return None if levels <= MAX_LEVELS else ("LEVEL_BUDGET", _level_problem(levels, bandwidth))
+
+
+def bandwidth_refusal(triplet: LevyTriplet, dt: float, bandwidth: float) -> tuple[str, str] | None:
+    """("BANDWIDTH_FLOOR", problem) when bandwidth lies below sd_step / 4 on grid paths, else None.
+
+    A grid step moves by N(drift_eff dt, sd_step^2) besides its jumps, where
+    sd_step^2 = (sigma^2 + int_{|x|<=eps} x^2 nu(dx)) dt at the StepEngine's
+    cutoff eps; a narrower window counts that noise.  Event paths: no floor.
+    """
+    floor = 0.0 if event_driven(triplet) else step_engine(triplet, dt).sd_step / 4.0
+    return None if bandwidth >= floor else (
+        "BANDWIDTH_FLOOR", f"bandwidth {bandwidth:g} below BANDWIDTH_FLOOR sd_step/4 = {floor:g} at dt {dt:g}")
 
 
 def overshoot_recommended_z1(triplet: LevyTriplet) -> float:
@@ -397,7 +417,7 @@ def local_time_law_invariance_check(
     require_local_times(triplet, "invariance check")
     triplet.positive_mean("invariance check")
 
-    over = invariance_level_refusal(x_list)
+    over = invariance_level_refusal(x_list) or bandwidth_refusal(triplet, dt, bandwidth)
     if over is not None:
         raise PreconditionViolation(*over)
     levels = np.asarray(sorted(set(float(x) for x in x_list)), dtype=float)

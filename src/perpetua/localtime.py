@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthTooSmall, PreconditionViolation
+from .errors import PreconditionViolation
 
 __all__ = ["LocalTimeField", "local_time_field", "local_time_block"]
 
@@ -109,9 +109,9 @@ def local_time_block(times, values, x_grid, bandwidth: float) -> tuple[np.ndarra
     A jump, or a row's padding, is a piece of zero duration: it adds no
     time, and the pieces the field reads are the ones with positive duration.
 
-    Bandwidth must stay above the floor _bandwidth_floor measures on each
-    row's pieces, or window counts are noise: the first row below it raises
-    BandwidthTooSmall.
+    The field is exact for the interpolated path at any b > 0.  A window
+    narrower than a grid step's spread estimates the process's local times
+    by noise: that floor is a rule of the checks (harness.bandwidth_refusal).
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if x_grid.size < 2 or np.any(np.diff(x_grid) <= 0.0):
@@ -123,11 +123,6 @@ def local_time_block(times, values, x_grid, bandwidth: float) -> tuple[np.ndarra
     start, end = values[:, :-1], values[:, 1:]
     moving = dt > 0.0  # the pieces read: a jump or padding takes no time
     rows = dt.shape[0]
-    for r in range(rows):
-        read = slice(None) if moving[r].all() else moving[r]
-        floor = _bandwidth_floor(dt[r, read], (end[r] - start[r])[read])
-        if bandwidth < floor:
-            raise BandwidthTooSmall(f"bandwidth {bandwidth:g} below floor {floor:g} for this step size")
     row = np.repeat(np.arange(rows), moving.sum(axis=1))
     lo, hi = np.minimum(start, end), np.maximum(start, end)
     if moving.all():  # the pieces are used as they are: a copy would only add memory
@@ -154,33 +149,6 @@ def local_time_block(times, values, x_grid, bandwidth: float) -> tuple[np.ndarra
     lower[:, -1] -= np.bincount(r[bottom], weights=w[bottom], minlength=rows)
     upper = cdf[:, size:]
     return (upper[:, :-1] - lower[:, :-1]) / (2.0 * bandwidth), upper[:, -1] - lower[:, -1]
-
-
-def _bandwidth_floor(dt: np.ndarray, steps: np.ndarray) -> float:
-    """A quarter of the typical diffusive move of a piece: 1.4826 MAD / 4 of the residuals.
-
-    The residual of a piece is its move less the median slope times its
-    duration, so a grid measures the spread of its continuous increments
-    about their median (its jumps are the pieces of zero duration that
-    local_time_block drops), and the linear pieces of an event path (all at
-    the drift's slope) give a floor of rounding size.
-    """
-    resid = steps - _median(steps / dt) * dt
-    return 1.4826 * float(_median(np.abs(resid, out=resid))) / 4.0
-
-
-def _median(a: np.ndarray) -> float:
-    """np.median of a finite array, bit for bit, by partitioning a in place.
-
-    The middle element, or (p[k-1] + p[k]) / 2 of the partitioned p for an
-    even size 2k: np.median's own rule, without its check for NaN.
-    """
-    k = a.size // 2
-    if a.size % 2:
-        a.partition(k)
-        return a[k]
-    a.partition((k - 1, k))
-    return (a[k - 1] + a[k]) / 2.0
 
 
 def _time_at(points: np.ndarray, row: np.ndarray, v: np.ndarray, w: np.ndarray,

@@ -38,6 +38,7 @@ __all__ = [
     "first_passage",
     "overshoot_ensemble",
     "stationary_overshoot",
+    "passage_cap_refusal",
 ]
 
 @dataclass(frozen=True)
@@ -221,15 +222,22 @@ def _bridge_hit_times(rng, a, b, tau, level: float, var: float) -> np.ndarray:
     return tau / (1.0 + inv_y)
 
 
-def _passage_cap(triplet: LevyTriplet, level: float, cap: float | None = None) -> float:
-    """The finite cap (default 10 level / mu) of a passage over level > 0: not reached by then."""
+def passage_cap_refusal(triplet: LevyTriplet, level: float,
+                        cap: float | None = None) -> tuple[str, str] | None:
+    """(reason, problem) unless level > 0 and the cap (default 10 level / mu) is finite, else None."""
     if not level > 0.0:
-        raise PreconditionViolation("LEVEL_RANGE", "need level > 0")
+        return "LEVEL_RANGE", "need level > 0"
     if cap is None:
         cap = 10.0 * level / triplet.positive_mean("passage cap")
-    if not math.isfinite(cap):
-        raise PreconditionViolation("CAP_RANGE", f"need a finite cap, got {cap}")
-    return cap
+    return None if math.isfinite(cap) else ("CAP_RANGE", f"need a finite cap, got {cap}")
+
+
+def _passage_cap(triplet: LevyTriplet, level: float, cap: float | None = None) -> float:
+    """The cap (default 10 level / mu) of a passage over level: not reached by then."""
+    over = passage_cap_refusal(triplet, level, cap)
+    if over is not None:
+        raise PreconditionViolation(*over)
+    return 10.0 * level / triplet.positive_mean("passage cap") if cap is None else cap
 
 
 def _scan_for_crossing(engine: StepEngine, rng, x0: float, level: float, cap: float):

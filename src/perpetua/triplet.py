@@ -89,7 +89,9 @@ class LevyTriplet(Validated):
     # characteristic exponent
 
     def char_exponent(self, lam):
-        """Psi(lam) for scalar or array lam; complex output, vectorized."""
+        """Psi(lam) for real scalar or array lam; complex output, vectorized."""
+        if np.iscomplexobj(lam):  # a cast to float would drop the imaginary part
+            raise NonFiniteParameter([Issue("CHAR_NONREAL", "lam", "need a real argument, not a complex one")])
         arr = np.atleast_1d(np.asarray(lam, dtype=float))
         out = (-1j * self.drift * arr
                + 0.5 * self.gaussian_coef * arr * arr

@@ -635,21 +635,21 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
 
-    def test_package_error_in_any_check_is_a_failed_entry(self, tmp_path, capsys):
-        # a bandwidth far below the floor set by the steps of BM at dt 0.01:
-        # the field refuses with BandwidthTooSmall inside occupation, and the
-        # run still goes on to lln
+    def test_package_error_in_any_check_is_a_failed_entry(self, tmp_path, capsys, monkeypatch):
+        # with one chunk no invariance path can escape its levels: the check
+        # fails with NotReachedError, and the run still goes on to lln
+        monkeypatch.setattr(harness, "_MAX_CHUNKS", 1)
         cfg = write_config(
             tmp_path,
-            checks=["occupation", "lln"],
-            check_params={"occupation": {"n_paths": 5, "bandwidth": 1e-4},
+            checks=["invariance", "lln"],
+            check_params={"invariance": {"n": 5, "start_from_rho": False},
                           "lln": {"n": 20, "t0": 60.0}},
         )
         out = tmp_path / "run"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
-        assert [e["check"] for e in report["checks"]] == ["occupation", "lln"]
-        assert report["checks"][0]["notes"].startswith("BandwidthTooSmall")
+        assert [e["check"] for e in report["checks"]] == ["invariance", "lln"]
+        assert report["checks"][0]["notes"].startswith("NotReachedError")
         assert report["checks"][1]["passed"]
 
     def test_one_grid_jump_per_step_runs(self, tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Config file validation: every problem reported, defaults applied."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from perpetua import ConfigError, ExperimentConfig, LevyTriplet, harness, load_config, run_experiment, simulate
-from perpetua.checks import CHECKS
+from perpetua import (ConfigError, ExperimentConfig, LevyTriplet, PreconditionViolation, StableLike, TemperedStable,
+                      harness, load_config, run_experiment, simulate)
+from perpetua.checks import CHECKS, resolve
 from perpetua.cli import main
 from perpetua.harness import MAX_LEVELS, lln_t0_floor
 from perpetua.simulate import MAX_PIECES_PER_PATH
@@ -499,10 +501,15 @@ def t0_probe():
 
 
 def dt_probe():
-    """The shipped BM config at dt 50 (t0 500), with an lln horizon of 60 < 10 dt."""
+    """The shipped BM config at dt 50 (t0 500), with an lln horizon of 60 < 10 dt.
+
+    Its bandwidths are 2, above the floor sd_step/4 = sqrt(50)/4 = 1.77 of that dt.
+    """
     d = shipped("bm_drift_exp_decay.json")
     d["dt"], d["horizon"]["t0"] = 50.0, 500.0
     d["check_params"]["lln"] = {"n": 300, "t0": 50.0, "horizon": 60.0}
+    for key in ("occupation", "invariance"):
+        d["check_params"][key]["bandwidth"] = 2.0
     return d
 
 
@@ -553,7 +560,8 @@ class TestRefusedBeforeAnyWork:
 
 
 # run-time refusals that config validation must have listed before any work
-CONFIG_REASONS = {"HORIZON_RANGE", "DT_RANGE", "PATH_BUDGET", "LEVEL_BUDGET", "T0_RANGE", "LEVEL_RANGE"}
+CONFIG_REASONS = {"HORIZON_RANGE", "DT_RANGE", "PATH_BUDGET", "LEVEL_BUDGET", "T0_RANGE", "LEVEL_RANGE",
+                  "BANDWIDTH_FLOOR", "CAP_RANGE"}
 
 # Small budgets, so that a path or level grid at the edge costs little to run.
 # Both sides read the same module constants, so config and run see the same budget.
@@ -601,16 +609,34 @@ EDGES = {
                                "start_from_rho": False}),
         {"MAX_PIECES_PER_PATH": PIECES}),
     "occupation_levels_under_the_budget": (lambda: fast_bm(1.0), {"MAX_LEVELS": LEVELS}),
+    # BM at dt 0.0625: sd_step / 4 = sqrt(0.0625) / 4 = 0.0625 exactly
+    "occupation_bandwidth_at_the_floor": (lambda: bm(occupation={"n_paths": 2, "bandwidth": 0.0625}), {}),
+    "invariance_bandwidth_at_the_floor": (
+        lambda: bm(invariance={"x_list": [1.0, 2.0], "n": 4, "bandwidth": 0.0625, "start_from_rho": False}),
+        {}),
 }
 
-# for each check with a refusal hook, a payload it refuses, with its budgets
+def under_the_floor(key):
+    """BM at dt 0.0625 with the check's bandwidth just under its floor 0.0625."""
+    params = {"occupation": {"n_paths": 2}, "invariance": {"x_list": [1.0, 2.0], "n": 4}}[key]
+    return bm(**{key: {**params, "bandwidth": 0.0624}})
+
+
+FLOOR_PROBLEM = "bandwidth 0.0624 below BANDWIDTH_FLOOR sd_step/4 = 0.0625 at dt 0.0625"
+
+# payloads that refusal hooks refuse, each with its check, its budgets and the
+# start of its problem; every check with a hook has at least one
 REFUSED = {
-    "lln": (lambda: bm(lln={"t0": 64.0, "horizon": 256.0625, "n": 4}),
+    "lln": ("lln", lambda: bm(lln={"t0": 64.0, "horizon": 256.0625, "n": 4}),
             {"MAX_PIECES_PER_PATH": PIECES}, "4.1e+03 expected pieces per path exceed PATH_BUDGET"),
-    "invariance": (lambda: bm(invariance={"x_list": [1.0, 171.0], "n": 4}),
+    "invariance": ("invariance", lambda: bm(invariance={"x_list": [1.0, 171.0], "n": 4}),
                    {"MAX_PIECES_PER_PATH": PIECES}, "4.32e+03 expected pieces per path exceed PATH_BUDGET"),
-    "occupation": (lambda: fast_bm(0.97), {"MAX_LEVELS": LEVELS},
+    "occupation": ("occupation", lambda: fast_bm(0.97), {"MAX_LEVELS": LEVELS},
                    "3.3e+03 occupation grid levels exceed LEVEL_BUDGET"),
+    "occupation_under_the_floor": ("occupation", lambda: under_the_floor("occupation"), {}, FLOOR_PROBLEM),
+    "invariance_under_the_floor": ("invariance", lambda: under_the_floor("invariance"), {}, FLOOR_PROBLEM),
+    # z2 defaults to 2 z1 = inf, and so does its passage cap 10 z2 / mu
+    "overshoot": ("overshoot", lambda: bm(overshoot={"z1": 1e308, "n": 4}), {}, "need a finite cap, got inf"),
 }
 
 
@@ -644,11 +670,12 @@ class TestConfigAndRunAgree:
             assert all("precondition" not in c for c in report["checks"])
 
     def test_every_refusal_hook_refuses_a_payload(self):
-        assert set(REFUSED) == {key for key, check in CHECKS.items() if check.refusal is not None}
+        assert {case[0] for case in REFUSED.values()} == {
+            key for key, check in CHECKS.items() if check.refusal is not None}
 
-    @pytest.mark.parametrize("key", REFUSED)
-    def test_a_refused_payload_fails_to_load(self, key, monkeypatch):
-        payload, budgets, fragment = REFUSED[key]
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_a_refused_payload_fails_to_load(self, case, monkeypatch):
+        key, payload, budgets, fragment = REFUSED[case]
         set_budgets(monkeypatch, budgets)
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(payload())
@@ -657,6 +684,54 @@ class TestConfigAndRunAgree:
         d = payload()
         d["checks"] = []  # not run: not refused
         ExperimentConfig.from_dict(d)
+
+
+def sd_step(triplet, dt):
+    """sqrt((sigma^2 + int_{|x|<=eps} x^2 nu(dx)) dt) at the measure's cutoff eps for dt."""
+    nu = triplet.levy_measure
+    return math.sqrt((triplet.gaussian_coef + nu.small_jump_variance(nu.default_cutoff(dt))) * dt)
+
+
+STABLE = LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0))
+TEMPERED = LevyTriplet(1.0, 0.0, TemperedStable(1.5, 1.0, 1.0))
+
+
+class TestBandwidthFloor:
+    """One floor, config's and both checks': sd_step / 4 on grid paths, none on event paths."""
+
+    @pytest.mark.parametrize("triplet, floor, near", [
+        (LevyTriplet(1.0, 1.0), 0.025, 0.025),
+        (STABLE, sd_step(STABLE, 0.01) / 4.0, 0.0172),
+        (TEMPERED, sd_step(TEMPERED, 0.01) / 4.0, 0.0171),
+    ], ids=["bm", "stable", "tempered"])
+    def test_the_floor_is_a_quarter_of_sd_step(self, triplet, floor, near):
+        assert floor == pytest.approx(near, abs=5e-5)
+        assert harness.bandwidth_refusal(triplet, 0.01, floor) is None
+        under = 0.999 * floor
+        assert harness.bandwidth_refusal(triplet, 0.01, under) == (
+            "BANDWIDTH_FLOOR", f"bandwidth {under:g} below BANDWIDTH_FLOOR sd_step/4 = {floor:g} at dt 0.01")
+
+    def test_event_paths_have_no_floor(self):
+        assert harness.bandwidth_refusal(LevyTriplet.from_dict(event_payload()["triplet"]), 0.01, 5e-324) is None
+
+    @pytest.mark.parametrize("key", ["occupation", "invariance"])
+    def test_both_checks_raise_what_config_lists_before_any_draw(self, key, monkeypatch):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(under_the_floor(key))
+        assert exc.value.problems == [f"check_params.{key}: {FLOOR_PROBLEM}"]
+        d = under_the_floor(key)
+        d["checks"] = []
+        config = ExperimentConfig.from_dict(d)
+        calls = []
+        for name in ("sample_path", "sample_paths", "stationary_overshoot"):  # the rho harvest last
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name,
+                                lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k))
+        check = CHECKS[key]
+        with pytest.raises(PreconditionViolation) as raised:
+            check.run(config, resolve(check, config), 1, None, {})
+        assert str(raised.value) == f"BANDWIDTH_FLOOR: {FLOOR_PROBLEM}"
+        assert calls == []
 
 
 class TestLastCheckpoint:

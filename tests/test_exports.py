@@ -199,7 +199,7 @@ def test_every_error_type_is_raised_somewhere():
     leaves = _leaf_errors(ast.parse((package / "errors.py").read_text()))
     raised = set().union(*(_raised_names(ast.parse(path.read_text()))
                            for path in sorted(package.glob("*.py"))))
-    assert "BandwidthTooSmall" in leaves
+    assert "NotReachedError" in leaves
     assert [name for name in leaves if name not in raised] == []
 
 

@@ -25,14 +25,14 @@ from perpetua import (
     zero_one_check,
 )
 from perpetua.checks import CHECKS, resolve
-from perpetua.errors import BandwidthTooSmall, NotReachedError
+from perpetua.errors import NotReachedError
 from perpetua.harness import (FINITE_LIKE, INCONCLUSIVE, INFINITE_LIKE,
                               overshoot_recommended_z1)
 from perpetua import harness, passage, rng
 from perpetua.passage import stationary_overshoot
 from perpetua.rng import derive_seed, stream
 from perpetua.runner import _run_one
-from perpetua.localtime import _bandwidth_floor, local_time_block, local_time_field
+from perpetua.localtime import local_time_block, local_time_field
 from perpetua.simulate import PathBlock, PathSample, path_pieces, sample_path
 
 BM_DRIFT = LevyTriplet(1.0, 1.0)
@@ -420,28 +420,6 @@ class TestInvarianceBlocks:
         with pytest.raises(NotReachedError) as exc:
             local_time_law_invariance_check(BM_CP, self.LEVELS, n=n, seed=seed, n_rho=200, threads=2)
         assert str(exc.value) == f"path from {starts[0]:g} did not escape {self.horizon(BM_CP)[0]:g}"
-
-    def test_bandwidth_refusal_is_the_first_paths(self):
-        # path 0 passes its first chunk's floor and fails its second; path 1
-        # fails its first, so it is the first to fail in the block's rounds
-        seed, dt, bandwidth = 12, 0.01, 0.025
-        chunk_horizon = self.horizon(BM_DRIFT)[1]
-
-        def floors(i):
-            path_seed, x0, out = derive_seed(seed, "linf", i), 0.0, []
-            for c in range(2):
-                chunk = sample_path(BM_DRIFT, chunk_horizon, dt, x0=x0,
-                                    seed=derive_seed(path_seed, "chunk", c))
-                out.append(_bandwidth_floor(np.diff(chunk.times), np.diff(chunk.values)))
-                x0 = float(chunk.values[-1])
-            return out
-
-        (f00, f01), (f10, _) = floors(0), floors(1)
-        assert f00 < bandwidth < min(f01, f10)
-        with pytest.raises(BandwidthTooSmall) as exc:
-            local_time_law_invariance_check(BM_DRIFT, self.LEVELS, n=12, seed=seed, bandwidth=bandwidth,
-                                            start_from_rho=False, threads=2)
-        assert str(exc.value) == f"bandwidth {bandwidth:g} below floor {f01:g} for this step size"
 
 
 class TestEventBlocks:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from perpetua import (
-    BandwidthTooSmall,
     CompoundPoisson,
     ConstantJump,
     ExpDecay,
@@ -30,7 +29,7 @@ from perpetua import (
     sample_path,
 )
 from perpetua import localtime, simulate
-from perpetua.localtime import _bandwidth_floor, _median, local_time_block
+from perpetua.localtime import local_time_block
 from perpetua.rng import derive_seed, stream
 from perpetua.simulate import (PathBlock, PathSample, StepEngine, event_batch, event_block, grid_knots,
                                path_pieces, perpetual_estimates, step_engine)
@@ -475,33 +474,6 @@ class TestEventPath:
         trapezoid = np.sum(np.diff(path.times) * (f(path.values[:-1]) + f(path.values[1:])) / 2.0)
         assert perpetual_estimate(path, f, [50.0])[0] == pytest.approx(trapezoid, rel=1e-12)
 
-    @pytest.mark.parametrize("triplet", [
-        DRIFT_CP, LevyTriplet(0.5, 0.0, CompoundPoisson(1.0, ExponentialJump(0.4, 1))),
-    ], ids=["drift_cp", "creep"])
-    def test_bandwidth_floor_is_rounding_on_event_paths(self, triplet):
-        # the linear pieces all run at the drift's slope; jumps take no time
-        path = sample_path(triplet, 200.0, 0.01, seed=55)
-        moving = np.diff(path.times) > 0.0
-        floor = _bandwidth_floor(np.diff(path.times)[moving], np.diff(path.values)[moving])
-        assert floor < 1e-12
-        grid = np.linspace(1.0, 20.0, 39)
-        fld = local_time_field(path, grid, 1e-3)
-        assert np.all(fld.values >= 0.0)
-        local_time_field(path, grid, 0.05)
-
-    def test_bandwidth_floor_on_a_grid_is_the_increment_spread(self):
-        path = sample_path(BM_DRIFT, 50.0, 0.01, seed=56)
-        diffs = np.diff(path.values)
-        spread = 1.4826 * np.median(np.abs(diffs - np.median(diffs))) / 4.0
-        assert _bandwidth_floor(np.diff(path.times), diffs) == pytest.approx(spread, rel=1e-9)
-
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8, 2100, 2101])
-    def test_median_is_numpys_bit_for_bit(self, size):
-        rng = np.random.default_rng(size)
-        for a in (rng.standard_normal(size), np.abs(rng.standard_normal(size)),
-                  rng.integers(-3, 4, size).astype(float)):  # the last with ties
-            assert _median(a.copy()).tobytes() == np.median(a).tobytes()
-
     def test_event_batch_is_the_passage_stream(self):
         # gaps, then sizes, per batch: the exact passage's first batch on a
         # fresh stream is event_batch's
@@ -753,11 +725,6 @@ class TestLocalTimeField:
         fld = local_time_field(path, grid, 0.25)
         assert np.allclose(fld.values, 0.5, atol=1e-9)
 
-    def test_bandwidth_floor(self):
-        path = sample_path(BM_DRIFT, 5.0, 0.01, seed=23)
-        with pytest.raises(BandwidthTooSmall):
-            local_time_field(path, np.linspace(-1, 5, 50), 1e-5)
-
     def test_grid_order_guard(self):
         path = sample_path(BM_DRIFT, 5.0, 0.01, seed=24)
         with pytest.raises(PreconditionViolation):
@@ -834,6 +801,12 @@ class TestLocalTimeFieldAgainstDenseOracle:
         fld = local_time_field(path, np.array([1.0, 1.25]), 0.25)
         assert fld.t_covered == pytest.approx(0.10, rel=1e-12)
 
+    def test_a_bandwidth_far_below_the_step_spread(self):
+        # exact for the interpolated path at any bandwidth > 0: the floor
+        # sd_step / 4 = 0.025 is a rule of the checks, not of the field
+        path = sample_path(BM_DRIFT, 5.0, 0.01, seed=23)
+        self.assert_matches_oracle(path, _padded_grid(path, 0.1, 50), 1e-5)
+
     def test_large_jumps_cross_many_levels(self):
         # 130 jumps over a 20,001-level grid: 5.2 million (segment, edge)
         # pairs, more than one block
@@ -891,12 +864,3 @@ class TestLocalTimeBlock:
         paths = [sample_path(JUMP_DIFFUSION, 5.0, 0.01, seed=74 + i) for i in range(6)]
         self.assert_rows_are_the_fields(paths, grid, 0.05)
         self.assert_rows_are_the_fields(paths[::-1], grid, 0.05)
-
-    def test_the_first_path_below_its_floor_is_refused(self):
-        smooth = sample_path(LevyTriplet(1.0), 5.0, 0.01, seed=75)
-        rough = sample_path(BM_DRIFT, 5.0, 0.01, seed=76)
-        with pytest.raises(BandwidthTooSmall) as alone:
-            local_time_field(rough, self.LEVELS, 1e-4)
-        with pytest.raises(BandwidthTooSmall) as block:
-            local_time_block(*padded([smooth, rough, smooth]), self.LEVELS, 1e-4)
-        assert str(block.value) == str(alone.value)

@@ -72,6 +72,15 @@ class TestCharExponent:
         t = LevyTriplet(1.0, 1.0)
         assert isinstance(t.char_exponent(0.5), complex)
 
+    @pytest.mark.parametrize("lam", [np.array([0.5j, 1j]), 1j, np.complex128(1j), [0.5, 1j]],
+                             ids=["array", "complex", "numpy_scalar", "list"])
+    def test_a_complex_argument_is_refused_by_name(self, lam):
+        # cast to float, [0.5j, 1j] read as [0, 0]: Psi 0 where it is 0.25 and 0.433
+        t = LevyTriplet(0.1, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, 1)))
+        with pytest.raises(NonFiniteParameter) as exc:
+            t.char_exponent(lam)
+        assert [issue.code for issue in exc.value.issues] == ["CHAR_NONREAL"]
+
     @pytest.mark.parametrize("t", ALL_TRIPLETS)
     def test_hermitian_symmetry(self, t):
         # real-valued process: Psi(-lam) = conj(Psi(lam))
