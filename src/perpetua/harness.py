@@ -74,8 +74,9 @@ TOL_REL = 1e-2
 
 _MAX_CHUNKS = 64  # chunks an invariance path may take to escape its levels
 
-# levels of the occupation check's level grid, at most: the grid's edges and
-# the field's ramp CDF hold a few arrays of twice as many floats, so a path
+# levels of the occupation check's level grid, at most: the field's memory
+# grows with the levels alone (its window edges and ramp CDF hold a few arrays
+# of twice as many floats; its crossings are taken in fixed chunks), so a path
 # sweeping a range of more than MAX_LEVELS bandwidths is refused rather than
 # ending in a MemoryError.  A precondition, not a setting.
 MAX_LEVELS = 2**22

@@ -6,6 +6,10 @@ is a piecewise-linear ramp CDF.  local_time_block evaluates that CDF on one
 level grid for every row of a block's padded (rows, knots) arrays (those of
 a simulate.PathBlock) in one pass; local_time_field is its one-path case.  A
 jump, or a row's padding, is a piece of zero duration and adds no time.
+The (piece, level) pairs where a ramp is partial are added in fixed chunks,
+in order, so memory is O(pieces + rows * levels + chunk) however many levels
+a path's jumps cross, and every sum is taken in the same order whatever the
+chunk.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from .errors import PreconditionViolation
 
 __all__ = ["LocalTimeField", "local_time_field", "local_time_block"]
 
-# (piece, window edge) pairs that _ramp_cdf evaluates at once, at most, so
-# that paths with large jumps keep memory bounded
-_PAIR_BLOCK = 4_000_000
+# (piece, window edge) pairs that _ramp_cdf evaluates at once, at most: its
+# working memory beyond the pieces and the (rows, edges) field is a few arrays
+# of this many entries, however many levels a path's jumps cross.  A
+# precondition, not a setting.
+_PAIR_CHUNK = 2**13
 
 
 @dataclass(frozen=True)
@@ -42,32 +48,50 @@ def _ramp_cdf(q: np.ndarray, row: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     (lo == hi) counts wholly at every q >= its value.  Segments wholly below
     a query are binned by (row, first query at or above their top) in one
     bincount and summed by one cumsum along each row.  Each (segment, query)
-    pair with lo < q < hi adds its exact ramp value; the pairs are processed
-    in blocks of at most _PAIR_BLOCK.  A block that runs into a later row
-    ends before that row unless it holds the whole row, so each row is
-    split, and summed, exactly as it would be alone.  Every term is
-    non-negative, so nothing cancels.
+    pair with lo < q < hi adds its exact ramp value dt * (q - lo) / (hi - lo)
+    into one zeroed (rows, q.size) accumulator, which is then added to the
+    binned sums once.  The pairs are taken in order, in chunks of at most
+    _PAIR_CHUNK, and np.add.at adds each one into its cell in that order, as
+    one bincount over all of them would: a chunk boundary, which may fall
+    inside a segment or between rows, does not change any sum, and each row
+    is summed exactly as it would be alone.  Every term is non-negative, so
+    nothing cancels.
     """
     size = q.size
     full_from = np.searchsorted(q, hi, side="left")
     first = np.searchsorted(q, lo, side="right")
     count = np.maximum(full_from - first, 0)  # pairs per segment; 0 for flat ones
-    full_from += row * (size + 1)
+    if rows > 1:
+        full_from += row * (size + 1)
     binned = np.bincount(full_from, weights=dt, minlength=rows * (size + 1))
     cdf = np.cumsum(binned.reshape(rows, size + 1)[:, :size], axis=1)
-    first += row * size  # pairs index the queries of all rows: q_rows[row * size + j] = q[j]
-    q_rows = np.tile(q, rows)
+    del full_from, binned  # nor are these held through the chunks
+    # the segments with pairs, and per such segment the shift from a pair's
+    # index to its query's: the pairs of a segment sit at consecutive queries
+    crossing = np.flatnonzero(count)
+    count = count[crossing]
     ends = np.cumsum(count)
-    start, done = 0, 0
-    while done < ends[-1]:
-        stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), start + 1)
-        if stop < row.size and row[start] != row[stop - 1] == row[stop]:
-            stop = int(np.searchsorted(row, row[stop]))  # end before the row it would split
-        seg = np.repeat(np.arange(start, stop), count[start:stop])
-        j = first[seg] + np.arange(done, ends[stop - 1]) - (ends[seg] - count[seg])
-        ramp = dt[seg] * (q_rows[j] - lo[seg]) / (hi[seg] - lo[seg])
-        cdf += np.bincount(j, weights=ramp, minlength=rows * size).reshape(rows, size)
-        start, done = stop, int(ends[stop - 1])
+    shift = first[crossing] - (ends - count)
+    del first
+    ramps = np.zeros(rows * size)
+    total = int(ends[-1]) if ends.size else 0
+    for done in range(0, total, _PAIR_CHUNK):
+        stop = min(done + _PAIR_CHUNK, total)
+        a, b = np.searchsorted(ends, (done, stop - 1), side="right") + (0, 1)  # the segments it reaches
+        taken = count[a:b].copy()  # the chunk's pairs of each
+        taken[0] -= done - (ends[a] - count[a])
+        taken[-1] -= ends[b - 1] - stop
+        seg = np.repeat(crossing[a:b], taken)
+        j = np.arange(done, stop)
+        j += np.repeat(shift[a:b], taken)
+        ramp = q[j]
+        ramp -= lo[seg]
+        ramp *= dt[seg]
+        ramp /= hi[seg] - lo[seg]
+        if rows > 1:
+            j += row[seg] * size
+        np.add.at(ramps, j, ramp)
+    cdf += ramps.reshape(rows, size)
     return cdf
 
 
@@ -100,7 +124,8 @@ def local_time_block(times, values, x_grid, bandwidth: float) -> tuple[np.ndarra
     sorted query array shared by every row, so a window a path never enters
     (a path wholly above every window included) gets exactly 0.  Cost is
     O(n log G + rows G + crossings) for n pieces, G levels and the number of
-    (piece, window edge) pairs a piece strictly straddles.
+    (piece, window edge) pairs a piece strictly straddles; memory is
+    O(n + rows G + _PAIR_CHUNK), the crossings taken a chunk at a time.
 
     A flat piece (a step with no movement) sits at one value v and counts
     wholly in every closed window: v <= x + b at the upper end and v >= x - b
@@ -114,21 +139,25 @@ def local_time_block(times, values, x_grid, bandwidth: float) -> tuple[np.ndarra
     by noise: that floor is a rule of the checks (harness.bandwidth_refusal).
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if x_grid.size < 2 or np.any(np.diff(x_grid) <= 0.0):
-        raise PreconditionViolation("GRID_ORDER", "x_grid must be strictly increasing")
-    if not bandwidth > 0.0:
-        raise PreconditionViolation("BANDWIDTH_RANGE", "need bandwidth > 0")
+    if x_grid.size < 2 or not np.all(np.isfinite(x_grid)) or np.any(np.diff(x_grid) <= 0.0):
+        raise PreconditionViolation("GRID_ORDER", "x_grid must be finite and strictly increasing")
+    if not 0.0 < bandwidth < np.inf:
+        raise PreconditionViolation("BANDWIDTH_RANGE", "need a finite bandwidth > 0")
 
     dt = np.diff(times, axis=1)
     start, end = values[:, :-1], values[:, 1:]
     moving = dt > 0.0  # the pieces read: a jump or padding takes no time
     rows = dt.shape[0]
-    row = np.repeat(np.arange(rows), moving.sum(axis=1))
     lo, hi = np.minimum(start, end), np.maximum(start, end)
     if moving.all():  # the pieces are used as they are: a copy would only add memory
         dt, lo, hi = dt.ravel(), lo.ravel(), hi.ravel()
     else:
         dt, lo, hi = dt[moving], lo[moving], hi[moving]
+    # the row of each piece read: on one row a zero-stride view, which holds no memory
+    if rows > 1:
+        row = np.repeat(np.arange(rows), moving.sum(axis=1))
+    else:
+        row = np.broadcast_to(np.intp(0), dt.shape)
     del moving  # nor is the mask held through the pass
 
     # lower edges (the G windows', then the grid's), upper edges likewise;

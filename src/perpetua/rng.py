@@ -92,7 +92,15 @@ def ensemble(work, seed: int, tag: str, n: int, pieces: float, threads: int) -> 
         raise PreconditionViolation("THREADS_RANGE", f"need threads >= 1, got {threads}")
     if n < 1:
         raise PreconditionViolation("SAMPLE_SIZE", f"need n >= 1 paths, got {n}")
-    seeds = [derive_seed(seed, tag, i) for i in range(n)]
+    # derive_seed(seed, tag, i): the text before i is hashed once, and copied per path
+    prefix = hashlib.sha256((repr(int(seed) & MASK64) + "|" + str(tag) + "|").encode("utf-8"))
+
+    def path_seed(i: int) -> int:
+        digest = prefix.copy()
+        digest.update(str(i).encode("utf-8"))
+        return int.from_bytes(digest.digest()[:8], "big")
+
+    seeds = [path_seed(i) for i in range(n)]
     size = max(1, int(_BLOCK_PIECES // pieces))
     blocks = [seeds[first:first + size] for first in range(0, n, size)]
 

@@ -451,6 +451,22 @@ def test_grid_passage_outputs_are_identical_for_any_threads(tmp_path):
     assert outputs == ["78d8cb5f34de65b2dff7c83bd7f2f8408e4d2f92b7dd7a3c9cccc83c92cec9ff"] * 2
 
 
+def test_local_time_outputs_are_identical_for_any_threads(tmp_path):
+    # BM with drift through the two checks that read localtime's field, occupation
+    # and invariance.  report.json's sha256 is pinned: the field must not move a bit.
+    cfg = write_config(
+        tmp_path,
+        checks=["occupation", "invariance"],
+        check_params={"occupation": {"n_paths": 12}, "invariance": {"n": 40, "n_rho": 200}},
+    )
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 0
+        outputs.append(hashlib.sha256((out / "report.json").read_bytes()).hexdigest())
+    assert outputs == ["90b720cc9224e67eb8f1b05d6a3eec990588ccadbeb9eda5bd72881bcb1d3c9e"] * 2
+
+
 class TestSimulateCommand:
     def test_writes_path_csvs(self, tmp_path, capsys):
         out = tmp_path / "artifacts"

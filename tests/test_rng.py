@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from perpetua.rng import MASK64, derive_seed, stream
+from perpetua.rng import MASK64, derive_seed, ensemble, stream
 
 
 def philox_oracle(seed):
@@ -25,3 +25,11 @@ def test_stream_is_the_philox_of_key_seed_and_zero(seed):
     assert got.random(100).tobytes() == want.random(100).tobytes()
     assert got.exponential(2.5, (3, 41)).tobytes() == want.exponential(2.5, (3, 41)).tobytes()
     assert key_and_counter(got) == key_and_counter(want)
+
+
+@pytest.mark.parametrize("seed", [0, 20260815, 2**64 - 1, -1], ids=["0", "shipped", "2^64-1", "-1"])
+@pytest.mark.parametrize("tag", ["finiteness", "occupation", "overshoot-z1", ""])
+def test_ensemble_seeds_path_i_with_derive_seed(seed, tag):
+    # ensemble hashes the text its seeds share once; each must still be derive_seed's
+    seeds = ensemble(lambda block: np.array(block, dtype=np.uint64), seed, tag, 1200, 1.0, 1)
+    assert seeds.tolist() == [derive_seed(seed, tag, i) for i in range(1200)]

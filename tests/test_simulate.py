@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,7 +29,7 @@ from perpetua import (
     perpetual_estimate,
     sample_path,
 )
-from perpetua import localtime, simulate
+from perpetua import harness, localtime, simulate
 from perpetua.localtime import local_time_block
 from perpetua.rng import derive_seed, stream
 from perpetua.simulate import (PathBlock, PathSample, StepEngine, event_batch, event_block, grid_knots,
@@ -730,6 +731,42 @@ class TestLocalTimeField:
         with pytest.raises(PreconditionViolation):
             local_time_field(path, np.array([1.0, 1.0, 2.0]), 0.05)
 
+    @pytest.mark.parametrize("grid", [[np.nan, 1.0], [0.0, np.nan, 1.0], [-np.inf, 0.0, 1.0], [0.0, np.inf]],
+                             ids=["nan_first", "nan_inside", "minus_inf", "inf"])
+    def test_a_level_that_is_not_finite_is_refused(self, grid):
+        # NaN compares false, so an order test alone let [nan, 1] through (t_covered -4.72)
+        path = sample_path(BM_DRIFT, 5.0, 0.01, seed=1)
+        with pytest.raises(PreconditionViolation) as exc:
+            local_time_field(path, np.array(grid), 0.05)
+        assert exc.value.reason == "GRID_ORDER"
+
+    @pytest.mark.parametrize("bandwidth", [np.inf, np.nan, 0.0, -0.05])
+    def test_a_bandwidth_that_is_not_finite_and_positive_is_refused(self, bandwidth):
+        # an infinite bandwidth gave a field of zeros
+        path = sample_path(BM_DRIFT, 5.0, 0.01, seed=1)
+        with pytest.raises(PreconditionViolation) as exc:
+            local_time_field(path, np.array([0.0, 1.0]), bandwidth)
+        assert exc.value.reason == "BANDWIDTH_RANGE"
+
+    def test_large_jumps_hold_bounded_memory(self):
+        # 5.2 million (piece, edge) pairs held 155 MB when evaluated at once; in
+        # chunks the field holds its pieces, its edges and one chunk of pairs
+        path, grid = large_jumps_path(), np.linspace(0.0, 200.0, 20001)
+        tracemalloc.start()
+        try:
+            local_time_field(path, grid, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+def large_jumps_path():
+    """130 jumps of 200 over 1,300 steps: each crosses every level of a 20,001-level grid on [0, 200]."""
+    steps = np.zeros(1300)
+    steps[::10] = 200.0 * (-1.0) ** np.arange(130)
+    return lattice_path(steps)
+
 
 def _padded_grid(path, pad, size):
     return np.linspace(path.values.min() - pad, path.values.max() + pad, size)
@@ -808,12 +845,8 @@ class TestLocalTimeFieldAgainstDenseOracle:
         self.assert_matches_oracle(path, _padded_grid(path, 0.1, 50), 1e-5)
 
     def test_large_jumps_cross_many_levels(self):
-        # 130 jumps over a 20,001-level grid: 5.2 million (segment, edge)
-        # pairs, more than one block
-        steps = np.zeros(1300)
-        steps[::10] = 200.0 * (-1.0) ** np.arange(130)
-        path = lattice_path(steps)
-        self.assert_matches_oracle(path, np.linspace(0.0, 200.0, 20001), 0.05)
+        # 5.2 million (segment, edge) pairs, in many chunks
+        self.assert_matches_oracle(large_jumps_path(), np.linspace(0.0, 200.0, 20001), 0.05)
 
 
 class TestLocalTimeBlock:
@@ -856,11 +889,36 @@ class TestLocalTimeBlock:
         assert values[1].tobytes() == np.zeros(self.LEVELS.size).tobytes()
         assert values[0].tobytes() == values[2].tobytes() and np.any(values[0] > 0.0)
 
-    def test_pair_blocks_split_each_row_as_alone(self, monkeypatch):
-        # with small pair blocks a block would otherwise end inside a later
-        # row and sum that row's ramps in another grouping
-        monkeypatch.setattr(localtime, "_PAIR_BLOCK", 700)
+    def test_fields_are_pinned(self):
+        # sha256 of (values, t_covered): how the kernel groups its work must not move a bit
+        # path 0 of the occupation check on configs/bm_drift_exp_decay.json, on its level grid
+        path = sample_path(BM_DRIFT, 256.0, 0.01, seed=derive_seed(20260815, "occupation", 0))
+        lo, hi = path.values.min() - 0.05, path.values.max() + 0.05
+        step, _ = harness._level_grid(hi - lo, 0.05)
+        paths = [sample_path(JUMP_DIFFUSION, 20.0, 0.01, x0=0.5 * i, seed=70 + i) for i in range(5)]
+        rng = np.random.default_rng(71)
+        lattice = [lattice_path(rng.choice([-0.25, 0.0, 0.0, 0.125, 0.25], size=600)) for _ in range(4)]
+        cases = [
+            ((path.times[None], path.values[None]), np.arange(lo, hi + step, step), 0.05,
+             "ca9cc028d21293b022ee2a1a47a46f9cc781f370364e1dcd2a99169da34d1999"),
+            (padded(paths), self.LEVELS, 0.05,
+             "2622cb76cecfffdc7b11ae0d8bcd1281011802c184a2b3f1d2b03870049e406f"),
+            (padded(paths), _padded_grid(paths[0], 0.3, 400), 0.05,
+             "4f3bab70661dbcf1ffd820de2e705dc0e7434d923278e8fb1afbbad9bf4a8a71"),
+            (padded(lattice), np.arange(-1.0, 1.25, 0.125), 0.25,
+             "16aa45f40494fbf7cc118db6ef9f0fe5e25d6413771fc68065fc3290d657890f"),
+        ]
+        for block, grid, bandwidth, pin in cases:
+            field, covered = local_time_block(*block, grid, bandwidth)
+            assert hashlib.sha256(field.tobytes() + covered.tobytes()).hexdigest() == pin
+
+    def test_pair_chunks_sum_each_row_as_alone(self, monkeypatch):
+        # 559 to 1,619 pairs a row in chunks of 700: chunks end inside segments,
+        # inside rows and between rows, and every row is still its field alone
         grid = np.linspace(-1.0, 4.0, 120)
         paths = [sample_path(JUMP_DIFFUSION, 5.0, 0.01, seed=74 + i) for i in range(6)]
-        self.assert_rows_are_the_fields(paths, grid, 0.05)
-        self.assert_rows_are_the_fields(paths[::-1], grid, 0.05)
+        fields = [local_time_field(path, grid, 0.05).values.tobytes() for path in paths]
+        monkeypatch.setattr(localtime, "_PAIR_CHUNK", 700)
+        for order in (range(6), range(5, -1, -1)):
+            values = self.assert_rows_are_the_fields([paths[i] for i in order], grid, 0.05)
+            assert [row.tobytes() for row in values] == [fields[i] for i in order]
