@@ -467,6 +467,39 @@ def test_local_time_outputs_are_identical_for_any_threads(tmp_path):
     assert outputs == ["90b720cc9224e67eb8f1b05d6a3eec990588ccadbeb9eda5bd72881bcb1d3c9e"] * 2
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# sha256 of each shipped config's verify bundle: report.json, every CSV in name
+# order, then stdout.  metadata.json holds timings and is left out.
+SHIPPED_BUNDLES = {
+    "configs/bm_drift_exp_decay.json": "37838060f6eee3433e6f5876cf3514dc6de248e22057e263bf4b9a3f07318dea",
+    "configs/stable_half_control.json": "30e4429d9770a2ccc93fd6fe102881dd7cf640abfdd442aeadd0a5472c53a95d",
+    "perfbench/configs/verify_cp.json": "6e2752dd3791964b84e892001da32290f81e43b80955e6cdf0dcea92d0cb5edd",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("config", list(SHIPPED_BUNDLES))
+def test_shipped_verify_bundles_are_pinned(tmp_path, capsys, config, threads):
+    # The outputs every change must keep byte-identical, at any --threads.
+    out = tmp_path / "run"
+    code = main(["verify", "--config", str(ROOT / config), "--out", str(out), "--threads", str(threads)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    names = ["report.json", *sorted(p.name for p in out.glob("*.csv"))]
+    bundle = b"".join((out / name).read_bytes() for name in names) + stdout.encode()
+    assert hashlib.sha256(bundle).hexdigest() == SHIPPED_BUNDLES[config]
+
+
+def test_shipped_simulate_bundle_is_pinned(tmp_path, capsys):
+    # perpetua simulate on verify_cp: its 500 path files and the partial-integral
+    # table, in name order.
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(ROOT / "perfbench/configs/verify_cp.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 501 files to {out}\n"
+    bundle = b"".join(p.read_bytes() for p in sorted(out.iterdir()))
+    assert hashlib.sha256(bundle).hexdigest() == "ac723cad86987d74046b30847299aaeca752162cd1ab86b70997b0bc760ac40e"
+
+
 class TestSimulateCommand:
     def test_writes_path_csvs(self, tmp_path, capsys):
         out = tmp_path / "artifacts"

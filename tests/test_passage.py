@@ -385,6 +385,55 @@ class TestOvershootLaw:
         assert self_ks < ks_critical(400, 400, alpha=0.01)
 
 
+def digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)).hexdigest()
+
+
+# (triplet, level, cap) of processes without jumps: BM with drift, pure drift,
+# and driftless BM, which has no default cap
+NO_JUMPS = {
+    "bm_drift": (LevyTriplet(1.0, 1.0), 2.0, None),
+    "pure_drift": (LevyTriplet(2.0), 3.0, None),
+    "driftless_bm": (LevyTriplet(0.0, 1.0), 0.5, 200.0),
+}
+
+
+class TestNoJumpPassagePins:
+    """sha256 pins of passages without jumps, so that no change to the walk moves a bit."""
+
+    @pytest.mark.parametrize("case, pin", [
+        ("bm_drift", "d7078f6971020d931c9eee0cf46113dcd6c8fec5a9ec89ea7601c3e4feb7f702"),
+        ("pure_drift", "92a16423dcfa3b69bb1acc044fb0541ffa340a12ff757525c1dc635e5e1560a1"),
+        ("driftless_bm", "fc23a30b416dee9997f653511fa7c6155d8b978f2bac82ac7fd5f13b785271ca"),
+    ])
+    def test_first_passages_are_pinned(self, case, pin):
+        # seed s at level (1 + s/100) times the case's: 200 passages
+        triplet, level, cap = NO_JUMPS[case]
+        hits = [first_passage(triplet, level * (1.0 + s / 100.0), seed=s, cap=cap) for s in range(200)]
+        times = [math.nan if h.passage_time is None else h.passage_time for h in hits]
+        overshoots = [math.nan if h.overshoot is None else h.overshoot for h in hits]
+        assert digest(times, overshoots) == pin
+
+    @pytest.mark.parametrize("case, pin", [
+        ("bm_drift", "2ddeb556731368e5b01e67f617f6175a52737cc3d3f3edd8e7fa7fecc1507cc6"),
+        ("pure_drift", "4b1be0fcf66a313b0567c38237a88e122fd0852e2be6aabbe8bd1a83ad949c50"),
+    ])
+    def test_exact_ensemble_passages_are_pinned(self, case, pin):
+        # one stream, starts spread below the level and a cap that some paths miss
+        triplet, level, _ = NO_JUMPS[case]
+        times, overshoots, drawn = _event_passages(triplet, level, -np.arange(300) / 7.0, 10.0, stream(51))
+        assert drawn == 0 and 0 < np.count_nonzero(np.isnan(times)) < 300
+        assert digest(times, overshoots) == pin
+
+    def test_bm_ensembles_are_pinned(self):
+        triplet = NO_JUMPS["bm_drift"][0]
+        dist = overshoot_ensemble(triplet, 5.0, 1000, seed=52)
+        rho, self_ks, level = stationary_overshoot(triplet, 400, seed=53)
+        assert dist.events_drawn == rho.events_drawn == 0
+        assert digest(dist.samples, rho.samples, [self_ks, level]) == \
+            "3185386329c2ddbe753dddc4cac85a7c19f8c49c8233c0485a20021d66a9b12b"
+
+
 class TestEmpiricalDistribution:
     def test_cdf_steps(self):
         d = EmpiricalDistribution(samples=np.array([0.0, 0.0, 1.0, 2.0]), n=4)
