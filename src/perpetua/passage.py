@@ -101,7 +101,8 @@ def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: flo
 
     Returns (passage times, overshoots, events drawn); NaN marks a path that
     has not crossed by time cap.  Piece j (the gap before jump j) comes
-    before jump j.  The first piece that crosses means the path crept over
+    before jump j; without jumps a path has one piece, to the cap, and draws
+    no events.  The first piece that crosses means the path crept over
     inside it, with overshoot 0: without a Gaussian part the piece is a
     line, which crosses when its end value is at or above the level, at
     T_(j-1) + (level - v_(j-1)) / drift; with one it is a Brownian bridge
@@ -109,16 +110,15 @@ def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: flo
     post-jump value is at or above the level is a jump crossing at T_j with
     overshoot post - level.
 
-    All draws come from rng, in this order.  The paths run in blocks of rows
-    so that one batch holds at most BATCH_EVENTS events, block after block;
-    the live paths of a block draw event_batch after event_batch of
-    m = batch_size(rate, expected time to passage) events.  With a Gaussian
-    part each batch then draws a (paths, m) array of standard normals (the
-    Gaussian move over each gap), then one of uniforms (the bridge tests),
-    then the crossing times of the paths that crept, in path order.  With no
-    jumps the one piece is [0, cap]: the closed form (level - x0) / drift
-    without a Gaussian part; with one, a normal per path, then a uniform per
-    path, then the crossing times.
+    The draw order of every exact ensemble: all draws come from rng, in
+    this order.  The paths run in blocks of rows so that one batch holds at
+    most BATCH_EVENTS pieces, block after block; the live paths of a block
+    draw batch after batch of m = batch_size(rate, expected time to passage)
+    events (event_batch: the jump gaps, then the jump sizes), or of one
+    piece without jumps.  With a Gaussian part each batch then draws a
+    (paths, m) array of standard normals (the Gaussian move over each
+    piece), then one of uniforms (the bridge tests), then the crossing
+    times of the paths that crept, in path order.
     """
     x0 = np.asarray(x0, dtype=float)
     times = np.full(x0.size, np.nan)
@@ -127,21 +127,8 @@ def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: flo
     var = triplet.gaussian_coef
     rate = triplet.levy_measure.rate_above(0.0)
     mu = triplet.mean().as_float()
-    if rate == 0.0:
-        if var > 0.0:
-            end = x0 + drift * cap + math.sqrt(var * cap) * rng.standard_normal(x0.size)
-            hit = _bridge_crosses(x0, end, cap, level, var, rng.random(x0.size))
-            times[hit] = _bridge_hit_times(rng, x0[hit], end[hit], cap, level, var)
-            overshoots[hit] = 0.0
-        elif drift > 0.0:
-            t = (level - x0) / drift
-            reached = t <= cap
-            times[reached] = t[reached]
-            overshoots[reached] = 0.0
-        return times, overshoots, 0
-
     expected_time = float(np.max(level - x0)) / mu if mu > 0.0 else cap
-    m = batch_size(rate, expected_time)
+    m = batch_size(rate, expected_time) if rate > 0.0 else 1
     rows = max(1, BATCH_EVENTS // m)
     drawn = 0
     for first in range(0, x0.size, rows):
@@ -149,8 +136,13 @@ def _event_passages(triplet: LevyTriplet, level: float, x0: np.ndarray, cap: flo
         t = np.zeros(live.size)
         v = x0[live]
         while live.size:
-            at, pre, post = event_batch(triplet, rng, t, v, m)
-            drawn += at.size
+            if rate > 0.0:
+                at, pre, post = event_batch(triplet, rng, t, v, m)
+                drawn += at.size
+            else:
+                at = np.full((live.size, 1), cap)
+                pre = v[:, None] + drift * cap
+                post = pre.copy()
             if var > 0.0:
                 gaps = np.diff(at, axis=1, prepend=t[:, None])
                 moves = np.sqrt(var * gaps) * rng.standard_normal(at.shape)
