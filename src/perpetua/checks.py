@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import harness
-from .passage import passage_cap_refusal
+from .passage import harvest_level, passage_cap_refusal
 from .rng import derive_seed
 from .simulate import path_refusal
 
@@ -26,9 +26,10 @@ __all__ = ["Param", "Check", "CHECKS", "resolve"]
 class Param:
     """One entry of check_params.<check>.
 
-    kind is int, float, bool or list (a non-empty list of numbers).  Numbers
-    must be positive, and above the parameter named by above.  default is an
-    immutable value, or a callable (config, params resolved so far) -> value.
+    kind is int (a count of paths, at most rng.MAX_PATHS), float, bool or
+    list (a non-empty list of numbers).  Numbers must be positive, and above
+    the parameter named by above.  default is an immutable value, or a
+    callable (config, params resolved so far) -> value.
     """
 
     name: str
@@ -72,13 +73,15 @@ def _auto_lln_t0(config, p) -> float:
 
 
 def _overshoot_refusal(config, p):
-    return passage_cap_refusal(config.triplet, p["z2"])
+    return passage_cap_refusal(config.triplet, p["z2"], n=p["n"], dt=config.dt)
 
 
 def _invariance_refusal(config, p):
     return harness.invariance_level_refusal(p["x_list"]) or path_refusal(
         config.triplet, harness.invariance_horizon(config.triplet, p["x_list"], config.dt)[1], config.dt
-    ) or harness.bandwidth_refusal(config.triplet, config.dt, p["bandwidth"])
+    ) or harness.bandwidth_refusal(config.triplet, config.dt, p["bandwidth"]) or (
+        passage_cap_refusal(config.triplet, harvest_level(config.triplet), n=p["n_rho"], dt=config.dt)
+        if p["start_from_rho"] else None)
 
 
 def _occupation_refusal(config, p):

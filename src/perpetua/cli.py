@@ -25,7 +25,9 @@ where t0 without a prefix is the config's own:
                 sigma_eff^2; t0 below 50 v/mu^2 is refused)
 
 z2 must exceed z1, lln's horizon its t0 and (on grid paths) 10 dt, and
-lln's t0 its floor, or the config is refused (exit 2).  expected_fail lists
+lln's t0 its floor, or the config is refused (exit 2); so is a count above
+2^20 paths (SAMPLE_SIZE), or a passage to z2 or to the rho harvest level
+whose walk holds more than 2^24 expected pieces (PATH_BUDGET).  expected_fail lists
 the checks that must fail for the run to meet expectations, each one that
 runs (listed under "checks", or any check when "checks" is left out).  Every
 check runs on the config's dt, read only with a Gaussian part or infinite

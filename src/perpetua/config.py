@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .checks import CHECKS, Check, resolve
 from .errors import ConfigError, NonFiniteParameter, PreconditionViolation
+from .rng import sample_size_refusal
 from .simulate import path_refusal
 from .testfunctions import TestFunction, test_function_from_dict
 from .triplet import LevyTriplet
@@ -90,6 +91,7 @@ class ExperimentConfig:
             problems.append(f"f: {exc}")
 
         n_paths = _number(d, "n_paths", int, problems, lambda v: v >= 100, "be >= 100")
+        _sample_size(n_paths, "n_paths", problems)
         dt = _number(d, "dt", float, problems, _positive, "be positive")
 
         horizon = d.get("horizon")
@@ -233,6 +235,8 @@ def _check_params(check: Check, raw: dict, problems: list[str]) -> bool:
                                 f"got {raw[name]!r}")
         else:
             val = _number(raw, name, p.kind, problems, _positive, "be > 0", prefix)
+            if p.kind is int:  # every integer parameter counts paths
+                _sample_size(val, prefix + name, problems)
             if val is not None:
                 written[name] = val
     problems += _order_problems(check, written)
@@ -270,6 +274,13 @@ def _number(d: dict, key: str, kind: type, problems: list[str], ok, rule: str,
         problems.append(f"{prefix}{key}: must {rule}, got {val!r}")
         return None
     return val
+
+
+def _sample_size(n: int | None, key: str, problems: list[str]) -> None:
+    """A problem at key when the path count n (None: already refused) passes SAMPLE_SIZE."""
+    over = None if n is None else sample_size_refusal(n)
+    if over is not None:
+        problems.append(f"{key}: {over[1]}")
 
 
 def _positive(val) -> bool:

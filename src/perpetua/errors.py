@@ -41,7 +41,7 @@ class InversionUnstable(PerpetuaError):
 
 
 class NotReachedError(PerpetuaError):
-    """A first-passage simulation exhausted its horizon cap before crossing."""
+    """A simulated path did not reach its target: an invariance path that never escapes its levels."""
 
 
 class ConfigError(PerpetuaError):

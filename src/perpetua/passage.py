@@ -17,6 +17,8 @@ crept over (overshoot zero); reached by a piece of zero duration, a jump
 took it over.  Excursions between knots are not bridged; that bias
 vanishes with dt.  A grid overshoot ensemble scans its paths, one stream
 each, through rng.ensemble; an exact one draws from one stream, inline.
+An ensemble is bounded as a whole: its passage times may sum to n times
+one path's allowance (overshoot_ensemble).
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotReachedError, PreconditionViolation
-from .rng import derive_seed, ensemble, stream
-from .simulate import BATCH_EVENTS, StepEngine, batch_size, event_batch, grid_knots, path_pieces, step_engine
+from .errors import PreconditionViolation
+from .rng import derive_seed, ensemble, sample_size_refusal, stream
+from .simulate import (BATCH_EVENTS, StepEngine, batch_size, event_batch, grid_knots, path_pieces, pieces_refusal,
+                       step_engine)
 from .stats import ks_two_sample
 from .triplet import LevyTriplet
 
@@ -38,6 +41,7 @@ __all__ = [
     "first_passage",
     "overshoot_ensemble",
     "stationary_overshoot",
+    "harvest_level",
     "passage_cap_refusal",
 ]
 
@@ -82,9 +86,10 @@ def first_passage(
     walked on the knots of its dt grid path, with the jumps above the
     measure's default cutoff for dt at their exact times: the one-path case
     of _event_passages, or _scan_for_crossing.  Not reached by time cap
-    (default 10 level / mu) gives passage_time None.
+    (default 10 level / mu) gives passage_time None.  A cap that
+    passage_cap_refusal refuses raises before any draw.
     """
-    cap = _passage_cap(triplet, level, cap)
+    cap = _passage_cap(triplet, level, cap, dt=dt)
     if x0 >= level:
         return FirstPassageSample(level=level, passage_time=0.0, overshoot=x0 - level)
     if triplet.levy_measure.is_finite_activity:
@@ -214,19 +219,34 @@ def _bridge_hit_times(rng, a, b, tau, level: float, var: float) -> np.ndarray:
     return tau / (1.0 + inv_y)
 
 
-def passage_cap_refusal(triplet: LevyTriplet, level: float,
-                        cap: float | None = None) -> tuple[str, str] | None:
-    """(reason, problem) unless level > 0 and the cap (default 10 level / mu) is finite, else None."""
+def passage_cap_refusal(triplet: LevyTriplet, level: float, cap: float | None = None,
+                        n: int = 1, dt: float = 1e-2) -> tuple[str, str] | None:
+    """(reason, problem) of the first of LEVEL_RANGE, CAP_RANGE, PATH_BUDGET broken, or None.
+
+    cap is each path's allowance (default 10 level / mu).  The n paths of an
+    ensemble share the budget n cap, which must be finite (CAP_RANGE).  A
+    walk to the allowance must hold at most MAX_PIECES_PER_PATH expected
+    pieces (PATH_BUDGET): 2 rate cap + 1 on an exact walk (finite activity;
+    one piece without jumps), path_pieces on the dt grid otherwise.
+    """
     if not level > 0.0:
         return "LEVEL_RANGE", "need level > 0"
     if cap is None:
         cap = 10.0 * level / triplet.positive_mean("passage cap")
-    return None if math.isfinite(cap) else ("CAP_RANGE", f"need a finite cap, got {cap}")
+    if not math.isfinite(n * cap):
+        return "CAP_RANGE", f"need a finite cap, got {n * cap}" + (f" ({n} paths of {cap:g})" if n > 1 else "")
+    nu = triplet.levy_measure
+    if nu.is_finite_activity:
+        return pieces_refusal(2.0 * nu.rate_above(0.0) * cap + 1.0)
+    if not dt > 0.0:
+        return "DT_RANGE", "need dt > 0"
+    return pieces_refusal(path_pieces(triplet, cap, dt))
 
 
-def _passage_cap(triplet: LevyTriplet, level: float, cap: float | None = None) -> float:
-    """The cap (default 10 level / mu) of a passage over level: not reached by then."""
-    over = passage_cap_refusal(triplet, level, cap)
+def _passage_cap(triplet: LevyTriplet, level: float, cap: float | None = None, n: int = 1,
+                 dt: float = 1e-2) -> float:
+    """Each path's allowance (default 10 level / mu) of a passage over level, once passage_cap_refusal passes."""
+    over = passage_cap_refusal(triplet, level, cap, n, dt)
     if over is not None:
         raise PreconditionViolation(*over)
     return 10.0 * level / triplet.positive_mean("passage cap") if cap is None else cap
@@ -270,29 +290,39 @@ def overshoot_ensemble(
     dt: float = 1e-2,
     threads: int = 1,
 ) -> EmpiricalDistribution:
-    """n independent overshoots at the level; error if any path stalls.
+    """n independent overshoots at the level, refused when their passages overrun the ensemble's budget.
 
-    Finite activity runs all n paths exactly, inline, from the one stream
+    Each path has the allowance A = 10 level / mu, and the ensemble the
+    budget B = n A.  Every path may run to B; the ensemble is refused as
+    PASSAGE_BUDGET when its passage times, summed in path order, exceed B
+    (a path not reached by B counts as exceeding), so the outcome does not
+    depend on which paths are slow, nor on the threads.  Finite activity
+    runs all n paths exactly, inline, from the one stream
     derive_seed(seed, "overshoot") in the order _event_passages documents,
-    and reports the events drawn (0 without jumps); dt and threads are unused.
-    Infinite activity scans path i on the dt grid (_scan_for_crossing) from
-    stream derive_seed(seed, "overshoot", i), through rng.ensemble.  A path
-    stalls when it has not crossed by time 10 level / mu.
+    and reports the events drawn (0 without jumps); dt and threads are
+    unused.  Infinite activity scans path i on the dt grid
+    (_scan_for_crossing) from stream derive_seed(seed, "overshoot", i),
+    through rng.ensemble in blocks sized by a walk to A.  n, the level and
+    the allowance (passage_cap_refusal) are checked before any draw.
     """
-    if n < 1:
-        raise PreconditionViolation("SAMPLE_SIZE", f"need n >= 1 paths, got {n}")
-    cap = _passage_cap(triplet, level)
+    over = sample_size_refusal(n)
+    if over is not None:
+        raise PreconditionViolation(*over)
+    allowance = _passage_cap(triplet, level, n=n, dt=dt)
+    budget = n * allowance
     if triplet.levy_measure.is_finite_activity:
         rng = stream(derive_seed(seed, "overshoot"))
-        times, out, drawn = _event_passages(triplet, level, np.zeros(n), cap, rng)
+        times, out, drawn = _event_passages(triplet, level, np.zeros(n), budget, rng)
     else:
         engine, drawn = step_engine(triplet, dt), None
-        times, out = ensemble(lambda seeds: np.array([_scan_for_crossing(engine, stream(s), 0.0, level, cap)
+        times, out = ensemble(lambda seeds: np.array([_scan_for_crossing(engine, stream(s), 0.0, level, budget)
                                                       for s in seeds]),
-                              seed, "overshoot", n, path_pieces(triplet, cap, dt), threads).T
-    stalled = np.nonzero(np.isnan(times))[0]
-    if stalled.size:
-        raise NotReachedError(f"path {stalled[0]} failed to reach {level:g} within cap {cap:g}")
+                              seed, "overshoot", n, path_pieces(triplet, allowance, dt), threads).T
+    spent = np.cumsum(times)
+    if not spent[-1] <= budget:  # NaN once a path has not crossed by the budget
+        raise PreconditionViolation("PASSAGE_BUDGET", (
+            f"passage times to level {level:g} sum past the budget {budget:g} = {n} paths x 10 level/mu "
+            f"by path {int(np.argmin(spent <= budget))}"))
     return EmpiricalDistribution(samples=np.sort(out), n=n, events_drawn=drawn)
 
 
@@ -304,17 +334,23 @@ def stationary_overshoot(
     dt: float = 1e-2,
     threads: int = 1,
 ) -> tuple[EmpiricalDistribution, float, float]:
-    """Harvest the stationary overshoot proxy at a high level.
+    """Harvest the stationary overshoot proxy at a high level (default harvest_level).
 
-    Default level 100 * sigma_eff / mu (the overshoot law is an asymptotic
-    limit; this is an engineering height, reported back to the caller).
     Returns (distribution, self-check KS vs the ensemble at half the level,
     level used); the caller decides whether the self-check is close enough.
     """
-    mu = triplet.positive_mean("stationary overshoot")
     if level is None:
-        sigma_eff = math.sqrt(triplet.effective_volatility_sq())
-        level = max(100.0 * sigma_eff / mu, 1.0)
+        level = harvest_level(triplet)
     rho, half = (overshoot_ensemble(triplet, z, n, seed=derive_seed(seed, tag), dt=dt, threads=threads)
                  for z, tag in ((level, "rho"), (level / 2.0, "rho-half")))
     return rho, ks_two_sample(rho.samples, half.samples), level
+
+
+def harvest_level(triplet: LevyTriplet) -> float:
+    """stationary_overshoot's default level, max(100 sigma_eff / mu, 1), for a mean mu in (0, inf).
+
+    The overshoot law is an asymptotic limit; this is an engineering height,
+    reported back to the caller.
+    """
+    mu = triplet.positive_mean("stationary overshoot")
+    return max(100.0 * math.sqrt(triplet.effective_volatility_sq()) / mu, 1.0)

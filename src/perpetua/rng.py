@@ -14,13 +14,10 @@ checks, perpetua simulate and the grid overshoot ensembles.  A grid path
 draws its steps from its stream, and an exact event path (drift plus finite
 activity) its batches of jump gaps and sizes, through the same event loop
 as exact first passage.  The exact overshoot ensemble of a finite-activity
-process (drift, Gaussian part and compound Poisson jumps) is the exception:
-it draws all its paths from one stream, inline, in row blocks whose size
-follows from the triplet, the level and n, and in the order
-passage._event_passages documents (per batch the jump gaps and sizes, then
-with a Gaussian part the normals and uniforms of the bridge pieces, then
-the crossing times), so a path's draws depend on the ensemble it belongs to
-(n included) but never on the thread count.
+process (drift, Gaussian part, compound Poisson jumps or none) is the
+exception: it draws all its paths from one stream, inline, in the order
+passage._event_passages states, so a path's draws depend on the ensemble it
+belongs to (n included) but never on the thread count.
 
 Where one experiment needs several unrelated ensembles (say overshoot
 harvests at two levels), sub-seeds are derived by hashing the master seed
@@ -43,6 +40,14 @@ MASK64 = (1 << 64) - 1
 # share one local_time_block pass per round, so this bounds the memory a
 # block holds while giving each task enough work
 _BLOCK_PIECES = 2**14
+
+# No ensemble may hold more paths than this (sample_size_refusal): each path
+# keeps a row of results in memory, the largest the finiteness partials, a
+# float per checkpoint (64 MB at 2**20 paths of 8 checkpoints), and ensemble
+# builds every path's seed first.  Config validation holds every count to it,
+# and ensemble and passage.overshoot_ensemble refuse a count past it before
+# allocating.  A precondition, not a setting.
+MAX_PATHS = 2**20
 
 
 def derive_seed(master_seed: int, *tags) -> int:
@@ -79,6 +84,15 @@ def stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_Key(seed)))
 
 
+def sample_size_refusal(n: int) -> tuple[str, str] | None:
+    """("SAMPLE_SIZE", problem) unless 1 <= n <= MAX_PATHS paths, else None."""
+    if n < 1:
+        return "SAMPLE_SIZE", f"need n >= 1 paths, got {n}"
+    if n > MAX_PATHS:
+        return "SAMPLE_SIZE", f"{n} paths exceed SAMPLE_SIZE {MAX_PATHS} (each path's results are held in memory)"
+    return None
+
+
 def ensemble(work, seed: int, tag: str, n: int, pieces: float, threads: int) -> np.ndarray:
     """Rows of paths 0..n-1 in path order, path i seeded derive_seed(seed, tag, i), alike for any threads.
 
@@ -86,12 +100,14 @@ def ensemble(work, seed: int, tag: str, n: int, pieces: float, threads: int) -> 
     about _BLOCK_PIECES pieces in all (pieces per path), at least one path,
     and runs inline at one thread or in one pool; a block that raises a
     PerpetuaError runs its paths again one by one, so a refusal is the one
-    of the lowest path index that fails alone.
+    of the lowest path index that fails alone.  Threads and n are checked
+    before anything is allocated.
     """
     if threads < 1:
         raise PreconditionViolation("THREADS_RANGE", f"need threads >= 1, got {threads}")
-    if n < 1:
-        raise PreconditionViolation("SAMPLE_SIZE", f"need n >= 1 paths, got {n}")
+    over = sample_size_refusal(n)
+    if over is not None:
+        raise PreconditionViolation(*over)
     # derive_seed(seed, tag, i): the text before i is hashed once, and copied per path
     prefix = hashlib.sha256((repr(int(seed) & MASK64) + "|" + str(tag) + "|").encode("utf-8"))
 

@@ -69,6 +69,7 @@ __all__ = [
     "grid_knots",
     "path_pieces",
     "path_refusal",
+    "pieces_refusal",
     "sample_path",
     "sample_paths",
     "perpetual_estimate",
@@ -80,11 +81,14 @@ __all__ = [
 ]
 
 # No path of any check may hold more expected pieces than this (path_refusal,
-# path_pieces): a knot every dt on a grid and two per jump, on grid and event
-# paths alike.  Paths are held in memory whole, so a tiny dt or a dense jump
-# rate is refused rather than ending in a MemoryError halfway through a run:
-# config validation holds every check's paths to it, and sample_paths refuses
-# a path past it before allocating.  A precondition, not a setting.
+# pieces_refusal): a knot every dt on a grid and two per jump, on grid and
+# event paths alike.  Paths are held in memory whole, so a tiny dt or a dense
+# jump rate is refused rather than ending in a MemoryError halfway through a
+# run: config validation holds every check's paths to it, and sample_paths
+# refuses a path past it before allocating.  A first-passage walk is held to
+# it as well (passage.passage_cap_refusal), so that a level too far to reach
+# in reasonable time is refused instead of walked.  A precondition, not a
+# setting.
 MAX_PIECES_PER_PATH = 2**24
 
 # events per batch of the event sampler, at most: the size of the largest
@@ -381,7 +385,11 @@ def path_refusal(triplet: LevyTriplet, horizon: float, dt: float) -> tuple[str, 
         return "HORIZON_RANGE", f"need horizon > 0, got {horizon:g}"
     if not (event_driven(triplet) or 0.0 < dt <= horizon / 10.0):
         return "DT_RANGE", f"need 0 < dt <= horizon/10 = {horizon / 10.0:g}, got {dt:g}"
-    pieces = path_pieces(triplet, horizon, dt)
+    return pieces_refusal(path_pieces(triplet, horizon, dt))
+
+
+def pieces_refusal(pieces: float) -> tuple[str, str] | None:
+    """("PATH_BUDGET", problem) when a path's expected pieces exceed MAX_PIECES_PER_PATH, else None."""
     if pieces <= MAX_PIECES_PER_PATH:
         return None
     return "PATH_BUDGET", (f"{pieces:.3g} expected pieces per path exceed PATH_BUDGET "

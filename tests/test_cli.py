@@ -500,6 +500,104 @@ def test_shipped_simulate_bundle_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(bundle).hexdigest() == "ac723cad86987d74046b30847299aaeca752162cd1ab86b70997b0bc760ac40e"
 
 
+# drift 1 plus StableLike(1.5, 1, 0), master seed 11: path 31 of the rho harvest takes
+# longer than its allowance 10 level/mu = 1,414 to reach level 141.4, while the 150
+# passage times sum inside their budget 150 x 1,414
+SLOW_HARVEST = {
+    "triplet": {"drift": 1.0, "gaussian": 0.0, "levy_measure": {"family": "stable", "params": {
+        "alpha": 1.5, "scale": 1.0, "skew": 0.0}}},
+    "master_seed": 11,
+    "checks": ["invariance"],
+    "check_params": {"invariance": {"n": 30, "n_rho": 150}},
+}
+
+
+def test_a_slow_harvest_path_reaches_a_verdict_for_any_threads(tmp_path, capsys):
+    cfg = write_config(tmp_path, **SLOW_HARVEST)
+    reports = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    entry = json.loads(reports[0])["checks"][0]
+    assert entry["passed"] and entry["notes"].startswith("rho from level 141.421 ")
+    assert hashlib.sha256(reports[0]).hexdigest() == "40762a1b6519330600b787e1805a29b86318fddbea87006dcd01c5babb41da63"
+
+
+def test_passages_over_their_budget_are_refused_by_name(tmp_path, capsys):
+    # drift 1e-3 plus rate-2e-4 jumps of 5,000: mu = 1.001, so each path has the
+    # allowance 10 level / 1.001, but it creeps for 1,000 level or waits for a jump
+    # (mean 5,000).  The harvest level is 1 (sigma_eff is 0).
+    cfg = write_config(
+        tmp_path,
+        triplet={"drift": 1e-3, "gaussian": 0.0, "levy_measure": {"family": "compound_poisson", "params": {
+            "rate": 2e-4, "jump_law": {"kind": "constant", "size": 5000.0}}}},
+        checks=["overshoot", "invariance"],
+        check_params={"overshoot": {"z1": 1.0, "z2": 2.0, "n": 100}, "invariance": {"n": 20, "n_rho": 100}},
+    )
+    out = tmp_path / "run"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    entries = json.loads((out / "report.json").read_text())["checks"]
+    assert [(e["check"], e["precondition"]) for e in entries] == [
+        ("overshoot", "PASSAGE_BUDGET"), ("invariance", "PASSAGE_BUDGET")]
+    assert entries[0]["notes"].startswith(
+        "precondition violated: PASSAGE_BUDGET: passage times to level 1 sum past the budget 999.001 = "
+        "100 paths x 10 level/mu by path ")
+
+
+def verify_cp_payload(**changes) -> dict:
+    payload = json.loads((ROOT / "perfbench/configs/verify_cp.json").read_text())
+    payload.update(changes)
+    return payload
+
+
+@pytest.mark.parametrize("payload, problem", [
+    # verify_cp's triplet with z1 = 1e12: z2 = 2e12, and 2 rate (10 z2 / mu) + 1 pieces
+    (verify_cp_payload(check_params={"overshoot": {"z1": 1e12}}),
+     "check_params.overshoot: 6.67e+13 expected pieces per path exceed PATH_BUDGET 16777216"),
+    # mu = 1e-6 and the default z1 = 20 sigma_eff / mu = 8.04e6
+    (verify_cp_payload(
+        triplet={"drift": 0.500001, "gaussian": 0.0, "levy_measure": {"family": "compound_poisson", "params": {
+            "rate": 1.0, "jump_law": {"kind": "exponential", "theta": 2.0, "sign": -1}}}},
+        checks=["overshoot"], check_params={}),
+     "check_params.overshoot: 3.22e+14 expected pieces per path exceed PATH_BUDGET 16777216"),
+    # the invariance check's rho harvest at its level 100 sigma_eff / mu = 141.4, on a grid
+    # of dt 1e-4 that holds the config's and the check's own paths
+    (verify_cp_payload(
+        triplet={"drift": 1.0, "gaussian": 0.0, "levy_measure": {"family": "stable", "params": {
+            "alpha": 1.5, "scale": 1.0, "skew": 0.0}}},
+        dt=1e-4, checks=["invariance"], check_params={"invariance": {"n_rho": 10}}),
+     "check_params.invariance: 2.83e+07 expected pieces per path exceed PATH_BUDGET 16777216"),
+], ids=["verify_cp_far_level", "tiny_mean", "harvest"])
+def test_a_level_too_far_to_walk_is_refused_before_any_work(tmp_path, capsys, payload, problem):
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {problem} ") and "Traceback" not in err
+
+
+def test_a_walk_without_jumps_passes_at_any_level(tmp_path, capsys):
+    # BM with drift walks one piece to the level, however far it is
+    cfg = write_config(tmp_path, checks=["overshoot"], check_params={"overshoot": {"z1": 1e12, "n": 100}})
+    assert main(["verify", "--config", cfg]) == 0
+    assert "[PASS] overshoot_stationarity" in capsys.readouterr().out
+
+
+def test_a_sample_size_past_the_bound_is_refused_with_every_other_problem(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_paths=10**12, dt=-1.0, check_params={
+        "overshoot": {"n": 10**12}, "invariance": {"n_rho": 2**20 + 1}, "lln": {"n": 2**20}})
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == ("config error: n_paths: 1000000000000 paths exceed SAMPLE_SIZE 1048576 "
+                   "(each path's results are held in memory); dt: must be positive, got -1.0; "
+                   "check_params.overshoot.n: 1000000000000 paths exceed SAMPLE_SIZE 1048576 "
+                   "(each path's results are held in memory); check_params.invariance.n_rho: 1048577 "
+                   "paths exceed SAMPLE_SIZE 1048576 (each path's results are held in memory)\n")
+
+
 class TestSimulateCommand:
     def test_writes_path_csvs(self, tmp_path, capsys):
         out = tmp_path / "artifacts"

@@ -594,8 +594,23 @@ def fast_bm(bandwidth):
     return d
 
 
+def event_checks(**check_params):
+    """event_payload running only the checks given."""
+    d = event_payload()
+    d["checks"], d["check_params"] = list(check_params), check_params
+    return d
+
+
+# its rho harvest walks to 10 x 67.01 / 0.6 = 1,116.9: 2 x 1,116.9 + 1 = 2,234.7 pieces
+EVENT_HARVEST = {"invariance": {"n": 4, "n_rho": 200}}
+
+
 # payloads at the edge of a rule that config and run both hold, each with its budgets
 EDGES = {
+    # a walk to 10 x 120 / 0.6 = 2,000: 4,001 expected pieces
+    "overshoot_walk_under_the_budget": (lambda: event_checks(overshoot={"z1": 60.0, "z2": 120.0, "n": 4}),
+                                        {"MAX_PIECES_PER_PATH": PIECES}),
+    "harvest_walk_under_the_budget": (lambda: event_checks(**EVENT_HARVEST), {"MAX_PIECES_PER_PATH": 2240}),
     "lln_t0_at_the_floor_bm": (lambda: at_floor(good_payload()), {}),
     "lln_t0_at_the_floor_event": (lambda: at_floor(event_payload()), {}),
     # dt 6 = horizon 60 / 10 exactly (config t0 = 192 >= 10 dt)
@@ -637,6 +652,13 @@ REFUSED = {
     "invariance_under_the_floor": ("invariance", lambda: under_the_floor("invariance"), {}, FLOOR_PROBLEM),
     # z2 defaults to 2 z1 = inf, and so does its passage cap 10 z2 / mu
     "overshoot": ("overshoot", lambda: bm(overshoot={"z1": 1e308, "n": 4}), {}, "need a finite cap, got inf"),
+    # a walk to 10 x 124 / 0.6 = 2,066.7
+    "overshoot_past_the_path_budget": ("overshoot", lambda: event_checks(overshoot={"z1": 62.0, "z2": 124.0, "n": 4}),
+                                       {"MAX_PIECES_PER_PATH": PIECES},
+                                       "4.13e+03 expected pieces per path exceed PATH_BUDGET"),
+    "harvest_past_the_path_budget": ("invariance", lambda: event_checks(**EVENT_HARVEST),
+                                     {"MAX_PIECES_PER_PATH": 2048},
+                                     "2.23e+03 expected pieces per path exceed PATH_BUDGET"),
 }
 
 

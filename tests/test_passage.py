@@ -13,7 +13,6 @@ from perpetua import (
     EmpiricalDistribution,
     ExponentialJump,
     LevyTriplet,
-    NotReachedError,
     PreconditionViolation,
     StableLike,
     TwoSidedExponentialJump,
@@ -24,6 +23,7 @@ from perpetua import (
     overshoot_ensemble,
     stationary_overshoot,
 )
+from perpetua import passage
 from perpetua.passage import BATCH_EVENTS, _bridge_hit_times, _event_passages, _scan_for_crossing
 from perpetua.rng import derive_seed, stream
 from perpetua.simulate import StepEngine
@@ -188,11 +188,65 @@ class TestEventPassage:
         assert not first_passage(UNIT_DOWN, 3.0, seed=seed, cap=2.5).reached
 
     def test_ensemble_raises_when_a_path_stalls(self):
-        # mu = 1.001 but passage needs one of the rare jumps: cap 10 level / mu
-        # leaves about e^-1 of the paths short
-        triplet = LevyTriplet(1e-3, 0.0, CompoundPoisson(2e-3, ConstantJump(500.0)))
-        with pytest.raises(NotReachedError):
+        # mu = 1.001, but a path must wait for a rare jump (mean 5,000) or creep
+        # for 50,000: the 20 passage times sum far past the budget
+        # 20 x 10 level / mu = 9,990 (by Gamma(20) odds of about 1e-11 otherwise)
+        triplet = LevyTriplet(1e-3, 0.0, CompoundPoisson(2e-4, ConstantJump(5000.0)))
+        with pytest.raises(PreconditionViolation) as exc:
             overshoot_ensemble(triplet, 50.0, 20, seed=26)
+        assert exc.value.reason == "PASSAGE_BUDGET"
+        assert str(exc.value).startswith(
+            "PASSAGE_BUDGET: passage times to level 50 sum past the budget 9990.01 = 20 paths x 10 level/mu by path ")
+
+    def test_a_slow_path_runs_within_the_ensemble_budget(self):
+        # drift 1 over rate-1 Exp(1.1) down-jumps, mu = 1/11: passage to 1
+        # takes 11 on average with a long tail, so some paths take longer than
+        # their allowance A = 110 while the times sum far inside n A
+        triplet = LevyTriplet(1.0, 0.0, CompoundPoisson(1.0, ExponentialJump(1.1, -1)))
+        n, allowance = 500, 10.0 / triplet.mean().as_float()
+        times, _, _ = event_passages(triplet, 1.0, n, seed=derive_seed(55, "overshoot"), cap=n * allowance)
+        assert np.count_nonzero(times > allowance) >= 3
+        assert times.sum() < 0.2 * n * allowance
+        dist = overshoot_ensemble(triplet, 1.0, n, seed=55)  # the same draws
+        assert dist.n == n and np.all(dist.samples == 0.0)  # no up-jumps: every path creeps
+
+    @pytest.mark.parametrize("triplet, level, pieces", [
+        # verify_cp's triplet at z2 = 2e12: 2 rate A + 1 pieces, A = 10 level / mu
+        (DRIFT_CP, 2e12, "6.67e+13"),
+        # drift 0.500001 over Exp(2) down-jumps: mu = 1e-6
+        (LevyTriplet(0.500001, 0.0, CompoundPoisson(1.0, ExponentialJump(2.0, -1))), 1.6e7, "3.2e+14"),
+        # a grid walk counts 10 x 2 / 3 / 1e-7 steps at dt 1e-7, and two pieces
+        # per resolved jump, about 0.5 a step
+        (LevyTriplet(1.0, 0.0, StableLike(1.5, 1.0, 1.0)), 2.0, "1.33e+08"),
+    ], ids=["verify_cp", "tiny_mean", "grid"])
+    def test_a_walk_past_the_path_budget_is_refused_before_any_draw(self, triplet, level, pieces, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a path")
+
+        monkeypatch.setattr(passage, "stream", refuse)
+        for call in (lambda: first_passage(triplet, level, dt=1e-7),
+                     lambda: overshoot_ensemble(triplet, level, 10, dt=1e-7)):
+            with pytest.raises(PreconditionViolation) as exc:
+                call()
+            assert str(exc.value).startswith(f"PATH_BUDGET: {pieces} expected pieces per path exceed PATH_BUDGET")
+
+    def test_a_walk_without_jumps_is_one_piece_at_any_level(self):
+        assert passage.passage_cap_refusal(LevyTriplet(1.0, 1.0), 1e300, n=400) is None
+        dist = overshoot_ensemble(LevyTriplet(1.0, 1.0), 1e12, 400, seed=56)
+        assert dist.events_drawn == 0 and np.all(dist.samples == 0.0)
+
+    def test_the_budget_must_be_finite(self):
+        # each path's allowance 10 level / mu = 1e308 is finite, 4 of them are not
+        assert passage.passage_cap_refusal(LevyTriplet(1.0), 1e307) is None
+        assert passage.passage_cap_refusal(LevyTriplet(1.0), 1e307, n=4) == (
+            "CAP_RANGE", "need a finite cap, got inf (4 paths of 1e+308)")
+
+    @pytest.mark.parametrize("n", [0, 2**20 + 1, 10**12])
+    def test_a_sample_size_out_of_range_is_refused_before_any_allocation(self, n, monkeypatch):
+        monkeypatch.setattr(passage, "np", None)  # any array would fail
+        with pytest.raises(PreconditionViolation) as exc:
+            overshoot_ensemble(DRIFT_CP, 5.0, n)
+        assert exc.value.reason == "SAMPLE_SIZE"
 
     def test_level_range_guard(self):
         with pytest.raises(PreconditionViolation) as exc:

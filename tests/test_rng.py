@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from perpetua import rng
+from perpetua.errors import PreconditionViolation
 from perpetua.rng import MASK64, derive_seed, ensemble, stream
 
 
@@ -33,3 +35,18 @@ def test_ensemble_seeds_path_i_with_derive_seed(seed, tag):
     # ensemble hashes the text its seeds share once; each must still be derive_seed's
     seeds = ensemble(lambda block: np.array(block, dtype=np.uint64), seed, tag, 1200, 1.0, 1)
     assert seeds.tolist() == [derive_seed(seed, tag, i) for i in range(1200)]
+
+
+@pytest.mark.parametrize("n", [0, 2**20 + 1, 10**12])
+def test_ensemble_refuses_a_sample_size_out_of_range_before_any_seed(n, monkeypatch):
+    monkeypatch.setattr(rng.hashlib, "sha256", None)  # no seed may be hashed
+    with pytest.raises(PreconditionViolation) as exc:
+        ensemble(lambda block: np.zeros(len(block)), 0, "t", n, 1.0, 1)
+    assert exc.value.reason == "SAMPLE_SIZE"
+    assert rng.sample_size_refusal(n) == (exc.value.reason, str(exc.value).split(": ", 1)[1])
+
+
+def test_the_sample_size_bound_is_inclusive():
+    assert rng.sample_size_refusal(1) is None and rng.sample_size_refusal(rng.MAX_PATHS) is None
+    assert rng.sample_size_refusal(rng.MAX_PATHS + 1) == (
+        "SAMPLE_SIZE", "1048577 paths exceed SAMPLE_SIZE 1048576 (each path's results are held in memory)")
